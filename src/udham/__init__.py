@@ -12,7 +12,8 @@ the parameterized KAM iteration, stability-time predictors),
 single-resonance Liouville pairs), ``cli`` (batch experiment driver).
 """
 
-from . import cli, dioph, flows, instability, normal_forms, series, weights
+# cli is left out so that `python -m udham.cli` imports it only once
+from . import dioph, flows, instability, normal_forms, series, weights
 
 __all__ = ["weights", "dioph", "series", "flows", "normal_forms",
            "instability", "cli"]

@@ -71,7 +71,7 @@ def write_csv(path: Path, header, rows):
         w = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
         w.writerow(header)
         for row in rows:
-            w.writerow([repr(x) if isinstance(x, float) else x for x in row])
+            w.writerow([_plain(x) for x in row])
 
 
 def write_manifest(path: Path, entries: dict):
@@ -80,12 +80,19 @@ def write_manifest(path: Path, entries: dict):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _plain(v):
+    """Python scalars for numpy ones, so artifacts hold plain numbers."""
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, np.integer):
+        return int(v)
+    return v
+
+
 def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
     if isinstance(v, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_fmt(x) for x in v) + "]"
-    return str(v)
+    return str(_plain(v))
 
 
 def parse_family(params) -> weights.Family:
@@ -217,14 +224,15 @@ def cmd_brtest(cfg: ExperimentConfig) -> int:
     return EXIT_OK if rep.verdict == "ConvergedWithinBudget" else EXIT_BUDGET
 
 
-def _toy_nf_hamiltonian(p):
+def _toy_nf_hamiltonian(cfg: ExperimentConfig):
+    p = cfg.params
     K = int(p.get("k_max", 16))
     eps = float(p.get("eps", 1e-4))
     eta = float(p.get("eta", 1e-5))
     pv = dioph.periodic_from_rational((1, 0), 1)
     H = normal_forms.linear_integrable(pv.v, 2, K, D_I=1)
     H.set_mode((0, 0), eta / weights.C_NORM, m=(0, 1))
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(cfg.seed)
     for k in [(1, 1), (2, -1), (0, 1), (3, 2), (1, 0)]:
         H.add_cos(k, eps * rng.uniform(0.5, 1.0))
     return H, pv
@@ -240,7 +248,7 @@ def cmd_nf(cfg: ExperimentConfig) -> int:
         T = int(p.get("T", 1))
         pv = dioph.periodic_from_rational(tv, T)
     else:
-        H, pv = _toy_nf_hamiltonian(p)
+        H, pv = _toy_nf_hamiltonian(cfg)
     res = normal_forms.periodic_normal_form(H, pv, sp, s=float(p.get("s", 1.0)),
                                             xi=float(p.get("xi", 2.0)),
                                             A=float(p.get("A", 1.0)))

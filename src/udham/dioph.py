@@ -110,10 +110,6 @@ class PeriodicVector:
         if g != 1:
             raise ParameterError(f"period not minimal: gcd(Tv) = {g}")
 
-    @property
-    def dim(self) -> int:
-        return len(self.v)
-
 
 def periodic_from_rational(num, den) -> PeriodicVector:
     """Periodic vector v = num/den (componentwise integer num, common den)."""
@@ -371,7 +367,8 @@ def golden_profile(n: int = 2) -> FrequencyProfile:
                 fp.log_psi.append(lv)
                 fp.ks.append((-p, q) + pad)
             state["p"], state["q"], state["j"] = p + q, p, j + 1
-        fp.horizon = float(fp.breaks[-1] + state["q"])
+        # the next jump is at |k|_1 = breaks[-1] + q; the table holds below it
+        fp.horizon = float(fp.breaks[-1] + state["q"] - 1)
 
     conv0 = [(1, 1, GOLDEN - 1.0)]  # j=0 convergent 1/1, e = phi - 1 = 1/phi
     breaks, log_psi, ks = [1], [0.0], [(-1,) + (0,) * (n - 1)]

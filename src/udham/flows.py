@@ -142,13 +142,7 @@ def compose_angle(f: FTSeries, E0: list, E1: Optional[list] = None,
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     E0v = np.stack([_eval_block0(e, grid) for e in E0], axis=-1)
     pts = grid + E0v.real
-    vals = f.eval_blocks(pts)
-
-    out = FTSeries(n=n, K=K_out, D_I=f.D_I, D_w=f.D_w, n_w=f.n_w, s=f.s,
-                   delta=f.delta, h=f.h, real=f.real)
-    acc = {}
-    for (m, w), v in vals.items():
-        acc[(m, w)] = acc.get((m, w), 0.0) + v
+    acc = f.eval_blocks(pts)
     if E1 is not None:
         # first-order jet correction: w_a E1^a . grad_theta f evaluated on
         # the base-shifted points
@@ -168,21 +162,7 @@ def compose_angle(f: FTSeries, E0: list, E1: Optional[list] = None,
                     w2[a] += 1
                     key = (m, tuple(w2))
                     acc[key] = acc.get(key, 0.0) + v * e1v[i]
-    disc = 0.0
-    for (m, w), v in acc.items():
-        coef = np.fft.fftn(v.reshape((N,) * n)) / N ** n
-        idx = np.arange(-K_out, K_out + 1) % N
-        kept = coef[np.ix_(*([idx] * n))]
-        disc += float(np.sum(np.abs(coef)) - np.sum(np.abs(kept)))
-        if np.max(np.abs(kept)) > 0:
-            out.block(m, w)[...] = kept
-    if report is not None:
-        report["aliasing_mass"] = disc
-    if out.real:
-        for arr in out.blocks.values():
-            flip = np.conj(arr[(slice(None, None, -1),) * n])
-            arr[...] = 0.5 * (arr + flip)
-    return out.prune()
+    return FTSeries.from_samples(f, acc, N, report=report, K=K_out)
 
 
 def _eval_block0(series: FTSeries, pts):
@@ -192,38 +172,20 @@ def _eval_block0(series: FTSeries, pts):
     return vals.get(key0, np.zeros(len(pts), dtype=complex)).real
 
 
-def _rebanded(f: FTSeries, K_out: int) -> FTSeries:
-    """Same series with bandwidth K_out (pad or truncate)."""
-    if f.K == K_out:
-        return f
-    out = FTSeries(n=f.n, K=K_out, D_I=f.D_I, D_w=f.D_w, n_w=f.n_w, s=f.s,
-                   delta=f.delta, h=f.h, real=f.real)
-    kk = min(f.K, K_out)
-    src = slice(f.K - kk, f.K + kk + 1)
-    dst = slice(K_out - kk, K_out + kk + 1)
-    for key, arr in f.blocks.items():
-        out.block(*key)[(dst,) * f.n] = arr[(src,) * f.n]
-    return out
-
-
-def _jet_shift_components(E: list):
+def jet_shift_components(E: list):
     """Split jet series E_i(theta, w) into base and first-order lists."""
     n_w = E[0].n_w
     if n_w == 0 or E[0].D_w == 0:
         return E, None
-    base, first = [], [[None] * len(E) for _ in range(n_w)]
-    for i, e in enumerate(E):
-        b = FTSeries.zeros(e.n, e.K, n_w=e.n_w, D_w=0)
-        for (m, w), arr in e.blocks.items():
-            if sum(w) == 0:
-                b.block(m, (0,) * e.n_w)[...] += arr
-            elif sum(w) == 1:
-                a = int(np.argmax(w))
-                c = FTSeries.zeros(e.n, e.K, n_w=e.n_w, D_w=0)
-                c.block(m, (0,) * e.n_w)[...] = arr
-                first[a][i] = c if first[a][i] is None else first[a][i] + c
-        base.append(b)
-    return base, first
+    w0 = (0,) * n_w
+
+    def coefficient(e, wa):
+        return e.map_monomials(lambda m, w: [((m, w0), 1.0)] if w == wa else [], D_w=0)
+
+    units = [tuple(int(b == a) for b in range(n_w)) for a in range(n_w)]
+    first = [[c if c.blocks else None for c in (coefficient(e, u) for e in E)]
+             for u in units]
+    return [coefficient(e, w0) for e in E], first
 
 
 def apply_affine(H: FTSeries, tr: AffineTransform, K_out: Optional[int] = None,
@@ -236,30 +198,26 @@ def apply_affine(H: FTSeries, tr: AffineTransform, K_out: Optional[int] = None,
     if (all(e.coeff_norm1() == 0.0 for e in tr.E)
             and all(f.coeff_norm1() == 0.0 for row in tr.F for f in row)
             and all(g.coeff_norm1() == 0.0 for g in tr.G)):
-        out = _rebanded(H, K_out)
+        out = H.rebanded(K_out)
         if report is not None:
             report["aliasing_mass"] = 0.0
         return out
-    base, first = _jet_shift_components(tr.E)
+    base, first = jet_shift_components(tr.E)
     scale = max(H.sup_coeff(), 1.0)
     Hs = compose_angle(H, base, first, K_out=K_out, report=report)
-    Hs.prune_entries(1e-17 * scale)
+    Hs = Hs.prune_entries(1e-17 * scale)
     # substitution polynomials L_i = G_i + sum_j (delta_ij + F_ij) I_j;
     # F and G act at the preimage theta, so no angle composition here
+    zero = (0,) * n
+    units = [tuple(int(a == j) for a in range(n)) for j in range(n)]
     L = []
     for i in range(n):
-        Li = FTSeries.zeros(n, K_out, D_I=1, D_w=H.D_w, n_w=H.n_w)
-        for (m, w), arr in _rebanded(tr.G[i], K_out).blocks.items():
-            Li.block(m, w)[...] += arr
+        Li = FTSeries.zeros(n, K_out, D_I=1, D_w=H.D_w, n_w=H.n_w) + tr.G[i].rebanded(K_out)
         for j in range(n):
-            ej = tuple(1 if a == j else 0 for a in range(n))
-            for (m, w), arr in _rebanded(tr.F[i][j], K_out).blocks.items():
-                Li.block(ej, w)[...] += arr
-        ei = tuple(1 if a == i else 0 for a in range(n))
-        Li.block(ei, (0,) * H.n_w)[tuple([K_out] * n)] += 1.0
-        L.append(Li)
-    out = FTSeries(n=n, K=K_out, D_I=D_I_out, D_w=H.D_w, n_w=H.n_w, s=H.s,
-                   delta=H.delta, h=H.h, real=H.real)
+            Li = Li + tr.F[i][j].rebanded(K_out).map_monomials(
+                lambda m, w, ej=units[j]: [((ej, w), 1.0)], D_I=1)
+        L.append(Li + FTSeries.zeros(n, K_out, D_I=1, n_w=H.n_w).set_mode(zero, 1.0, m=units[i]))
+    out = FTSeries.from_blocks(H, {}, K=K_out, D_I=D_I_out)
     powers = {}
 
     def lpow(m):
@@ -274,16 +232,14 @@ def apply_affine(H: FTSeries, tr: AffineTransform, K_out: Optional[int] = None,
         powers[m] = cur
         return cur
 
-    for (m, w), arr in Hs.blocks.items():
-        piece = FTSeries.zeros(n, K_out, D_I=0, D_w=H.D_w, n_w=H.n_w)
-        piece.block((0,) * n, w)[...] = arr
-        if sum(m) == 0:
-            term = piece
-        else:
-            term = product(piece, lpow(m), K_out=K_out, D_I_out=D_I_out)
-        out = out + term
-    out.s, out.delta, out.h = H.s, H.delta, H.h
-    return out.prune_entries(1e-17 * scale)
+    # each monomial h(theta + E) I^m w^w of Hs becomes h(theta + E) w^w L^m
+    for m, w in Hs.blocks:
+        piece = Hs.map_monomials(lambda mm, ww, key=(m, w): [((zero, ww), 1.0)]
+                                 if (mm, ww) == key else [], D_I=0)
+        out = out + (piece if sum(m) == 0 else
+                     product(piece, lpow(m), K_out=K_out, D_I_out=D_I_out))
+    out = out.prune_entries(1e-17 * scale)
+    return FTSeries.from_blocks(out, out.blocks, s=H.s, delta=H.delta, h=H.h)
 
 
 def jet_param_substitute(f: FTSeries, shift, matrix) -> FTSeries:
@@ -293,24 +249,21 @@ def jet_param_substitute(f: FTSeries, shift, matrix) -> FTSeries:
     shift = phi_0 - omega_0 and matrix = Dphi."""
     if f.n_w == 0 or f.D_w == 0:
         return f.copy()
+    if any(sum(w) > 1 for _, w in f.blocks):
+        raise ParameterError("jet substitution implemented for D_w <= 1")
     shift = np.asarray(shift, dtype=float)
     matrix = np.asarray(matrix, dtype=float)
-    out = FTSeries(n=f.n, K=f.K, D_I=f.D_I, D_w=f.D_w, n_w=f.n_w, s=f.s,
-                   delta=f.delta, h=f.h, real=f.real)
     w0 = (0,) * f.n_w
-    for (m, w), arr in f.blocks.items():
+    units = [tuple(int(x == b) for x in range(f.n_w)) for b in range(f.n_w)]
+
+    def rule(m, w):
         if sum(w) == 0:
-            out.block(m, w0)[...] += arr
-        elif sum(w) == 1:
-            a = int(np.argmax(w))
-            out.block(m, w0)[...] += shift[a] * arr
-            for b in range(f.n_w):
-                if matrix[a, b] != 0.0:
-                    wb = tuple(1 if x == b else 0 for x in range(f.n_w))
-                    out.block(m, wb)[...] += matrix[a, b] * arr
-        else:
-            raise ParameterError("jet substitution implemented for D_w <= 1")
-    return out.prune()
+            return [((m, w0), 1.0)]
+        a = int(np.argmax(w))
+        return [((m, w0), shift[a])] + [((m, units[b]), matrix[a, b])
+                                        for b in range(f.n_w) if matrix[a, b] != 0.0]
+
+    return f.map_monomials(rule).prune()
 
 
 def compose_affine(outer: AffineTransform, inner: AffineTransform,
@@ -329,17 +282,17 @@ def compose_affine(outer: AffineTransform, inner: AffineTransform,
         sub = lambda f: jet_param_substitute(f, phi_shift, phi_matrix)
     else:
         sub = lambda f: f
-    base, first = _jet_shift_components(inner.E)
+    base, first = jet_shift_components(inner.E)
     comp = lambda f: compose_angle(sub(f), base, first, K_out=K_out)
-    E = [_rebanded(inner.E[i], K_out) + comp(outer.E[i]) for i in range(n)]
+    E = [inner.E[i].rebanded(K_out) + comp(outer.E[i]) for i in range(n)]
     FoV = [[comp(outer.F[i][j]) for j in range(n)] for i in range(n)]
     GoV = [comp(outer.G[i]) for i in range(n)]
-    Fin = [[_rebanded(inner.F[i][j], K_out) for j in range(n)] for i in range(n)]
-    Gin = [_rebanded(inner.G[i], K_out) for i in range(n)]
+    Fin = [[inner.F[i][j].rebanded(K_out) for j in range(n)] for i in range(n)]
+    Gin = [inner.G[i].rebanded(K_out) for i in range(n)]
     F = [[None] * n for _ in range(n)]
     G = [None] * n
     for i in range(n):
-        gi = GoV[i].copy()
+        gi = GoV[i]
         for j in range(n):
             fij = Fin[i][j] + FoV[i][j]
             for l in range(n):
@@ -395,13 +348,8 @@ def affine_flow_ode(C: FTSeries, D: list, t: float = 1.0, n_steps: int = 64,
         G = G + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
 
     def to_series(vals):
-        out = FTSeries.zeros(n, K_out)
-        coef = np.fft.fftn(vals.reshape((N,) * n)) / N ** n
-        idx = np.arange(-K_out, K_out + 1) % N
-        kept = coef[np.ix_(*([idx] * n))]
-        flip = np.conj(kept[(slice(None, None, -1),) * n])
-        out.block()[...] = 0.5 * (kept + flip)
-        return out.prune()
+        return FTSeries.from_samples(FTSeries.zeros(n, K_out),
+                                     {((0,) * n, ()): vals}, N)
 
     return AffineTransform(
         E=[to_series(E[:, i]) for i in range(n)],
@@ -451,7 +399,7 @@ def affine_flow_lie(C: FTSeries, D: list, t: float = 1.0, order: int = 24,
     for i in range(n):
         beta = zero()
         gamma = [zero() for _ in range(n)]
-        gamma[i].block((0,) * n, (0,) * n_w)[tuple([K_out] * n)] = 1.0
+        gamma[i].set_mode((0,) * n, 1.0)
         acc_beta = zero()
         acc_gamma = [zero() for _ in range(n)]
         fac = t
@@ -499,7 +447,7 @@ def lie_flow(Y: FTSeries, H: FTSeries, t: float = 1.0, max_order: int = 40,
     """
     K_out = K_out if K_out is not None else max(Y.K, H.K)
     D_I_out = D_I_out if D_I_out is not None else max(H.D_I, Y.D_I)
-    out = H.copy()
+    out = H
     term = H
     fac = 1.0
     grow = 0
@@ -541,21 +489,6 @@ class Trajectory:
     @property
     def energy_drift(self) -> float:
         return float(np.max(np.abs(self.energies - self.energies[0])))
-
-    def to_csv(self, path):
-        from pathlib import Path
-        th = np.atleast_2d(self.thetas.reshape(len(self.times), -1))
-        ac = np.atleast_2d(self.actions.reshape(len(self.times), -1))
-        n = th.shape[1]
-        header = ["t"] + [f"theta{i+1}" for i in range(n)] \
-            + [f"I{i+1}" for i in range(ac.shape[1])] + ["H"]
-        lines = [",".join(header)]
-        for i, t in enumerate(self.times):
-            row = [repr(float(t))] + [repr(float(x)) for x in th[i]] \
-                + [repr(float(x)) for x in ac[i]] + [repr(float(self.energies[i]))]
-            lines.append(",".join(row))
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text("\n".join(lines) + "\n")
 
 
 _Y4_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -666,25 +599,6 @@ def integrate_adaptive(grad_theta: Callable, grad_I: Callable, theta0, I0,
                               sample_every=sample_every)
 
 
-def integrate_series_hamiltonian(H: FTSeries, theta0, I0, t_end,
-                                 dt=1e-2, sample_every=1) -> Trajectory:
-    """Implicit midpoint driven by the gradients of a stored series."""
-    gth = H.grad_theta()
-    gI = H.grad_I()
-
-    def grad_theta(th, I):
-        return np.array([g.eval(th[None, :], I=I)[0] for g in gth])
-
-    def grad_I(th, I):
-        return np.array([g.eval(th[None, :], I=I)[0] for g in gI])
-
-    def energy(th, I):
-        return float(H.eval(th[None, :], I=I)[0])
-
-    return integrate_midpoint(grad_theta, grad_I, theta0, I0, t_end, dt=dt,
-                              energy=energy, sample_every=sample_every)
-
-
 # ---------------------------------------------------------------------------
 # pendulum rotation orbits
 # ---------------------------------------------------------------------------
@@ -792,10 +706,6 @@ def pendulum_period_of_eps(eps: float) -> float:
     direct, _ = quad(lambda x: 1.0 / np.sqrt(4.0 * np.cos(math.pi * x) ** 2 + a2),
                      0.0, 0.25, epsabs=1e-15, epsrel=1e-13, limit=100)
     return 2.0 * (direct + _sinh_piece(a2, 0.0, 0.25))
-
-
-def pendulum_period(I_B: float) -> float:
-    return pendulum_period_of_eps(I_B - 2.0)
 
 
 def pendulum_periodic_point(B: float) -> PendulumOrbit:

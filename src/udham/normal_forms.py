@@ -14,6 +14,7 @@ closed-form stability-time predictors.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -22,9 +23,9 @@ import numpy as np
 
 from . import dioph
 from .dioph import FrequencyProfile, PeriodicVector
-from .flows import (AffineTransform, affine_flow_lie, apply_affine,
-                    compose_affine, jet_param_substitute, lie_flow)
-from .series import (FTSeries, average_periodic, norm_upper,
+from .flows import (AffineTransform, affine_flow_lie, apply_affine, compose_affine,
+                    jet_param_substitute, jet_shift_components, lie_flow)
+from .series import (FTSeries, average_periodic, average_zero_mode, norm_upper,
                      poisson_bracket, solve_homological_periodic)
 from .weights import HorizonError, ParameterError, ScaleProfile
 
@@ -36,17 +37,6 @@ def linear_integrable(v, n, K, D_I=1, n_w=0, D_w=0) -> FTSeries:
         if vi != 0.0:
             e = tuple(1 if a == i else 0 for a in range(n))
             out.set_mode((0,) * n, float(vi), m=e)
-    return out
-
-
-def integrable_part(H: FTSeries) -> FTSeries:
-    """Modes with k = 0 (functions of I and w alone)."""
-    out = FTSeries(n=H.n, K=H.K, D_I=H.D_I, D_w=H.D_w, n_w=H.n_w, s=H.s,
-                   delta=H.delta, h=H.h, real=H.real)
-    c = (H.K,) * H.n
-    for key, arr in H.blocks.items():
-        if arr[c] != 0:
-            out.block(*key)[c] = arr[c]
     return out
 
 
@@ -116,7 +106,7 @@ class PeriodicSplit:
     def from_hamiltonian(cls, H: FTSeries, pv: PeriodicVector) -> "PeriodicSplit":
         """Split a full Hamiltonian: integrable -> L_v + S (+R=0), resonant
         nonintegrable -> G, rest -> F."""
-        integ = integrable_part(H)
+        integ = average_zero_mode(H)
         Lv = linear_integrable(pv.v, H.n, H.K, D_I=max(H.D_I, 1),
                                n_w=H.n_w, D_w=H.D_w)
         S = integ - Lv
@@ -331,29 +321,22 @@ def multifrequency_normal_form(H: FTSeries, basis: list, sp: ScaleProfile,
 def translate_actions(H: FTSeries, I1) -> FTSeries:
     """H(theta, I + I1): binomial shift of the action exponents."""
     I1 = np.asarray(I1, dtype=float)
-    out = FTSeries(n=H.n, K=H.K, D_I=H.D_I, D_w=H.D_w, n_w=H.n_w, s=H.s,
-                   delta=H.delta, h=H.h, real=H.real)
-    for (m, w), arr in H.blocks.items():
-        subs = [()]
-        for mi in m:
-            subs = [t + (j,) for t in subs for j in range(mi + 1)]
-        for sub in subs:
+
+    def rule(m, w):
+        for sub in itertools.product(*(range(mi + 1) for mi in m)):
             coef = 1.0
             for i, (mi, ji) in enumerate(zip(m, sub)):
                 coef *= math.comb(mi, ji) * I1[i] ** (mi - ji)
             if coef != 0.0:
-                out.block(sub, w)[...] += coef * arr
-    return out.prune()
+                yield (sub, w), coef
+
+    return H.map_monomials(rule).prune()
 
 
 def scale_actions(H: FTSeries, rho: float, energy_scale: Optional[float] = None) -> FTSeries:
     """H(theta, rho I) [/ rho if energy_scale given]: per-block scaling."""
     fac_all = 1.0 if energy_scale is None else 1.0 / energy_scale
-    out = H.copy()
-    out.blocks = {}
-    for (m, w), arr in H.blocks.items():
-        out.block(m, w)[...] = arr * (rho ** sum(m)) * fac_all
-    return out
+    return H.map_monomials(lambda m, w: [((m, w), (rho ** sum(m)) * fac_all)])
 
 
 def local_normal_form(h: FTSeries, f: FTSeries, I1, rho: float,
@@ -370,10 +353,8 @@ def local_normal_form(h: FTSeries, f: FTSeries, I1, rho: float,
     Ht = translate_actions(H, I1)
     Hr = scale_actions(Ht, rho, energy_scale=rho)
     # drop the constant term (irrelevant energy offset)
-    c = (Hr.K,) * Hr.n
-    key0 = ((0,) * Hr.n, (0,) * Hr.n_w)
-    if key0 in Hr.blocks:
-        Hr.blocks[key0][c] = 0.0
+    if ((0,) * Hr.n, (0,) * Hr.n_w) in Hr.blocks:
+        Hr.set_mode((0,) * Hr.n, 0.0)
     res = periodic_normal_form(Hr, pv, sp, s / 2.0, xi=2.0, A=A, K_out=K_out)
     grad_h = np.array([h.dI(i).eval(np.zeros((1, h.n)), I=np.asarray(I1))[0]
                        for i in range(h.n)])
@@ -403,36 +384,25 @@ class KamHamiltonian:
         return len(self.omega0)
 
     def parts(self):
-        n, K = self.H.n, self.H.K
-        c = (K,) * n
-        e0, e1 = 0.0, np.zeros(n)
-        A = FTSeries.zeros(n, K, D_I=0, D_w=1, n_w=n)
-        B = [FTSeries.zeros(n, K, D_I=0, D_w=1, n_w=n) for _ in range(n)]
-        R = FTSeries.zeros(n, K, D_I=self.H.D_I, D_w=1, n_w=n)
-        omega_dev = np.zeros((n, 1 + n))  # zero modes of m=e_i blocks
-        for (m, w), arr in self.H.blocks.items():
-            dm = sum(m)
-            if dm == 0:
-                rest = arr.copy()
-                if sum(w) == 0:
-                    e0 = float(arr[c].real)
-                else:
-                    e1[int(np.argmax(w))] = float(arr[c].real)
-                rest[c] = 0.0
-                if np.max(np.abs(rest)) > 0:
-                    A.block((0,) * n, w)[...] += rest
-            elif dm == 1:
-                i = int(np.argmax(m))
-                rest = arr.copy()
-                col = 0 if sum(w) == 0 else 1 + int(np.argmax(w))
-                omega_dev[i, col] = float(arr[c].real)
-                rest[c] = 0.0
-                if np.max(np.abs(rest)) > 0:
-                    B[i].block((0,) * n, w)[...] += rest
-            else:
-                R.block(m, w)[...] += arr
-        return {"e0": e0, "e1": e1, "A": A.prune(), "B": [b.prune() for b in B],
-                "R": R.prune(), "omega_diag": omega_dev}
+        H, n = self.H, self.n
+        zero = (0,) * n
+        units = [tuple(int(x == i) for x in range(n)) for i in range(n)]
+
+        def oscillating(m0):
+            # the coefficient of I^m0 as an angle series, zero mode removed
+            p = H.map_monomials(lambda m, w: [((zero, w), 1.0)] if m == m0 else [],
+                                D_I=0)
+            return (p - average_zero_mode(p)).prune()
+
+        e0 = H.get_mode(zero).real
+        e1 = np.array([H.get_mode(zero, w=u).real for u in units])
+        # zero modes of the m = e_i blocks: constant and w-linear columns
+        omega_dev = np.array([[H.get_mode(zero, m=ui, w=w).real for w in [zero] + units]
+                              for ui in units])
+        R = H.map_monomials(lambda m, w: [((m, w), 1.0)] if sum(m) >= 2 else [])
+        return {"e0": e0, "e1": e1, "A": oscillating(zero),
+                "B": [oscillating(u) for u in units], "R": R.prune(),
+                "omega_diag": omega_dev}
 
     def certs(self, sp: ScaleProfile, s: float):
         p = self.parts()
@@ -452,20 +422,17 @@ def kam_hamiltonian_from_mechanical(f: FTSeries, eps: float, omega0,
     omega0 = np.asarray(omega0, dtype=float)
     n = len(omega0)
     H = FTSeries.zeros(n, K, D_I=D_I, D_w=1, n_w=n)
-    c = (K,) * n
-    H.block((0,) * n, (0,) * n)[c] = 0.5 * float(omega0 @ omega0)
+    zero = (0,) * n
+    units = [tuple(1 if x == i else 0 for x in range(n)) for i in range(n)]
+    H.set_mode(zero, 0.5 * float(omega0 @ omega0))
     for a in range(n):
-        wa = tuple(1 if x == a else 0 for x in range(n))
-        H.block((0,) * n, wa)[c] = omega0[a]
-    for i in range(n):
-        ei = tuple(1 if x == i else 0 for x in range(n))
-        H.block(ei, (0,) * n)[c] = omega0[i]
-        wi = tuple(1 if x == i else 0 for x in range(n))
-        H.block(ei, wi)[c] = 1.0
-        e2 = tuple(2 if x == i else 0 for x in range(n))
-        H.block(e2, (0,) * n)[c] = 0.5
-    for (m, w), arr in f.blocks.items():
-        H.block(m, (0,) * n)[...] += eps * arr
+        H.set_mode(zero, omega0[a], w=units[a])
+    for i, ei in enumerate(units):
+        H.set_mode(zero, omega0[i], m=ei)
+        H.set_mode(zero, 1.0, m=ei, w=ei)
+        H.set_mode(zero, 0.5, m=tuple(2 * x for x in ei))
+    lifted = f.map_monomials(lambda m, w: [((m, zero), eps)], n_w=n, D_w=1)
+    H = FTSeries.from_blocks(H, (H + lifted).blocks)
     return KamHamiltonian(H=H, omega0=omega0)
 
 
@@ -612,24 +579,19 @@ def kam_iterate(kh: KamHamiltonian, fp: FrequencyProfile, sp: ScaleProfile,
                       "A": rep.certs_after["A"], "B": rep.certs_after["B"],
                       "conditions": rep.conditions})
         if defect_fn is not None:
-            E0, _ = _jet_base(tr_total.E)
-            G0, _ = _jet_base(tr_total.G)
+            E0, _ = jet_shift_components(tr_total.E)
+            G0, _ = jet_shift_components(tr_total.G)
             d = defect_fn(E0, G0, phi0_total)
             defects.append(d)
             if d <= tol:
                 converged = True
                 break
-    E0, _ = _jet_base(tr_total.E)
-    G0, _ = _jet_base(tr_total.G)
+    E0, _ = jet_shift_components(tr_total.E)
+    G0, _ = jet_shift_components(tr_total.G)
     return KamIterateResult(transform=tr_total, omega_star=phi0_total,
                             defects=defects, cert_log=certs,
                             embedding_theta=E0, embedding_I=G0,
                             converged=converged)
-
-
-def _jet_base(series_list):
-    from .flows import _jet_shift_components
-    return _jet_shift_components(series_list)
 
 
 def mechanical_defect_fn(f: FTSeries, eps: float, omega0, n_grid: int = 64):

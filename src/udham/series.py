@@ -4,10 +4,11 @@ The common currency of every normal-form computation: finite sums
 
     f(theta, I, w) = sum c_{k,m,w} e^{2 pi i k.theta} I^m w^w'
 
-with |k|_inf <= K, |m| <= D_I, |w'| <= D_w.  Coefficients are held per
-action/parameter monomial as dense (2K+1)^n complex arrays, so angle
-convolutions run through zero-padded FFTs (exact linear convolution up to
-roundoff, then truncation back to K with a discarded-mass monitor).
+with |k|_inf <= K, |m| <= D_I, |w'| <= D_w.  The coefficients of the
+present action/parameter monomials are stacked in one complex array, one
+dense (2K+1)^n angle block per monomial, so angle convolutions run through
+batched zero-padded FFTs (exact linear convolution up to roundoff, then
+truncation back to K with a discarded-mass monitor).
 
 Torus convention: T^n = R^n/Z^n with basis e^{2 pi i k.theta}; every
 frequency-dependent constant is routed through rho(k) = 2 pi |k|_1.
@@ -18,6 +19,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
@@ -25,6 +27,7 @@ import numpy as np
 from .weights import C_NORM, ParameterError, ScaleProfile
 
 TWO_PI = 2.0 * math.pi
+_META = ("n", "K", "D_I", "D_w", "n_w", "s", "delta", "h", "real")
 
 
 class DomainMismatch(ValueError):
@@ -35,12 +38,34 @@ class ConsistencyError(ValueError):
     """A resonant mode survived where the construction requires none."""
 
 
+def _flip(coef, n):
+    """c_{-k} for every block of a stack: reverse the n trailing angle axes."""
+    return coef[(Ellipsis,) + (slice(None, None, -1),) * n]
+
+
+def _real_projection(coef, n):
+    """Nearest real series: c_k -> (c_k + conj(c_{-k})) / 2 per block."""
+    return 0.5 * (coef + np.conj(_flip(coef, n)))
+
+
 @dataclass
 class FTSeries:
-    """Truncated Fourier-Taylor series; immutable by convention.
+    """Truncated Fourier-Taylor series.
 
-    blocks maps (m, w) exponent tuples to complex arrays of shape
-    (2K+1,)*n, mode k stored at index k + K per axis.
+    Storage is stacked: ``keys`` is the tuple of the present (m, w)
+    monomials and ``coef`` one complex array of shape
+    (len(keys), (2K+1,)*n) whose row r is the angle block of keys[r], mode k
+    at index k + K per axis.  Absent monomials are zero and cost nothing.
+    Keys stay in the order in which they first appear; that order fixes
+    the order in which ``product`` sums block pairs, and with it the
+    round-off of every result.
+    Only this module reads or writes ``coef``; other code reads ``blocks``,
+    a read-only mapping, and builds series with ``zeros``, ``from_blocks``,
+    ``from_samples``, ``from_text`` and the operations.
+
+    Every operation returns a new series and leaves its operands unchanged.
+    The mode setters ``set_mode``, ``add_cos`` and ``add_sin`` are the only
+    in-place operations; they are for building a series.
     """
 
     n: int
@@ -52,7 +77,11 @@ class FTSeries:
     delta: float = 1.0
     h: float = 0.0
     real: bool = True
-    blocks: dict = field(default_factory=dict)
+    keys: tuple = field(default=(), init=False)
+    coef: np.ndarray = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        self.coef = np.zeros((0,) + self._shape(), dtype=complex)
 
     # -- construction ---------------------------------------------------------
 
@@ -60,29 +89,93 @@ class FTSeries:
     def zeros(cls, n, K, D_I=0, D_w=0, n_w=0, **kw):
         return cls(n=n, K=K, D_I=D_I, D_w=D_w, n_w=n_w, **kw)
 
+    def _new(self, keys, coef, **meta) -> "FTSeries":
+        """A series with self's metadata, overridden by meta, and these rows."""
+        fields = {name: getattr(self, name) for name in _META}
+        fields.update(meta)
+        out = FTSeries(**fields)
+        out.keys = tuple((tuple(int(x) for x in m), tuple(int(x) for x in w))
+                         for m, w in keys)
+        if coef is not None:
+            out.coef = np.asarray(coef, dtype=complex).reshape((len(out.keys),) + out._shape())
+        return out
+
+    @classmethod
+    def from_blocks(cls, like: "FTSeries", blocks: dict, **meta) -> "FTSeries":
+        """Series with like's metadata (overridden by meta) and a copy of the
+        given (m, w) -> (2K+1,)*n angle blocks."""
+        out = like._new((), None, **meta)
+        keys = list(blocks)
+        coef = np.zeros((len(keys),) + out._shape(), dtype=complex)
+        for r, key in enumerate(keys):
+            coef[r] = blocks[key]
+        return out._new(keys, coef)
+
+    @classmethod
+    def from_samples(cls, like: "FTSeries", samples: dict, N: int,
+                     report: Optional[dict] = None, **meta) -> "FTSeries":
+        """Series whose (m, w) blocks interpolate samples on the uniform grid.
+
+        samples maps (m, w) to values at the N^n points theta = j/N (C
+        order); their FFT coefficients are truncated to K (like's, or
+        meta's) and projected onto real series when the result is real.
+        report, if given, receives the 'aliasing_mass' the truncation drops.
+        """
+        out = like._new((), None, **meta)
+        n, K = out.n, out.K
+        keys = list(samples)
+        vals = np.zeros((len(keys),) + (N,) * n, dtype=complex)
+        for r, key in enumerate(keys):
+            vals[r] = np.reshape(samples[key], (N,) * n)
+        coef = np.fft.fftn(vals, axes=out._angle_axes()) / N ** n
+        idx = np.arange(-K, K + 1) % N
+        kept = coef[np.ix_(np.arange(len(keys)), *([idx] * n))]
+        if report is not None:
+            report["aliasing_mass"] = float(np.sum(np.abs(coef)) - np.sum(np.abs(kept)))
+        if out.real:
+            kept = _real_projection(kept, n)
+        return out._new(keys, kept).prune()
+
     def _shape(self):
         return (2 * self.K + 1,) * self.n
 
-    def block(self, m=None, w=None) -> np.ndarray:
+    def _angle_axes(self):
+        return tuple(range(1, self.n + 1))
+
+    def _key(self, m, w):
         m = tuple(m) if m is not None else (0,) * self.n
         w = tuple(w) if w is not None else (0,) * self.n_w
-        key = (m, w)
-        if key not in self.blocks:
-            self.blocks[key] = np.zeros(self._shape(), dtype=complex)
-        return self.blocks[key]
+        return (m, w)
+
+    @property
+    def blocks(self) -> MappingProxyType:
+        """Read-only mapping (m, w) -> angle block of the present monomials."""
+        view = self.coef.view()
+        view.flags.writeable = False
+        return MappingProxyType(dict(zip(self.keys, view)))
+
+    def block(self, m=None, w=None) -> np.ndarray:
+        """Read-only angle block of I^m w^w (zeros when absent)."""
+        key = self._key(m, w)
+        if key in self.keys:
+            return self.blocks[key]
+        out = np.zeros(self._shape(), dtype=complex)
+        out.flags.writeable = False
+        return out
 
     def set_mode(self, k, value, m=None, w=None):
-        b = self.block(m, w)
-        b[tuple(np.asarray(k) + self.K)] = value
+        key = self._key(m, w)
+        if key not in self.keys:
+            self.keys += (key,)
+            self.coef = np.concatenate([self.coef, np.zeros((1,) + self._shape())])
+        self.coef[(self.keys.index(key),) + tuple(np.asarray(k) + self.K)] = value
         return self
 
     def get_mode(self, k, m=None, w=None) -> complex:
-        m = tuple(m) if m is not None else (0,) * self.n
-        w = tuple(w) if w is not None else (0,) * self.n_w
-        key = (m, w)
-        if key not in self.blocks:
+        key = self._key(m, w)
+        if key not in self.keys:
             return 0.0 + 0.0j
-        return complex(self.blocks[key][tuple(np.asarray(k) + self.K)])
+        return complex(self.coef[(self.keys.index(key),) + tuple(np.asarray(k) + self.K)])
 
     def add_cos(self, k, amp=1.0, m=None, w=None):
         """amp * cos(2 pi k.theta) * I^m w^w."""
@@ -96,22 +189,41 @@ class FTSeries:
         return self
 
     def copy(self) -> "FTSeries":
-        out = FTSeries(n=self.n, K=self.K, D_I=self.D_I, D_w=self.D_w,
-                       n_w=self.n_w, s=self.s, delta=self.delta, h=self.h,
-                       real=self.real)
-        out.blocks = {k: v.copy() for k, v in self.blocks.items()}
-        return out
+        return self._new(self.keys, self.coef.copy())
 
     def prune(self, tol=0.0) -> "FTSeries":
-        self.blocks = {k: v for k, v in self.blocks.items()
-                       if np.max(np.abs(v)) > tol}
-        return self
+        """Drop the monomials whose largest coefficient is at most tol."""
+        keep = np.max(np.abs(self.coef), axis=self._angle_axes()) > tol
+        return self._new([key for key, kp in zip(self.keys, keep) if kp], self.coef[keep])
 
     def prune_entries(self, floor: float) -> "FTSeries":
         """Zero every coefficient below the absolute floor (noise control)."""
-        for arr in self.blocks.values():
-            arr[np.abs(arr) < floor] = 0.0
-        return self.prune(0.0)
+        coef = np.where(np.abs(self.coef) < floor, 0.0, self.coef)
+        return self._new(self.keys, coef).prune(0.0)
+
+    def map_monomials(self, rule, **meta) -> "FTSeries":
+        """Linear substitution on the monomials.
+
+        Block (m, w) adds c times its angle block to monomial (m2, w2) for
+        every ((m2, w2), c) that rule(m, w) yields; metadata as self's,
+        overridden by meta.
+        """
+        entries = [(dst, r, c) for r, key in enumerate(self.keys)
+                   for dst, c in rule(*key)]
+        row = {dst: r for r, dst in enumerate(dict.fromkeys(dst for dst, _, _ in entries))}
+        coef = np.zeros((len(row),) + self._shape(), dtype=complex)
+        for dst, r, c in entries:
+            coef[row[dst]] += c * self.coef[r]
+        return self._new(list(row), coef, **meta)
+
+    def rebanded(self, K: int) -> "FTSeries":
+        """The same series at bandwidth K (zero-padded or truncated)."""
+        kk = min(self.K, K)
+        coef = np.zeros((len(self.keys),) + (2 * K + 1,) * self.n, dtype=complex)
+        dst = (slice(None),) + (slice(K - kk, K + kk + 1),) * self.n
+        src = (slice(None),) + (slice(self.K - kk, self.K + kk + 1),) * self.n
+        coef[dst] = self.coef[src]
+        return self._new(self.keys, coef, K=K)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -120,26 +232,24 @@ class FTSeries:
         return np.stack(np.meshgrid(*([r] * self.n), indexing="ij"), axis=-1)
 
     def coeff_norm1(self) -> float:
-        return float(sum(np.sum(np.abs(v)) for v in self.blocks.values()))
+        return float(np.sum(np.abs(self.coef)))
 
     def sup_coeff(self) -> float:
-        return float(max((np.max(np.abs(v)) for v in self.blocks.values()), default=0.0))
+        return float(np.max(np.abs(self.coef), initial=0.0))
 
     def terms(self):
-        """Yield (k, m, w, coeff) over nonzero coefficients."""
-        for (m, w), arr in sorted(self.blocks.items()):
-            nz = np.argwhere(np.abs(arr) > 0)
-            for idx in nz:
-                k = tuple(int(i) - self.K for i in idx)
-                yield k, m, w, complex(arr[tuple(idx)])
+        """Yield (k, m, w, coeff) over nonzero coefficients, sorted."""
+        order = sorted(range(len(self.keys)), key=self.keys.__getitem__)
+        coef = self.coef[order]
+        for idx in np.argwhere(np.abs(coef) > 0):
+            m, w = self.keys[order[idx[0]]]
+            k = tuple(int(i) - self.K for i in idx[1:])
+            yield k, m, w, complex(coef[tuple(idx)])
 
     def check_reality(self, tol=1e-14) -> float:
         """Max |c_{-k} - conj(c_k)| over blocks."""
-        worst = 0.0
-        for arr in self.blocks.values():
-            flipped = np.conj(arr[(slice(None, None, -1),) * self.n])
-            worst = max(worst, float(np.max(np.abs(arr - flipped))))
-        return worst
+        return float(np.max(np.abs(self.coef - np.conj(_flip(self.coef, self.n))),
+                            initial=0.0))
 
     # -- linear structure ------------------------------------------------------
 
@@ -156,25 +266,22 @@ class FTSeries:
     def _axpy(self, other, a):
         self._check_compat(other)
         K = max(self.K, other.K)
-        out = FTSeries(n=self.n, K=K, D_I=max(self.D_I, other.D_I),
-                       D_w=max(self.D_w, other.D_w), n_w=self.n_w, s=min(self.s, other.s),
-                       delta=min(self.delta, other.delta), h=max(self.h, other.h),
-                       real=self.real and other.real)
+        keys = list(self.keys) + [key for key in other.keys if key not in self.keys]
+        row = {key: r for r, key in enumerate(keys)}
+        coef = np.zeros((len(keys),) + (2 * K + 1,) * self.n, dtype=complex)
         for src, fac in ((self, 1.0), (other, a)):
             pad = K - src.K
-            for key, arr in src.blocks.items():
-                tgt = out.block(*key)
-                sl = (slice(pad, pad + 2 * src.K + 1),) * src.n
-                tgt[sl] += fac * arr
-        return out
+            rows = np.array([row[key] for key in src.keys], dtype=np.intp)
+            coef[(rows,) + (slice(pad, pad + 2 * src.K + 1),) * self.n] += fac * src.coef
+        return self._new(keys, coef, K=K, D_I=max(self.D_I, other.D_I),
+                         D_w=max(self.D_w, other.D_w), s=min(self.s, other.s),
+                         delta=min(self.delta, other.delta), h=max(self.h, other.h),
+                         real=self.real and other.real)
 
     def __mul__(self, a):
         if isinstance(a, FTSeries):
             return product(self, a)
-        out = self.copy()
-        for arr in out.blocks.values():
-            arr *= a
-        return out
+        return self._new(self.keys, self.coef * a)
 
     __rmul__ = __mul__
 
@@ -185,33 +292,17 @@ class FTSeries:
 
     def dtheta(self, i) -> "FTSeries":
         """d/d theta_i; brings down 2 pi i k_i."""
-        out = self.copy()
-        shape = [1] * self.n
-        shape[i] = 2 * self.K + 1
+        shape = [1] * (self.n + 1)
+        shape[i + 1] = 2 * self.K + 1
         mult = (TWO_PI * 1j) * np.arange(-self.K, self.K + 1).reshape(shape)
-        for arr in out.blocks.values():
-            arr *= mult
-        return out
+        return self._new(self.keys, self.coef * mult)
 
     def dI(self, i) -> "FTSeries":
-        out = FTSeries(n=self.n, K=self.K, D_I=max(self.D_I - 1, 0), D_w=self.D_w,
-                       n_w=self.n_w, s=self.s, delta=self.delta, h=self.h, real=self.real)
-        for (m, w), arr in self.blocks.items():
-            if m[i] >= 1:
-                m2 = list(m)
-                m2[i] -= 1
-                out.block(tuple(m2), w)[...] += m[i] * arr
-        return out
-
-    def dw(self, i) -> "FTSeries":
-        out = FTSeries(n=self.n, K=self.K, D_I=self.D_I, D_w=max(self.D_w - 1, 0),
-                       n_w=self.n_w, s=self.s, delta=self.delta, h=self.h, real=self.real)
-        for (m, w), arr in self.blocks.items():
-            if w[i] >= 1:
-                w2 = list(w)
-                w2[i] -= 1
-                out.block(m, tuple(w2))[...] += w[i] * arr
-        return out
+        rows = [r for r, (m, _) in enumerate(self.keys) if m[i] >= 1]
+        keys = [(m[:i] + (m[i] - 1,) + m[i + 1:], w) for m, w in (self.keys[r] for r in rows)]
+        fac = np.array([self.keys[r][0][i] for r in rows], dtype=float)
+        return self._new(keys, self.coef[rows] * fac.reshape((-1,) + (1,) * self.n),
+                         D_I=max(self.D_I - 1, 0))
 
     def grad_theta(self):
         return [self.dtheta(i) for i in range(self.n)]
@@ -225,12 +316,9 @@ class FTSeries:
         """Evaluate each (m, w) angle block at arbitrary points (P, n)."""
         theta_pts = np.atleast_2d(np.asarray(theta_pts, dtype=float))
         zs = [np.exp(TWO_PI * 1j * theta_pts[:, i]) for i in range(self.n)]
-        keys = list(self.blocks.keys())
-        if not keys:
+        if not self.keys:
             return {}
-        stacked = np.stack([self.blocks[k] for k in keys])
-        vals = _horner(stacked, zs, self.K)
-        return {k: vals[i] for i, k in enumerate(keys)}
+        return dict(zip(self.keys, _horner(self.coef, zs, self.K)))
 
     def eval(self, theta_pts, I=None, w=None) -> np.ndarray:
         """f(theta, I, w) at points; I and w fixed vectors (default 0)."""
@@ -249,13 +337,11 @@ class FTSeries:
         N = N if N is not None else 2 * self.K + 2
         if N < 2 * self.K + 1:
             raise ParameterError("grid too small for the stored bandwidth")
-        out = {}
-        for key, arr in self.blocks.items():
-            buf = np.zeros((N,) * self.n, dtype=complex)
-            idx = np.arange(-self.K, self.K + 1) % N
-            buf[np.ix_(*([idx] * self.n))] = arr
-            out[key] = np.fft.ifftn(buf) * N ** self.n
-        return out
+        buf = np.zeros((len(self.keys),) + (N,) * self.n, dtype=complex)
+        idx = np.arange(-self.K, self.K + 1) % N
+        buf[np.ix_(np.arange(len(self.keys)), *([idx] * self.n))] = self.coef
+        vals = np.fft.ifftn(buf, axes=self._angle_axes()) * N ** self.n
+        return dict(zip(self.keys, vals))
 
     # -- serialization ------------------------------------------------------------
 
@@ -278,15 +364,17 @@ class FTSeries:
         n, K, D_I, n_w, D_w = (int(x) for x in hdr[:5])
         s, delta, h = (float(x) for x in hdr[5:8])
         real = bool(int(hdr[8]))
-        out = cls(n=n, K=K, D_I=D_I, D_w=D_w, n_w=n_w, s=s, delta=delta, h=h, real=real)
+        blocks = {}
         for ln in lines[2:]:
             parts = ln.split()
-            k = tuple(int(x) for x in parts[:n])
+            k = tuple(int(x) + K for x in parts[:n])
             m = tuple(int(x) for x in parts[n:2 * n])
             w = tuple(int(x) for x in parts[2 * n:2 * n + n_w])
             re_, im_ = float(parts[-2]), float(parts[-1])
-            out.set_mode(k, re_ + 1j * im_, m, w)
-        return out
+            block = blocks.setdefault((m, w), np.zeros((2 * K + 1,) * n, dtype=complex))
+            block[k] = re_ + 1j * im_
+        like = cls(n=n, K=K, D_I=D_I, D_w=D_w, n_w=n_w, s=s, delta=delta, h=h, real=real)
+        return cls.from_blocks(like, blocks)
 
 
 def _vandermonde(z, L, K):
@@ -336,7 +424,7 @@ def product(f: FTSeries, g: FTSeries, K_out: Optional[int] = None,
     and parameter parts by exponent convolution truncated to D_I/D_w.
 
     report, if given, receives 'discarded_fourier' and 'discarded_action'
-    l1 masses.
+    l1 masses; they are computed only then.
     """
     f._check_compat(g)
     K_full = f.K + g.K
@@ -345,60 +433,48 @@ def product(f: FTSeries, g: FTSeries, K_out: Optional[int] = None,
     D_w_out = D_w_out if D_w_out is not None else max(f.D_w, g.D_w)
     L = 2 * K_full + 1
     n = f.n
+    axes = f._angle_axes()
 
-    def pad_fft(src):
-        out = {}
-        for key, arr in src.blocks.items():
-            buf = np.zeros((L,) * n, dtype=complex)
-            sl = tuple(slice(0, 2 * src.K + 1) for _ in range(n))
-            buf[sl] = arr
-            out[key] = np.fft.fftn(buf)
-        return out
+    def spectrum(src):
+        buf = np.zeros((len(src.keys),) + (L,) * n, dtype=complex)
+        buf[(slice(None),) + (slice(0, 2 * src.K + 1),) * n] = src.coef
+        return np.fft.fftn(buf, axes=axes)
 
-    F, G = pad_fft(f), pad_fft(g)
-    acc = {}
+    F, G = spectrum(f), spectrum(g)
+    rows, pairs = {}, []
     disc_action = 0.0
-    for (m1, w1), Fh in F.items():
-        for (m2, w2), Gh in G.items():
+    for i, (m1, w1) in enumerate(f.keys):
+        for j, (m2, w2) in enumerate(g.keys):
             m = tuple(a + b for a, b in zip(m1, m2))
             w = tuple(a + b for a, b in zip(w1, w2))
             if sum(w) > D_w_out:
                 continue  # jet truncation: silent by design
-            prod_h = Fh * Gh
             if sum(m) > D_I_out:
-                disc_action += float(np.sum(np.abs(np.fft.ifftn(prod_h))))
+                if report is not None:
+                    disc_action += float(np.sum(np.abs(np.fft.ifftn(F[i] * G[j]))))
                 continue
-            if (m, w) in acc:
-                acc[(m, w)] += prod_h
-            else:
-                acc[(m, w)] = prod_h.copy()
-
-    out = FTSeries(n=n, K=K_out, D_I=D_I_out, D_w=D_w_out, n_w=f.n_w,
-                   s=min(f.s, g.s), delta=min(f.delta, g.delta),
-                   h=max(f.h, g.h), real=f.real and g.real)
+            pairs.append((rows.setdefault((m, w), len(rows)), i, j))
+    full = np.zeros((len(rows),) + (L,) * n, dtype=complex)
+    for r, i, j in pairs:
+        full[r] += F[i] * G[j]
+    # linear convolution: mode k sits at position k + K_full, no wrap
+    full = np.fft.ifftn(full, axes=axes, out=full)
     disc_fourier = 0.0
-    for key, hat in acc.items():
-        # linear convolution: mode k sits at position k + K_full, no wrap
-        full = np.fft.ifftn(hat)
-        if K_out >= K_full:
-            pad = K_out - K_full
-            kept = np.zeros((2 * K_out + 1,) * n, dtype=complex)
-            kept[(slice(pad, pad + 2 * K_full + 1),) * n] = full
-            mass = 0.0
-        else:
-            keep = slice(K_full - K_out, K_full + K_out + 1)
-            kept = full[(keep,) * n]
-            mass = float(np.sum(np.abs(full)) - np.sum(np.abs(kept)))
-        disc_fourier += mass
-        if np.max(np.abs(kept)) > 0:
-            out.block(*key)[...] = kept
+    if K_out >= K_full:
+        pad = K_out - K_full
+        kept = np.zeros((len(rows),) + (2 * K_out + 1,) * n, dtype=complex)
+        kept[(slice(None),) + (slice(pad, pad + L),) * n] = full
+    else:
+        kept = full[(slice(None),) + (slice(K_full - K_out, K_full + K_out + 1),) * n]
+        if report is not None:
+            disc_fourier = float(np.sum(np.abs(full)) - np.sum(np.abs(kept)))
     if report is not None:
         report["discarded_fourier"] = disc_fourier
         report["discarded_action"] = disc_action
-    if out.real:
-        for arr in out.blocks.values():
-            flipped = np.conj(arr[(slice(None, None, -1),) * n])
-            arr[...] = 0.5 * (arr + flipped)
+    real = f.real and g.real
+    out = f._new(list(rows), _real_projection(kept, n) if real else kept.copy(),
+                 K=K_out, D_I=D_I_out, D_w=D_w_out, s=min(f.s, g.s),
+                 delta=min(f.delta, g.delta), h=max(f.h, g.h), real=real)
     return out.prune()
 
 
@@ -432,21 +508,17 @@ def _resonance_mask(series: FTSeries, Tv) -> np.ndarray:
 def average_periodic(f: FTSeries, pv) -> FTSeries:
     """[f]_v: keep modes with k.(Tv) = 0 (exact integer test); idempotent."""
     mask = _resonance_mask(f, pv.Tv)
-    out = f.copy()
-    for arr in out.blocks.values():
-        arr[~mask] = 0.0
-    return out.prune()
+    return f._new(f.keys, np.where(mask, f.coef, 0.0)).prune()
 
 
 def average_zero_mode(f: FTSeries) -> FTSeries:
     """[f]: the theta-average."""
-    out = FTSeries(n=f.n, K=f.K, D_I=f.D_I, D_w=f.D_w, n_w=f.n_w, s=f.s,
-                   delta=f.delta, h=f.h, real=f.real)
-    c = (f.K,) * f.n
-    for key, arr in f.blocks.items():
-        if arr[c] != 0:
-            out.block(*key)[c] = arr[c]
-    return out
+    c = (slice(None),) + (f.K,) * f.n
+    center = f.coef[c]
+    keep = center != 0
+    coef = np.zeros((int(np.sum(keep)),) + f._shape(), dtype=complex)
+    coef[c] = center[keep]
+    return f._new([key for key, kp in zip(f.keys, keep) if kp], coef)
 
 
 def solve_homological_periodic(f: FTSeries, pv, remove_average=True,
@@ -457,16 +529,13 @@ def solve_homological_periodic(f: FTSeries, pv, remove_average=True,
     coefficientwise, via int_0^1 t e^{2 pi i m t} dt = 1/(2 pi i m).
     """
     mask = _resonance_mask(f, pv.Tv)
-    kg = f._kgrid()
-    kdotv = (kg @ np.asarray(pv.Tv, dtype=float)) / pv.T
-    out = f.copy()
-    top = f.sup_coeff()
-    for arr in out.blocks.values():
-        if not remove_average and np.any(np.abs(arr[mask]) > tol * max(top, 1.0)):
-            raise ConsistencyError("resonant amplitude present; average first")
-        arr[mask] = 0.0
-        arr[~mask] /= (TWO_PI * 1j) * kdotv[~mask]
-    return out.prune()
+    kdotv = (f._kgrid() @ np.asarray(pv.Tv, dtype=float)) / pv.T
+    if not remove_average and np.any(np.abs(f.coef[:, mask])
+                                     > tol * max(f.sup_coeff(), 1.0)):
+        raise ConsistencyError("resonant amplitude present; average first")
+    coef = np.zeros_like(f.coef)
+    coef[:, ~mask] = f.coef[:, ~mask] / ((TWO_PI * 1j) * kdotv[~mask])
+    return f._new(f.keys, coef).prune()
 
 
 def homological_integral_oracle(f: FTSeries, pv, n_t=160) -> FTSeries:
@@ -476,17 +545,13 @@ def homological_integral_oracle(f: FTSeries, pv, n_t=160) -> FTSeries:
     as e^{2 pi i t k.Tv}, integrated by Gauss-Legendre (spectrally exact for
     the oscillation orders reachable at the stored truncation)."""
     g = f - average_periodic(f, pv)
-    kg = g._kgrid()
-    kTv = kg @ np.asarray(pv.Tv, dtype=float)
+    kTv = g._kgrid() @ np.asarray(pv.Tv, dtype=float)
     ts, wts = np.polynomial.legendre.leggauss(n_t)
     ts = 0.5 * (ts + 1.0)
     wts = 0.5 * wts
-    out = g.copy()
     phase = np.tensordot(np.exp(TWO_PI * 1j * np.multiply.outer(ts, kTv)),
                          wts * ts, axes=(0, 0))
-    for arr in out.blocks.values():
-        arr *= pv.T * phase
-    return out.prune()
+    return g._new(g.keys, g.coef * (pv.T * phase)).prune()
 
 
 # ---------------------------------------------------------------------------
@@ -513,22 +578,16 @@ def norm_upper(f: FTSeries, sp: ScaleProfile, s: Optional[float] = None) -> Norm
     c exp(Omega(4 s rho)) using (|a|+1)^2 <= 4^|a|.
     """
     s = s if s is not None else f.s
-    total = 0.0
-    worst = 0.0
-    count = 0
-    for (m, w), arr in f.blocks.items():
-        nz = np.argwhere(np.abs(arr) > 0)
-        if len(nz) == 0:
-            continue
-        k1 = np.sum(np.abs(nz - f.K), axis=1)
-        rho = TWO_PI * k1 + sum(m) + sum(w)
-        om = sp.omega_values(4.0 * s * rho)
-        amps = np.abs(arr[tuple(nz.T)])
-        terms = C_NORM * amps * np.exp(om)
-        total += float(np.sum(terms))
-        worst = max(worst, float(np.max(terms)))
-        count += len(nz)
-    return NormCertificate(bound=total, s=s, n_terms=count, worst_term=worst,
+    nz = np.nonzero(np.abs(f.coef) > 0)
+    degree = np.array([sum(m) + sum(w) for m, w in f.keys], dtype=float)
+    k1 = np.sum(np.abs(np.stack(nz[1:]) - f.K), axis=0)
+    rho = TWO_PI * k1 + degree[nz[0]]
+    terms = C_NORM * np.abs(f.coef[nz]) * np.exp(sp.omega_values(4.0 * s * rho))
+    # summed block by block, in key order, so the bound repeats bit for bit
+    per_block = np.split(terms, np.cumsum(np.bincount(nz[0], minlength=len(f.keys)))[:-1])
+    return NormCertificate(bound=sum(float(np.sum(t)) for t in per_block), s=s,
+                           n_terms=len(terms),
+                           worst_term=float(np.max(terms, initial=0.0)),
                            constants={"c": C_NORM, "freq_scale": "2pi|k|_1 + |m| + |w|"})
 
 
@@ -541,13 +600,10 @@ def decay_check(f: FTSeries, sp: ScaleProfile, s: Optional[float] = None,
     worst_margin = math.inf
     worst_k = None
     rows = []
-    agg = {}
-    for (m, w), arr in f.blocks.items():
-        nz = np.argwhere(np.abs(arr) > 0)
-        for idx in nz:
-            k = tuple(int(i) - f.K for i in idx)
-            agg[k] = max(agg.get(k, 0.0), float(abs(arr[tuple(idx)])))
-    for k, amp in sorted(agg.items()):
+    amps = np.max(np.abs(f.coef), axis=0, initial=0.0)
+    for idx in np.argwhere(amps > 0):
+        k = tuple(int(i) - f.K for i in idx)
+        amp = float(amps[tuple(idx)])
         kinf = max(abs(x) for x in k) if k else 0
         allowed = (bound / C_NORM) * math.exp(-sp.omega_value(TWO_PI * s * kinf))
         margin = math.log(allowed + 1e-300) - math.log(amp)

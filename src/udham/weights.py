@@ -385,18 +385,6 @@ class ConditionReport:
     horizon: int
     known_verdicts: Optional[dict] = None
 
-    def summary(self) -> str:
-        lines = [
-            f"H1 (nu nondecreasing): {'pass' if self.h1_pass else f'FAIL at l={self.h1_first_violation}'}",
-            f"H2 diagnostic: tail max of l^-1 ln mu_l = {self.h2_tail_max:.3e}, trend slope {self.h2_slope:.3e}",
-            f"H3 diagnostic: partial sum {self.h3_partial_sum:.6f}, tail estimate {self.h3_tail_estimate:.3e}",
-            f"MG finite-horizon value: {self.mg_value:.6f}",
-            f"(horizon L_max = {self.horizon}; H2/H3/MG are diagnostics, not proofs)",
-        ]
-        if self.known_verdicts:
-            lines.append(f"known verdicts: {self.known_verdicts}")
-        return "\n".join(lines)
-
 
 def _known_verdicts(family: Optional[Family]) -> Optional[dict]:
     if family is None:

@@ -148,10 +148,9 @@ def test_criterion_06_averaging_projection_identity():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for trial in range(100):
-        f = FTSeries.zeros(2, 5)
         arr = rng.normal(size=(11, 11)) + 1j * rng.normal(size=(11, 11))
         flip = np.conj(arr[::-1, ::-1])
-        f.block()[...] = 0.5 * (arr + flip)
+        f = FTSeries.from_blocks(FTSeries.zeros(2, 5), {((0, 0), ()): 0.5 * (arr + flip)})
         g1 = average_periodic(average_periodic(f, zb.vectors[0]), zb.vectors[1])
         g2 = average_zero_mode(f)
         worst = max(worst, (g1 - g2).coeff_norm1() / max(f.coeff_norm1(), 1.0))
@@ -163,9 +162,9 @@ def test_criterion_06_averaging_projection_identity():
 def test_criterion_07_homological_solver():
     pv = D.periodic_from_rational((2, 3), 3)
     rng = np.random.default_rng(7)
-    f = FTSeries.zeros(2, 5)
     arr = rng.normal(size=(11, 11)) + 1j * rng.normal(size=(11, 11))
-    f.block()[...] = 0.5 * (arr + np.conj(arr[::-1, ::-1]))
+    f = FTSeries.from_blocks(FTSeries.zeros(2, 5),
+                             {((0, 0), ()): 0.5 * (arr + np.conj(arr[::-1, ::-1]))})
     f_nr = f - average_periodic(f, pv)
     Y1 = solve_homological_periodic(f_nr, pv)
     Y2 = homological_integral_oracle(f, pv)

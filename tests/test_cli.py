@@ -1,4 +1,8 @@
+import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -207,3 +211,60 @@ class TestAcceptanceReportAggregation:
         run(["report", str(art), "--outdir", str(o1)])
         run(["report", str(art), "--outdir", str(o2)])
         assert (o1 / "report.csv").read_bytes() == (o2 / "report.csv").read_bytes()
+
+
+class TestPlainArtifacts:
+    # the README experiments that the tests above run, at the same sizes
+    RUNS = [
+        ["weights", "--family", "gevrey", "--alpha", "2", "--sigma-grid", "1e-3:0.5",
+         "--l-max", "512"],
+        ["dioph", "--omega", "golden", "--q-max", "50"],
+        ["brtest", "--family", "gevrey", "--alpha", "2", "--omega", "golden",
+         "--i-max", "20"],
+        ["nf", "--family", "gevrey", "--alpha", "2", "--k-max", "16", "--eps", "1e-4",
+         "--eta", "1e-5"],
+        ["ms", "--mode", "exact", "--q", "40"],
+        ["ms", "--mode", "pendulum", "--n", "3", "--j", "2", "--s", "0.05"],
+        ["diffuse", "--omega", "golden", "--j", "5"],
+        ["bessi", "--alpha", "4"],
+    ]
+    # values that are free text by design
+    TEXT_KEYS = {"family", "label", "norm", "notes", "outdir", "subcommand", "verdict",
+                 "warnings", "mode", "exponent_mode", "param.family", "param.omega",
+                 "param.sigma_grid", "param.mode"}
+
+    @staticmethod
+    def parses(text):
+        for parse in (json.loads, float, ast.literal_eval):
+            try:
+                parse(text)
+                return True
+            except (ValueError, SyntaxError):
+                pass
+        return False
+
+    @pytest.mark.parametrize("argv", RUNS, ids=lambda argv: "_".join(argv[:3]))
+    def test_manifest_values_are_plain(self, tmp_path, argv):
+        assert run(argv + ["--outdir", str(tmp_path)]) == 0
+        for line in (tmp_path / "manifest.txt").read_text().splitlines():
+            key, value = line.split(" = ", 1)
+            assert key in self.TEXT_KEYS or self.parses(value), line
+
+    def test_seed_drives_toy_hamiltonian(self, tmp_path):
+        argv = ["nf", "--family", "gevrey", "--alpha", "2", "--k-max", "16"]
+        texts = []
+        for seed in (0, 1):
+            out = tmp_path / f"seed{seed}"
+            assert run(argv + ["--seed", str(seed), "--outdir", str(out)]) == 0
+            texts.append((out / "resonant.fts").read_text())
+        assert texts[0] != texts[1]
+
+    def test_module_entry_point_runs_without_warnings(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "udham.cli", "weights",
+             "--family", "gevrey", "--alpha", "2", "--outdir", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

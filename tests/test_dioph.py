@@ -33,11 +33,15 @@ class TestPsiBrute:
 
 
 class TestProfiles:
-    @pytest.mark.parametrize("name", ["golden", "sqrt2", "e-2"])
+    @pytest.mark.parametrize("name", ["golden", "sqrt2", "e-2", "golden_profile"])
     def test_cf_oracle_matches_brute_force(self, name):
-        w = D.named_value(name)
-        om = np.array([1.0, w])
-        fp = D.profile_from_cf(om)
+        if name == "golden_profile":
+            # the lazily extended Fibonacci staircase, fresh (no extension yet)
+            fp = D.golden_profile()
+            om = fp.omega
+        else:
+            om = np.array([1.0, D.named_value(name)])
+            fp = D.profile_from_cf(om)
         vals, ks = D.psi_brute_table(om, 200)
         for Q in range(1, 201):
             v, k = fp.psi(Q)

@@ -20,12 +20,11 @@ def small_affine_generator(n=2, K=4, scale=1e-2, seed=0):
 
 def as_generator_series(C, D):
     n = C.n
-    X = FTSeries.zeros(n, C.K, D_I=1)
-    X.block((0,) * n, ())[...] = C.block()
+    blocks = {((0,) * n, ()): C.block()}
     for i in range(n):
         e = tuple(1 if a == i else 0 for a in range(n))
-        X.block(e, ())[...] = D[i].block()
-    return X
+        blocks[(e, ())] = D[i].block()
+    return FTSeries.from_blocks(FTSeries.zeros(n, C.K, D_I=1), blocks)
 
 
 class TestAngleFlow:

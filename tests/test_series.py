@@ -17,12 +17,12 @@ SP = W.ScaleProfile(W.build_sequence(W.gevrey(2), 4096))
 
 def rand_series(n, K, seed, D_I=0):
     r = np.random.default_rng(seed)
-    f = FTSeries.zeros(n, K, D_I=D_I)
+    blocks = {}
     for m in ([(0,) * n] if D_I == 0 else [(0,) * n, (1,) + (0,) * (n - 1)]):
         arr = r.normal(size=(2 * K + 1,) * n) + 1j * r.normal(size=(2 * K + 1,) * n)
         flip = np.conj(arr[(slice(None, None, -1),) * n])
-        f.block(m)[...] = 0.5 * (arr + flip)
-    return f
+        blocks[(m, ())] = 0.5 * (arr + flip)
+    return FTSeries.from_blocks(FTSeries.zeros(n, K, D_I=D_I), blocks)
 
 
 class TestProduct:
@@ -211,9 +211,8 @@ class TestNormCertificate:
         f = rand_series(2, 4, 18)
         for _ in range(10):
             mask = rng.uniform(size=(9, 9)) < 0.5
-            a, b = f.copy(), f.copy()
-            a.block()[~mask] = 0.0
-            b.block()[mask] = 0.0
+            a = FTSeries.from_blocks(f, {((0, 0), ()): np.where(mask, f.block(), 0.0)})
+            b = FTSeries.from_blocks(f, {((0, 0), ()): np.where(mask, 0.0, f.block())})
             ca = norm_upper(a, SP, 0.1).bound
             cb = norm_upper(b, SP, 0.1).bound
             cf = norm_upper(f, SP, 0.1).bound
@@ -345,3 +344,68 @@ def test_parameter_jet_evaluation_and_substitution():
     g = jet_param_substitute(f, shift, M)
     w2 = shift + M @ wv
     assert np.max(np.abs(g.eval(pts, w=wv) - f.eval(pts, w=w2))) < 1e-14
+
+
+def _jet_series(K, seed):
+    """A real angle series with a degree-1 jet in two parameters."""
+    r = np.random.default_rng(seed)
+    f = FTSeries.zeros(2, K, D_w=1, n_w=2)
+    for w in [(0, 0), (1, 0), (0, 1)]:
+        f.add_cos(tuple(r.integers(-K, K + 1, size=2)), r.normal(), w=w)
+        f.add_sin(tuple(r.integers(-K, K + 1, size=2)), r.normal(), w=w)
+    return f
+
+
+def _operations(seed):
+    """(name, inputs, thunk) for every operation that must leave its inputs alone."""
+    from udham import flows as F
+    pv = D.periodic_from_rational((2, 3), 3)
+    f, g = rand_series(2, 3, seed, D_I=1), rand_series(2, 2, seed + 1, D_I=1)
+    j = _jet_series(2, seed + 2)
+    E = [0.01 * rand_series(2, 2, seed + 3), 0.01 * rand_series(2, 2, seed + 4)]
+    C = 0.01 * rand_series(2, 2, seed + 5)
+    Dg = [0.01 * rand_series(2, 2, seed + 6), 0.01 * rand_series(2, 2, seed + 7)]
+    tr = F.affine_flow_lie(C, Dg, K_out=3, order=4)
+    tr_series = tr.E + tr.G + [x for row in tr.F for x in row]
+    M = np.array([[0.9, 0.1], [0.0, 1.1]])
+    return [
+        ("product", [f, g], lambda: product(f, g, K_out=4, report={})),
+        ("poisson_bracket", [f, g], lambda: poisson_bracket(f, g)),
+        ("add", [f, g], lambda: f + g),
+        ("sub", [f, g], lambda: f - g),
+        ("scalar_mul", [f], lambda: 2.5 * f),
+        ("dtheta", [f], lambda: f.dtheta(1)),
+        ("dI", [f], lambda: f.dI(0)),
+        ("prune", [f], lambda: f.prune(0.0)),
+        ("prune_entries", [f], lambda: f.prune_entries(1.0)),
+        ("average_periodic", [f], lambda: average_periodic(f, pv)),
+        ("solve_homological_periodic", [f], lambda: solve_homological_periodic(f, pv)),
+        ("compose_angle", [f] + E, lambda: F.compose_angle(f, E, report={})),
+        ("apply_affine", [f] + tr_series, lambda: F.apply_affine(f, tr, report={})),
+        ("jet_param_substitute", [j], lambda: F.jet_param_substitute(j, [0.01, 0.02], M)),
+    ]
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=5, deadline=None)
+def test_property_operations_leave_inputs_unchanged(seed):
+    for name, inputs, op in _operations(seed):
+        before = [(x.keys, x.coef.copy()) for x in inputs]
+        out = op()
+        for x, (keys, coef) in zip(inputs, before):
+            assert x.keys == keys and np.array_equal(x.coef, coef), name
+            assert not np.shares_memory(out.coef, x.coef), name
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3))
+@settings(max_examples=10, deadline=None)
+def test_property_bracket_antisymmetry_and_jacobi(seed, K):
+    # K_out = 4K holds every double bracket of K-band inputs untruncated
+    f, g, h = (rand_series(2, K, seed + i, D_I=1) for i in range(3))
+    kw = dict(K_out=4 * K, D_I_out=3)
+    fg = poisson_bracket(f, g, **kw)
+    assert (fg + poisson_bracket(g, f, **kw)).coeff_norm1() <= 1e-14 * fg.coeff_norm1()
+    terms = [poisson_bracket(poisson_bracket(a, b, **kw), c, **kw)
+             for a, b, c in [(f, g, h), (g, h, f), (h, f, g)]]
+    jacobi = (terms[0] + terms[1] + terms[2]).coeff_norm1()
+    assert jacobi <= 1e-14 * sum(t.coeff_norm1() for t in terms)
