@@ -125,51 +125,52 @@ class AffineTransform:
         return worst
 
 
+def _collocation_grid(n, K_out):
+    """Uniform collocation grid for results truncated to K_out: N points per
+    axis, twice the 2 K_out + 1 modes kept, flattened in C order (N^n, n)."""
+    N = 2 * (2 * K_out + 1)
+    axes = [np.arange(N) / N] * n
+    return N, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+
+
+def _grid_shift(e: FTSeries, N):
+    """Real values of the w-degree-0 block of an angle shift on the N^n grid."""
+    vals = e.grid_values(N).get(((0,) * e.n, (0,) * e.n_w))
+    return np.zeros(N ** e.n) if vals is None else vals.real.reshape(-1)
+
+
 def compose_angle(f: FTSeries, E0: list, E1: Optional[list] = None,
-                  K_out: Optional[int] = None, oversample: float = 2.0,
+                  K_out: Optional[int] = None,
                   report: Optional[dict] = None) -> FTSeries:
     """f(theta + E(theta, w), I, w) truncated back to K_out.
 
     E0 is the base shift (n series), E1 an optional list indexed by
     parameter a of first-order jet shifts; the composition is expanded to
-    first order in w (jet semantics).  Collocation: sample on a uniform
-    grid with the requested oversampling, then FFT and truncate.
+    first order in w (jet semantics).  Collocation: the shifts come from an
+    inverse FFT on the uniform grid, f and its gradients are evaluated at
+    the shifted points, then FFT and truncate.
     """
     n = f.n
     K_out = K_out if K_out is not None else f.K
-    N = int(math.ceil(oversample * (2 * K_out + 1)))
-    axes = [np.arange(N) / N] * n
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    E0v = np.stack([_eval_block0(e, grid) for e in E0], axis=-1)
-    pts = grid + E0v.real
+    N, grid = _collocation_grid(n, K_out)
+    pts = grid + np.stack([_grid_shift(e, N) for e in E0], axis=-1)
     acc = f.eval_blocks(pts)
     if E1 is not None:
-        # first-order jet correction: w_a E1^a . grad_theta f evaluated on
-        # the base-shifted points
-        grads = f.grad_theta()
+        # first-order jet correction w_a E1^a . grad_theta f at the shifted
+        # points; only blocks with |w| + 1 <= D_w survive the jet truncation
+        low = f.map_monomials(lambda m, w: [((m, w), 1.0)] if sum(w) < f.D_w else [])
+        grads = {}
         for a, E1a in enumerate(E1):
-            if E1a is None or all(c is None for c in E1a):
-                continue
-            e1v = [None if c is None else _eval_block0(c, grid) for c in E1a]
-            for i in range(n):
-                if e1v[i] is None:
+            for i, c in enumerate(E1a):
+                if c is None:
                     continue
-                gv = grads[i].eval_blocks(pts)
-                for (m, w), v in gv.items():
-                    if sum(w) + 1 > f.D_w:
-                        continue
-                    w2 = list(w)
-                    w2[a] += 1
-                    key = (m, tuple(w2))
-                    acc[key] = acc.get(key, 0.0) + v * e1v[i]
+                if i not in grads:
+                    grads[i] = low.dtheta(i).eval_blocks(pts)
+                e1v = _grid_shift(c, N)
+                for (m, w), v in grads[i].items():
+                    key = (m, w[:a] + (w[a] + 1,) + w[a + 1:])
+                    acc[key] = acc.get(key, 0.0) + v * e1v
     return FTSeries.from_samples(f, acc, N, report=report, K=K_out)
-
-
-def _eval_block0(series: FTSeries, pts):
-    """Value of the w-degree-0 part at points."""
-    vals = series.eval_blocks(pts)
-    key0 = ((0,) * series.n, (0,) * series.n_w)
-    return vals.get(key0, np.zeros(len(pts), dtype=complex)).real
 
 
 def jet_shift_components(E: list):
@@ -304,8 +305,7 @@ def compose_affine(outer: AffineTransform, inner: AffineTransform,
 
 
 def affine_flow_ode(C: FTSeries, D: list, t: float = 1.0, n_steps: int = 64,
-                    K_out: Optional[int] = None,
-                    oversample: float = 2.0) -> AffineTransform:
+                    K_out: Optional[int] = None) -> AffineTransform:
     """Collocation flow of X = C(theta) + D(theta).I for t in [0, 1].
 
     Per grid point, RK4 on the decoupled angle ODE and the linear
@@ -314,9 +314,7 @@ def affine_flow_ode(C: FTSeries, D: list, t: float = 1.0, n_steps: int = 64,
     """
     n = C.n
     K_out = K_out if K_out is not None else max([C.K] + [d.K for d in D])
-    N = int(math.ceil(oversample * (2 * K_out + 1)))
-    axes = [np.arange(N) / N] * n
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    N, grid = _collocation_grid(n, K_out)
     P = len(grid)
 
     gradC = [C.dtheta(i) for i in range(n)]
@@ -324,9 +322,9 @@ def affine_flow_ode(C: FTSeries, D: list, t: float = 1.0, n_steps: int = 64,
 
     def rhs(E, F, G):
         pts = grid + E
-        Dv = np.stack([_eval_block0(d, pts) for d in D], axis=-1)
-        gC = np.stack([_eval_block0(g, pts) for g in gradC], axis=-1)
-        gD = np.stack([np.stack([_eval_block0(gradD[i][j], pts) for j in range(n)],
+        Dv = np.stack([d.eval(pts) for d in D], axis=-1)
+        gC = np.stack([g.eval(pts) for g in gradC], axis=-1)
+        gD = np.stack([np.stack([gradD[i][j].eval(pts) for j in range(n)],
                                 axis=-1) for i in range(n)], axis=-2)
         dE = Dv
         eye = np.eye(n)

@@ -246,7 +246,7 @@ class FTSeries:
             k = tuple(int(i) - self.K for i in idx[1:])
             yield k, m, w, complex(coef[tuple(idx)])
 
-    def check_reality(self, tol=1e-14) -> float:
+    def check_reality(self) -> float:
         """Max |c_{-k} - conj(c_k)| over blocks."""
         return float(np.max(np.abs(self.coef - np.conj(_flip(self.coef, self.n))),
                             initial=0.0))
@@ -390,30 +390,14 @@ def _horner(arr, zs, K):
     """sum_k arr[k] prod z_i^(k_i - K), vectorized over the points axis.
 
     The trailing len(zs) axes of arr are angle axes, leading axes are batch.
-    n <= 2 goes through BLAS (Vandermonde matmul + weighted contraction);
-    higher n falls back to a Horner sweep from the last axis to the first.
+    One contraction per angle axis, last to first: a BLAS matmul with the
+    last axis's Vandermonde, then a weighted sum over each remaining axis.
     """
-    na = len(zs)
     L = arr.shape[-1]
-    if na == 1:
-        return arr @ _vandermonde(zs[0], L, K)
-    if na == 2:
-        V2 = _vandermonde(zs[1], L, K)
-        W = (arr.reshape(-1, L) @ V2).reshape(arr.shape[:-1] + (len(zs[1]),))
-        V1 = _vandermonde(zs[0], arr.shape[-2], K)
-        return np.einsum("...kp,kp->...p", W, V1)
-    z = zs[na - 1]
-    acc = arr[..., -1:] * np.ones_like(z)
-    for j in range(L - 2, -1, -1):
-        acc = acc * z + arr[..., j:j + 1]
-    vals = acc * z ** (-K)                      # (..., (2K+1)^(na-1), P)
-    for axis in range(na - 2, -1, -1):
-        z = zs[axis]
-        L2 = vals.shape[-2]
-        acc = vals[..., L2 - 1, :]
-        for j in range(L2 - 2, -1, -1):
-            acc = acc * z + vals[..., j, :]
-        vals = acc * z ** (-K)
+    vals = (arr.reshape(-1, L) @ _vandermonde(zs[-1], L, K)).reshape(
+        arr.shape[:-1] + (len(zs[-1]),))
+    for z in reversed(zs[:-1]):
+        vals = np.einsum("...kp,kp->...p", vals, _vandermonde(z, vals.shape[-2], K))
     return vals
 
 

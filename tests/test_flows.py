@@ -143,6 +143,30 @@ class TestAffineFlow:
         rhs = np.array([H.eval(tho[i:i + 1], I=Io[i])[0] for i in range(30)])
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
+    def test_compose_angle_first_order_jet(self):
+        # f(theta + E0 + w.E1) to first order in w, against pointwise
+        # f(theta + E0) + sum_a w_a E1^a . grad f(theta + E0); the
+        # w-linear block of f gets no jet term (it would be degree 2 in w)
+        f = FTSeries.zeros(2, 2, D_I=1, D_w=1, n_w=2)
+        f.add_cos((1, 0), 0.7).add_sin((1, 2), 0.4).add_cos((0, 1), 0.3, m=(1, 0))
+        f.add_cos((2, -1), 0.5, w=(1, 0)).add_sin((0, 1), 0.6, w=(0, 1))
+        E0 = [FTSeries.zeros(2, 1).add_sin((1, 0), 0.01),
+              FTSeries.zeros(2, 1).add_cos((1, 1), 0.02)]
+        E1 = [[FTSeries.zeros(2, 1).add_cos((0, 1), 0.03), None],
+              [FTSeries.zeros(2, 1).add_sin((1, -1), 0.02),
+               FTSeries.zeros(2, 1).add_cos((1, 0), 0.04)]]
+        g = F.compose_angle(f, E0, E1, K_out=16)
+        rng = np.random.default_rng(4)
+        for th, I, w in zip(rng.uniform(size=(10, 2)), rng.uniform(-0.5, 0.5, (10, 2)),
+                            rng.uniform(-0.5, 0.5, (10, 2))):
+            sh = th + np.array([e.eval(th)[0] for e in E0])
+            expect = f.eval(sh, I=I, w=w)[0]
+            for a in range(2):
+                for i, c in enumerate(E1[a]):
+                    if c is not None:
+                        expect += w[a] * c.eval(th)[0] * f.dtheta(i).eval(sh, I=I)[0]
+            assert abs(g.eval(th, I=I, w=w)[0] - expect) < 1e-12
+
     def test_gronwall_magnitude(self):
         # |F| <= n^2 s^-1 C(sigma) |D| exp(n^2 s^-1 C(sigma)|D|) with slack
         sp = W.ScaleProfile(W.build_sequence(W.gevrey(2), 2048))
