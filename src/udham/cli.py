@@ -366,11 +366,14 @@ def cmd_ms(cfg: ExperimentConfig) -> int:
         if rows[-1][0] != q * q:
             rows.append((q * q, float(res["I1"][-1])))
         write_csv(out / "drift.csv", ["step", "I1"], rows)
+        verify = bool(p.get("verify_drift", False))
         manifest.update({"mode": mode, "q": q,
                          "final_I1": float(res["final"][1]),
                          "drift_error": res["drift_error"],
-                         "a_return_error": res["a_return_error"]})
-        ok = res["drift_error"] <= 1e-9
+                         "a_return_error": res["a_return_error"],
+                         "verify_drift": verify})
+        # --verify-drift also checks the coupling lemma's return of the rotator point
+        ok = res["drift_error"] <= 1e-9 and (not verify or res["a_return_error"] <= 1e-9)
     else:
         fam = parse_family({**p, "alpha": p.get("alpha", 2.0)})
         sp = weights.ScaleProfile(weights.build_sequence(fam, int(p.get("l_max", 1 << 14))))
@@ -514,6 +517,8 @@ def main(argv=None) -> int:
             val = getattr(ns, flag, None)
             if val is not None:
                 params[flag] = val
+        if getattr(ns, "verify_drift", False):
+            params["verify_drift"] = True
         if ns.subcommand == "report":
             params["inputs"] = list(getattr(ns, "inputs", []) or params.get("inputs", []))
         if ns.outdir:

@@ -6,9 +6,12 @@ Three grades of flow machinery, in decreasing exactness:
   (theta, I) -> (theta, I - t grad u(theta));
 * affine generators X = C(theta) + D(theta).I: the angle equation decouples
   and the action equation is linear, so the time-t map has the closed form
-  (theta + E_t, (1+F_t) I + G_t) with (E, F, G) obtained either by
-  per-grid-point ODE integration (collocation) or by Lie series on the
-  coordinate functions (exact at truncation, carries parameter jets);
+  (theta, I) -> (theta + E(theta), A(theta, I)), where E is n angle series
+  and A is n series of action degree 1,
+  A_i = G_i(theta) + sum_j (delta_ij + F_ij(theta)) I_j.  (E, A) come either
+  from per-grid-point ODE integration (collocation) or from Lie series on
+  the coordinate functions (exact at truncation, carries parameter jets);
+  composing two such maps is one pullback of the outer's components;
 * arbitrary generators: Lie series H o Phi = sum ad_Y^r H / r! with a tail
   monitor, cross-validated against grid composition.
 
@@ -24,8 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.special import gammaln
 
 from .series import FTSeries, poisson_bracket, product
@@ -72,15 +73,16 @@ def angle_flow(u: FTSeries, t: float = 1.0):
 
 @dataclass
 class AffineTransform:
-    """(theta, I) -> (theta + E(theta), I + F(theta).I + G(theta)).
+    """(theta, I) -> (theta + E(theta), A(theta, I)).
 
-    E and G are lists of n angle-only series, F an n x n nested list; all may
-    carry parameter jets.  Closed under composition.
+    E is a list of n angle-only series; A is the action component of the
+    map itself, n series of action degree 1,
+    A_i = G_i(theta) + sum_j (delta_ij + F_ij(theta)) I_j.  All may carry
+    parameter jets.  Closed under composition.
     """
 
     E: list
-    F: list
-    G: list
+    A: list
     log: list = field(default_factory=list)
 
     @property
@@ -91,17 +93,14 @@ class AffineTransform:
     def identity(cls, n, K, n_w=0, D_w=0):
         z = lambda: FTSeries.zeros(n, K, D_I=0, D_w=D_w, n_w=n_w)
         return cls(E=[z() for _ in range(n)],
-                   F=[[z() for _ in range(n)] for _ in range(n)],
-                   G=[z() for _ in range(n)], log=["id"])
+                   A=[_action_component(i, z(), []) for i in range(n)], log=["id"])
 
     def apply(self, theta, I, w=None):
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
         I = np.atleast_2d(np.asarray(I, dtype=float))
         Ev = np.stack([e.eval(theta, w=w) for e in self.E], axis=-1)
-        Gv = np.stack([g.eval(theta, w=w) for g in self.G], axis=-1)
-        Fv = np.stack([np.stack([f.eval(theta, w=w) for f in row], axis=-1)
-                       for row in self.F], axis=-2)
-        return theta + Ev, I + np.einsum("pij,pj->pi", Fv, I) + Gv
+        Av = np.stack([a.eval(theta, I=I, w=w) for a in self.A], axis=-1)
+        return theta + Ev, Av
 
     def jacobian_defect(self, rng=None, n_pts=64, h=1e-6):
         """Max |det DPhi - 1| over random points (symplecticity probe)."""
@@ -123,6 +122,17 @@ class AffineTransform:
                              - np.concatenate([tm[0], im[0]])) / (2 * h)
             worst = max(worst, abs(np.linalg.det(Jac) - 1.0))
         return worst
+
+
+def _action_component(i, G: FTSeries, F_row: list) -> FTSeries:
+    """A_i = G_i + sum_j (delta_ij + F_ij) I_j from angle series G_i and
+    F_ij: G's monomials first, then F_i0 ... mapped to I_0 ..., then I_i."""
+    n = G.n
+    units = [tuple(int(a == j) for a in range(n)) for j in range(n)]
+    A = FTSeries.zeros(n, G.K, D_I=1, D_w=G.D_w, n_w=G.n_w) + G
+    for j, f in enumerate(F_row):
+        A = A + f.map_monomials(lambda m, w, ej=units[j]: [((ej, w), 1.0)], D_I=1)
+    return A + FTSeries.zeros(n, G.K, D_I=1, n_w=G.n_w).set_mode((0,) * n, 1.0, m=units[i])
 
 
 def _collocation_grid(n, K_out):
@@ -173,7 +183,7 @@ def compose_angle(f: FTSeries, E0: list, E1: Optional[list] = None,
     return FTSeries.from_samples(f, acc, N, report=report, K=K_out)
 
 
-def jet_shift_components(E: list):
+def _jet_shift_components(E: list):
     """Split jet series E_i(theta, w) into base and first-order lists."""
     n_w = E[0].n_w
     if n_w == 0 or E[0].D_w == 0:
@@ -192,32 +202,27 @@ def jet_shift_components(E: list):
 def apply_affine(H: FTSeries, tr: AffineTransform, K_out: Optional[int] = None,
                  D_I_out: Optional[int] = None,
                  report: Optional[dict] = None) -> FTSeries:
-    """Pull back H by the affine transform: H(theta+E, (1+F)I + G)."""
+    """Pull back H by the affine transform: H(theta + E, A(theta, I))."""
     n = H.n
     K_out = K_out if K_out is not None else H.K
     D_I_out = D_I_out if D_I_out is not None else H.D_I
+    zero = (0,) * n
+    ident = AffineTransform.identity(n, 0, n_w=H.n_w).A
     if (all(e.coeff_norm1() == 0.0 for e in tr.E)
-            and all(f.coeff_norm1() == 0.0 for row in tr.F for f in row)
-            and all(g.coeff_norm1() == 0.0 for g in tr.G)):
+            and all((a - u).coeff_norm1() == 0.0 for a, u in zip(tr.A, ident))):
         out = H.rebanded(K_out)
         if report is not None:
             report["aliasing_mass"] = 0.0
         return out
-    base, first = jet_shift_components(tr.E)
+    base, first = _jet_shift_components(tr.E)
     scale = max(H.sup_coeff(), 1.0)
     Hs = compose_angle(H, base, first, K_out=K_out, report=report)
     Hs = Hs.prune_entries(1e-17 * scale)
-    # substitution polynomials L_i = G_i + sum_j (delta_ij + F_ij) I_j;
-    # F and G act at the preimage theta, so no angle composition here
-    zero = (0,) * n
-    units = [tuple(int(a == j) for a in range(n)) for j in range(n)]
-    L = []
-    for i in range(n):
-        Li = FTSeries.zeros(n, K_out, D_I=1, D_w=H.D_w, n_w=H.n_w) + tr.G[i].rebanded(K_out)
-        for j in range(n):
-            Li = Li + tr.F[i][j].rebanded(K_out).map_monomials(
-                lambda m, w, ej=units[j]: [((ej, w), 1.0)], D_I=1)
-        L.append(Li + FTSeries.zeros(n, K_out, D_I=1, n_w=H.n_w).set_mode(zero, 1.0, m=units[i]))
+    # the substitution polynomials are A itself (at K_out, truncating jets
+    # at H's degree if that is higher): A acts at the preimage theta, so no
+    # angle composition here
+    L = [FTSeries.zeros(n, K_out, D_I=1, D_w=H.D_w, n_w=H.n_w) + a.rebanded(K_out)
+         for a in tr.A]
     out = FTSeries.from_blocks(H, {}, K=K_out, D_I=D_I_out)
     powers = {}
 
@@ -270,38 +275,21 @@ def jet_param_substitute(f: FTSeries, shift, matrix) -> FTSeries:
 def compose_affine(outer: AffineTransform, inner: AffineTransform,
                    K_out: Optional[int] = None, phi_shift=None,
                    phi_matrix=None) -> AffineTransform:
-    """outer o inner, again affine:
+    """outer o inner, again affine: with V = theta + E_in,
 
-        E = E_in + E_out o V,   1 + F = (1 + F_out o V)(1 + F_in),
-        G = (1 + F_out o V) G_in + G_out o V,
+        E = E_in + E_out o V,   A = A_out(V, A_in),
 
-    with V = theta + E_in; if a parameter map is supplied the outer's jets
-    are first pulled back through it."""
-    n = outer.n
+    each the pullback of an outer component by inner (``apply_affine``); if
+    a parameter map is supplied the outer's jets are first pulled back
+    through it."""
     K_out = K_out if K_out is not None else max(outer.E[0].K, inner.E[0].K)
     if phi_shift is not None:
         sub = lambda f: jet_param_substitute(f, phi_shift, phi_matrix)
     else:
         sub = lambda f: f
-    base, first = jet_shift_components(inner.E)
-    comp = lambda f: compose_angle(sub(f), base, first, K_out=K_out)
-    E = [inner.E[i].rebanded(K_out) + comp(outer.E[i]) for i in range(n)]
-    FoV = [[comp(outer.F[i][j]) for j in range(n)] for i in range(n)]
-    GoV = [comp(outer.G[i]) for i in range(n)]
-    Fin = [[inner.F[i][j].rebanded(K_out) for j in range(n)] for i in range(n)]
-    Gin = [inner.G[i].rebanded(K_out) for i in range(n)]
-    F = [[None] * n for _ in range(n)]
-    G = [None] * n
-    for i in range(n):
-        gi = GoV[i]
-        for j in range(n):
-            fij = Fin[i][j] + FoV[i][j]
-            for l in range(n):
-                fij = fij + product(FoV[i][l], Fin[l][j], K_out=K_out)
-            F[i][j] = fij
-            gi = gi + product(FoV[i][j], Gin[j], K_out=K_out)
-        G[i] = gi + Gin[i]
-    return AffineTransform(E=E, F=F, G=G, log=outer.log + inner.log)
+    pull = lambda f: apply_affine(sub(f), inner, K_out=K_out)
+    return AffineTransform(E=[e.rebanded(K_out) + pull(oe) for e, oe in zip(inner.E, outer.E)],
+                           A=[pull(a) for a in outer.A], log=outer.log + inner.log)
 
 
 def affine_flow_ode(C: FTSeries, D: list, t: float = 1.0, n_steps: int = 64,
@@ -351,8 +339,8 @@ def affine_flow_ode(C: FTSeries, D: list, t: float = 1.0, n_steps: int = 64,
 
     return AffineTransform(
         E=[to_series(E[:, i]) for i in range(n)],
-        F=[[to_series(F[:, i, j]) for j in range(n)] for i in range(n)],
-        G=[to_series(G[:, i]) for i in range(n)],
+        A=[_action_component(i, to_series(G[:, i]), [to_series(F[:, i, j]) for j in range(n)])
+           for i in range(n)],
         log=[f"ode(t={t}, steps={n_steps})"])
 
 
@@ -390,8 +378,7 @@ def affine_flow_lie(C: FTSeries, D: list, t: float = 1.0, order: int = 24,
             fac = fac * t / r
 
     # action chain: b = beta(theta) + gamma(theta) I
-    F = [[zero() for _ in range(n)] for _ in range(n)]
-    G = [zero() for _ in range(n)]
+    A = []
     gradC = [C.dtheta(j) for j in range(n)]
     gradD = [[D[l].dtheta(j) for l in range(n)] for j in range(n)]
     for i in range(n):
@@ -425,10 +412,8 @@ def affine_flow_lie(C: FTSeries, D: list, t: float = 1.0, order: int = 24,
                 break
             r += 1
             fac = fac * t / r
-        G[i] = acc_beta.prune_entries(noise_floor)
-        for l in range(n):
-            F[i][l] = acc_gamma[l]
-    return AffineTransform(E=E, F=F, G=G, log=[f"lie(t={t}, order<={order})"])
+        A.append(_action_component(i, acc_beta.prune_entries(noise_floor), acc_gamma))
+    return AffineTransform(E=E, A=A, log=[f"lie(t={t}, order<={order})"])
 
 
 # ---------------------------------------------------------------------------
@@ -506,29 +491,6 @@ def _yoshida4(theta, I, dt, grad_v):
     return theta, I
 
 
-def integrate_mechanical(grad_v: Callable, theta0, I0, t_end: float,
-                         dt: float = 1e-3, sample_every: int = 1,
-                         energy: Optional[Callable] = None,
-                         method: str = "yoshida4") -> Trajectory:
-    """Splitting integration of H = |I|^2/2 + V(theta)."""
-    stepper = _yoshida4 if method == "yoshida4" else _leapfrog
-    n_steps = int(round(t_end / dt))
-    theta = np.asarray(theta0, dtype=float).copy()
-    I = np.asarray(I0, dtype=float).copy()
-    ts, ths, Is, Es = [0.0], [theta.copy()], [I.copy()], []
-    Es.append(energy(theta, I) if energy else 0.0)
-    for step in range(1, n_steps + 1):
-        theta, I = stepper(theta, I, dt, grad_v)
-        if step % sample_every == 0 or step == n_steps:
-            ts.append(step * dt)
-            ths.append(theta.copy())
-            Is.append(I.copy())
-            Es.append(energy(theta, I) if energy else 0.0)
-    return Trajectory(times=np.array(ts), thetas=np.array(ths),
-                      actions=np.array(Is), energies=np.array(Es),
-                      n_steps=n_steps, dt=dt)
-
-
 def integrate_midpoint(grad_theta: Callable, grad_I: Callable, theta0, I0,
                        t_end: float, dt: float = 1e-2,
                        energy: Optional[Callable] = None, newton_tol: float = 1e-13,
@@ -561,40 +523,6 @@ def integrate_midpoint(grad_theta: Callable, grad_I: Callable, theta0, I0,
     return Trajectory(times=np.array(ts), thetas=np.array(ths),
                       actions=np.array(Is), energies=np.array(Es),
                       n_steps=n_steps, dt=dt)
-
-
-def integrate_adaptive(grad_theta: Callable, grad_I: Callable, theta0, I0,
-                       t_end: float, tol: float = 1e-10,
-                       energy: Optional[Callable] = None,
-                       sample_every: Optional[int] = None,
-                       dt_min: float = 1e-9) -> Trajectory:
-    """Implicit midpoint with the step chosen to meet a local tolerance.
-
-    The local error is estimated by step doubling at the start (midpoint is
-    second order, so one h-step vs two h/2-steps differ by ~3/4 of the
-    local error); h is then fixed for the run and halved up front until the
-    per-unit-time error estimate is below tol."""
-    h = min(0.1, t_end)
-    theta0 = np.asarray(theta0, dtype=float)
-    I0 = np.asarray(I0, dtype=float)
-
-    def probe(hh):
-        one = integrate_midpoint(grad_theta, grad_I, theta0, I0, hh, dt=hh)
-        two = integrate_midpoint(grad_theta, grad_I, theta0, I0, hh, dt=hh / 2)
-        err = (np.max(np.abs(one.thetas[-1] - two.thetas[-1]))
-               + np.max(np.abs(one.actions[-1] - two.actions[-1])))
-        return err / hh
-
-    while probe(h) > tol:
-        h /= 2.0
-        if h < dt_min:
-            raise StiffnessError(f"step underflow below {dt_min:g}")
-    n = max(1, int(math.ceil(t_end / h)))
-    if sample_every is None:
-        sample_every = max(1, n // 256)
-    return integrate_midpoint(grad_theta, grad_I, theta0, I0, t_end,
-                              dt=t_end / n, energy=energy,
-                              sample_every=sample_every)
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +567,7 @@ class PendulumOrbit:
         th = abs(theta)
         if th > 0.5:
             raise ParameterError("tau is defined on [-1/2, 1/2]")
+        from scipy.integrate import quad
         u_lo = 0.5 - th
         direct_hi = min(th, 0.25)
         val, _ = quad(lambda x: 1.0 / self.speed(x), 0.0, direct_hi,
@@ -660,6 +589,7 @@ class PendulumOrbit:
         hi = 0.5 if self.a2 > 0.0 else 0.5 - 1e-12
         if self.a2 == 0.0 and tm >= self.tau(hi):
             return 0.5
+        from scipy.optimize import brentq
         return brentq(lambda x: self.tau(x) - tm, 0.0, hi, xtol=1e-15)
 
 
@@ -673,6 +603,7 @@ def _sinh_piece(a2: float, u_lo: float, u_hi: float) -> float:
     """
     if u_hi <= u_lo:
         return 0.0
+    from scipy.integrate import quad
     if a2 == 0.0:
         if u_lo <= 0.0:
             raise ParameterError("separatrix integrand diverges at u = 0")
@@ -700,6 +631,7 @@ def pendulum_period_of_eps(eps: float) -> float:
     """Winding time of the rotation orbit with I_B = 2 + eps."""
     if eps <= 0:
         raise ParameterError("rotation orbits require eps > 0")
+    from scipy.integrate import quad
     a2 = 4.0 * eps + eps ** 2
     direct, _ = quad(lambda x: 1.0 / np.sqrt(4.0 * np.cos(math.pi * x) ** 2 + a2),
                      0.0, 0.25, epsabs=1e-15, epsrel=1e-13, limit=100)
@@ -719,6 +651,7 @@ def pendulum_periodic_point(B: float) -> PendulumOrbit:
     if B > 100.0:
         eps = math.exp(log_eps) if log_eps > -700.0 else 0.0
         return PendulumOrbit(B=float(B), eps=eps, log_eps=log_eps)
+    from scipy.optimize import brentq
     f = lambda x: pendulum_period_of_eps(math.exp(x)) - B
     x = brentq(f, -700.0, math.log(5.0), xtol=1e-13, rtol=8.9e-16)
     return PendulumOrbit(B=float(B), eps=math.exp(x), log_eps=x)

@@ -24,7 +24,7 @@ import numpy as np
 from . import dioph
 from .dioph import FrequencyProfile, PeriodicVector
 from .flows import (AffineTransform, affine_flow_lie, apply_affine, compose_affine,
-                    jet_param_substitute, jet_shift_components, lie_flow)
+                    jet_param_substitute, lie_flow)
 from .series import (FTSeries, average_periodic, average_zero_mode, norm_upper,
                      poisson_bracket, solve_homological_periodic)
 from .weights import HorizonError, ParameterError, ScaleProfile
@@ -454,7 +454,7 @@ def kam_step(kh: KamHamiltonian, fp: FrequencyProfile, Q: float, sigma: float,
              r_cond: Optional[float] = None, delta_cond: Optional[float] = None):
     """One affine KAM step: n successive rational averagings + counterterm.
 
-    Produces the composed transform (E, F, G) with its frequency map phi
+    Produces the composed transform (E, A) with its frequency map phi
     solved exactly at jet level, the pulled-back Hamiltonian, and measured
     contraction certificates (|A+| vs eps/16, |B+| vs mu/4 when the
     preconditions hold)."""
@@ -543,6 +543,15 @@ class KamIterateResult:
     converged: bool
 
 
+def _embedding(tr: AffineTransform):
+    """E* and G* at omega_0: the w-free parts of E and of A's I^0 part."""
+    n, n_w = tr.n, tr.E[0].n_w
+    base = ((0,) * n, (0,) * n_w)
+    part = lambda f: f.map_monomials(lambda m, w: [((m, w), 1.0)] if (m, w) == base else [],
+                                     D_I=0, D_w=0)
+    return [part(e) for e in tr.E], [part(a) for a in tr.A]
+
+
 def kam_iterate(kh: KamHamiltonian, fp: FrequencyProfile, sp: ScaleProfile,
                 s: float, n_iter: int = 6, schedule: Optional[KamSchedule] = None,
                 eta: float = 0.0, c2: float = 1.0, defect_fn=None,
@@ -579,15 +588,12 @@ def kam_iterate(kh: KamHamiltonian, fp: FrequencyProfile, sp: ScaleProfile,
                       "A": rep.certs_after["A"], "B": rep.certs_after["B"],
                       "conditions": rep.conditions})
         if defect_fn is not None:
-            E0, _ = jet_shift_components(tr_total.E)
-            G0, _ = jet_shift_components(tr_total.G)
-            d = defect_fn(E0, G0, phi0_total)
+            d = defect_fn(*_embedding(tr_total), phi0_total)
             defects.append(d)
             if d <= tol:
                 converged = True
                 break
-    E0, _ = jet_shift_components(tr_total.E)
-    G0, _ = jet_shift_components(tr_total.G)
+    E0, G0 = _embedding(tr_total)
     return KamIterateResult(transform=tr_total, omega_star=phi0_total,
                             defects=defects, cert_log=certs,
                             embedding_theta=E0, embedding_I=G0,

@@ -321,14 +321,15 @@ class FTSeries:
         return dict(zip(self.keys, _horner(self.coef, zs, self.K)))
 
     def eval(self, theta_pts, I=None, w=None) -> np.ndarray:
-        """f(theta, I, w) at points; I and w fixed vectors (default 0)."""
+        """f(theta, I, w) at points (P, n); w a fixed vector, I a fixed
+        vector or one row per point (P, n); both default to 0."""
         I = np.zeros(self.n) if I is None else np.asarray(I, dtype=float)
         wv = np.zeros(self.n_w) if w is None else np.asarray(w, dtype=float)
         theta_pts = np.atleast_2d(np.asarray(theta_pts, dtype=float))
         vals = self.eval_blocks(theta_pts)
         out = np.zeros(len(theta_pts), dtype=complex)
         for (m, ww), v in vals.items():
-            out += v * np.prod(I ** np.array(m)) * \
+            out += v * np.prod(I ** np.array(m), axis=-1) * \
                 (np.prod(wv ** np.array(ww)) if self.n_w else 1.0)
         return out.real if self.real else out
 

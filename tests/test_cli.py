@@ -14,6 +14,13 @@ def run(args):
     return cli.main(args)
 
 
+def _src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+
+
 class TestWeights:
     def test_gevrey_table(self, tmp_path):
         out = tmp_path / "w"
@@ -89,6 +96,17 @@ class TestMS:
         last = rows[-1].split(",")
         assert int(last[0]) == 1600
         assert abs(float(last[1]) - 1.0) < 1e-9
+
+    def test_verify_drift_is_read_and_recorded(self, tmp_path):
+        mans = {}
+        for flag in ([], ["--verify-drift"]):
+            out = tmp_path / ("ms" + "".join(flag))
+            assert run(["ms", "--mode", "exact", "--q", "40", "--outdir", str(out)] + flag) == 0
+            mans[bool(flag)] = (out / "manifest.txt").read_text().replace(str(out), "")
+        assert mans[False] != mans[True]
+        assert "\nverify_drift = True\n" in mans[True]
+        assert "\nverify_drift = False\n" in mans[False]
+        assert "a_return_error = 0.0" in mans[True]
 
     def test_pendulum_mode_report(self, tmp_path):
         out = tmp_path / "ms2"
@@ -260,11 +278,17 @@ class TestPlainArtifacts:
         assert texts[0] != texts[1]
 
     def test_module_entry_point_runs_without_warnings(self, tmp_path):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
         proc = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "udham.cli", "weights",
              "--family", "gevrey", "--alpha", "2", "--outdir", str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=120)
+            env=_src_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    def test_import_leaves_quadrature_and_root_finding_unloaded(self):
+        # scipy.integrate and scipy.optimize serve only the pendulum orbits
+        code = ("import sys, udham; print(sorted(m for m in sys.modules "
+                "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'])))")
+        proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -18,6 +18,17 @@ def small_affine_generator(n=2, K=4, scale=1e-2, seed=0):
     return C, D
 
 
+def jet_affine_generator(scale, seed):
+    """C, D with degree-1 jets in two parameters."""
+    r = np.random.default_rng(seed)
+    z = lambda: FTSeries.zeros(2, 3, D_w=1, n_w=2)
+    a = scale * r.uniform(0.5, 1.0, size=7)
+    C = z().add_cos((1, 0), a[0]).add_sin((1, -1), a[1], w=(1, 0)).add_cos((0, 1), a[2], w=(0, 1))
+    D = [z().add_cos((1, 1), a[3]).add_sin((1, 0), a[4], w=(0, 1)),
+         z().add_sin((0, 1), a[5]).add_cos((1, 1), a[6], w=(1, 0))]
+    return C, D
+
+
 def as_generator_series(C, D):
     n = C.n
     blocks = {((0,) * n, ()): C.block()}
@@ -25,6 +36,18 @@ def as_generator_series(C, D):
         e = tuple(1 if a == i else 0 for a in range(n))
         blocks[(e, ())] = D[i].block()
     return FTSeries.from_blocks(FTSeries.zeros(n, C.K, D_I=1), blocks)
+
+
+def linear_parts(tr):
+    """F_ij of A_i = G_i + sum_j (delta_ij + F_ij) I_j, as angle series."""
+    n = tr.n
+    ident = F.AffineTransform.identity(n, 0, n_w=tr.E[0].n_w).A
+    units = [tuple(int(a == j) for a in range(n)) for j in range(n)]
+
+    def coefficient(f, ej):
+        return f.map_monomials(lambda m, w: [(((0,) * n, w), 1.0)] if m == ej else [], D_I=0)
+
+    return [[coefficient(a - u, ej) for ej in units] for a, u in zip(tr.A, ident)]
 
 
 class TestAngleFlow:
@@ -78,8 +101,9 @@ class TestAffineFlow:
         C = FTSeries.zeros(2, 3)
         D = [FTSeries.zeros(2, 3), FTSeries.zeros(2, 3)]
         tr = F.affine_flow_ode(C, D, t=1.0, n_steps=8)
+        ident = F.AffineTransform.identity(2, 3)
         assert all(e.coeff_norm1() < 1e-15 for e in tr.E)
-        assert all(f.coeff_norm1() < 1e-15 for row in tr.F for f in row)
+        assert all((a - u).coeff_norm1() < 1e-15 for a, u in zip(tr.A, ident.A))
 
     def test_constant_d_closed_form(self):
         C = FTSeries.zeros(2, 3).add_cos((2, 0), 0.05)
@@ -89,7 +113,7 @@ class TestAffineFlow:
         tr = F.affine_flow_lie(C, D, t=1.0, K_out=6)
         assert tr.E[0].get_mode((0, 0)).real == pytest.approx(0.12, abs=1e-12)
         assert tr.E[1].get_mode((0, 0)).real == pytest.approx(-0.07, abs=1e-12)
-        assert sum(f.coeff_norm1() for row in tr.F for f in row) < 1e-12
+        assert sum(f.coeff_norm1() for row in linear_parts(tr) for f in row) < 1e-12
         # G from -grad C averaged along the line theta + t v
         k = np.array([2, 0])
         kv = k @ np.array([0.12, -0.07])
@@ -97,17 +121,15 @@ class TestAffineFlow:
         # -2 pi i k_1 * c_k * (e^{2 pi i kv} - 1)/(2 pi i kv)
         c_k = 0.025
         expect = -2j * math.pi * 2 * c_k * (np.exp(2j * math.pi * kv) - 1.0) / (2j * math.pi * kv)
-        assert abs(tr.G[0].get_mode((2, 0)) - expect) < 1e-10
+        assert abs(tr.A[0].get_mode((2, 0)) - expect) < 1e-10
 
     def test_ode_vs_lie_agree(self):
         C, D = small_affine_generator()
         a = F.affine_flow_ode(C, D, t=1.0, n_steps=64, K_out=12)
         b = F.affine_flow_lie(C, D, t=1.0, K_out=12)
         dE = max((x - y).coeff_norm1() for x, y in zip(a.E, b.E))
-        dF = max((x - y).coeff_norm1() for x, y in
-                 zip([f for r in a.F for f in r], [f for r in b.F for f in r]))
-        dG = max((x - y).coeff_norm1() for x, y in zip(a.G, b.G))
-        assert max(dE, dF, dG) < 1e-8
+        dA = max((x - y).coeff_norm1() for x, y in zip(a.A, b.A))
+        assert max(dE, dA) < 1e-8
 
     def test_flow_property(self):
         C, D = small_affine_generator(seed=5)
@@ -125,6 +147,32 @@ class TestAffineFlow:
         C, D = small_affine_generator(seed=7)
         tr = F.affine_flow_lie(C, D, t=1.0, K_out=12)
         assert tr.jacobian_defect(n_pts=16) < 1e-8
+
+    def test_accumulated_symplecticity_defect(self):
+        tr = F.affine_flow_lie(*jet_affine_generator(1e-2, 17), K_out=12)
+        for seed in (19, 21, 23):
+            step = F.affine_flow_lie(*jet_affine_generator(1e-2, seed), K_out=12)
+            tr = F.compose_affine(tr, step, K_out=12)
+        assert tr.jacobian_defect(n_pts=16) < 1e-8
+
+    def test_compose_affine_pulls_outer_jets_through_phi(self):
+        # composite(theta, I; w) = outer(inner(theta, I; w); shift + M w)
+        # exactly at w = 0 and up to the dropped w^2 terms elsewhere
+        outer = F.affine_flow_lie(*jet_affine_generator(2e-2, 0), K_out=12)
+        inner = F.affine_flow_lie(*jet_affine_generator(2e-2, 1), K_out=12)
+        shift, M = np.array([0.01, -0.02]), np.array([[0.9, 0.1], [0.05, 1.1]])
+        comp = F.compose_affine(outer, inner, K_out=12, phi_shift=shift, phi_matrix=M)
+        rng = np.random.default_rng(2)
+        th, I = rng.uniform(size=(10, 2)), rng.uniform(-0.3, 0.3, (10, 2))
+
+        def error(w):
+            t1, i1 = comp.apply(th, I, w=w)
+            t2, i2 = outer.apply(*inner.apply(th, I, w=w), w=shift + M @ w)
+            return max(np.max(np.abs(t1 - t2)), np.max(np.abs(i1 - i2)))
+
+        assert error(np.zeros(2)) < 1e-10
+        errs = [error(np.array([0.3, -0.2]) / 2 ** k) for k in range(4)]
+        assert all(3.5 < a / b < 4.5 for a, b in zip(errs, errs[1:]))
 
     def test_apply_affine_grid_identity(self):
         C, D = small_affine_generator(seed=9)
@@ -177,7 +225,8 @@ class TestAffineFlow:
         cd = sum(norm_upper(d, sp, s).bound for d in D)
         lam = 4.0 * cd * sp.cauchy_c(sigma).value / s
         bound = lam * math.exp(lam)
-        cf = sum(norm_upper(f, sp, s * (1 - sigma) ** 2).bound for row in tr.F for f in row)
+        cf = sum(norm_upper(f, sp, s * (1 - sigma) ** 2).bound
+                 for row in linear_parts(tr) for f in row)
         assert cf <= bound
         assert cf > 0
 
@@ -239,15 +288,6 @@ class TestIntegrators:
         assert np.max(np.abs(traj.thetas[-1] - (np.array([0.1, 0.2]) + 10 * om))) < 1e-12
         assert np.max(np.abs(traj.actions[-1] - np.array([0.5, -0.2]))) < 1e-14
 
-    def test_pendulum_energy_drift(self):
-        grad_v = lambda th: 2.0 * math.pi * np.sin(2.0 * math.pi * th)
-        energy = lambda th, I: 0.5 * float(I ** 2) - math.cos(2.0 * math.pi * float(th))
-        traj = F.integrate_mechanical(grad_v, np.array(0.1), np.array(1.2),
-                                      t_end=10.0, dt=1e-3, sample_every=100,
-                                      energy=energy)
-        assert traj.n_steps == 10_000
-        assert traj.energy_drift <= 1e-8
-
     def test_midpoint_energy_conservation(self):
         def gth(th, I):
             return 2.0 * math.pi * np.sin(2.0 * math.pi * th)
@@ -260,6 +300,15 @@ class TestIntegrators:
                                     t_end=5.0, dt=2e-4, energy=energy,
                                     sample_every=200)
         assert traj.energy_drift < 1e-6
+
+    def test_midpoint_stall_raises_stiffness_error(self):
+        # dt times the gradient's Lipschitz constant is far above 1, so the
+        # fixed-point iteration for the midpoint cannot contract
+        gth = lambda th, I: 1e6 * np.sin(2.0 * math.pi * th)
+        gI = lambda th, I: I
+        with pytest.raises(F.StiffnessError, match="step 1$"):
+            F.integrate_midpoint(gth, gI, np.array(0.2), np.array(0.1),
+                                 t_end=0.1, dt=0.1)
 
 
 class TestPendulum:
@@ -318,24 +367,3 @@ class TestPendulum:
             th, I = flow(th, I)
         assert abs((th + 0.5) % 1.0 - 0.5) < 1e-6
         assert abs(I - orb.I_B) < 1e-6
-
-
-class TestAdaptiveIntegration:
-    def test_meets_tolerance_on_pendulum(self):
-        gth = lambda th, I: 2.0 * math.pi * np.sin(2.0 * math.pi * th)
-        gI = lambda th, I: I
-        energy = lambda th, I: 0.5 * float(I ** 2) - math.cos(2.0 * math.pi * float(th))
-        traj = F.integrate_adaptive(gth, gI, np.array(0.05), np.array(2.4),
-                                    t_end=3.0, tol=1e-8, energy=energy)
-        assert traj.energy_drift < 1e-6
-        ref = F.integrate_midpoint(gth, gI, np.array(0.05), np.array(2.4),
-                                   t_end=3.0, dt=1e-5, sample_every=300000)
-        assert abs(traj.thetas[-1] - ref.thetas[-1]) < 1e-6
-
-    def test_stiffness_error_raised(self):
-        # gradient too steep for the floor step
-        gth = lambda th, I: 1e12 * np.sin(2.0 * math.pi * th)
-        gI = lambda th, I: I
-        with pytest.raises((F.StiffnessError,)):
-            F.integrate_adaptive(gth, gI, np.array(0.2), np.array(0.1),
-                                 t_end=1.0, tol=1e-14, dt_min=1e-4)
