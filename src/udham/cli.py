@@ -113,11 +113,10 @@ def parse_family(params) -> weights.Family:
 
 def parse_omega(params, n=2):
     spec = str(params.get("omega", "golden"))
-    if spec in ("golden", "sqrt2", "e-2"):
-        if spec == "golden":
-            return dioph.golden_profile(n)
+    try:
+        vals = [float(x) for x in spec.split(",")]
+    except ValueError:
         return dioph.named_profile(spec, n)
-    vals = [float(x) for x in spec.split(",")]
     om = np.array(vals + [0.0] * (n - len(vals)))
     if abs(om[0] - 1.0) < 1e-15 and om[1] > 0 and n == 2:
         return dioph.profile_from_cf(om)
@@ -375,6 +374,8 @@ def cmd_ms(cfg: ExperimentConfig) -> int:
         # --verify-drift also checks the coupling lemma's return of the rotator point
         ok = res["drift_error"] <= 1e-9 and (not verify or res["a_return_error"] <= 1e-9)
     else:
+        if "verify_drift" in p:
+            raise ParameterError("--verify-drift applies to --mode exact only")
         fam = parse_family({**p, "alpha": p.get("alpha", 2.0)})
         sp = weights.ScaleProfile(weights.build_sequence(fam, int(p.get("l_max", 1 << 14))))
         msc = instability.build_ms(int(p.get("n", 3)), int(p.get("j", 2)),

@@ -5,24 +5,33 @@ For a nonresonant frequency vector omega the profile
     Psi_omega(Q) = max { |k . omega|^-1 : k integer, 0 < |k|_1 <= Q }
 
 is a nondecreasing staircase; Delta(Q) = Q Psi(Q) and its generalized
-inverse Delta* drive every quantitative statement downstream.  |k| always
-means the l1 norm here (isolated in :func:`knorm`).
+inverse Delta* drive every quantitative statement downstream.  |k| means
+the l1 norm (:func:`knorm`) unless a profile says otherwise: the
+instability constructions read the |k|_inf staircase of
+:func:`profile_linf`, on which the convergent sandwiches are exact.
 
-Profiles come from three interchangeable sources:
+For omega = (1, w, 0...) a profile is the list of convergents of w plus a
+lattice norm, and one derivation turns them into the staircase: a
+convergent (p, q) enters at ball size p + q (l1) or max(p, q) (linf), only
+strict rises are kept, and the table holds up to the ball size of the next
+convergent minus 1.  The convergents come from
 
-* brute-force lattice enumeration (exact, budget-guarded, small Q);
-* continued fractions of omega_bar for n = 2 (exact at any Q, the values
-  agree bit-for-bit with brute force run on the same float);
-* prescribed convergents (Liouville-type constructions, exact integers).
+* continued fractions of the double w (exact at any Q, the values agree
+  bit-for-bit with brute force run on the same float);
+* the closed-form Fibonacci generator of the golden mean (lazy, unbounded);
+* prescribed lists (Liouville-type constructions, exact integers).
+
+Brute-force lattice enumeration (exact, budget-guarded, small Q, any d)
+feeds its per-Q table through the same strict-rise filter.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -194,35 +203,114 @@ def psi_brute_table(omega, Q_max: int, budget: int = 20_000_000):
 
 @dataclass
 class FrequencyProfile:
-    """Psi staircase of a frequency vector, stored as breakpoints.
+    """Psi staircase of a frequency vector over the ball |k| <= Q.
 
-    ``breaks`` are the integer Q where Psi jumps; on [breaks[i], breaks[i+1])
-    the value is exp(log_psi[i]) and it is achieved by ``ks[i]``.  The
-    continuous envelope rises linearly only on the last unit interval before
-    each jump, which keeps Psi_omega(Q) <= Psi(Q) <= Psi_omega(Q+1).
+    For omega = (1, w, 0...) a profile is the convergents (p, q, e) of w,
+    e = q w - p, and the lattice norm of the ball: ``"l1"`` (ball size
+    |p| + q) or ``"linf"`` (max(|p|, q)).  ``more``, when given, maps j to
+    an iterator over the convergents j, j+1, ... as (p, q, e, ln Psi); the
+    list is then a prefix of its output, grows by chunks of 8 on demand and
+    takes ln Psi from it, not from -ln|e|.  The brute-force source has no
+    convergents and installs its per-Q table through the same filter.
+
+    ``breaks``, ``log_psi``, ``ks`` and ``horizon`` are derived: on
+    [breaks[i], breaks[i+1]) the value is exp(log_psi[i]), achieved by
+    ``ks[i]``, for Q <= horizon.  The horizon is the ball size of the next
+    convergent minus 1: the first one with e None (unknown terminal) or 0
+    (exact resonance), else the lower bound (p_N + p_N-1, q_N + q_N-1)
+    when the list simply ends.  The continuous envelope rises linearly only
+    on the last unit interval before each jump, which keeps
+    Psi_omega(Q) <= Psi(Q) <= Psi_omega(Q+1).
     """
 
     omega: np.ndarray
     d: int                       # leading nonresonant components (omega = (bar, 0))
-    breaks: list                 # increasing ints, breaks[0] == 1
-    log_psi: list
-    ks: list
-    horizon: float
-    extender: Optional[object] = None  # callable Q -> extends the table
-    convergents: Optional[list] = None
+    norm: str                    # "l1" or "linf"
+    convergents: Optional[list]  # (p, q, e); e None at an unknown terminal
+    more: Optional[Callable[[int], Iterator]] = None
     label: str = ""
+    breaks: list = field(init=False, default_factory=list)  # increasing ints, breaks[0] == 1
+    log_psi: list = field(init=False, default_factory=list)
+    ks: list = field(init=False, default_factory=list)
+    horizon: float = field(init=False, default=0.0)
+
+    def __post_init__(self):
+        if self.convergents is None:
+            return
+        if self.more is not None:
+            head = itertools.islice(self.more(0), len(self.convergents))
+            self._conv_log_psi = [c[3] for c in head]
+        else:
+            self._conv_log_psi = [None if e is None or e == 0.0 else -math.log(abs(e))
+                                  for (_p, _q, e) in self.convergents]
+        self._rebuild()
+
+    def _rebuild(self):
+        """Derive the staircase from the convergents.
+
+        The minimizing k over the ball of size Q is the convergent (-p_j, q_j)
+        of largest ball size <= Q (for l1: q -> q + round(q w) is strictly
+        increasing); at Q = 1 the candidates are (1, 0) and (0, 1).
+        """
+        def size(p, q):
+            return abs(p) + q if self.norm == "l1" else max(abs(p), q)
+
+        w = float(self.omega[1])
+        pad = (0,) * (len(self.omega) - 2)
+        steps = [(1, -math.log(w), (0, -1) + pad) if w < 1.0 else (1, 0.0, (-1, 0) + pad)]
+        (p0, q0), (p1, q1) = (0, 1), (1, 0)
+        for (p, q, e), lv in zip(self.convergents, self._conv_log_psi):
+            if e is None or e == 0.0:     # exact resonance or unknown terminal
+                nxt = (p, q)
+                break
+            steps.append((size(p, q), lv, min((-p, q), (p, -q)) + pad))
+            (p0, q0), (p1, q1) = (p1, q1), (p, q)
+        else:
+            nxt = (p1 + p0, q1 + q0)      # lower bound for the next convergent
+        self._install(steps, size(*nxt) - 1)
+
+    def _install(self, steps, horizon):
+        """Keep the strict rises of (ball size, ln Psi, k) in order of size.
+
+        At equal ball size the sharper value wins.
+        """
+        breaks, log_psi, ks = [], [], []
+        for b, lv, k in steps:
+            if log_psi and lv <= log_psi[-1] + 1e-15:
+                continue
+            if breaks and b == breaks[-1]:
+                log_psi[-1], ks[-1] = lv, k
+            else:
+                breaks.append(b)
+                log_psi.append(lv)
+                ks.append(k)
+        self.breaks, self.log_psi, self.ks, self.horizon = breaks, log_psi, ks, float(horizon)
+        self._at = np.asarray(breaks, dtype=float)
+        self._starts = np.log(self._at) + np.asarray(log_psi)  # ln Delta at each break
+
+    def _ensure(self, enough) -> bool:
+        """Pull convergents from ``more`` in chunks of 8 until enough()."""
+        while not enough() and self.more is not None:
+            for (p, q, e, lv) in itertools.islice(self.more(len(self.convergents)), 8):
+                self.convergents.append((p, q, e))
+                self._conv_log_psi.append(lv)
+            self._rebuild()
+        return enough()
+
+    def convergent(self, j: int):
+        """The j-th convergent (p, q, e) of w, extending a lazy list."""
+        if self.convergents is None:
+            raise ParameterError("profile carries no convergents")
+        if not self._ensure(lambda: j < len(self.convergents)):
+            raise ParameterError(f"convergent index {j} out of range")
+        return self.convergents[j]
 
     # -- staircase lookups ---------------------------------------------------
 
-    def _ensure(self, Q: float):
-        while Q > self.horizon and self.extender is not None:
-            self.extender(self)
-        if Q > self.horizon:
-            raise HorizonError(f"Psi horizon {self.horizon:g} < Q={Q:g}")
-
     def _idx(self, Q: float) -> int:
-        self._ensure(Q)
-        return int(np.searchsorted(np.asarray(self.breaks, dtype=float), Q, side="right") - 1)
+        if not self._ensure(lambda: Q <= self.horizon):
+            raise HorizonError(f"Psi horizon {self.horizon:g} < Q={Q:g}")
+        return int(np.searchsorted(self._at, Q, side="right") - 1)
 
     def psi(self, Q: float):
         """(Psi_omega(Q), achieving k) on the staircase."""
@@ -261,69 +349,31 @@ class FrequencyProfile:
         log_x = x if log else math.log(x)
         if log_x < self.log_delta(1.0) - 1e-15:
             raise ParameterError("delta_star argument below Delta(1) = Psi(1)")
-        self._ensure_delta(log_x)
-        starts = np.log(np.asarray(self.breaks, dtype=float)) + np.asarray(self.log_psi)
-        i = int(np.searchsorted(starts, log_x + 1e-15, side="right") - 1)
+        if not self._ensure(lambda: log_x <= math.log(self.horizon) + self.log_psi[-1]):
+            raise HorizonError(f"Delta horizon insufficient for ln x = {log_x:g}")
+        i = int(np.searchsorted(self._starts, log_x + 1e-15, side="right") - 1)
         log_q_free = log_x - self.log_psi[i]
         if i + 1 < len(self.breaks):
             log_next = math.log(self.breaks[i + 1])
             return math.exp(min(log_q_free, log_next))
         return math.exp(log_q_free)
 
-    def _ensure_delta(self, log_x: float):
-        while self.extender is not None:
-            last_start = math.log(self.breaks[-1]) + self.log_psi[-1]
-            if last_start > log_x:
-                return
-            self.extender(self)
-        if math.log(self.horizon) + self.log_psi[-1] < log_x:
-            raise HorizonError(f"Delta horizon insufficient for ln x = {log_x:g}")
+
+def _nonresonant_dim(omega) -> int:
+    nz = np.flatnonzero(omega != 0.0)
+    return int(nz[-1]) + 1 if len(nz) else 0
 
 
 def profile_from_brute(omega, Q_max: int, d: Optional[int] = None) -> FrequencyProfile:
     """Profile by exhaustive enumeration up to Q_max (small dimensions)."""
     omega = np.asarray(omega, dtype=float)
-    if d is None:
-        nz = np.flatnonzero(omega != 0.0)
-        d = int(nz[-1]) + 1 if len(nz) else 0
+    d = _nonresonant_dim(omega) if d is None else d
     vals, ks = psi_brute_table(omega[:d], Q_max)
-    breaks, log_psi, kk = [], [], []
-    for Q in range(1, Q_max + 1):
-        lv = math.log(vals[Q - 1])
-        if not log_psi or lv > log_psi[-1] + 1e-15:
-            breaks.append(Q)
-            log_psi.append(lv)
-            kk.append(ks[Q - 1] + (0,) * (len(omega) - d))
-    return FrequencyProfile(omega=omega, d=d, breaks=breaks, log_psi=log_psi,
-                            ks=kk, horizon=float(Q_max), label="brute")
-
-
-def _cf_breakpoints(omega, convergents, d):
-    """Staircase of (1, w) for w > 0 from convergents of w.
-
-    The feasibility map q -> q + round(q w) is strictly increasing, so the
-    minimizing k over |k|_1 <= Q is the convergent (p_j, -q_j) with the
-    largest p_j + q_j <= Q; at Q = 1 the candidates are (1,0) and (0,1).
-    """
-    pad = (0,) * (len(omega) - 2)
-    w = float(omega[1])
-    if w < 1.0:
-        breaks, log_psi = [1], [-math.log(w)]
-        ks = [(0, -1) + pad]
-    else:
-        breaks, log_psi = [1], [0.0]
-        ks = [(-1, 0) + pad]
-    for (p, q, e) in convergents:
-        if e is None or e == 0.0:
-            break
-        Qb = p + q
-        lv = -math.log(abs(e))
-        if lv > log_psi[-1] + 1e-15 and Qb > breaks[-1]:
-            breaks.append(Qb)
-            log_psi.append(lv)
-            k = (p, -q) if (-p, q) > (p, -q) else (-p, q)
-            ks.append(tuple(k) + pad)
-    return breaks, log_psi, ks
+    pad = (0,) * (len(omega) - d)
+    fp = FrequencyProfile(omega=omega, d=d, norm="l1", convergents=None, label="brute")
+    fp._install(((Q, math.log(v), k + pad) for Q, (v, k) in enumerate(zip(vals, ks), 1)),
+                Q_max)
+    return fp
 
 
 def profile_from_cf(omega, n_convergents: int = 64, d: Optional[int] = None,
@@ -332,58 +382,45 @@ def profile_from_cf(omega, n_convergents: int = 64, d: Optional[int] = None,
     omega = np.asarray(omega, dtype=float)
     if abs(omega[0] - 1.0) > 1e-15 or omega[1] <= 0.0:
         raise UnsupportedError("cf profile requires omega = (1, w) with w > 0")
-    if d is None:
-        nz = np.flatnonzero(omega != 0.0)
-        d = int(nz[-1]) + 1 if len(nz) else 0
+    d = _nonresonant_dim(omega) if d is None else d
     if d != 2:
         raise UnsupportedError("cf profile is exact only for d = 2")
     conv = convergents_of_float(float(omega[1]))[: n_convergents]
-    breaks, log_psi, ks = _cf_breakpoints(omega, conv, d)
-    return FrequencyProfile(omega=omega, d=d, breaks=breaks, log_psi=log_psi,
-                            ks=ks, horizon=float(breaks[-1] + conv[-1][1]),
-                            convergents=conv, label=label)
+    return FrequencyProfile(omega=omega, d=d, norm="l1", convergents=conv, label=label)
+
+
+def _fibonacci(j: int):
+    """Convergents F_{i+2}/F_{i+1} of phi from index i = j on, as (p, q, e, ln Psi).
+
+    e_i = q_i phi - p_i = (-1)^i phi^-(i+1) and ln Psi = (i+1) ln phi exactly;
+    -ln|e_i| would miss the latter by an ulp at some i.  e_0 = phi - 1 is the
+    exact residual of the double.
+    """
+    p, q = 1, 1
+    for _ in range(j):
+        p, q = p + q, p
+    log_phi = math.log(GOLDEN)
+    for i in itertools.count(j):
+        e = GOLDEN - 1.0 if i == 0 else (-1.0) ** i * GOLDEN ** (-(i + 1))
+        yield p, q, e, (i + 1) * log_phi
+        p, q = p + q, p
 
 
 def golden_profile(n: int = 2) -> FrequencyProfile:
     """omega = (1, phi, 0...) with exact Fibonacci convergents, lazy horizon.
 
     |F_{j+1} phi - F_{j+2}| = phi^-(j+1) exactly, so the staircase extends to
-    arbitrary Q without precision loss.
+    arbitrary Q without precision loss.  A fresh profile holds j = 0..8
+    (l1 horizon 143).
     """
     omega = np.array([1.0, GOLDEN] + [0.0] * (n - 2))
-    pad = (0,) * (n - 2)
-    state = {"p": 2, "q": 1, "j": 1}  # convergent p/q = F_{j+3}/F_{j+2}
-    log_phi = math.log(GOLDEN)
-
-    def extender(fp: FrequencyProfile):
-        # e_j = q_j phi - p_j = (-1)^j phi^-(j+1), |k|_1 at the jump = p_j+q_j
-        for _ in range(8):
-            p, q, j = state["p"], state["q"], state["j"]
-            fp.convergents.append((p, q, (-1.0) ** j * GOLDEN ** (-(j + 1))))
-            Qb = p + q
-            lv = (j + 1) * log_phi
-            if lv > fp.log_psi[-1] + 1e-15 and Qb > fp.breaks[-1]:
-                fp.breaks.append(Qb)
-                fp.log_psi.append(lv)
-                fp.ks.append((-p, q) + pad)
-            state["p"], state["q"], state["j"] = p + q, p, j + 1
-        # the next jump is at |k|_1 = breaks[-1] + q; the table holds below it
-        fp.horizon = float(fp.breaks[-1] + state["q"] - 1)
-
-    conv0 = [(1, 1, GOLDEN - 1.0)]  # j=0 convergent 1/1, e = phi - 1 = 1/phi
-    breaks, log_psi, ks = [1], [0.0], [(-1,) + (0,) * (n - 1)]
-    breaks.append(2)
-    log_psi.append(log_phi)
-    ks.append((-1, 1) + pad)
-    fp = FrequencyProfile(omega=omega, d=2, breaks=breaks, log_psi=log_psi,
-                          ks=ks, horizon=3.0, extender=extender,
-                          convergents=conv0, label="golden")
-    extender(fp)
-    return fp
+    conv = [c[:3] for c in itertools.islice(_fibonacci(0), 9)]
+    return FrequencyProfile(omega=omega, d=2, norm="l1", convergents=conv,
+                            more=_fibonacci, label="golden")
 
 
 def profile_linf(fp: FrequencyProfile) -> FrequencyProfile:
-    """The companion staircase over |k|_inf <= Q (d = 2 only).
+    """The same source over |k|_inf <= Q (d = 2 only).
 
     Breakpoints move from |k|_1 = p_j + q_j to |k|_inf = max(p_j, q_j); this
     is the convention under which the classical convergent sandwiches
@@ -391,46 +428,9 @@ def profile_linf(fp: FrequencyProfile) -> FrequencyProfile:
     """
     if fp.convergents is None or fp.d != 2:
         raise UnsupportedError("linf profile needs convergents and d = 2")
-    w = float(fp.omega[1])
-    breaks, log_psi = [1], [-math.log(w) if w < 1.0 else 0.0]
-    pad = (0,) * (len(fp.omega) - 2)
-    ks = [((0, -1) if w < 1.0 else (-1, 0)) + pad]
-    for (p, q, e) in fp.convergents:
-        if e is None or e == 0.0:
-            break
-        Qb = max(abs(p), q)
-        lv = -math.log(abs(e))
-        if lv <= log_psi[-1] + 1e-15:
-            continue
-        k = (p, -q) if (-p, q) > (p, -q) else (-p, q)
-        if Qb == breaks[-1]:
-            log_psi[-1] = lv           # sharper value at the same ball size
-            ks[-1] = tuple(k) + pad
-        elif Qb > breaks[-1]:
-            breaks.append(Qb)
-            log_psi.append(lv)
-            ks.append(tuple(k) + pad)
-    out = FrequencyProfile(omega=fp.omega, d=fp.d, breaks=breaks,
-                           log_psi=log_psi, ks=ks,
-                           horizon=float(breaks[-1] + fp.convergents[-1][1]),
-                           convergents=fp.convergents, label=fp.label + "-linf")
-    if fp.extender is not None:
-        def ext(self):
-            fp.extender(fp)
-            pad2 = (0,) * (len(self.omega) - 2)
-            for (p, q, e) in fp.convergents:
-                if e is None or e == 0.0:
-                    continue
-                Qb = max(abs(p), q)
-                lv = -math.log(abs(e))
-                if lv > self.log_psi[-1] + 1e-15 and Qb > self.breaks[-1]:
-                    self.breaks.append(Qb)
-                    self.log_psi.append(lv)
-                    k = (p, -q) if (-p, q) > (p, -q) else (-p, q)
-                    self.ks.append(tuple(k) + pad2)
-            self.horizon = float(self.breaks[-1] + fp.convergents[-1][1])
-        out.extender = ext
-    return out
+    return FrequencyProfile(omega=fp.omega, d=fp.d, norm="linf",
+                            convergents=list(fp.convergents), more=fp.more,
+                            label=fp.label + "-linf")
 
 
 def profile_from_prescribed(convergents, n: int = 2, label: str = "prescribed",
@@ -438,11 +438,8 @@ def profile_from_prescribed(convergents, n: int = 2, label: str = "prescribed",
     """Profile from externally constructed convergents (p, q, e)."""
     w = omega_value if omega_value is not None else convergents[-1][0] / convergents[-1][1]
     omega = np.array([1.0, w] + [0.0] * (n - 2))
-    breaks, log_psi, ks = _cf_breakpoints(omega, convergents, 2)
-    last_q = convergents[-1][1]
-    return FrequencyProfile(omega=omega, d=2, breaks=breaks, log_psi=log_psi,
-                            ks=ks, horizon=float(breaks[-1] + last_q),
-                            convergents=list(convergents), label=label)
+    return FrequencyProfile(omega=omega, d=2, norm="l1", convergents=list(convergents),
+                            label=label)
 
 
 def named_profile(name: str, n: int = 2, n_convergents: int = 48) -> FrequencyProfile:
@@ -563,8 +560,7 @@ def _zbasis_convergents(fp: FrequencyProfile, Q: float) -> ZBasisResult:
     if fp.convergents is None:
         raise UnsupportedError("profile carries no convergents")
     psi_q = fp.psi(Q)[0]
-    while fp.extender is not None and fp.convergents[-1][1] <= psi_q:
-        fp.extender(fp)
+    fp._ensure(lambda: fp.convergents[-1][1] > psi_q)
     pairs = [(p, q) for (p, q, _e) in fp.convergents]
     w = float(fp.omega[1])
     # largest consecutive pair with both denominators <= Psi(Q)

@@ -72,14 +72,10 @@ def build_linear_diffusion(fp: FrequencyProfile, j: int, s: float,
     v_j = (1, p_j/q_j, 0...); eps_j = |bar-omega - p_j/q_j| sits in the
     sandwich [1/(2 Delta(q_j)), 2/Delta(q_j)] and mu_j normalizes the
     angular gradient to eps_j exp(-Omega(8 pi |k_j| s))."""
-    if fp.convergents is None:
-        raise ParameterError("profile carries no convergents")
-    if j >= len(fp.convergents):
-        raise ParameterError(f"convergent index {j} out of range")
+    p, q, e = fp.convergent(j)
     n = n if n is not None else len(fp.omega) + 1
     if n < 3:
         raise ParameterError("needs at least one resonant dimension (d < n)")
-    p, q, e = fp.convergents[j]
     if e is None:
         raise ParameterError("terminal convergent has no residual")
     omega = np.concatenate([fp.omega[:2], np.zeros(n - 2)])
@@ -331,7 +327,6 @@ def build_ms(n: int, j: int, s: float, sp: ScaleProfile,
     """
     if n < 2:
         raise ParameterError("n >= 2 required")
-    need = max(j + 1, j - (n - 3) + 1) if n >= 3 else j + 1
     primes = _primes(j + 1)
     p_j = primes[j]
     if n == 2:
@@ -350,19 +345,24 @@ def build_ms(n: int, j: int, s: float, sp: ScaleProfile,
     EJ = factor * sp.omega_value(sprime * p_j)
     B_formula = 2 * (int(math.ceil(
         c1 * C_NORM ** (2 * (n - 1)) * A * math.exp(min(EJ, 700.0)))) + 1)
+    om_eta = sp.omega_value(8.0 * math.pi * p_j * min(s, 0.01))
+
+    def g_cert(tau_cert):
+        # certificate chain: |g|_s <= c1 * |eta o tau|_s * prod |eta_i|_s
+        cert = c1 * ((C_NORM * math.exp(om_eta)) ** 2 * max(tau_cert, 1.0))
+        for i in range(3, n + 1):
+            pi = primes[j - (n - i)]
+            cert *= (C_NORM * math.exp(sp.omega_value(8.0 * math.pi * pi * s))) ** 2
+        return cert
+
     if B_override is not None:
         B = B_override
     else:
         # the abstract s' hides the mode weights and the tau-composition
         # constant; the operative B comes from the measured certificate
         # (B >= A |g|_s makes q^-1|g| <= A^-2), floored by the formula value
-        tau0 = flows.tau_norm_certificate(flows.pendulum_periodic_point(1000),
-                                          sp, s=min(s, 0.01))
-        cert0 = c1 * (C_NORM * math.exp(
-            sp.omega_value(8.0 * math.pi * p_j * min(s, 0.01)))) ** 2 * max(tau0, 1.0)
-        for i in range(3, n + 1):
-            pi = primes[j - (n - i)]
-            cert0 *= (C_NORM * math.exp(sp.omega_value(8.0 * math.pi * pi * s))) ** 2
+        cert0 = g_cert(flows.tau_norm_certificate(flows.pendulum_periodic_point(1000),
+                                                  sp, s=min(s, 0.01)))
         B = max(B_formula, 2 * (int(math.ceil(A * cert0 / 2.0)) + 1))
 
     bump_v, bump_d = smooth_bump()
@@ -396,13 +396,7 @@ def build_ms(n: int, j: int, s: float, sp: ScaleProfile,
                 step=lambda th, I: ((th + I) % 1.0, I),
                 point=(0.0, 1.0 / pi), g=ev, dg=ed))
 
-        # certificate chain: |g|_s <= c1 * |eta o tau|_s * prod |eta_i|_s
-        cert = c1
-        om_eta = sp.omega_value(8.0 * math.pi * p_j * min(s, 0.01))
-        cert *= (C_NORM * math.exp(om_eta)) ** 2 * max(tau_cert, 1.0)
-        for i in range(3, n + 1):
-            pi = primes[j - (n - i)]
-            cert *= (C_NORM * math.exp(sp.omega_value(8.0 * math.pi * pi * s))) ** 2
+        cert = g_cert(tau_cert)
         budget = q / A ** 2
         if cert <= budget:
             return MSConstruction(n=n, j=j, primes=primes, A_prime=A_prime,

@@ -229,12 +229,14 @@ class ScaleProfile:
     ws: WeightSequence
     sigma_bar: float = field(init=False)
     sigma_bar_capped: bool = field(init=False)
+    mu_nondecreasing: bool = field(init=False)  # H1, which Omega's argmax formula needs
 
     def __post_init__(self):
         l = np.arange(1, len(self.ws.log_mu), dtype=float)
         raw = float(np.max(self.ws.log_mu[1:] / l)) if len(l) else 0.0
         self.sigma_bar_capped = raw > SIGMA_BAR_CAP
         self.sigma_bar = min(raw, SIGMA_BAR_CAP)
+        self.mu_nondecreasing = not np.any(np.diff(self.ws.log_mu) < -1e-12)
 
     @property
     def L_max(self) -> int:
@@ -300,7 +302,9 @@ class ScaleProfile:
         """Omega(y) = ln sup_l y^l/M_l; exact argmax under H1.
 
         argmax l* = min{ l : mu_l >= y } and
-        Omega(y) = l* ln(y) - ln M_{l*}.
+        Omega(y) = l* ln(y) - ln M_{l*}.  Without H1 that l* need not be the
+        argmax: the answer is then the direct scan over the horizon,
+        uncertified, and a max on the last index raises HorizonError.
         """
         if y < 0.0:
             raise ParameterError("omega requires y >= 0")
@@ -308,6 +312,14 @@ class ScaleProfile:
             return SupResult(value=0.0, argmax=0, certified=True)
         ws = self.ws
         log_y = math.log(y)
+        if not self.mu_nondecreasing:
+            t = np.arange(len(ws.log_M)) * log_y - ws.log_M
+            l_star = int(np.argmax(t))
+            if l_star == len(t) - 1:
+                raise HorizonError(
+                    f"omega({y:.4g}): max on the horizon L_max={ws.L_max}",
+                    partial=float(t[l_star]))
+            return SupResult(value=float(t[l_star]), argmax=l_star, certified=False)
         above = np.flatnonzero(ws.log_mu >= log_y)
         if len(above) == 0:
             partial = float(len(ws.log_mu) * log_y - ws.log_M[-1])
@@ -327,7 +339,7 @@ class ScaleProfile:
         ys = np.asarray(ys, dtype=float)
         log_y = np.log(np.maximum(ys, 1.0))
         lm = self.ws.log_mu
-        if np.any(np.diff(lm) < -1e-12):
+        if not self.mu_nondecreasing:
             return np.array([self.omega_value(float(y)) for y in ys])
         l_star = np.searchsorted(lm, log_y, side="left")
         if np.any(l_star >= len(lm)):

@@ -117,12 +117,27 @@ class TestMS:
         assert "sync_passed = True" in man
         assert "cert_ok = True" in man
 
+    def test_pendulum_mode_rejects_verify_drift(self, tmp_path):
+        # only exact mode reads the flag; a pendulum run would record an unused input
+        out = tmp_path / "ms3"
+        code = run(["ms", "--mode", "pendulum", "--verify-drift", "--outdir", str(out)])
+        assert code == 2
+        assert not (out / "manifest.txt").exists()
+
 
 class TestDiffuse:
     def test_drift_csv_and_sandwich(self, tmp_path):
         out = tmp_path / "df"
         code = run(["diffuse", "--omega", "golden", "--j", "5",
                     "--outdir", str(out)])
+        assert code == 0
+        man = (out / "manifest.txt").read_text()
+        assert "sandwich_ok = True" in man
+
+    def test_lazy_golden_extends_to_requested_convergent(self, tmp_path):
+        # j = 9 lies beyond the nine convergents a fresh golden profile holds
+        out = tmp_path / "df9"
+        code = run(["diffuse", "--omega", "golden", "--j", "9", "--outdir", str(out)])
         assert code == 0
         man = (out / "manifest.txt").read_text()
         assert "sandwich_ok = True" in man

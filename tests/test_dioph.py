@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,9 +33,29 @@ class TestPsiBrute:
         assert np.all(np.diff(vals) >= 0)
 
 
+def psi_linf_table(w: float, Q_max: int):
+    """Psi(Q) and its lexicographically smallest k over 0 < |k|_inf <= Q,
+    Q = 1..Q_max, for omega = (1, w), with |k.omega| exact on the double."""
+    x = Fraction(w)
+    best, best_k, vals, ks = None, None, [], []
+    for Q in range(1, Q_max + 1):
+        # the new shell |k|_inf = Q: one of each pair +-k, the smaller kept
+        shell = [(a, Q) for a in range(-Q, Q + 1)] + [(Q, b) for b in range(-Q + 1, Q)]
+        for k in shell:
+            k = min(k, (-k[0], -k[1]))
+            dot = abs(k[0] + k[1] * x)
+            if best is None or dot < best or (dot == best and k < best_k):
+                best, best_k = dot, k
+        vals.append(float(1 / best))
+        ks.append(best_k)
+    return vals, ks
+
+
 class TestProfiles:
-    @pytest.mark.parametrize("name", ["golden", "sqrt2", "e-2", "golden_profile"])
-    def test_cf_oracle_matches_brute_force(self, name):
+    @pytest.mark.parametrize("name,norm", [
+        pytest.param(name, norm, id=name if norm == "l1" else f"{name}-{norm}")
+        for norm in ("l1", "linf") for name in ("golden", "sqrt2", "e-2", "golden_profile")])
+    def test_cf_oracle_matches_brute_force(self, name, norm):
         if name == "golden_profile":
             # the lazily extended Fibonacci staircase, fresh (no extension yet)
             fp = D.golden_profile()
@@ -42,11 +63,37 @@ class TestProfiles:
         else:
             om = np.array([1.0, D.named_value(name)])
             fp = D.profile_from_cf(om)
-        vals, ks = D.psi_brute_table(om, 200)
+        if norm == "linf":
+            fp = D.profile_linf(fp)
+            vals, ks = psi_linf_table(float(om[1]), 200)
+        else:
+            vals, ks = D.psi_brute_table(om, 200)
         for Q in range(1, 201):
             v, k = fp.psi(Q)
             assert v == pytest.approx(vals[Q - 1], rel=1e-12)
             assert k == ks[Q - 1]
+
+    def test_horizon_is_next_convergent_minus_one(self):
+        fp = D.golden_profile()
+        assert fp.horizon == 143.0                 # next k = (-89, 55), |k|_1 = 144
+        assert D.profile_linf(fp).horizon == 88.0  # |k|_inf = 89
+        # 5/4 = [1; 4] ends at the exact resonance k = (-5, 4)
+        cf = D.profile_from_cf(np.array([1.0, 1.25]))
+        assert cf.convergents[-1] == (5, 4, 0.0)
+        assert (cf.horizon, D.profile_linf(cf).horizon) == (8.0, 4.0)
+        # a list that simply ends: the next convergent is at least the mediant
+        cf = D.profile_from_cf(np.array([1.0, math.sqrt(2.0)]), n_convergents=6)
+        (p0, q0, _), (p1, q1, _) = cf.convergents[-2:]
+        assert cf.horizon == p0 + p1 + q0 + q1 - 1
+
+    def test_convergent_accessor_extends_lazily(self):
+        fp = D.golden_profile()
+        assert len(fp.convergents) == 9
+        p, q, e = fp.convergent(20)
+        assert (p, q) == (17711, 10946)            # F_22 / F_21
+        assert e == pytest.approx(PHI ** -21, rel=1e-12)
+        with pytest.raises(W.ParameterError):
+            D.profile_from_cf(np.array([1.0, PHI])).convergent(500)
 
     def test_achieving_k_consistency(self):
         fp = D.named_profile("sqrt2")

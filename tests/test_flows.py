@@ -12,9 +12,10 @@ PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 def small_affine_generator(n=2, K=4, scale=1e-2, seed=0):
     r = np.random.default_rng(seed)
-    C = FTSeries.zeros(n, K).add_cos((1, 0), 0.4 * scale).add_sin((1, -1), 0.3 * scale)
-    D = [FTSeries.zeros(n, K).add_cos((1, 1), 0.8 * scale),
-         FTSeries.zeros(n, K).add_sin((0, 1), 0.6 * scale)]
+    a = scale * r.uniform(0.5, 1.0, 4)
+    C = FTSeries.zeros(n, K).add_cos((1, 0), a[0]).add_sin((1, -1), a[1])
+    D = [FTSeries.zeros(n, K).add_cos((1, 1), a[2]),
+         FTSeries.zeros(n, K).add_sin((0, 1), a[3])]
     return C, D
 
 

@@ -209,6 +209,20 @@ class TestOmega:
             sp.omega(1e6)
         assert exc.value.partial > 0
 
+    def test_sequence_failing_h1_scans_directly(self):
+        # mu dips on l = 10..19, so min{l : mu_l >= y} is not the argmax
+        log_mu = 2.0 * np.log1p(np.arange(64.0))
+        log_mu[10:20] -= 3.0
+        sp = W.ScaleProfile(W.from_log_mu(log_mu))
+        assert not sp.mu_nondecreasing
+        for y in [5.0, 98.28, 400.0]:
+            r = sp.omega(y)
+            assert r.value == sp.omega_brute(y)
+            assert not r.certified
+        assert sp.omega_values([98.28])[0] == sp.omega_brute(98.28)
+        with pytest.raises(W.HorizonError):
+            sp.omega(1e4)
+
 
 class TestAsymptotics:
     @pytest.mark.parametrize("alpha,L", [(1, 4_000_000), (1.5, 200_000), (2, 8192)])
