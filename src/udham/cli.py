@@ -118,7 +118,7 @@ def parse_omega(params, n=2):
     except ValueError:
         return dioph.named_profile(spec, n)
     om = np.array(vals + [0.0] * (n - len(vals)))
-    if abs(om[0] - 1.0) < 1e-15 and om[1] > 0 and n == 2:
+    if len(vals) == 2 and abs(om[0] - 1.0) < 1e-15 and om[1] > 0:
         return dioph.profile_from_cf(om)
     return dioph.profile_from_brute(om, int(params.get("q_max", 60)))
 
@@ -532,7 +532,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         code = COMMANDS[ns.subcommand](cfg)
-    except (ParameterError,) as exc:
+    except (ParameterError, dioph.ResonanceError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (HorizonError, dioph.BudgetError, dioph.UnsupportedError,

@@ -274,6 +274,37 @@ def periodic_normal_form(H: FTSeries, pv: PeriodicVector, sp: ScaleProfile,
                     schedule_log=log, warnings=warnings)
 
 
+def _normal_form_chain(H: FTSeries, stages: list, order: list, sp: ScaleProfile,
+                       s: float, xi: float, log_steps: bool, **kw) -> NFResult:
+    """`periodic_normal_form` (with ``kw``) over ``order``, a list of (label,
+    PeriodicVector); the resonant part is then averaged along every stage."""
+    cur = H
+    gens, logs, warns = [], [], []
+    cert0 = None
+    s_j = s
+    for label, pv in order:
+        res = periodic_normal_form(cur, pv, sp, s_j, xi=xi, **kw)
+        if cert0 is None:
+            cert0 = res.cert_before
+        gens.extend(res.generators)
+        entry = {"stage": label, "pv": pv.Tv, "remainder_cert": res.cert_after}
+        if log_steps:
+            entry["steps"] = len(res.schedule_log)
+        logs.append(entry)
+        warns.extend(res.warnings)
+        cur = res.hamiltonian
+        s_j = res.final_width
+    resonant = cur
+    for pv in stages:
+        resonant = average_periodic(resonant, pv)
+    remainder = cur - resonant
+    return NFResult(generators=gens, resonant=resonant, remainder=remainder,
+                    hamiltonian=cur, resonances=list(stages), cert_before=cert0,
+                    cert_after=norm_upper(remainder, sp, s_j).bound,
+                    predicted_bound=None, final_width=s_j,
+                    schedule_log=logs, warnings=warns)
+
+
 def multifrequency_normal_form(H: FTSeries, basis: list, sp: ScaleProfile,
                                s: float, K_out: Optional[int] = None,
                                D_I_out: Optional[int] = None,
@@ -283,35 +314,9 @@ def multifrequency_normal_form(H: FTSeries, basis: list, sp: ScaleProfile,
     The final resonant part commutes with every L_{v_j}; for a full
     unimodular basis that forces it to the zero-mode projection.
     """
-    d = len(basis)
-    xi = 2.0 ** (1.0 / d)
-    cur = H
-    gens = []
-    logs = []
-    warns = []
-    cert0 = None
-    s_j = s
-    for stage, pv in enumerate(basis):
-        res = periodic_normal_form(cur, pv, sp, s_j, xi=xi, A=A, K_out=K_out,
-                                   D_I_out=D_I_out)
-        if cert0 is None:
-            cert0 = res.cert_before
-        gens.extend(res.generators)
-        logs.append({"stage": stage, "pv": pv.Tv,
-                     "remainder_cert": res.cert_after,
-                     "steps": len(res.schedule_log)})
-        warns.extend(res.warnings)
-        cur = res.hamiltonian
-        s_j = res.final_width
-    resonant = cur
-    for pv in basis:
-        resonant = average_periodic(resonant, pv)
-    remainder = cur - resonant
-    return NFResult(generators=gens, resonant=resonant, remainder=remainder,
-                    hamiltonian=cur, resonances=list(basis), cert_before=cert0,
-                    cert_after=norm_upper(remainder, sp, s_j).bound,
-                    predicted_bound=None, final_width=s_j,
-                    schedule_log=logs, warnings=warns)
+    return _normal_form_chain(H, basis, list(enumerate(basis)), sp, s,
+                              xi=2.0 ** (1.0 / len(basis)), log_steps=True,
+                              A=A, K_out=K_out, D_I_out=D_I_out)
 
 
 # ---------------------------------------------------------------------------
@@ -642,30 +647,9 @@ def nekhoroshev_chain(H: FTSeries, stages: list, sp: ScaleProfile, s: float,
     because averaging preserves commutation with integrable invariants).
     The final resonant part commutes with every stage vector.
     """
-    cur = H
-    gens, logs, warns = [], [], []
-    cert0 = None
-    s_j = s
-    for stage, pv in enumerate(reversed(stages)):
-        res = periodic_normal_form(cur, pv, sp, s_j, xi=2.0, K_out=K_out)
-        if cert0 is None:
-            cert0 = res.cert_before
-        gens.extend(res.generators)
-        logs.append({"stage": len(stages) - stage, "pv": pv.Tv,
-                     "remainder_cert": res.cert_after})
-        warns.extend(res.warnings)
-        cur = res.hamiltonian
-        s_j = res.final_width
-    resonant = cur
-    for pv in stages:
-        resonant = average_periodic(resonant, pv)
-    remainder = cur - resonant
-    return NFResult(generators=gens, resonant=resonant, remainder=remainder,
-                    hamiltonian=cur, resonances=list(stages),
-                    cert_before=cert0,
-                    cert_after=norm_upper(remainder, sp, s_j).bound,
-                    predicted_bound=None, final_width=s_j,
-                    schedule_log=logs, warnings=warns)
+    order = [(len(stages) - i, pv) for i, pv in enumerate(reversed(stages))]
+    return _normal_form_chain(H, stages, order, sp, s, xi=2.0,
+                              log_steps=False, K_out=K_out)
 
 
 def steep_exponents(n: int, p: float):

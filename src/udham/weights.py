@@ -20,12 +20,18 @@ horizon.  Structural hypotheses:
 
 H1 is checked exactly on the stored horizon; H2/H3/MG are finite-horizon
 diagnostics and never proofs.
+
+Both sups sit on hulls, C and C^-1 on the concave majorant of (l, ln mu_l),
+Omega on the convex minorant of (l, ln M_l); ScaleProfile builds each once
+and answers by binary search.  When mu is nondecreasing (as under H1) ln M
+is convex with slopes ln mu, so Omega searches log_mu and builds no array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -85,9 +91,6 @@ def exp_sqrt() -> Family:
 
 def analytic() -> Family:
     return Family("analytic")
-
-
-BUILTIN_FAMILIES = ("analytic", "gevrey", "gevrey_log", "exp_log", "exp_sqrt")
 
 
 @dataclass
@@ -217,19 +220,39 @@ class SupResult:
     certified: bool
 
 
+def _majorant(y: np.ndarray) -> np.ndarray:
+    """Vertex indices of the least concave majorant of the points (l, y_l):
+    every vertex whose right slope is >= its left one drops, until none does."""
+    v = np.arange(len(y))
+    while True:
+        s = np.diff(y[v]) / np.diff(v)
+        keep = np.ones(len(v), dtype=bool)
+        keep[1:-1] = s[1:] < s[:-1]
+        if keep.all():
+            return v
+        v = v[keep]
+
+
 @dataclass
 class ScaleProfile:
     """Evaluator for C(sigma), its inverse and Omega(y) on a horizon.
 
-    ``sigma_bar`` is the smallest sigma with C(sigma) = 1 when that number is
-    below SIGMA_BAR_CAP; for sequences with mu_1 > e the true threshold
-    exceeds 1 and is capped (``sigma_bar_capped`` is then set).
+    Each query is a binary search on a hull built on first use.  C(sigma)
+    sits on the first vertex v of the concave majorant of (l, ln mu_l) whose
+    right slope s is <= sigma; C^-1(y) on the first vertex l >= 1 whose
+    right edge meets l = 0 at b = ln mu_v - s v >= ln y.  Omega(y) sits on
+    the first index whose slope of the convex minorant of (l, ln M_l)
+    reaches ln y; those slopes are ln mu itself when it is nondecreasing,
+    else its means over the minorant's edges.  Ties go to the smallest
+    index, as in an argmax scan.  ``sigma_bar`` is the smallest sigma with
+    C(sigma) = 1 when that is below SIGMA_BAR_CAP; for mu_1 > e the true
+    threshold exceeds 1 and is capped (``sigma_bar_capped`` is then set).
     """
 
     ws: WeightSequence
     sigma_bar: float = field(init=False)
     sigma_bar_capped: bool = field(init=False)
-    mu_nondecreasing: bool = field(init=False)  # H1, which Omega's argmax formula needs
+    mu_nondecreasing: bool = field(init=False)  # implied by H1; certifies Omega
 
     def __post_init__(self):
         l = np.arange(1, len(self.ws.log_mu), dtype=float)
@@ -242,49 +265,59 @@ class ScaleProfile:
     def L_max(self) -> int:
         return self.ws.L_max
 
+    @cached_property
+    def _c_hull(self):
+        """(v, -s, b) of the concave majorant of (l, ln mu_l)."""
+        lm = self.ws.log_mu
+        v = _majorant(lm)
+        s = np.diff(lm[v]) / np.diff(v)
+        return v, -s, lm[v[:-1]] - s * v[:-1]
+
+    @cached_property
+    def _omega_slopes(self) -> np.ndarray:
+        """Slopes of the convex minorant of (l, ln M_l), one per index < L."""
+        lm = self.ws.log_mu
+        if (lm[1:] >= lm[:-1]).all():
+            return lm
+        lM = self.ws.log_M
+        w = _majorant(-lM)
+        return np.repeat(np.diff(lM[w]) / np.diff(w), np.diff(w))
+
     # -- Cauchy function ----------------------------------------------------
 
     def cauchy_c(self, sigma: float) -> SupResult:
         """C(sigma) = sup_l mu_l e^{-sigma l} as (value, argmax, certified)."""
         if not 0.0 < sigma < 1.0:
             raise ParameterError("cauchy_c requires 0 < sigma < 1")
-        ws = self.ws
-        t = ws.log_mu - sigma * np.arange(len(ws.log_mu))
-        l_star = int(np.argmax(t))
-        value = float(math.exp(t[l_star]))
+        ws, lm = self.ws, self.ws.log_mu
+        v, neg_s, _ = self._c_hull
+        l_star = int(v[np.searchsorted(neg_s, -sigma)])
+        value = float(math.exp(lm[l_star] - sigma * l_star))
         # With increments of log(mu) nonincreasing beyond mono_from, once the
-        # scanned terms are falling at the boundary they fall forever, so the
-        # observed max is the global sup.  A max sitting on the boundary is
+        # terms are falling at the boundary they fall forever, so the
+        # horizon's max is the global sup.  A max sitting on the boundary is
         # always inconclusive.
-        certified = (
-            ws.ratio_monotone
-            and l_star < len(t) - 1
-            and ws.mono_from < len(t) - 1
-            and t[-1] - t[-2] < 0.0
-        )
+        last = len(lm) - 1
+        falling = (lm[last] - sigma * last) - (lm[last - 1] - sigma * (last - 1)) < 0.0
+        certified = ws.ratio_monotone and l_star < last and ws.mono_from < last and falling
         return SupResult(value=value, argmax=l_star, certified=certified)
 
     def cauchy_c_value(self, sigma: float) -> float:
         return self.cauchy_c(sigma).value
 
     def cauchy_c_inv(self, y: float, rtol: float = 1e-10) -> float:
-        """Inverse of C on its monotone branch (0, sigma_bar].
-
-        Uses the exact generalized-inverse formula
-            C^-1(y) = max_{l >= 1} (ln mu_l - ln y)/l
-        clamped to sigma_bar, so that C(C^-1(y)) = y whenever y is in the
-        range of C on the horizon (the rtol contract is met with margin).
-        """
+        """Inverse of C on its monotone branch (0, sigma_bar]: the exact
+        max_{l >= 1} (ln mu_l - ln y)/l clamped to sigma_bar, so C(C^-1(y)) = y
+        whenever y is in the range of C on the horizon (rtol met with margin)."""
         if y < 1.0:
             raise ParameterError("cauchy_c_inv requires y >= 1")
         log_y = math.log(y)
-        l = np.arange(1, len(self.ws.log_mu), dtype=float)
-        scores = (self.ws.log_mu[1:] - log_y) / l
-        l_star = int(np.argmax(scores))
-        sigma = float(scores[l_star])
+        v, _, b = self._c_hull
+        l_star = int(v[max(np.searchsorted(b, log_y), 1)])
+        sigma = float((self.ws.log_mu[l_star] - log_y) / l_star)
         if sigma >= self.sigma_bar:
             return self.sigma_bar
-        if sigma <= 0.0 or l_star >= len(scores) - 1:
+        if sigma <= 0.0 or l_star == len(self.ws.log_mu) - 1:
             raise HorizonError(
                 f"C is capped at {self.cauchy_c_value(1e-16):.3e} on the "
                 f"horizon; cannot invert y={y:.3e}",
@@ -298,54 +331,36 @@ class ScaleProfile:
 
     # -- growth function ----------------------------------------------------
 
-    def omega(self, y: float) -> SupResult:
-        """Omega(y) = ln sup_l y^l/M_l; exact argmax under H1.
-
-        argmax l* = min{ l : mu_l >= y } and
-        Omega(y) = l* ln(y) - ln M_{l*}.  Without H1 that l* need not be the
-        argmax: the answer is then the direct scan over the horizon,
-        uncertified, and a max on the last index raises HorizonError.
-        """
-        if y < 0.0:
+    def _omega_at(self, ys: np.ndarray, log_y: np.ndarray):
+        """(l*, l* ln y - ln M_l*) at ys >= 0 given log_y = ln max(y, 1); an
+        argmax on L_max raises HorizonError with that partial value."""
+        if (ys < 0.0).any():
             raise ParameterError("omega requires y >= 0")
-        if y <= 1.0:
-            return SupResult(value=0.0, argmax=0, certified=True)
-        ws = self.ws
-        log_y = math.log(y)
-        if not self.mu_nondecreasing:
-            t = np.arange(len(ws.log_M)) * log_y - ws.log_M
-            l_star = int(np.argmax(t))
-            if l_star == len(t) - 1:
-                raise HorizonError(
-                    f"omega({y:.4g}): max on the horizon L_max={ws.L_max}",
-                    partial=float(t[l_star]))
-            return SupResult(value=float(t[l_star]), argmax=l_star, certified=False)
-        above = np.flatnonzero(ws.log_mu >= log_y)
-        if len(above) == 0:
-            partial = float(len(ws.log_mu) * log_y - ws.log_M[-1])
+        l_star = np.searchsorted(self._omega_slopes, log_y) * (ys > 1.0)
+        value = l_star * log_y - self.ws.log_M[l_star]
+        off = l_star == self.ws.L_max
+        if off.any():
+            i = int(np.argmax(off))
             raise HorizonError(
-                f"omega({y:.4g}): argmax beyond horizon L_max={ws.L_max}",
-                partial=partial,
-            )
-        l_star = int(above[0])
-        value = float(l_star * log_y - ws.log_M[l_star])
-        return SupResult(value=value, argmax=l_star, certified=True)
+                f"omega({ys.flat[i]:.4g}): argmax beyond horizon "
+                f"L_max={self.ws.L_max}", partial=float(value.flat[i]))
+        return l_star, value
+
+    def omega(self, y: float) -> SupResult:
+        """Omega(y) = ln sup_l y^l/M_l; certified (exact argmax) under H1."""
+        # ln y from math.log, in omega_values from np.log: the two differ in
+        # the last bit on some inputs, and scalar artifacts rest on math.log
+        l_star, value = self._omega_at(np.array([float(y)]), np.array([math.log(max(y, 1.0))]))
+        return SupResult(value=float(value[0]), argmax=int(l_star[0]),
+                         certified=self.mu_nondecreasing or y <= 1.0)
 
     def omega_value(self, y: float) -> float:
         return self.omega(y).value
 
     def omega_values(self, ys) -> np.ndarray:
-        """Vectorized Omega over an array (requires nondecreasing mu, i.e. H1)."""
+        """Vectorized Omega over an array."""
         ys = np.asarray(ys, dtype=float)
-        log_y = np.log(np.maximum(ys, 1.0))
-        lm = self.ws.log_mu
-        if not self.mu_nondecreasing:
-            return np.array([self.omega_value(float(y)) for y in ys])
-        l_star = np.searchsorted(lm, log_y, side="left")
-        if np.any(l_star >= len(lm)):
-            raise HorizonError(
-                f"omega: argmax beyond horizon for y up to {np.max(ys):.3g}")
-        return l_star * log_y - self.ws.log_M[l_star]
+        return self._omega_at(ys, np.log(np.maximum(ys, 1.0)))[1]
 
     def omega_brute(self, y: float, l_cap: Optional[int] = None) -> float:
         """Direct scan oracle for Omega (tests only)."""
@@ -461,32 +476,30 @@ def check_conditions(ws: WeightSequence, mg_horizon: int = 512) -> ConditionRepo
 # and of the moderate-growth bound)
 # ---------------------------------------------------------------------------
 
+def _convolution_scan(ws: WeightSequence, l_cap: int, a: int) -> float:
+    """Max over l of (l+1+a)^2/N_{l+a} * sum_j N_{j+a}N_{l-j+a}/((j+1+a)(l-j+1+a))^2."""
+    logN = ws.log_N
+    worst = 0.0
+    for l in range(min(l_cap, ws.L_max - 1 - a) + 1):
+        j = np.arange(l + 1)
+        terms = (np.exp(logN[j + a] + logN[l - j + a] - logN[l + a])
+                 / ((j + 1.0 + a) ** 2 * (l - j + 1.0 + a) ** 2))
+        worst = max(worst, float((l + 1 + a) ** 2 * np.sum(terms)))
+    return worst
+
+
 def product_lemma_scan(ws: WeightSequence, l_cap: int = 300) -> float:
     """Max over l <= l_cap of (l+1)^2/N_l * sum_j N_j N_{l-j}/((j+1)(l-j+1))^2.
 
     Under H1 the value never exceeds 4 pi^2 / 3 (Banach-algebra constant).
     Ratios are formed in log-space; each summand is <= 1 under H1.
     """
-    L = min(l_cap, ws.L_max - 1)
-    logN = ws.log_N
-    worst = 0.0
-    for l in range(L + 1):
-        j = np.arange(l + 1)
-        terms = np.exp(logN[j] + logN[l - j] - logN[l]) / ((j + 1.0) ** 2 * (l - j + 1.0) ** 2)
-        worst = max(worst, float((l + 1) ** 2 * np.sum(terms)))
-    return worst
+    return _convolution_scan(ws, l_cap, 0)
 
 
 def composition_lemma_scan(ws: WeightSequence, l_cap: int = 300) -> float:
     """Shifted variant: (l+2)^2/N_{l+1} * sum_j N_{j+1}N_{l-j+1}/((j+2)(l-j+2))^2."""
-    L = min(l_cap, ws.L_max - 2)
-    logN = ws.log_N
-    worst = 0.0
-    for l in range(L + 1):
-        j = np.arange(l + 1)
-        terms = np.exp(logN[j + 1] + logN[l - j + 1] - logN[l + 1]) / ((j + 2.0) ** 2 * (l - j + 2.0) ** 2)
-        worst = max(worst, float((l + 2) ** 2 * np.sum(terms)))
-    return worst
+    return _convolution_scan(ws, l_cap, 1)
 
 
 def mg_diagonal_constant(ws: WeightSequence, l_cap: int = 150) -> float:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from udham import cli
+from udham import cli, dioph
 
 
 def run(args):
@@ -50,6 +50,29 @@ class TestDioph:
         lines = (out / "psi.csv").read_text().splitlines()
         assert lines[0] == "Q,psi,k1,k2"
         assert len(lines) == 51
+
+
+    def test_three_component_omega_takes_brute_profile(self, tmp_path):
+        omega = [1.0, 0.7548776662466927, 0.5698402909980532]  # 1, rho^-1, rho^-2
+        out = tmp_path / "d3"
+        code = run(["dioph", "--omega", ",".join(map(repr, omega)),
+                    "--q-max", "20", "--outdir", str(out)])
+        assert code == 0
+        lines = (out / "psi.csv").read_text().splitlines()
+        assert lines[0] == "Q,psi,k1,k2,k3" and len(lines) == 21
+        for line in lines[1:]:
+            Q, psi, *k = line.split(",")
+            value, k_brute = dioph.psi_brute(omega, int(Q))
+            # the staircase stores ln psi, so psi comes back through exp(ln)
+            assert float(psi) == pytest.approx(value, rel=1e-15)
+            assert tuple(map(int, k)) == k_brute
+        assert cli.parse_omega({"omega": "1,0.3"}).label == "cf"
+
+    def test_resonant_omega_is_config_error(self, tmp_path):
+        # 5 * 0.2 - 1 = 0: an exact resonance within |k|_1 <= 20
+        code = run(["dioph", "--omega", "1,0.3,0.2", "--q-max", "20",
+                    "--outdir", str(tmp_path / "r")])
+        assert code == 2
 
 
 class TestBRTest:

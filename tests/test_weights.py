@@ -224,6 +224,117 @@ class TestOmega:
             sp.omega(1e4)
 
 
+def scan_argmaxes(terms, scale=None):
+    """The argmax of an O(L) scan, first index on ties.  Given the scale of
+    the terms, every index whose term lies within rounding of the max."""
+    if scale is None:
+        return [int(np.argmax(terms))]
+    tol = 64 * np.finfo(float).eps * scale
+    return [int(i) for i in np.flatnonzero(terms >= np.max(terms) - tol)]
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except W.HorizonError:
+        return W.HorizonError
+
+
+def omega_allowed(sp, y, log_y, near_ties):
+    """(value, argmax) of Omega(y) = max_{l <= L_max} l ln y - ln M_l by a
+    scan with the given ln y; HorizonError (the class) for an argmax on L_max."""
+    if y <= 1.0:
+        return [(0.0, 0)]
+    L = sp.L_max
+    t = np.arange(L + 1) * log_y - sp.ws.log_M
+    scale = np.max(np.abs(sp.ws.log_M)) + L * log_y if near_ties else None
+    return [W.HorizonError if i == L else (float(t[i]), i)
+            for i in scan_argmaxes(t, scale)]
+
+
+def assert_queries_equal_scans(sp, sigmas, ys, near_ties=False):
+    """Hull queries against brute scans.
+
+    Exact (value and argmax bit for bit) unless ``near_ties``: then a query
+    may land on any index whose scanned term ties the max within rounding.
+    """
+    lm, L = sp.ws.log_mu, sp.L_max
+    for sigma in map(float, sigmas):
+        t = lm - sigma * np.arange(L)
+        scale = np.max(np.abs(lm)) + sigma * L if near_ties else None
+        r = sp.cauchy_c(sigma)
+        assert (r.value, r.argmax) in [(math.exp(t[i]), i) for i in scan_argmaxes(t, scale)]
+    for y in map(float, ys):
+        # C^-1(y) = max_{l >= 1} (ln mu_l - ln y)/l, clamped to sigma_bar
+        scores = (lm[1:] - math.log(y)) / np.arange(1, L, dtype=float)
+        scale = np.max(np.abs(lm)) + math.log(y) if near_ties else None
+        allowed = []
+        for i in scan_argmaxes(scores, scale):
+            sigma = float(scores[i])
+            allowed.append(sp.sigma_bar if sigma >= sp.sigma_bar else
+                           W.HorizonError if sigma <= 0.0 or i == L - 2 else sigma)
+        assert outcome(sp.cauchy_c_inv, y) in allowed
+
+        r = outcome(sp.omega, y)
+        if r is not W.HorizonError:
+            r = (r.value, r.argmax)
+            if not near_ties and y > 1.0:
+                assert r[0] == sp.omega_brute(y)
+        assert r in omega_allowed(sp, y, math.log(y), near_ties)
+        v = outcome(sp.omega_values, [y])
+        v = v if v is W.HorizonError else v[0]
+        assert v in [a if a is W.HorizonError else a[0]
+                     for a in omega_allowed(sp, y, np.log([y])[0], near_ties)]
+
+
+class TestHull:
+    """C, C^-1 and Omega answered on hulls equal the O(L) scans exactly."""
+
+    BUILTINS = [W.analytic(), W.gevrey(2), W.gevrey_log(1.5, 2), W.exp_log(),
+                W.exp_sqrt()]
+
+    @pytest.mark.parametrize("fam", BUILTINS, ids=lambda f: f.tag)
+    def test_builtin_families_equal_scans(self, fam):
+        sp = sp_of(fam, 2048)
+        sigmas = np.concatenate((np.geomspace(1e-5, 0.999, 150), [sp.sigma_bar]))
+        ys = np.concatenate(([1.0], np.geomspace(1.0 + 1e-9, 1e12, 250)))
+        assert_queries_equal_scans(sp, sigmas, ys)
+        # mu nondecreasing: Omega searches log_mu itself, no copy
+        assert sp._omega_slopes is sp.ws.log_mu
+
+    def test_explog_majorant_drops_six_vertices(self):
+        sp = sp_of(W.exp_log(), 2048)
+        v = W._majorant(sp.ws.log_mu)
+        assert len(v) == 2048 - 6 and v[0] == 0 and v[-1] == 2047
+        assert_queries_equal_scans(sp, np.geomspace(0.3, 0.999, 100),
+                                   np.geomspace(1.0, 50.0, 100))
+
+    def test_flat_stretch_ties_go_to_smallest_index(self):
+        sp = W.ScaleProfile(W.from_log_mu([0.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0]))
+        assert list(W._majorant(sp.ws.log_mu)) == [0, 2, 6]
+        assert sp.cauchy_c(0.5).argmax == 0      # t = 0 on l = 0, 1, 2
+        assert sp.cauchy_c(0.25).argmax == 2
+        r = sp.omega(math.e)                     # ln y = ln mu_l on l = 2..6
+        assert (r.value, r.argmax) == (1.5, 2)
+        assert_queries_equal_scans(sp, [0.1, 0.25, 0.5, 0.75],
+                                   [1.0, 1.5, math.e, math.exp(0.5), 3.0])
+
+
+INCREMENTS = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+
+
+@given(st.lists(INCREMENTS, min_size=2, max_size=199),
+       st.lists(st.floats(1e-6, 0.999), min_size=1, max_size=6),
+       st.lists(st.one_of(st.just(1.0), st.floats(1.0, 1e6)), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_hull_queries_equal_scans(increments, sigmas, ys):
+    # e.g. increments (2.0, 0.42...) with sigma = 0.42...: the terms at l = 1
+    # and 2 tie within one rounding, and hull and scan may pick either
+    log_mu = np.concatenate(([0.0], np.cumsum(increments)))
+    assert_queries_equal_scans(W.ScaleProfile(W.from_log_mu(log_mu)), sigmas, ys,
+                               near_ties=True)
+
+
 class TestAsymptotics:
     @pytest.mark.parametrize("alpha,L", [(1, 4_000_000), (1.5, 200_000), (2, 8192)])
     def test_gevrey_slopes(self, alpha, L):
