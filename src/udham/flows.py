@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .series import FTSeries, poisson_bracket, product
 from .weights import C_NORM, ParameterError, ScaleProfile
@@ -587,10 +587,16 @@ class PendulumOrbit:
         if tm >= half:
             return 0.5
         hi = 0.5 if self.a2 > 0.0 else 0.5 - 1e-12
-        if self.a2 == 0.0 and tm >= self.tau(hi):
+        if self.a2 == 0.0 and tm >= self._tau_sep_end:
             return 0.5
         from scipy.optimize import brentq
         return brentq(lambda x: self.tau(x) - tm, 0.0, hi, xtol=1e-15)
+
+
+    @cached_property
+    def _tau_sep_end(self) -> float:
+        """tau(1/2 - 1e-12): on the separatrix, later times map to theta = 1/2."""
+        return self.tau(0.5 - 1e-12)
 
 
 def _sinh_piece(a2: float, u_lo: float, u_hi: float) -> float:
@@ -691,6 +697,7 @@ def tau_norm_certificate(orbit: PendulumOrbit, sp: ScaleProfile, s: float,
         g = 1.0 / np.sqrt(4.0 * np.cos(math.pi * z) ** 2 + orbit.a2)
         Mg = max(Mg, float(np.max(np.abs(g))))
     sup_tau = abs(orbit.tau(VARTHETA))
+    from scipy.special import gammaln
     l = np.arange(1, l_cap + 1, dtype=float)
     log_terms = (2.0 * np.log(l + 1.0) + l * math.log(s) + gammaln(l)
                  + math.log(Mg) + (1.0 - l) * math.log(radius)

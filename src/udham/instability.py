@@ -415,15 +415,21 @@ def synchronization_check(msc: MSConstruction, tol: float = 1e-9) -> dict:
 
     The rotator factors are exact; the pendulum factor is followed through
     its quadrature parametrization (theta_2 at step k is theta_B(k/A) up to
-    the action rescaling)."""
+    the action rescaling).  tau is increasing on [0, 1/2], so a pendulum
+    time in [t_win, B - t_win], t_win = tau(vartheta), puts theta_2 outside
+    the bump's support: g_2 = dg_2 = 0 there, every term of g_value and
+    dg_norm is 0, and tau is inverted only inside the window."""
     q, A, B = msc.q, msc.A, msc.B
     worst_val, worst_dg = 0.0, 0.0
     a = msc.a_point
     g0 = msc.g_value([p[0] for p in a])
     dg0 = msc.dg_norm([p[0] for p in a])
+    t_win = msc.orbit.tau(VARTHETA)
     ks = list(range(1, min(q, 2000))) + \
         ([] if q <= 2000 else list(range(q - 100, q)))
     for k in ks:
+        if t_win <= (k / A) % B <= B - t_win:
+            continue
         thetas = [msc.orbit.theta_of_t(k / A)]
         for i, f in enumerate(msc.factors[1:], start=3):
             pi = msc.primes[msc.j - (msc.n - i)]

@@ -35,7 +35,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 C_NORM = 4.0 * math.pi**2 / 3.0  # normalizing constant of the U_{M,s} norm
 
@@ -99,11 +98,11 @@ class WeightSequence:
 
     ``log_M`` has length L_max+1 (indices 0..L_max); ``log_mu`` and
     ``log_nu`` have length L_max (index l covers the ratio l -> l+1).
+    ``log_N`` is derived on first use, so scipy loads only where N is read.
     """
 
     log_M: np.ndarray
     log_mu: np.ndarray
-    log_N: np.ndarray
     log_nu: np.ndarray
     family_tag: str
     family: Optional[Family]
@@ -128,6 +127,12 @@ class WeightSequence:
     def mu(self) -> np.ndarray:
         with np.errstate(over="ignore"):
             return np.exp(self.log_mu)
+
+    @cached_property
+    def log_N(self) -> np.ndarray:
+        """ln N_l = ln M_l - ln l!."""
+        from scipy.special import gammaln
+        return self.log_M - gammaln(np.arange(len(self.log_M), dtype=float) + 1.0)
 
     @property
     def bigN(self) -> np.ndarray:
@@ -182,12 +187,10 @@ def from_log_mu(log_mu: np.ndarray, family_tag: str = "Custom",
         raise ParameterError("mu must be finite and positive")
     L = len(log_mu)
     log_M = np.concatenate(([0.0], np.cumsum(log_mu)))
-    lfac = gammaln(np.arange(L + 1, dtype=float) + 1.0)
-    log_N = log_M - lfac
     log_nu = log_mu - np.log1p(np.arange(L, dtype=float))  # nu_l = mu_l/(l+1)
     mono_from, monotone = _increment_monotonicity(log_mu)
-    return WeightSequence(log_M=log_M, log_mu=log_mu, log_N=log_N,
-                          log_nu=log_nu, family_tag=family_tag, family=family,
+    return WeightSequence(log_M=log_M, log_mu=log_mu, log_nu=log_nu,
+                          family_tag=family_tag, family=family,
                           ratio_monotone=monotone, mono_from=mono_from)
 
 

@@ -330,3 +330,22 @@ class TestPlainArtifacts:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_loads_no_scipy(self):
+        code = ("import sys, udham.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_dioph_run_leaves_special_functions_unloaded(self, tmp_path):
+        # only N = M/l! needs gammaln, and dioph never reads N
+        code = ("import sys; from udham import cli; "
+                "code = cli.main(['dioph', '--omega', 'golden', '--q-max', '50', "
+                f"'--outdir', {str(tmp_path)!r}]); "
+                "print(code, 'scipy.special' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 False"

@@ -132,6 +132,24 @@ class TestShearAndCoupling:
         assert out["a_return_error"] < 1e-6
 
 
+def sync_oracle(msc, tol=1e-9):
+    """synchronization_check with tau inverted at every step k."""
+    g0 = msc.g_value([p[0] for p in msc.a_point])
+    dg0 = msc.dg_norm([p[0] for p in msc.a_point])
+    q, A = msc.q, msc.A
+    worst_val = worst_dg = 0.0
+    for k in list(range(1, min(q, 2000))) + ([] if q <= 2000 else list(range(q - 100, q))):
+        thetas = [msc.orbit.theta_of_t(k / A)]
+        thetas += [(k / msc.primes[msc.j - (msc.n - i)]) % 1.0
+                   for i in range(3, msc.n + 1)]
+        worst_val = max(worst_val, abs(msc.g_value(thetas)))
+        worst_dg = max(worst_dg, msc.dg_norm(thetas))
+    return {"g_at_a": g0, "dg_at_a": dg0, "max_g_on_orbit": worst_val,
+            "max_dg_on_orbit": worst_dg,
+            "passed": (abs(g0 - 1.0) < tol and dg0 < tol
+                       and worst_val < tol and worst_dg < tol)}
+
+
 class TestMSConstruction:
     def test_prime_schedule_arithmetic(self):
         msc = INS.build_ms(3, 2, s=0.05, sp=SP)
@@ -150,6 +168,20 @@ class TestMSConstruction:
         rep = INS.synchronization_check(msc)
         assert rep["passed"]
         assert rep["g_at_a"] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("nj", [(2, 0), (3, 2)])
+    def test_synchronization_equals_per_step_inversion(self, nj):
+        msc = INS.build_ms(*nj, s=0.05, sp=SP)
+        assert INS.synchronization_check(msc) == sync_oracle(msc)
+
+    def test_synchronization_inverts_tau_only_inside_window(self):
+        msc = INS.build_ms(3, 2, s=0.05, sp=SP)
+        t_win, B = msc.orbit.tau(F.VARTHETA), msc.B
+        times = []
+        inverse = msc.orbit.theta_of_t
+        msc.orbit.theta_of_t = lambda t: times.append(t) or inverse(t)
+        INS.synchronization_check(msc)
+        assert times and all(t % B < t_win or t % B > B - t_win for t in times)
 
     def test_exponent_mode_flag(self):
         a = INS.build_ms(3, 2, s=0.05, sp=SP, exponent_mode="proof")

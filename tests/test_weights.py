@@ -40,6 +40,13 @@ class TestBuild:
             assert np.allclose(ws.log_mu, ws.log_nu + np.log1p(l), rtol=1e-12)
             assert np.allclose(ws.log_M[1:], np.cumsum(ws.log_mu), rtol=1e-12)
 
+    def test_log_n_is_log_m_minus_log_factorial(self):
+        from scipy.special import gammaln
+        for fam in FAMILIES:
+            ws = W.build_sequence(fam, 300)
+            assert np.array_equal(ws.log_N, ws.log_M - gammaln(np.arange(301) + 1.0))
+            assert ws.log_N is ws.log_N  # derived once, then cached
+
     def test_invalid_parameters(self):
         with pytest.raises(W.ParameterError):
             W.build_sequence(W.gevrey(0.5), 16)
@@ -95,6 +102,19 @@ class TestConditions:
             ws = W.build_sequence(fam, 320)
             assert W.product_lemma_scan(ws, 300) <= W.C_NORM + 1e-9, fam.tag
             assert W.composition_lemma_scan(ws, 300) <= W.C_NORM + 1e-9, fam.tag
+
+    def test_lemma_scan_values_pinned(self):
+        # the scans read log_N; these are their values with N built eagerly
+        pinned = {"Gevrey(1)": (3.517106786434369, 1.4085436656637562),
+                  "Gevrey(2)": (2.2962962962962963, 0.6736111111111113),
+                  "GevreyLog(1,1)": (2.597882160169339, 0.8226078759634814),
+                  "GevreyLog(1.5,2)": (2.2306242546208916, 0.6392731117619485),
+                  "ExpLog": (3.0898919753086425, 0.8472222222222224),
+                  "ExpSqrt": (2.812635392209588, 0.9696214589198842)}
+        for fam in FAMILIES:
+            ws = W.build_sequence(fam, 320)
+            got = (W.product_lemma_scan(ws, 300), W.composition_lemma_scan(ws, 300))
+            assert got == pytest.approx(pinned[fam.tag], rel=1e-13), fam.tag
 
     def test_nj_nk_lemma_scans(self):
         # H1 pass implies N_j N_k <= N_{j+k} and N_j N_k <= N_{j+k-1} (j,k >= 1)
