@@ -415,11 +415,14 @@ def synchronization_check(msc: MSConstruction, tol: float = 1e-9) -> dict:
 
     The rotator factors are exact; the pendulum factor is followed through
     its quadrature parametrization (theta_2 at step k is theta_B(k/A) up to
-    the action rescaling).  tau is increasing on [0, 1/2], so a pendulum
-    time in [t_win, B - t_win], t_win = tau(vartheta), puts theta_2 outside
-    the bump's support: g_2 = dg_2 = 0 there, every term of g_value and
-    dg_norm is 0, and tau is inverted only inside the window."""
-    q, A, B = msc.q, msc.A, msc.B
+    the action rescaling).  Phases are formed in integers: k/A mod B as r/A,
+    r the signed residue of k mod q = AB, and k/p_i mod 1 as
+    (k mod p_i)/p_i, since k/A loses its fraction once q > 2^53.  tau is
+    odd and increasing on [0, 1/2], so a pendulum time |r|/A >= t_win =
+    tau(vartheta) puts theta_2 outside the bump's support: g_2 = dg_2 = 0
+    there, every term of g_value and dg_norm is 0, and tau is inverted only
+    inside the window."""
+    q, A = msc.q, msc.A
     worst_val, worst_dg = 0.0, 0.0
     a = msc.a_point
     g0 = msc.g_value([p[0] for p in a])
@@ -428,12 +431,13 @@ def synchronization_check(msc: MSConstruction, tol: float = 1e-9) -> dict:
     ks = list(range(1, min(q, 2000))) + \
         ([] if q <= 2000 else list(range(q - 100, q)))
     for k in ks:
-        if t_win <= (k / A) % B <= B - t_win:
+        r = k - q if 2 * k > q else k   # 0 < k < q
+        if abs(r) / A >= t_win:
             continue
-        thetas = [msc.orbit.theta_of_t(k / A)]
-        for i, f in enumerate(msc.factors[1:], start=3):
+        thetas = [math.copysign(msc.orbit.theta_of_t(abs(r) / A), r)]
+        for i in range(3, msc.n + 1):
             pi = msc.primes[msc.j - (msc.n - i)]
-            thetas.append((k / pi) % 1.0)
+            thetas.append((k % pi) / pi)
         worst_val = max(worst_val, abs(msc.g_value(thetas)))
         worst_dg = max(worst_dg, msc.dg_norm(thetas))
     return {"g_at_a": g0, "dg_at_a": dg0, "max_g_on_orbit": worst_val,

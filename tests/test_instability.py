@@ -137,11 +137,12 @@ def sync_oracle(msc, tol=1e-9):
     g0 = msc.g_value([p[0] for p in msc.a_point])
     dg0 = msc.dg_norm([p[0] for p in msc.a_point])
     q, A = msc.q, msc.A
+    rotators = [msc.primes[msc.j - (msc.n - i)] for i in range(3, msc.n + 1)]
     worst_val = worst_dg = 0.0
     for k in list(range(1, min(q, 2000))) + ([] if q <= 2000 else list(range(q - 100, q))):
-        thetas = [msc.orbit.theta_of_t(k / A)]
-        thetas += [(k / msc.primes[msc.j - (msc.n - i)]) % 1.0
-                   for i in range(3, msc.n + 1)]
+        r = k - q if 2 * k > q else k
+        thetas = [math.copysign(msc.orbit.theta_of_t(abs(r) / A), r)]
+        thetas += [(k % p) / p for p in rotators]
         worst_val = max(worst_val, abs(msc.g_value(thetas)))
         worst_dg = max(worst_dg, msc.dg_norm(thetas))
     return {"g_at_a": g0, "dg_at_a": dg0, "max_g_on_orbit": worst_val,
@@ -176,12 +177,20 @@ class TestMSConstruction:
 
     def test_synchronization_inverts_tau_only_inside_window(self):
         msc = INS.build_ms(3, 2, s=0.05, sp=SP)
-        t_win, B = msc.orbit.tau(F.VARTHETA), msc.B
+        t_win = msc.orbit.tau(F.VARTHETA)
         times = []
         inverse = msc.orbit.theta_of_t
         msc.orbit.theta_of_t = lambda t: times.append(t) or inverse(t)
         INS.synchronization_check(msc)
-        assert times and all(t % B < t_win or t % B > B - t_win for t in times)
+        assert times and all(0.0 < t < t_win for t in times)
+
+    def test_synchronization_exact_past_double_precision(self):
+        # q = 1.04e25 > 2^53: float phases k/A lose their fractional part
+        msc = INS.build_ms(4, 3, s=0.05, sp=SP)
+        assert msc.q > 2 ** 53
+        rep = INS.synchronization_check(msc)
+        assert rep["passed"]
+        assert rep["max_g_on_orbit"] < 1e-30
 
     def test_exponent_mode_flag(self):
         a = INS.build_ms(3, 2, s=0.05, sp=SP, exponent_mode="proof")
