@@ -213,9 +213,10 @@ class FrequencyProfile:
     takes ln Psi from it, not from -ln|e|.  The brute-force source has no
     convergents and installs its per-Q table through the same filter.
 
-    ``breaks``, ``log_psi``, ``ks`` and ``horizon`` are derived: on
-    [breaks[i], breaks[i+1]) the value is exp(log_psi[i]), achieved by
-    ``ks[i]``, for Q <= horizon.  The horizon is the ball size of the next
+    ``breaks``, ``log_psi``, ``psi_values``, ``ks`` and ``horizon`` are
+    derived: on [breaks[i], breaks[i+1]) the value is psi_values[i] (exp of
+    log_psi[i], or the brute table's own value), achieved by ``ks[i]``, for
+    Q <= horizon.  The horizon is the ball size of the next
     convergent minus 1: the first one with e None (unknown terminal) or 0
     (exact resonance), else the lower bound (p_N + p_N-1, q_N + q_N-1)
     when the list simply ends.  The continuous envelope rises linearly only
@@ -231,6 +232,7 @@ class FrequencyProfile:
     label: str = ""
     breaks: list = field(init=False, default_factory=list)  # increasing ints, breaks[0] == 1
     log_psi: list = field(init=False, default_factory=list)
+    psi_values: list = field(init=False, default_factory=list)
     ks: list = field(init=False, default_factory=list)
     horizon: float = field(init=False, default=0.0)
 
@@ -267,24 +269,26 @@ class FrequencyProfile:
             (p0, q0), (p1, q1) = (p1, q1), (p, q)
         else:
             nxt = (p1 + p0, q1 + q0)      # lower bound for the next convergent
-        self._install(steps, size(*nxt) - 1)
+        self._install(((b, lv, math.exp(lv), k) for b, lv, k in steps), size(*nxt) - 1)
 
     def _install(self, steps, horizon):
-        """Keep the strict rises of (ball size, ln Psi, k) in order of size.
+        """Keep the strict rises of (ball size, ln Psi, Psi, k) in order of size.
 
         At equal ball size the sharper value wins.
         """
-        breaks, log_psi, ks = [], [], []
-        for b, lv, k in steps:
+        breaks, log_psi, values, ks = [], [], [], []
+        for b, lv, v, k in steps:
             if log_psi and lv <= log_psi[-1] + 1e-15:
                 continue
             if breaks and b == breaks[-1]:
-                log_psi[-1], ks[-1] = lv, k
+                log_psi[-1], values[-1], ks[-1] = lv, v, k
             else:
                 breaks.append(b)
                 log_psi.append(lv)
+                values.append(v)
                 ks.append(k)
-        self.breaks, self.log_psi, self.ks, self.horizon = breaks, log_psi, ks, float(horizon)
+        self.breaks, self.log_psi, self.psi_values, self.ks = breaks, log_psi, values, ks
+        self.horizon = float(horizon)
         self._at = np.asarray(breaks, dtype=float)
         self._starts = np.log(self._at) + np.asarray(log_psi)  # ln Delta at each break
 
@@ -317,7 +321,7 @@ class FrequencyProfile:
         if Q < 1:
             raise ParameterError("psi requires Q >= 1")
         i = self._idx(Q)
-        return math.exp(self.log_psi[i]), self.ks[i]
+        return self.psi_values[i], self.ks[i]
 
     def log_psi_at(self, Q: float) -> float:
         if Q < 1:
@@ -329,9 +333,9 @@ class FrequencyProfile:
         i = self._idx(Q)
         if i + 1 < len(self.breaks) and Q > self.breaks[i + 1] - 1:
             t = Q - (self.breaks[i + 1] - 1)
-            lo, hi = math.exp(self.log_psi[i]), math.exp(self.log_psi[i + 1])
+            lo, hi = self.psi_values[i], self.psi_values[i + 1]
             return lo + t * (hi - lo)
-        return math.exp(self.log_psi[i])
+        return self.psi_values[i]
 
     # -- Delta and its generalized inverse ------------------------------------
 
@@ -371,8 +375,8 @@ def profile_from_brute(omega, Q_max: int, d: Optional[int] = None) -> FrequencyP
     vals, ks = psi_brute_table(omega[:d], Q_max)
     pad = (0,) * (len(omega) - d)
     fp = FrequencyProfile(omega=omega, d=d, norm="l1", convergents=None, label="brute")
-    fp._install(((Q, math.log(v), k + pad) for Q, (v, k) in enumerate(zip(vals, ks), 1)),
-                Q_max)
+    fp._install(((Q, math.log(v), float(v), k + pad)
+                 for Q, (v, k) in enumerate(zip(vals, ks), 1)), Q_max)
     return fp
 
 

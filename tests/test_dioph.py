@@ -73,6 +73,13 @@ class TestProfiles:
             assert v == pytest.approx(vals[Q - 1], rel=1e-12)
             assert k == ks[Q - 1]
 
+    def test_brute_profile_returns_the_values_it_was_built_from(self):
+        om = np.array([1.0, 0.7548776662466927, 0.5698402909980532])
+        vals, ks = D.psi_brute_table(om, 20)
+        fp = D.profile_from_brute(om, 20)
+        assert [fp.psi(Q) for Q in range(1, 21)] == list(zip(vals, ks))
+        assert [fp.psi_envelope(float(Q)) for Q in range(1, 21)] == list(vals)
+
     def test_horizon_is_next_convergent_minus_one(self):
         fp = D.golden_profile()
         assert fp.horizon == 143.0                 # next k = (-89, 55), |k|_1 = 144
