@@ -175,14 +175,16 @@ class TestMSConstruction:
         msc = INS.build_ms(*nj, s=0.05, sp=SP)
         assert INS.synchronization_check(msc) == sync_oracle(msc)
 
-    def test_synchronization_inverts_tau_only_inside_window(self):
+    def test_synchronization_inverts_tau_exactly_inside_window(self):
         msc = INS.build_ms(3, 2, s=0.05, sp=SP)
-        t_win = msc.orbit.tau(F.VARTHETA)
+        A, t_win = msc.A, msc.orbit.tau(F.VARTHETA)
         times = []
         inverse = msc.orbit.theta_of_t
         msc.orbit.theta_of_t = lambda t: times.append(t) or inverse(t)
         INS.synchronization_check(msc)
-        assert times and all(0.0 < t < t_win for t in times)
+        # |r| for k = 1..1999, then for k = q-100..q-1
+        steps = [r / A for r in list(range(1, 2000)) + list(range(100, 0, -1))]
+        assert times == [t for t in steps if t < t_win] and len(times) == 24
 
     def test_synchronization_exact_past_double_precision(self):
         # q = 1.04e25 > 2^53: float phases k/A lose their fractional part
