@@ -592,7 +592,6 @@ class PendulumOrbit:
         from scipy.optimize import brentq
         return brentq(lambda x: self.tau(x) - tm, 0.0, hi, xtol=1e-15)
 
-
     @cached_property
     def _tau_sep_end(self) -> float:
         """tau(1/2 - 1e-12): on the separatrix, later times map to theta = 1/2."""

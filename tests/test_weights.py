@@ -97,14 +97,8 @@ class TestConditions:
         assert v2 >= v1 - 1e-12
 
     def test_product_lemma_scans(self):
-        # Banach-algebra constant: never above 4 pi^2/3 for H1 families
-        for fam in FAMILIES:
-            ws = W.build_sequence(fam, 320)
-            assert W.product_lemma_scan(ws, 300) <= W.C_NORM + 1e-9, fam.tag
-            assert W.composition_lemma_scan(ws, 300) <= W.C_NORM + 1e-9, fam.tag
-
-    def test_lemma_scan_values_pinned(self):
-        # the scans read log_N; these are their values with N built eagerly
+        # Banach-algebra constant: never above 4 pi^2/3 for H1 families;
+        # pinned are the values the scans gave when N was built eagerly
         pinned = {"Gevrey(1)": (3.517106786434369, 1.4085436656637562),
                   "Gevrey(2)": (2.2962962962962963, 0.6736111111111113),
                   "GevreyLog(1,1)": (2.597882160169339, 0.8226078759634814),
@@ -114,6 +108,7 @@ class TestConditions:
         for fam in FAMILIES:
             ws = W.build_sequence(fam, 320)
             got = (W.product_lemma_scan(ws, 300), W.composition_lemma_scan(ws, 300))
+            assert max(got) <= W.C_NORM + 1e-9, fam.tag
             assert got == pytest.approx(pinned[fam.tag], rel=1e-13), fam.tag
 
     def test_nj_nk_lemma_scans(self):
