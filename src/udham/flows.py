@@ -23,7 +23,7 @@ instability construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -33,6 +33,9 @@ from .series import FTSeries, poisson_bracket, product
 from .weights import C_NORM, ParameterError, ScaleProfile
 
 TWO_PI = 2.0 * math.pi
+# absolute floor below which a finished coordinate series of a Lie flow
+# stores no coefficient
+_NOISE_FLOOR = 1e-18
 
 
 class LieDivergence(RuntimeError):
@@ -83,7 +86,6 @@ class AffineTransform:
 
     E: list
     A: list
-    log: list = field(default_factory=list)
 
     @property
     def n(self) -> int:
@@ -93,7 +95,7 @@ class AffineTransform:
     def identity(cls, n, K, n_w=0, D_w=0):
         z = lambda: FTSeries.zeros(n, K, D_I=0, D_w=D_w, n_w=n_w)
         return cls(E=[z() for _ in range(n)],
-                   A=[_action_component(i, z(), []) for i in range(n)], log=["id"])
+                   A=[_action_component(i, z(), []) for i in range(n)])
 
     def apply(self, theta, I, w=None):
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
@@ -289,7 +291,7 @@ def compose_affine(outer: AffineTransform, inner: AffineTransform,
         sub = lambda f: f
     pull = lambda f: apply_affine(sub(f), inner, K_out=K_out)
     return AffineTransform(E=[e.rebanded(K_out) + pull(oe) for e, oe in zip(inner.E, outer.E)],
-                           A=[pull(a) for a in outer.A], log=outer.log + inner.log)
+                           A=[pull(a) for a in outer.A])
 
 
 def affine_flow_ode(C: FTSeries, D: list, t: float = 1.0, n_steps: int = 64,
@@ -340,80 +342,30 @@ def affine_flow_ode(C: FTSeries, D: list, t: float = 1.0, n_steps: int = 64,
     return AffineTransform(
         E=[to_series(E[:, i]) for i in range(n)],
         A=[_action_component(i, to_series(G[:, i]), [to_series(F[:, i, j]) for j in range(n)])
-           for i in range(n)],
-        log=[f"ode(t={t}, steps={n_steps})"])
+           for i in range(n)])
 
 
-def affine_flow_lie(C: FTSeries, D: list, t: float = 1.0, order: int = 24,
-                    K_out: Optional[int] = None, tol: float = 1e-16,
-                    noise_floor: float = 1e-18) -> AffineTransform:
+def affine_flow_lie(C: FTSeries, D: list, t: float = 1.0,
+                    K_out: Optional[int] = None) -> AffineTransform:
     """Affine flow by Lie series on the coordinate functions.
 
-    theta_i o Phi = theta_i + sum_r t^r/r! ad_X^(r)(theta_i) with
-    ad_X(theta_i) = D_i and each further order a pure angle series;
-    I o Phi stays affine in I.  Carries parameter jets.
+    With X = C + sum_j D_j I_j and ad f = {f, X}: ad theta_i = D_i, so
+    E_i = sum_{r>=1} t^r/r! ad^(r-1) D_i, and A_i = I_i o Phi is the Lie
+    series of I_i.  Both run on `lie_flow`'s loop; each finished series is
+    pruned at the noise floor once.  Carries parameter jets.
     """
     n = C.n
     K_out = K_out if K_out is not None else max([C.K] + [d.K for d in D])
-    n_w, D_w = C.n_w, C.D_w
-
-    def zero():
-        return FTSeries.zeros(n, K_out, D_I=0, D_w=D_w, n_w=n_w)
-
-    E = [zero() for _ in range(n)]
-    # angle chain: a_{r+1} = sum_j (dtheta_j a_r) D_j
-    for i in range(n):
-        a = D[i]
-        fac = t
-        r = 1
-        while True:
-            E[i] = E[i] + fac * a
-            if a.coeff_norm1() * abs(fac) < tol or r >= order:
-                break
-            nxt = zero()
-            for j in range(n):
-                nxt = nxt + product(a.dtheta(j), D[j], K_out=K_out, D_w_out=D_w)
-            a = nxt.prune_entries(noise_floor)
-            r += 1
-            fac = fac * t / r
-
-    # action chain: b = beta(theta) + gamma(theta) I
-    A = []
-    gradC = [C.dtheta(j) for j in range(n)]
-    gradD = [[D[l].dtheta(j) for l in range(n)] for j in range(n)]
-    for i in range(n):
-        beta = zero()
-        gamma = [zero() for _ in range(n)]
-        gamma[i].set_mode((0,) * n, 1.0)
-        acc_beta = zero()
-        acc_gamma = [zero() for _ in range(n)]
-        fac = t
-        r = 1
-        while True:
-            # ad_X(beta + gamma.I) = dth beta.D + (dth gamma_l. D) I_l
-            #                       - gamma_j (dth_j C + dth_j D_l I_l)
-            nb = zero()
-            ng = [zero() for _ in range(n)]
-            for j in range(n):
-                nb = nb + product(beta.dtheta(j), D[j], K_out=K_out, D_w_out=D_w)
-                nb = nb - product(gamma[j], gradC[j], K_out=K_out, D_w_out=D_w)
-                for l in range(n):
-                    ng[l] = ng[l] + product(gamma[l].dtheta(j), D[j],
-                                            K_out=K_out, D_w_out=D_w)
-                    ng[l] = ng[l] - product(gamma[j], gradD[j][l],
-                                            K_out=K_out, D_w_out=D_w)
-            beta = nb.prune_entries(noise_floor)
-            gamma = [g.prune_entries(noise_floor) for g in ng]
-            acc_beta = acc_beta + fac * beta
-            for l in range(n):
-                acc_gamma[l] = acc_gamma[l] + fac * gamma[l]
-            size = beta.coeff_norm1() + sum(g.coeff_norm1() for g in gamma)
-            if size * abs(fac) < tol or r >= order:
-                break
-            r += 1
-            fac = fac * t / r
-        A.append(_action_component(i, acc_beta.prune_entries(noise_floor), acc_gamma))
-    return AffineTransform(E=E, A=A, log=[f"lie(t={t}, order<={order})"])
+    units = [tuple(int(a == j) for a in range(n)) for j in range(n)]
+    X = C
+    for j, d in enumerate(D):
+        X = X + d.map_monomials(lambda m, w, ej=units[j]: [((ej, w), 1.0)], D_I=1)
+    E = [_lie_series(X, d, t, 1, K_out=K_out, D_I_out=0).prune_entries(_NOISE_FLOOR)
+         for d in D]
+    I = [FTSeries.zeros(n, K_out, D_I=1, D_w=C.D_w, n_w=C.n_w).set_mode((0,) * n, 1.0, m=u)
+         for u in units]
+    A = [lie_flow(X, Ii, t, K_out=K_out, D_I_out=1).prune_entries(_NOISE_FLOOR) for Ii in I]
+    return AffineTransform(E=E, A=A)
 
 
 # ---------------------------------------------------------------------------
@@ -428,17 +380,25 @@ def lie_flow(Y: FTSeries, H: FTSeries, t: float = 1.0, max_order: int = 40,
     The tail is monitored; if term norms grow for three consecutive orders
     before reaching tol the series is declared divergent.
     """
+    return _lie_series(Y, H, t, 0, max_order, tol, K_out, D_I_out)
+
+
+def _lie_series(Y: FTSeries, H: FTSeries, t: float, r0: int, max_order: int = 40,
+                tol: float = 1e-16, K_out: Optional[int] = None,
+                D_I_out: Optional[int] = None) -> FTSeries:
+    """sum_{r>=0} t^(r+r0)/(r+r0)! ad_Y^r H, ad f = {f, Y}, r0 in {0, 1},
+    with `lie_flow`'s tail monitor relative to |H|."""
     K_out = K_out if K_out is not None else max(Y.K, H.K)
     D_I_out = D_I_out if D_I_out is not None else max(H.D_I, Y.D_I)
-    out = H
+    fac = t if r0 else 1.0
+    out = fac * H if r0 else H
     term = H
-    fac = 1.0
     grow = 0
     last = math.inf
     scale = max(H.coeff_norm1(), 1e-300)
     for r in range(1, max_order + 1):
         term = poisson_bracket(term, Y, K_out=K_out, D_I_out=D_I_out)
-        fac = fac * t / r
+        fac = fac * t / (r + r0)
         out = out + fac * term
         size = abs(fac) * term.coeff_norm1()
         if size < tol * scale:

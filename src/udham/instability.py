@@ -421,16 +421,16 @@ def synchronization_check(msc: MSConstruction, tol: float = 1e-9) -> dict:
     odd and increasing on [0, 1/2], so a pendulum time |r|/A >= t_win =
     tau(vartheta) puts theta_2 outside the bump's support: g_2 = dg_2 = 0
     there, every term of g_value and dg_norm is 0, and tau is inverted only
-    inside the window."""
+    inside the window: each k in 1..ceil(A t_win) and q-ceil(A t_win)..q-1
+    is visited once, which covers every k with |r| < A t_win."""
     q, A = msc.q, msc.A
     worst_val, worst_dg = 0.0, 0.0
     a = msc.a_point
     g0 = msc.g_value([p[0] for p in a])
     dg0 = msc.dg_norm([p[0] for p in a])
     t_win = msc.orbit.tau(VARTHETA)
-    ks = list(range(1, min(q, 2000))) + \
-        ([] if q <= 2000 else list(range(q - 100, q)))
-    for k in ks:
+    w = math.ceil(A * t_win)
+    for k in [*range(1, min(w, q - 1) + 1), *range(max(w + 1, q - w), q)]:
         r = k - q if 2 * k > q else k   # 0 < k < q
         if abs(r) / A >= t_win:
             continue

@@ -83,13 +83,12 @@ class NFResult:
 
 @dataclass
 class PeriodicSplit:
-    """H = L_v + S + R + G + F per the averaging lemma's bookkeeping.
+    """H = L_v + S + G + F per the averaging lemma's bookkeeping.
 
-    S, R integrable; {G, L_v} = 0; F the active remainder."""
+    S integrable; {G, L_v} = 0; F the active remainder."""
 
     pv: PeriodicVector
     S: FTSeries
-    R: FTSeries
     G: FTSeries
     F: FTSeries
 
@@ -100,11 +99,11 @@ class PeriodicSplit:
     def total(self) -> FTSeries:
         Lv = linear_integrable(self.pv.v, self.n, self.F.K, D_I=max(self.F.D_I, 1),
                                n_w=self.F.n_w, D_w=self.F.D_w)
-        return Lv + self.S + self.R + self.G + self.F
+        return Lv + self.S + self.G + self.F
 
     @classmethod
     def from_hamiltonian(cls, H: FTSeries, pv: PeriodicVector) -> "PeriodicSplit":
-        """Split a full Hamiltonian: integrable -> L_v + S (+R=0), resonant
+        """Split a full Hamiltonian: integrable -> L_v + S, resonant
         nonintegrable -> G, rest -> F."""
         integ = average_zero_mode(H)
         Lv = linear_integrable(pv.v, H.n, H.K, D_I=max(H.D_I, 1),
@@ -112,9 +111,7 @@ class PeriodicSplit:
         S = integ - Lv
         rest = H - integ
         G = average_periodic(rest, pv)
-        F = rest - G
-        R = FTSeries.zeros(H.n, H.K, D_I=H.D_I, D_w=H.D_w, n_w=H.n_w)
-        return cls(pv=pv, S=S, R=R, G=G, F=F)
+        return cls(pv=pv, S=S, G=G, F=rest - G)
 
 
 def averaging_step(split: PeriodicSplit, sigma: float, sp: ScaleProfile,
@@ -133,12 +130,10 @@ def averaging_step(split: PeriodicSplit, sigma: float, sp: ScaleProfile,
     """
     pv = split.pv
     K_out = K_out if K_out is not None else split.F.K
-    D_I_out = D_I_out if D_I_out is not None else max(split.F.D_I, split.R.D_I, 1)
+    D_I_out = D_I_out if D_I_out is not None else max(split.F.D_I, 1)
     T = pv.T
     nu = norm_upper(split.F, sp, s).bound
-    mu = grad_cert(split.S, sp, s)
-    rho = grad_cert(split.R, sp, s)
-    eta = max(mu, rho)
+    eta = grad_cert(split.S, sp, s)
     Csig = sp.cauchy_c(sigma).value
     warnings = []
     if Csig ** 2 * T * nu > s ** 2:
@@ -152,8 +147,8 @@ def averaging_step(split: PeriodicSplit, sigma: float, sp: ScaleProfile,
     G_new = split.G + F_res
     Lv = linear_integrable(pv.v, split.n, K_out, D_I=max(D_I_out, 1),
                            n_w=split.F.n_w, D_w=split.F.D_w)
-    F_new = H_new - Lv - split.S - split.R - G_new
-    new = PeriodicSplit(pv=pv, S=split.S, R=split.R, G=G_new, F=F_new.prune(1e-300))
+    F_new = H_new - Lv - split.S - G_new
+    new = PeriodicSplit(pv=pv, S=split.S, G=G_new, F=F_new.prune(1e-300))
     bound = T * nu * (nu * Csig ** 2 / s ** 2 + eta * Csig / s)
     rep = {
         "nu": nu, "eta": eta, "sigma": sigma, "C_sigma": Csig,
@@ -221,7 +216,7 @@ def periodic_normal_form(H: FTSeries, pv: PeriodicVector, sp: ScaleProfile,
     """
     split = PeriodicSplit.from_hamiltonian(H, pv)
     nu0 = norm_upper(split.F, sp, s).bound
-    eta = max(grad_cert(split.S, sp, s), grad_cert(split.R, sp, s))
+    eta = grad_cert(split.S, sp, s)
     if schedule is None:
         schedule = NFSchedule.build(xi, sp, s, pv.T, eta, nu0, A=A)
     kappa = schedule.kappa
@@ -264,7 +259,7 @@ def periodic_normal_form(H: FTSeries, pv: PeriodicVector, sp: ScaleProfile,
     F_fin = (cur.F - F_res).prune(1e-300)
     Lv = linear_integrable(pv.v, split.n, cur.F.K, D_I=max(cur.F.D_I, 1),
                            n_w=H.n_w, D_w=H.D_w)
-    resonant = (Lv + cur.S + cur.R + G_fin).prune(1e-300)
+    resonant = (Lv + cur.S + G_fin).prune(1e-300)
     return NFResult(generators=[entry["generator"] for entry in log],
                     resonant=resonant, remainder=F_fin,
                     hamiltonian=cur.total(), resonances=[pv],

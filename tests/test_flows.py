@@ -216,6 +216,13 @@ class TestAffineFlow:
                         expect += w[a] * c.eval(th)[0] * f.dtheta(i).eval(sh, I=I)[0]
             assert abs(g.eval(th, I=I, w=w)[0] - expect) < 1e-12
 
+    def test_divergent_tail_raises(self):
+        # the coordinate series share lie_flow's tail monitor and its
+        # maximum order: no silent truncation of a growing tail
+        C, D = small_affine_generator(scale=1.0, seed=3)
+        with pytest.raises(F.LieDivergence):
+            F.affine_flow_lie(C, D, t=1.0, K_out=8)
+
     def test_gronwall_magnitude(self):
         # |F| <= n^2 s^-1 C(sigma) |D| exp(n^2 s^-1 C(sigma)|D|) with slack
         sp = W.ScaleProfile(W.build_sequence(W.gevrey(2), 2048))

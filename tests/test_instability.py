@@ -132,14 +132,15 @@ class TestShearAndCoupling:
         assert out["a_return_error"] < 1e-6
 
 
-def sync_oracle(msc, tol=1e-9):
-    """synchronization_check with tau inverted at every step k."""
+def sync_oracle(msc, tol=1e-9, band=1000):
+    """synchronization_check with tau inverted at every step k within band
+    steps of 0 mod q on either side, window or not."""
     g0 = msc.g_value([p[0] for p in msc.a_point])
     dg0 = msc.dg_norm([p[0] for p in msc.a_point])
     q, A = msc.q, msc.A
     rotators = [msc.primes[msc.j - (msc.n - i)] for i in range(3, msc.n + 1)]
     worst_val = worst_dg = 0.0
-    for k in list(range(1, min(q, 2000))) + ([] if q <= 2000 else list(range(q - 100, q))):
+    for k in sorted(set(range(1, min(q, band + 1))) | set(range(max(1, q - band), q))):
         r = k - q if 2 * k > q else k
         thetas = [math.copysign(msc.orbit.theta_of_t(abs(r) / A), r)]
         thetas += [(k % p) / p for p in rotators]
@@ -172,19 +173,26 @@ class TestMSConstruction:
 
     @pytest.mark.parametrize("nj", [(2, 0), (3, 2)])
     def test_synchronization_equals_per_step_inversion(self, nj):
+        # q is 2.0e11 and 8.5e17 here, so the oracle's band of 1000 steps
+        # on each side of 0 mod q stands in for every k; the window holds
+        # |r| < A t_win <= 12.5 of them
         msc = INS.build_ms(*nj, s=0.05, sp=SP)
+        assert msc.A * msc.orbit.tau(F.VARTHETA) < 1000 < msc.q // 2
         assert INS.synchronization_check(msc) == sync_oracle(msc)
 
     def test_synchronization_inverts_tau_exactly_inside_window(self):
-        msc = INS.build_ms(3, 2, s=0.05, sp=SP)
-        A, t_win = msc.A, msc.orbit.tau(F.VARTHETA)
-        times = []
-        inverse = msc.orbit.theta_of_t
-        msc.orbit.theta_of_t = lambda t: times.append(t) or inverse(t)
-        INS.synchronization_check(msc)
-        # |r| for k = 1..1999, then for k = q-100..q-1
-        steps = [r / A for r in list(range(1, 2000)) + list(range(100, 0, -1))]
-        assert times == [t for t in steps if t < t_win] and len(times) == 24
+        for nj, count in [((3, 2), 24), ((4, 3), 244)]:
+            msc = INS.build_ms(*nj, s=0.05, sp=SP)
+            A, t_win = msc.A, msc.orbit.tau(F.VARTHETA)
+            times = []
+            inverse = msc.orbit.theta_of_t
+            msc.orbit.theta_of_t = lambda t: times.append(t) or inverse(t)
+            INS.synchronization_check(msc)
+            # the in-window residues 0 < r < A t_win, for k = r and then for
+            # k = q - r, r descending
+            inside = [r for r in range(1, int(A * t_win) + 2) if r / A < t_win]
+            assert times == [r / A for r in inside + inside[::-1]], nj
+            assert len(times) == count, nj
 
     def test_synchronization_exact_past_double_precision(self):
         # q = 1.04e25 > 2^53: float phases k/A lose their fractional part

@@ -357,6 +357,20 @@ def _jet_series(K, seed):
     return f
 
 
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=5, deadline=None)
+def test_property_jet_substitution_closed_under_composition(seed):
+    # J(J(f, s1, M1), s2, M2) = J(f, s1 + M1 s2, M1 M2), J(f, s, M) = f(s + M w)
+    J = F.jet_param_substitute
+    r = np.random.default_rng(seed)
+    f = _jet_series(3, seed)
+    s1, s2 = r.normal(scale=0.1, size=(2, 2))
+    M1, M2 = np.eye(2) + r.normal(scale=0.2, size=(2, 2, 2))
+    lhs = J(J(f, s1, M1), s2, M2)
+    rhs = J(f, s1 + M1 @ s2, M1 @ M2)
+    assert (lhs - rhs).coeff_norm1() <= 1e-14 * rhs.coeff_norm1()
+
+
 def _operations(seed):
     """(name, inputs, thunk) for every operation that must leave its inputs alone."""
     pv = D.periodic_from_rational((2, 3), 3)
@@ -365,7 +379,7 @@ def _operations(seed):
     E = [0.01 * rand_series(2, 2, seed + 3), 0.01 * rand_series(2, 2, seed + 4)]
     C = 0.01 * rand_series(2, 2, seed + 5)
     Dg = [0.01 * rand_series(2, 2, seed + 6), 0.01 * rand_series(2, 2, seed + 7)]
-    tr = F.affine_flow_lie(C, Dg, K_out=3, order=4)
+    tr = F.affine_flow_lie(C, Dg, K_out=3)
     tr_series = tr.E + tr.A
     M = np.array([[0.9, 0.1], [0.0, 1.1]])
     return [
