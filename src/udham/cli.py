@@ -123,13 +123,12 @@ def parse_omega(params, n=2):
     return dioph.profile_from_brute(om, int(params.get("q_max", 60)))
 
 
-def _grid(spec: str, default_n=33, log=True):
+def _grid(spec: str):
+    """Log-spaced grid from "lo:hi[:n]" (33 points by default)."""
     parts = str(spec).split(":")
     lo, hi = float(parts[0]), float(parts[1])
-    n = int(parts[2]) if len(parts) > 2 else default_n
-    if log:
-        return np.geomspace(lo, hi, n)
-    return np.linspace(lo, hi, n)
+    n = int(parts[2]) if len(parts) > 2 else 33
+    return np.geomspace(lo, hi, n)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +357,7 @@ def cmd_ms(cfg: ExperimentConfig) -> int:
     manifest = dict(cfg.as_manifest_dict())
     if mode == "exact":
         q = int(p.get("q", 50))
-        cm = instability.coupled_map(q, mode="exact")
+        cm = instability.coupled_map(q)
         res = instability.run_coupled_drift(cm)
         stride = max(1, q * q // int(p.get("csv_rows", 400)))
         rows = [(k, float(res["I1"][k])) for k in range(0, q * q + 1, stride)]

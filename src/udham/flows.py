@@ -92,8 +92,8 @@ class AffineTransform:
         return len(self.E)
 
     @classmethod
-    def identity(cls, n, K, n_w=0, D_w=0):
-        z = lambda: FTSeries.zeros(n, K, D_I=0, D_w=D_w, n_w=n_w)
+    def identity(cls, n, K, n_w=0):
+        z = lambda: FTSeries.zeros(n, K, n_w=n_w)
         return cls(E=[z() for _ in range(n)],
                    A=[_action_component(i, z(), []) for i in range(n)])
 
@@ -246,8 +246,7 @@ def apply_affine(H: FTSeries, tr: AffineTransform, K_out: Optional[int] = None,
                                  if (mm, ww) == key else [], D_I=0)
         out = out + (piece if sum(m) == 0 else
                      product(piece, lpow(m), K_out=K_out, D_I_out=D_I_out))
-    out = out.prune_entries(1e-17 * scale)
-    return FTSeries.from_blocks(out, out.blocks, s=H.s, delta=H.delta, h=H.h)
+    return out.prune_entries(1e-17 * scale)
 
 
 def jet_param_substitute(f: FTSeries, shift, matrix) -> FTSeries:

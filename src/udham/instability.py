@@ -311,9 +311,12 @@ def bump_norm_certificate(sp: ScaleProfile, s: float, l_cap: int = 24,
     return worst
 
 
+MS_S_PRIME_FACTOR = 2.0     # the formula width s' = 2 s
+MS_MAX_RETRIES = 40         # doublings of B before the certificate is given up
+
+
 def build_ms(n: int, j: int, s: float, sp: ScaleProfile,
-             exponent_mode: str = "proof", s_prime: Optional[float] = None,
-             max_retries: int = 40, B_override: Optional[int] = None) -> MSConstruction:
+             exponent_mode: str = "proof") -> MSConstruction:
     """Construct the synchronized coupling data (g_j, G_j, a_j, q_j).
 
     A_j = p_j A_j' with A_j' the product of the n-2 preceding primes.  The
@@ -339,7 +342,7 @@ def build_ms(n: int, j: int, s: float, sp: ScaleProfile,
         for idx in range(lo, j + 1):
             A_prime *= primes[idx]
     A = p_j * A_prime
-    sprime = s_prime if s_prime is not None else 2.0 * s
+    sprime = MS_S_PRIME_FACTOR * s
     c1 = bump_norm_certificate(sp, s)
     factor = 2 * (n - 1) if exponent_mode == "proof" else 2
     EJ = factor * sp.omega_value(sprime * p_j)
@@ -355,18 +358,15 @@ def build_ms(n: int, j: int, s: float, sp: ScaleProfile,
             cert *= (C_NORM * math.exp(sp.omega_value(8.0 * math.pi * pi * s))) ** 2
         return cert
 
-    if B_override is not None:
-        B = B_override
-    else:
-        # the abstract s' hides the mode weights and the tau-composition
-        # constant; the operative B comes from the measured certificate
-        # (B >= A |g|_s makes q^-1|g| <= A^-2), floored by the formula value
-        cert0 = g_cert(flows.tau_norm_certificate(flows.pendulum_periodic_point(1000),
-                                                  sp, s=min(s, 0.01)))
-        B = max(B_formula, 2 * (int(math.ceil(A * cert0 / 2.0)) + 1))
+    # the abstract s' hides the mode weights and the tau-composition
+    # constant; the operative B comes from the measured certificate
+    # (B >= A |g|_s makes q^-1|g| <= A^-2), floored by the formula value
+    cert0 = g_cert(flows.tau_norm_certificate(flows.pendulum_periodic_point(1000),
+                                              sp, s=min(s, 0.01)))
+    B = max(B_formula, 2 * (int(math.ceil(A * cert0 / 2.0)) + 1))
 
     bump_v, bump_d = smooth_bump()
-    for attempt in range(max_retries):
+    for attempt in range(MS_MAX_RETRIES):
         q = A * B
         orbit = flows.pendulum_periodic_point(B)
         tau_cert = flows.tau_norm_certificate(orbit, sp, s=min(s, 0.01))
@@ -451,7 +451,7 @@ class CoupledMap:
     """Psi = Phi^{f x g} o (F x G) on A x A^(n-1).
 
     Exact mode runs the second factor as a rational rotator on the integer
-    lattice Z/rZ, where the synchronization values of eta are *exactly*
+    lattice Z/qZ, where the synchronization values of eta are *exactly*
     {1, 0} (the lattice vanishing is a separately verified identity), so
     only the drift bookkeeping of the coupling lemma is exercised.  The
     transverse dynamics of the synchronized orbit is genuinely unstable,
@@ -463,14 +463,13 @@ class CoupledMap:
     g_funcs: list
     dg_funcs: list
     mode: str
-    rotator_period: int = 0
 
     def step(self, x, y):
         """One application; x = (th1, I1); y: factor states."""
         th1, I1 = x
         th1, I1 = (th1 + I1), I1
         if self.mode == "exact":
-            m = (y[0] + 1) % self.rotator_period
+            m = (y[0] + 1) % self.q
             gv = 1.0 if m == 0 else 0.0   # eta_r on its own lattice
             if gv != 0.0:
                 I1 = I1 + math.cos(TWO_PI * th1) * gv / self.q
@@ -493,27 +492,10 @@ class CoupledMap:
         return (th1 % 1.0, I1), y3
 
 
-def coupled_map(msc_or_q, mode: str = "exact",
-                rotator_period: Optional[int] = None) -> CoupledMap:
-    """Assemble the coupled map.
-
-    exact mode: the second factor is a rational rotator of period q on the
-    integer lattice; pendulum mode: the construction's factors as built."""
-    if isinstance(msc_or_q, MSConstruction):
-        msc = msc_or_q
-        if mode == "pendulum":
-            return CoupledMap(q=msc.q,
-                              factors=msc.factors,
-                              g_funcs=[f.g for f in msc.factors],
-                              dg_funcs=[f.dg for f in msc.factors],
-                              mode=mode)
-        raise ParameterError("exact mode takes q (int) and rotator_period")
-    q = int(msc_or_q)
-    r = rotator_period if rotator_period is not None else q
-    if q % r != 0:
-        raise ParameterError("rotator period must divide q")
-    return CoupledMap(q=q, factors=[], g_funcs=[], dg_funcs=[], mode="exact",
-                      rotator_period=r)
+def coupled_map(q: int) -> CoupledMap:
+    """The exact-mode coupled map: the second factor is a rational rotator
+    of period q on the integer lattice."""
+    return CoupledMap(q=int(q), factors=[], g_funcs=[], dg_funcs=[], mode="exact")
 
 
 def eta_lattice_identity(p: int) -> dict:

@@ -40,12 +40,11 @@ def linear_integrable(v, n, K, D_I=1, n_w=0, D_w=0) -> FTSeries:
     return out
 
 
-def grad_cert(f: FTSeries, sp: ScaleProfile, s: float, wrt="I") -> float:
-    """Certificate of the l1 action gradient (or angle gradient)."""
+def grad_cert(f: FTSeries, sp: ScaleProfile, s: float) -> float:
+    """Certificate of the l1 action gradient."""
     total = 0.0
     for i in range(f.n):
-        g = f.dI(i) if wrt == "I" else f.dtheta(i)
-        total += norm_upper(g, sp, s).bound
+        total += norm_upper(f.dI(i), sp, s).bound
     return total
 
 
@@ -419,6 +418,8 @@ def kam_hamiltonian_from_mechanical(f: FTSeries, eps: float, omega0,
     With I = omega + J:  H = e(omega) + omega.J + |J|^2/2 + eps f, where
     e(omega) = |omega|^2/2 enters only through its jet (degree <= 1 here;
     e never drives the dynamics)."""
+    if f.K > K:
+        raise ParameterError(f"perturbation bandwidth {f.K} exceeds K = {K}")
     omega0 = np.asarray(omega0, dtype=float)
     n = len(omega0)
     H = FTSeries.zeros(n, K, D_I=D_I, D_w=1, n_w=n)
@@ -432,51 +433,31 @@ def kam_hamiltonian_from_mechanical(f: FTSeries, eps: float, omega0,
         H.set_mode(zero, 1.0, m=ei, w=ei)
         H.set_mode(zero, 0.5, m=tuple(2 * x for x in ei))
     lifted = f.map_monomials(lambda m, w: [((m, zero), eps)], n_w=n, D_w=1)
-    H = FTSeries.from_blocks(H, (H + lifted).blocks)
-    return KamHamiltonian(H=H, omega0=omega0)
+    return KamHamiltonian(H=H + lifted, omega0=omega0)
 
 
 @dataclass
 class KamStepReport:
-    Q: float
-    sigma: float
-    basis: list
-    certs_before: dict
     certs_after: dict
-    conditions: dict
     phi_shift: np.ndarray
     phi_matrix: np.ndarray
 
 
-def kam_step(kh: KamHamiltonian, fp: FrequencyProfile, Q: float, sigma: float,
-             sp: ScaleProfile, s: float, c2: float = 1.0,
-             mu_cond: Optional[float] = None, h_cond: Optional[float] = None,
-             r_cond: Optional[float] = None, delta_cond: Optional[float] = None):
+def kam_step(kh: KamHamiltonian, fp: FrequencyProfile, Q: float,
+             sp: ScaleProfile, s: float):
     """One affine KAM step: n successive rational averagings + counterterm.
 
-    Produces the composed transform (E, A) with its frequency map phi
-    solved exactly at jet level, the pulled-back Hamiltonian, and measured
-    contraction certificates (|A+| vs eps/16, |B+| vs mu/4 when the
-    preconditions hold)."""
+    Averages along the rational basis of ``dioph.zbasis_approx(fp, Q)`` and
+    solves the frequency map phi exactly at jet level.  Returns the
+    pulled-back Hamiltonian, the composed transform (E, A) and a report
+    holding the certificates |A+|, |B+|, |R+| at width s of the new
+    Hamiltonian and the jet (phi_shift, phi_matrix) of phi."""
     n = kh.n
     H = kh.H
     K = H.K
-    zb = dioph.zbasis_approx(fp, Q)
-    basis = zb.vectors
-    parts = kh.parts()
-    certs0 = kh.certs(sp, s)
-    eps_c, mu_c = certs0["A"], certs0["B"]
-    cond = {
-        "sqrt_eps<=mu": math.sqrt(max(eps_c, 0.0)) <= max(mu_c, math.sqrt(eps_c)),
-        "h<=1/(Q Psi Q)": (h_cond or 0.0) <= 1.0 / fp.delta(Q),
-        "r mu<=delta/(Q Psi)": True if r_cond is None or delta_cond is None
-        else r_cond * mu_c <= delta_cond / fp.delta(Q),
-        "QsC^-1": (1.0 + certs0["R"]) <= Q * s / sp.cauchy_c(sigma).value / c2,
-    }
-
     Hc = H
     tr_total = None
-    for pv in basis:
+    for pv in dioph.zbasis_approx(fp, Q).vectors:
         p_cur = KamHamiltonian(H=Hc, omega0=kh.omega0).parts()
         Cj = solve_homological_periodic(p_cur["A"], pv)
         Dj = [solve_homological_periodic(b, pv) for b in p_cur["B"]]
@@ -495,10 +476,7 @@ def kam_step(kh: KamHamiltonian, fp: FrequencyProfile, Q: float, sigma: float,
     phi_shift = -phi_matrix @ b0       # phi_0 - omega_0
     Hn = jet_param_substitute(Hc, phi_shift, phi_matrix)
     new = KamHamiltonian(H=Hn.prune(1e-300), omega0=kh.omega0)
-    certs1 = new.certs(sp, s)
-    report = KamStepReport(Q=Q, sigma=sigma, basis=basis,
-                           certs_before=certs0, certs_after=certs1,
-                           conditions=cond, phi_shift=phi_shift,
+    report = KamStepReport(certs_after=new.certs(sp, s), phi_shift=phi_shift,
                            phi_matrix=phi_matrix)
     return new, tr_total, report
 
@@ -517,14 +495,11 @@ class KamSchedule:
 
     @classmethod
     def build(cls, sp: ScaleProfile, fp: FrequencyProfile, s: float, n: int,
-              eta: float = 0.0, c2: float = 1.0, i_max: int = 12,
-              Q0: Optional[float] = None) -> "KamSchedule":
-        if Q0 is None:
-            rep = dioph.br_test(sp, fp, s=s, eta=eta, n=n, i_max=max(i_max, 20),
-                                c2=c2)
-            if rep.verdict != "ConvergedWithinBudget":
-                raise HorizonError(f"no admissible Q0: {rep.verdict}")
-            Q0 = rep.Q0
+              eta: float = 0.0, c2: float = 1.0, i_max: int = 12) -> "KamSchedule":
+        rep = dioph.br_test(sp, fp, s=s, eta=eta, n=n, i_max=max(i_max, 20), c2=c2)
+        if rep.verdict != "ConvergedWithinBudget":
+            raise HorizonError(f"no admissible Q0: {rep.verdict}")
+        Q0 = rep.Q0
         Qs, sigmas = dioph._dyadic_sigmas(sp, fp, Q0, s, eta, i_max, c2)
         budget = math.log(2.0) / (4.0 * n + 2.0)
         prod = float(np.exp((2 * n + 1) * np.sum(np.log1p(-sigmas))))
@@ -553,8 +528,7 @@ def _embedding(tr: AffineTransform):
 
 
 def kam_iterate(kh: KamHamiltonian, fp: FrequencyProfile, sp: ScaleProfile,
-                s: float, n_iter: int = 6, schedule: Optional[KamSchedule] = None,
-                eta: float = 0.0, c2: float = 1.0, defect_fn=None,
+                s: float, schedule: KamSchedule, n_iter: int = 6, defect_fn=None,
                 tol: float = 1e-9) -> KamIterateResult:
     """Iterate the KAM step with the geometric schedules.
 
@@ -562,9 +536,6 @@ def kam_iterate(kh: KamHamiltonian, fp: FrequencyProfile, sp: ScaleProfile,
     through each step's frequency map); the invariance defect is measured by
     the caller-supplied defect_fn(E*, G*, omega_star) each iteration."""
     n = kh.n
-    if schedule is None:
-        schedule = KamSchedule.build(sp, fp, s, n, eta=eta, c2=c2,
-                                     i_max=max(n_iter + 2, 8))
     tr_total = None
     phi0_total = kh.omega0.copy()
     phi1_total = np.eye(n)
@@ -574,7 +545,7 @@ def kam_iterate(kh: KamHamiltonian, fp: FrequencyProfile, sp: ScaleProfile,
     converged = False
     for i in range(n_iter):
         Q_i, sig_i = float(schedule.Qs[i]), float(schedule.sigmas[i])
-        cur, tr_i, rep = kam_step(cur, fp, Q_i, sig_i, sp, s, c2=c2)
+        cur, tr_i, rep = kam_step(cur, fp, Q_i, sp, s)
         if tr_total is None:
             tr_total = tr_i
         else:
@@ -585,8 +556,7 @@ def kam_iterate(kh: KamHamiltonian, fp: FrequencyProfile, sp: ScaleProfile,
         phi0_total = phi0_total + phi1_total @ rep.phi_shift
         phi1_total = phi1_total @ rep.phi_matrix
         certs.append({"iter": i, "Q": Q_i, "sigma": sig_i,
-                      "A": rep.certs_after["A"], "B": rep.certs_after["B"],
-                      "conditions": rep.conditions})
+                      "A": rep.certs_after["A"], "B": rep.certs_after["B"]})
         if defect_fn is not None:
             d = defect_fn(*_embedding(tr_total), phi0_total)
             defects.append(d)

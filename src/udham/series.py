@@ -27,7 +27,7 @@ import numpy as np
 from .weights import C_NORM, ParameterError, ScaleProfile
 
 TWO_PI = 2.0 * math.pi
-_META = ("n", "K", "D_I", "D_w", "n_w", "s", "delta", "h", "real")
+_META = ("n", "K", "D_I", "D_w", "n_w")
 
 
 class DomainMismatch(ValueError):
@@ -50,8 +50,11 @@ def _real_projection(coef, n):
 
 @dataclass
 class FTSeries:
-    """Truncated Fourier-Taylor series.
+    """Truncated real Fourier-Taylor series.
 
+    A series carries its dimensions and truncation (n, K, D_I, n_w, D_w)
+    and nothing else: every certificate takes its width s explicitly, and
+    every series is real (c_{-k} = conj(c_k), up to round-off).
     Storage is stacked: ``keys`` is the tuple of the present (m, w)
     monomials and ``coef`` one complex array of shape
     (len(keys), (2K+1,)*n) whose row r is the angle block of keys[r], mode k
@@ -73,10 +76,6 @@ class FTSeries:
     D_I: int
     D_w: int
     n_w: int = 0
-    s: float = 1.0
-    delta: float = 1.0
-    h: float = 0.0
-    real: bool = True
     keys: tuple = field(default=(), init=False)
     coef: np.ndarray = field(default=None, init=False, repr=False)
 
@@ -86,8 +85,8 @@ class FTSeries:
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def zeros(cls, n, K, D_I=0, D_w=0, n_w=0, **kw):
-        return cls(n=n, K=K, D_I=D_I, D_w=D_w, n_w=n_w, **kw)
+    def zeros(cls, n, K, D_I=0, D_w=0, n_w=0):
+        return cls(n=n, K=K, D_I=D_I, D_w=D_w, n_w=n_w)
 
     def _new(self, keys, coef, **meta) -> "FTSeries":
         """A series with self's metadata, overridden by meta, and these rows."""
@@ -118,7 +117,7 @@ class FTSeries:
 
         samples maps (m, w) to values at the N^n points theta = j/N (C
         order); their FFT coefficients are truncated to K (like's, or
-        meta's) and projected onto real series when the result is real.
+        meta's) and projected onto real series.
         report, if given, receives the 'aliasing_mass' the truncation drops.
         """
         out = like._new((), None, **meta)
@@ -132,9 +131,7 @@ class FTSeries:
         kept = coef[np.ix_(np.arange(len(keys)), *([idx] * n))]
         if report is not None:
             report["aliasing_mass"] = float(np.sum(np.abs(coef)) - np.sum(np.abs(kept)))
-        if out.real:
-            kept = _real_projection(kept, n)
-        return out._new(keys, kept).prune()
+        return out._new(keys, _real_projection(kept, n)).prune()
 
     def _shape(self):
         return (2 * self.K + 1,) * self.n
@@ -274,9 +271,7 @@ class FTSeries:
             rows = np.array([row[key] for key in src.keys], dtype=np.intp)
             coef[(rows,) + (slice(pad, pad + 2 * src.K + 1),) * self.n] += fac * src.coef
         return self._new(keys, coef, K=K, D_I=max(self.D_I, other.D_I),
-                         D_w=max(self.D_w, other.D_w), s=min(self.s, other.s),
-                         delta=min(self.delta, other.delta), h=max(self.h, other.h),
-                         real=self.real and other.real)
+                         D_w=max(self.D_w, other.D_w))
 
     def __mul__(self, a):
         if isinstance(a, FTSeries):
@@ -331,7 +326,7 @@ class FTSeries:
         for (m, ww), v in vals.items():
             out += v * np.prod(I ** np.array(m), axis=-1) * \
                 (np.prod(wv ** np.array(ww)) if self.n_w else 1.0)
-        return out.real if self.real else out
+        return out.real
 
     def grid_values(self, N=None) -> dict:
         """Per-block values on the uniform N^n grid via inverse FFT."""
@@ -347,10 +342,12 @@ class FTSeries:
     # -- serialization ------------------------------------------------------------
 
     def to_text(self) -> str:
+        """`.fts` text: "ftseries 1", then the header "n K D_I n_w D_w
+        1.0 1.0 0.0 1" (columns 6-9 are fixed; the last is the reality
+        flag), then one "k m w re im" line per nonzero coefficient."""
         buf = io.StringIO()
         buf.write("ftseries 1\n")
-        buf.write(f"{self.n} {self.K} {self.D_I} {self.n_w} {self.D_w} "
-                  f"{self.s!r} {self.delta!r} {self.h!r} {int(self.real)}\n")
+        buf.write(f"{self.n} {self.K} {self.D_I} {self.n_w} {self.D_w} 1.0 1.0 0.0 1\n")
         for k, m, w, c in self.terms():
             fields = list(k) + list(m) + list(w) + [repr(c.real), repr(c.imag)]
             buf.write(" ".join(str(x) for x in fields) + "\n")
@@ -361,10 +358,11 @@ class FTSeries:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("ftseries"):
             raise ParameterError("not an ftseries file")
-        hdr = lines[1].split()
+        hdr = lines[1].split() if len(lines) > 1 else []
+        if len(hdr) != 9 or hdr[8] != "1":
+            raise ParameterError("ftseries header must have nine fields and "
+                                 "reality flag 1 (only real series are read)")
         n, K, D_I, n_w, D_w = (int(x) for x in hdr[:5])
-        s, delta, h = (float(x) for x in hdr[5:8])
-        real = bool(int(hdr[8]))
         blocks = {}
         for ln in lines[2:]:
             parts = ln.split()
@@ -374,7 +372,7 @@ class FTSeries:
             re_, im_ = float(parts[-2]), float(parts[-1])
             block = blocks.setdefault((m, w), np.zeros((2 * K + 1,) * n, dtype=complex))
             block[k] = re_ + 1j * im_
-        like = cls(n=n, K=K, D_I=D_I, D_w=D_w, n_w=n_w, s=s, delta=delta, h=h, real=real)
+        like = cls(n=n, K=K, D_I=D_I, D_w=D_w, n_w=n_w)
         return cls.from_blocks(like, blocks)
 
 
@@ -403,7 +401,7 @@ def _horner(arr, zs, K):
 
 
 def product(f: FTSeries, g: FTSeries, K_out: Optional[int] = None,
-            D_I_out: Optional[int] = None, D_w_out: Optional[int] = None,
+            D_I_out: Optional[int] = None,
             report: Optional[dict] = None) -> FTSeries:
     """Coefficient product; angle part by zero-padded FFT (exact), action
     and parameter parts by exponent convolution truncated to D_I/D_w.
@@ -415,7 +413,11 @@ def product(f: FTSeries, g: FTSeries, K_out: Optional[int] = None,
     K_full = f.K + g.K
     K_out = K_out if K_out is not None else max(f.K, g.K)
     D_I_out = D_I_out if D_I_out is not None else f.D_I + g.D_I
-    D_w_out = D_w_out if D_w_out is not None else max(f.D_w, g.D_w)
+    D_w = max(f.D_w, g.D_w)
+    if not f.keys or not g.keys:
+        if report is not None:
+            report["discarded_fourier"] = report["discarded_action"] = 0.0
+        return f._new((), None, K=K_out, D_I=D_I_out, D_w=D_w)
     L = 2 * K_full + 1
     n = f.n
     axes = f._angle_axes()
@@ -432,7 +434,7 @@ def product(f: FTSeries, g: FTSeries, K_out: Optional[int] = None,
         for j, (m2, w2) in enumerate(g.keys):
             m = tuple(a + b for a, b in zip(m1, m2))
             w = tuple(a + b for a, b in zip(w1, w2))
-            if sum(w) > D_w_out:
+            if sum(w) > D_w:
                 continue  # jet truncation: silent by design
             if sum(m) > D_I_out:
                 if report is not None:
@@ -456,10 +458,7 @@ def product(f: FTSeries, g: FTSeries, K_out: Optional[int] = None,
     if report is not None:
         report["discarded_fourier"] = disc_fourier
         report["discarded_action"] = disc_action
-    real = f.real and g.real
-    out = f._new(list(rows), _real_projection(kept, n) if real else kept.copy(),
-                 K=K_out, D_I=D_I_out, D_w=D_w_out, s=min(f.s, g.s),
-                 delta=min(f.delta, g.delta), h=max(f.h, g.h), real=real)
+    out = f._new(list(rows), _real_projection(kept, n), K=K_out, D_I=D_I_out, D_w=D_w)
     return out.prune()
 
 
@@ -555,14 +554,13 @@ class NormCertificate:
         return self.bound
 
 
-def norm_upper(f: FTSeries, sp: ScaleProfile, s: Optional[float] = None) -> NormCertificate:
+def norm_upper(f: FTSeries, sp: ScaleProfile, s: float) -> NormCertificate:
     """Certified upper bound for |f|_{M,s} on the unit polydomain.
 
     Each monomial e^{2 pi i k.theta} I^m w^w has all mixed partials bounded
     by rho^|a| with rho = 2 pi |k|_1 + |m| + |w|, so its norm is at most
     c exp(Omega(4 s rho)) using (|a|+1)^2 <= 4^|a|.
     """
-    s = s if s is not None else f.s
     nz = np.nonzero(np.abs(f.coef) > 0)
     degree = np.array([sum(m) + sum(w) for m, w in f.keys], dtype=float)
     k1 = np.sum(np.abs(np.stack(nz[1:]) - f.K), axis=0)
@@ -576,10 +574,9 @@ def norm_upper(f: FTSeries, sp: ScaleProfile, s: Optional[float] = None) -> Norm
                            constants={"c": C_NORM, "freq_scale": "2pi|k|_1 + |m| + |w|"})
 
 
-def decay_check(f: FTSeries, sp: ScaleProfile, s: Optional[float] = None,
+def decay_check(f: FTSeries, sp: ScaleProfile, s: float,
                 bound: Optional[float] = None) -> dict:
     """Check |f_k| <= (bound/c) exp(-Omega(2 pi s |k|_inf)) modewise."""
-    s = s if s is not None else f.s
     if bound is None:
         bound = norm_upper(f, sp, s).bound
     worst_margin = math.inf

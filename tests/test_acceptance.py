@@ -328,7 +328,7 @@ def test_criterion_11_marco_sauzin():
     # exact-mode coupled drift to 1e-9 for q <= 100
     worst_d = 0.0
     for q in [12, 50, 100]:
-        out = INS.run_coupled_drift(INS.coupled_map(q, mode="exact"))
+        out = INS.run_coupled_drift(INS.coupled_map(q))
         worst_d = max(worst_d, out["drift_error"])
     ok &= worst_d <= 1e-9
     details.append(f"exact coupled {worst_d:.1e}")

@@ -248,6 +248,15 @@ class TestHamiltonianFileInput:
         assert code == 0
         assert (out / "remainder.fts").exists()
 
+    def test_nf_rejects_complex_series_file(self, tmp_path, capsys):
+        ham = tmp_path / "H.fts"
+        ham.write_text("ftseries 1\n2 8 1 0 0 1.0 1.0 0.0 0\n0 0 1 0 1.0 0.0\n")
+        code = run(["nf", "--family", "gevrey", "--alpha", "2",
+                    "--hamiltonian", str(ham), "--v", "1,0", "--T", "1",
+                    "--outdir", str(tmp_path / "nf")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
 
 class TestAcceptanceReportAggregation:
     def test_acceptance_lines_become_rows(self, tmp_path):

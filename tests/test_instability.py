@@ -73,7 +73,7 @@ class TestShearAndCoupling:
 
     def test_exact_mode_full_drift(self):
         for q in [12, 50, 100]:
-            cm = INS.coupled_map(q, mode="exact")
+            cm = INS.coupled_map(q)
             out = INS.run_coupled_drift(cm)
             assert out["drift_error"] <= 1e-9
             assert out["a_return_error"] == 0.0
@@ -81,7 +81,7 @@ class TestShearAndCoupling:
 
     def test_exact_mode_blocks_return_a(self):
         q = 9
-        cm = INS.coupled_map(q, mode="exact")
+        cm = INS.coupled_map(q)
         x = (0.0, 0.0)
         y = [0]
         for k in range(1, q * q + 1):

@@ -198,7 +198,7 @@ class TestKamStep:
     def test_zero_perturbation_identity(self):
         f = FTSeries.zeros(2, 8)
         kh = NF.kam_hamiltonian_from_mechanical(f, 0.0, GOLD, K=8)
-        new, tr, rep = NF.kam_step(kh, D.golden_profile(), 10.0, 0.05, SP, 0.25)
+        new, tr, rep = NF.kam_step(kh, D.golden_profile(), 10.0, SP, 0.25)
         assert rep.certs_after["A"] == 0.0
         assert rep.certs_after["B"] == 0.0
         assert np.max(np.abs(rep.phi_shift)) == 0.0
@@ -213,7 +213,7 @@ class TestKamStep:
         def ratio(eps):
             kh = NF.kam_hamiltonian_from_mechanical(f, eps, GOLD, K=8)
             c0 = kh.certs(SP, 0.1)
-            new, tr, rep = NF.kam_step(kh, fp, 10.0, 0.05, SP, 0.1)
+            new, tr, rep = NF.kam_step(kh, fp, 10.0, SP, 0.1)
             return rep.certs_after["A"] / c0["A"]
 
         lo, hi = 1e-9, 1e-2
@@ -233,11 +233,16 @@ class TestKamStep:
         kh = NF.kam_hamiltonian_from_mechanical(f, eps, GOLD, K=8)
         p0 = kh.parts()
         certA = kh.certs(SP, 0.1)["A"]
-        new, tr, rep = NF.kam_step(kh, fp, 10.0, 0.05, SP, 0.1)
+        new, tr, rep = NF.kam_step(kh, fp, 10.0, SP, 0.1)
         p1 = new.parts()
         # e+ - e o phi: first order in the counterterm jets
         de = abs(p1["e0"] - (p0["e0"] + p0["e1"] @ rep.phi_shift))
         assert de <= certA
+
+    def test_perturbation_wider_than_K_rejected(self):
+        f = FTSeries.zeros(2, 6).add_cos((5, 0))
+        with pytest.raises(W.ParameterError):
+            NF.kam_hamiltonian_from_mechanical(f, 1e-4, GOLD, K=4)
 
 
 class TestKamIterate:

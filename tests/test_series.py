@@ -57,6 +57,11 @@ class TestProduct:
         rep2 = {}
         product(a, b, K_out=12, report=rep2)
         assert rep2["discarded_fourier"] < 1e-12
+        # an operand without monomials gives the empty series and drops nothing
+        rep3 = {}
+        p = product(a, FTSeries.zeros(1, 2, D_I=1), K_out=5, report=rep3)
+        assert not p.keys and (p.K, p.D_I, p.D_w) == (5, 1, 0)
+        assert rep3 == {"discarded_fourier": 0.0, "discarded_action": 0.0}
 
     def test_action_degree_convolution(self):
         f = FTSeries.zeros(1, 1, D_I=1)
@@ -282,14 +287,19 @@ class TestEvalAndIO:
         assert np.max(np.abs(np.imag(f.eval_blocks(pts)[((0, 0), ())]))) <= 1e-12
 
     def test_serialization_roundtrip(self):
-        f = FTSeries.zeros(2, 2, D_I=1, D_w=1, n_w=2, s=0.7, delta=0.5, h=0.1)
-        f.real = False
+        f = FTSeries.zeros(2, 2, D_I=1, D_w=1, n_w=2)
         f.set_mode((1, -2), 0.3 + 0.04j, m=(1, 0), w=(0, 1))
         f.set_mode((0, 0), -1.25)
+        assert f.to_text().splitlines()[1] == "2 2 1 2 1 1.0 1.0 0.0 1"
         g = FTSeries.from_text(f.to_text())
-        assert g.K == f.K and g.s == f.s and g.n_w == 2
+        assert g.K == f.K and g.n_w == 2
         assert g.get_mode((1, -2), m=(1, 0), w=(0, 1)) == 0.3 + 0.04j
         assert g.get_mode((0, 0)) == -1.25
+
+    @pytest.mark.parametrize("header", ["2 2 0 0 0 1.0 1.0 0.0 0", "2 2 0 0 0"])
+    def test_from_text_rejects_other_headers(self, header):
+        with pytest.raises(W.ParameterError):
+            FTSeries.from_text(f"ftseries 1\n{header}\n1 0 0 0 0.5 0.0\n")
 
 
 @given(st.integers(min_value=0, max_value=999))
