@@ -22,6 +22,7 @@ instability construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,10 +37,16 @@ TWO_PI = 2.0 * math.pi
 # absolute floor below which a finished coordinate series of a Lie flow
 # stores no coefficient
 _NOISE_FLOOR = 1e-18
+# relative l1 bound at which compose_angle's Taylor expansion stops
+TAYLOR_TOL = 1e-17
 
 
 class LieDivergence(RuntimeError):
     """Lie-series tail stopped decreasing before the tolerance was met."""
+
+
+class TaylorTailError(RuntimeError):
+    """Taylor tail of an angle composition not met by the order cap."""
 
 
 class StiffnessError(RuntimeError):
@@ -137,10 +144,15 @@ def _action_component(i, G: FTSeries, F_row: list) -> FTSeries:
     return A + FTSeries.zeros(n, G.K, D_I=1, n_w=G.n_w).set_mode((0,) * n, 1.0, m=units[i])
 
 
+def _collocation_size(K_out):
+    """Points per axis of the collocation grid for results truncated to
+    K_out: twice the 2 K_out + 1 modes kept."""
+    return 2 * (2 * K_out + 1)
+
+
 def _collocation_grid(n, K_out):
-    """Uniform collocation grid for results truncated to K_out: N points per
-    axis, twice the 2 K_out + 1 modes kept, flattened in C order (N^n, n)."""
-    N = 2 * (2 * K_out + 1)
+    """Uniform collocation grid, flattened in C order (N^n, n)."""
+    N = _collocation_size(K_out)
     axes = [np.arange(N) / N] * n
     return N, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
 
@@ -151,6 +163,66 @@ def _grid_shift(e: FTSeries, N):
     return np.zeros(N ** e.n) if vals is None else vals.real.reshape(-1)
 
 
+def _taylor_order_cap(x: float) -> int:
+    """Least order j with e^x x^(j+1)/(j+1)! <= TAYLOR_TOL/2."""
+    j, term = 0, x
+    while math.exp(x) * term > 0.5 * TAYLOR_TOL:
+        j += 1
+        term *= x / (j + 1)
+    return j
+
+
+def _multi_indices(n, j):
+    """Every alpha in N^n with |alpha| = j."""
+    return [a for a in itertools.product(range(j + 1), repeat=n) if sum(a) == j]
+
+
+def _nearest_node_taylor(f: FTSeries, N: int, node, delta, betas):
+    """d^beta f at theta_node + delta for each beta, by Taylor expansion on
+    the uniform N^n grid: sum over alpha of d^(alpha+beta) f(theta_node)
+    delta^alpha / alpha!, each d^gamma f grid from one inverse FFT.
+
+    node: flat grid index of each point's expansion node (or a slice);
+    delta: (P, n) offsets, |delta_i| <= 1/(2N).  Orders are added until, for
+    every beta, the bound sum_k |c_k| |(2 pi k)^beta| x_k^(j+1) e^(x_k)/(j+1)!
+    on the remainder (x_k = 2 pi sum_i |k_i| max|delta_i|) is at most
+    TAYLOR_TOL times the same sum without the x factor.  The order cap is
+    where |delta_i| = 1/(2N) would meet that bound; reaching it raises
+    TaylorTailError.  Returns ([(len(keys), P) values per beta], order,
+    [tail bound per beta]).
+    """
+    n, K = f.n, f.K
+    amp = sum(np.abs(b) for b in f.blocks.values())
+    k = np.abs(np.stack(np.meshgrid(*([np.arange(-K, K + 1)] * n), indexing="ij")))
+    x = TWO_PI * np.tensordot(np.max(np.abs(delta), axis=0), k, axes=1)
+    weights = [amp * np.prod([(TWO_PI * ki) ** b for ki, b in zip(k, beta)], axis=0)
+               for beta in betas]
+    tols = [TAYLOR_TOL * np.sum(w) for w in weights]
+    cap = _taylor_order_cap(math.pi * n * K / N)
+    grids = {}
+
+    def grid(gamma):
+        if gamma not in grids:
+            grids[gamma] = f.derivative_grid(gamma, N).reshape(len(f.keys), -1)[:, node]
+        return grids[gamma]
+
+    vals = [0.0] * len(betas)
+    rem = x * np.exp(x)                       # x^(j+1) e^x / (j+1)! at j = 0
+    for j in range(cap + 1):
+        for alpha in _multi_indices(n, j):
+            mono = np.prod([delta[:, i] ** a / math.factorial(a)
+                            for i, a in enumerate(alpha)], axis=0)
+            for b, beta in enumerate(betas):
+                vals[b] = vals[b] + grid(tuple(a + c for a, c in zip(alpha, beta))) * mono
+        for gamma in [g for g in grids if sum(g) <= j]:
+            del grids[gamma]
+        tails = [float(np.sum(w * rem)) for w in weights]
+        if all(t <= tol for t, tol in zip(tails, tols)):
+            return vals, j, tails
+        rem = rem * x / (j + 2)
+    raise TaylorTailError(f"Taylor tail {max(tails):.3e} after the order cap {cap}")
+
+
 def compose_angle(f: FTSeries, E0: list, E1: Optional[list] = None,
                   K_out: Optional[int] = None,
                   report: Optional[dict] = None) -> FTSeries:
@@ -158,30 +230,53 @@ def compose_angle(f: FTSeries, E0: list, E1: Optional[list] = None,
 
     E0 is the base shift (n series), E1 an optional list indexed by
     parameter a of first-order jet shifts; the composition is expanded to
-    first order in w (jet semantics).  Collocation: the shifts come from an
-    inverse FFT on the uniform grid, f and its gradients are evaluated at
-    the shifted points, then FFT and truncate.
+    first order in w (jet semantics).  Collocation on the uniform N^n grid,
+    N = 2 (2 K_out + 1): the shifts come from `grid_values`; f and the
+    gradient the jets need are Taylor-expanded about the grid node nearest
+    each shifted point (`_nearest_node_taylor`, Anderson-Dahleh), so
+    |delta| <= 1/(2N) for any shift; then FFT and truncate.
+    report, if given, receives 'aliasing_mass' (from `from_samples`),
+    'taylor_order', the highest order added, and 'taylor_tail', the
+    certified bound on the samples' error summed over blocks.
     """
     n = f.n
     K_out = K_out if K_out is not None else f.K
-    N, grid = _collocation_grid(n, K_out)
-    pts = grid + np.stack([_grid_shift(e, N) for e in E0], axis=-1)
-    acc = f.eval_blocks(pts)
-    if E1 is not None:
-        # first-order jet correction w_a E1^a . grad_theta f at the shifted
-        # points; only blocks with |w| + 1 <= D_w survive the jet truncation
-        low = f.map_monomials(lambda m, w: [((m, w), 1.0)] if sum(w) < f.D_w else [])
-        grads = {}
-        for a, E1a in enumerate(E1):
-            for i, c in enumerate(E1a):
-                if c is None:
-                    continue
-                if i not in grads:
-                    grads[i] = low.dtheta(i).eval_blocks(pts)
-                e1v = _grid_shift(c, N)
-                for (m, w), v in grads[i].items():
-                    key = (m, w[:a] + (w[a] + 1,) + w[a + 1:])
-                    acc[key] = acc.get(key, 0.0) + v * e1v
+    if not f.keys:
+        if report is not None:
+            report.update(aliasing_mass=0.0, taylor_order=0, taylor_tail=0.0)
+        return FTSeries.from_blocks(f, {}, K=K_out)
+    N = _collocation_size(K_out)
+    with np.errstate(invalid="ignore", over="ignore"):
+        shift = np.stack([_grid_shift(e, N) for e in E0], axis=-1)
+    if not np.all(np.isfinite(shift)):
+        raise ParameterError("angle shift is not finite")
+    steps = np.rint(N * shift)                # grid steps to the nearest node
+    delta = shift - steps / N
+    if np.any(steps):
+        base = np.indices((N,) * n).reshape(n, -1)
+        node = np.ravel_multi_index(
+            (base + (steps.T % N).astype(np.int64)) % N, (N,) * n)
+    else:
+        node = slice(None)
+    jets = [] if E1 is None else [(a, i, _grid_shift(c, N))
+                                  for a, E1a in enumerate(E1)
+                                  for i, c in enumerate(E1a) if c is not None]
+    axes = sorted({i for _, i, _ in jets})
+    units = [tuple(int(b == i) for b in range(n)) for i in axes]
+    vals, order, tails = _nearest_node_taylor(f, N, node, delta, [(0,) * n] + units)
+    acc = dict(zip(f.keys, vals[0]))
+    # first-order jet correction w_a E1^a . grad_theta f at the shifted
+    # points; only blocks with |w| + 1 <= D_w survive the jet truncation
+    for a, i, e1v in jets:
+        grad = vals[1 + axes.index(i)]
+        for (m, w), v in zip(f.keys, grad):
+            if sum(w) < f.D_w:
+                key = (m, w[:a] + (w[a] + 1,) + w[a + 1:])
+                acc[key] = acc.get(key, 0.0) + v * e1v
+    if report is not None:
+        report["taylor_order"] = order
+        report["taylor_tail"] = tails[0] + sum(
+            float(np.max(np.abs(e1v))) * tails[1 + axes.index(i)] for _, i, e1v in jets)
     return FTSeries.from_samples(f, acc, N, report=report, K=K_out)
 
 
@@ -214,7 +309,7 @@ def apply_affine(H: FTSeries, tr: AffineTransform, K_out: Optional[int] = None,
             and all((a - u).coeff_norm1() == 0.0 for a, u in zip(tr.A, ident))):
         out = H.rebanded(K_out)
         if report is not None:
-            report["aliasing_mass"] = 0.0
+            report.update(aliasing_mass=0.0, taylor_order=0, taylor_tail=0.0)
         return out
     base, first = _jet_shift_components(tr.E)
     scale = max(H.sup_coeff(), 1.0)

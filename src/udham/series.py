@@ -333,11 +333,26 @@ class FTSeries:
         N = N if N is not None else 2 * self.K + 2
         if N < 2 * self.K + 1:
             raise ParameterError("grid too small for the stored bandwidth")
-        buf = np.zeros((len(self.keys),) + (N,) * self.n, dtype=complex)
-        idx = np.arange(-self.K, self.K + 1) % N
-        buf[np.ix_(np.arange(len(self.keys)), *([idx] * self.n))] = self.coef
-        vals = np.fft.ifftn(buf, axes=self._angle_axes()) * N ** self.n
-        return dict(zip(self.keys, vals))
+        return dict(zip(self.keys, self.derivative_grid((0,) * self.n, N)))
+
+    def derivative_grid(self, alpha, N: int) -> np.ndarray:
+        """d^alpha f / d theta^alpha of every block on the uniform N^n grid
+        theta = j/N, stacked as (len(keys),) + (N,)*n, by one inverse FFT.
+
+        Mode k lands on grid frequency k mod N; modes that coincide there
+        are summed, so the values are exact samples for any N, also below
+        the 2K + 1 that the stored bandwidth resolves.
+        """
+        coef = self.coef
+        for i, a in enumerate(alpha):
+            if a:
+                shape = [1] * (self.n + 1)
+                shape[i + 1] = 2 * self.K + 1
+                coef = coef * ((TWO_PI * 1j) * np.arange(-self.K, self.K + 1)
+                               ).reshape(shape) ** a
+        for axis in self._angle_axes():
+            coef = _fold(coef, axis, self.K, N)
+        return np.fft.ifftn(coef, axes=self._angle_axes()) * N ** self.n
 
     # -- serialization ------------------------------------------------------------
 
@@ -374,6 +389,18 @@ class FTSeries:
             block[k] = re_ + 1j * im_
         like = cls(n=n, K=K, D_I=D_I, D_w=D_w, n_w=n_w)
         return cls.from_blocks(like, blocks)
+
+
+def _fold(coef, axis, K, N):
+    """Move a mode axis (mode k at index k + K) onto N grid frequencies
+    (k at index k mod N), summing the modes that coincide mod N."""
+    L = coef.shape[axis]
+    M = -(-L // N) * N
+    pad = [(0, 0)] * coef.ndim
+    pad[axis] = (0, M - L)
+    chunks = np.pad(coef, pad).reshape(coef.shape[:axis] + (M // N, N)
+                                       + coef.shape[axis + 1:])
+    return np.roll(chunks.sum(axis=axis), -K, axis=axis)
 
 
 def _vandermonde(z, L, K):

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from udham import flows as F
 from udham import weights as W
 from udham.series import FTSeries, poisson_bracket
+from udham.weights import ParameterError
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -237,6 +239,95 @@ class TestAffineFlow:
                  for row in linear_parts(tr) for f in row)
         assert cf <= bound
         assert cf > 0
+
+
+class TestComposeAngle:
+    def test_report_carries_taylor_ledger(self):
+        f = FTSeries.zeros(2, 6, D_I=1).add_cos((3, -2), 0.8).add_sin((6, 1), 0.5, m=(1, 0))
+        E = [FTSeries.zeros(2, 1).add_sin((1, 0), 0.01),
+             FTSeries.zeros(2, 1).add_cos((0, 1), 0.02)]
+        report = {}
+        F.compose_angle(f, E, K_out=8, report=report)
+        assert set(report) == {"aliasing_mass", "taylor_order", "taylor_tail"}
+        assert isinstance(report["taylor_order"], int) and report["taylor_order"] >= 1
+        assert 0.0 < report["taylor_tail"] <= F.TAYLOR_TOL * f.coeff_norm1()
+        # the identity shortcut of apply_affine composes nothing
+        ident = F.AffineTransform.identity(2, 1)
+        report = {}
+        F.apply_affine(f, ident, report=report)
+        assert report == {"aliasing_mass": 0.0, "taylor_order": 0, "taylor_tail": 0.0}
+
+    def test_empty_series_returns_at_once(self):
+        f = FTSeries.zeros(2, 3, D_I=1)
+        report = {}
+        g = F.compose_angle(f, [FTSeries.zeros(2, 1).add_cos((1, 0), 0.3)] * 2,
+                            K_out=5, report=report)
+        assert not g.blocks and (g.K, g.D_I) == (5, 1)
+        assert report == {"aliasing_mass": 0.0, "taylor_order": 0, "taylor_tail": 0.0}
+
+    def test_offset_beyond_half_step_hits_order_cap(self):
+        # the order cap holds for |delta| <= 1/(2N); twice that must raise,
+        # never truncate silently
+        f = FTSeries.zeros(2, 8).add_cos((8, 8), 1.0)
+        N = 10
+        _, order, _ = F._nearest_node_taylor(f, N, slice(None),
+                                             np.full((N * N, 2), 0.5 / N), [(0, 0)])
+        assert order >= 1
+        with pytest.raises(F.TaylorTailError):
+            F._nearest_node_taylor(f, N, slice(None), np.full((N * N, 2), 1.0 / N),
+                                   [(0, 0)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_shift_is_a_parameter_error(self, bad):
+        f = FTSeries.zeros(2, 2).add_cos((1, 0), 1.0)
+        E = [FTSeries.zeros(2, 1).set_mode((1, 0), bad), FTSeries.zeros(2, 1)]
+        with pytest.raises(ParameterError):
+            F.compose_angle(f, E)
+
+
+def fourier_sum(series, pts):
+    """Each block's sum_k c_k e^{2 pi i k.theta} at the points (P, n), term by term."""
+    r = np.arange(-series.K, series.K + 1)
+    ks = np.stack(np.meshgrid(*([r] * series.n), indexing="ij"), axis=-1).reshape(-1, series.n)
+    waves = np.exp(2j * math.pi * pts @ ks.T)
+    return {key: waves @ np.asarray(b).reshape(-1) for key, b in series.blocks.items()}
+
+
+def random_real_series(rng, K, l1, **dims):
+    """A real angle series (n = 2) with one block for each (m, w) in dims['keys']."""
+    keys = dims.pop("keys", [((0, 0), ())])
+    blocks = {}
+    for key in keys:
+        arr = rng.normal(size=(2 * K + 1,) * 2) + 1j * rng.normal(size=(2 * K + 1,) * 2)
+        blocks[key] = 0.5 * (arr + np.conj(arr[::-1, ::-1]))
+    out = FTSeries.from_blocks(FTSeries.zeros(2, K, **dims), blocks)
+    return (l1 / out.coeff_norm1()) * out
+
+
+@given(st.integers(0, 10_000), st.floats(0.0, 0.5), st.integers(1, 5), st.integers(1, 6))
+@example(seed=7, amp=0.5, K=5, K_out=2)      # K_out < K/2: modes fold on the grid
+@settings(max_examples=25, deadline=None)
+def test_property_composition_equals_fourier_sum(seed, amp, K, K_out):
+    # f(theta + E0 + w E1) on the collocation grid, with shifts up to
+    # |E0|_inf = 1/2 (nearest nodes far from the base nodes), against the
+    # Fourier sums of f and grad f at the shifted points
+    rng = np.random.default_rng(seed)
+    f = random_real_series(rng, K, 1.0, D_I=1, D_w=1, n_w=1,
+                           keys=[((0, 0), (0,)), ((1, 0), (0,)), ((0, 0), (1,))])
+    E0 = [random_real_series(rng, 1, amp) for _ in range(2)]
+    E1 = [[random_real_series(rng, 1, 0.01), None]]
+    g = F.compose_angle(f, E0, E1, K_out=K_out)
+    N = 2 * (2 * K_out + 1)
+    grid = np.stack(np.meshgrid(np.arange(N) / N, np.arange(N) / N, indexing="ij"),
+                    axis=-1).reshape(-1, 2)
+    pts = grid + np.stack([fourier_sum(e, grid)[((0, 0), ())].real for e in E0], axis=-1)
+    samples = fourier_sum(f, pts)
+    e1 = fourier_sum(E1[0][0], grid)[((0, 0), ())].real
+    for (m, w), v in fourier_sum(f.dtheta(0), pts).items():
+        if w == (0,):
+            samples[(m, (1,))] = samples.get((m, (1,)), 0.0) + v * e1
+    expect = FTSeries.from_samples(f, samples, N, K=K_out)
+    assert (g - expect).sup_coeff() <= 1e-12
 
 
 class TestLieFlow:
