@@ -285,12 +285,15 @@ class FTSeries:
 
     # -- derivatives -----------------------------------------------------------
 
-    def dtheta(self, i) -> "FTSeries":
-        """d/d theta_i; brings down 2 pi i k_i."""
+    def _dtheta_mult(self, i) -> np.ndarray:
+        """2 pi i k_i, shaped to broadcast against coef."""
         shape = [1] * (self.n + 1)
         shape[i + 1] = 2 * self.K + 1
-        mult = (TWO_PI * 1j) * np.arange(-self.K, self.K + 1).reshape(shape)
-        return self._new(self.keys, self.coef * mult)
+        return (TWO_PI * 1j) * np.arange(-self.K, self.K + 1).reshape(shape)
+
+    def dtheta(self, i) -> "FTSeries":
+        """d/d theta_i; brings down 2 pi i k_i."""
+        return self._new(self.keys, self.coef * self._dtheta_mult(i))
 
     def dI(self, i) -> "FTSeries":
         rows = [r for r, (m, _) in enumerate(self.keys) if m[i] >= 1]
@@ -346,10 +349,7 @@ class FTSeries:
         coef = self.coef
         for i, a in enumerate(alpha):
             if a:
-                shape = [1] * (self.n + 1)
-                shape[i + 1] = 2 * self.K + 1
-                coef = coef * ((TWO_PI * 1j) * np.arange(-self.K, self.K + 1)
-                               ).reshape(shape) ** a
+                coef = coef * self._dtheta_mult(i) ** a
         for axis in self._angle_axes():
             coef = _fold(coef, axis, self.K, N)
         return np.fft.ifftn(coef, axes=self._angle_axes()) * N ** self.n

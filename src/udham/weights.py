@@ -30,7 +30,6 @@ is convex with slopes ln mu, so Omega searches log_mu and builds no array.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -225,39 +224,16 @@ class SupResult:
 
 
 def _majorant(y: np.ndarray) -> np.ndarray:
-    """Vertex indices of the least concave majorant of the points (l, y_l),
-    in one pass of a monotone chain: before each point is pushed, the top
-    vertex drops while its right slope is >= its left one.
-
-    While the top edge is the unit edge (l - 2, l - 1), pushing l compares
-    the unit slopes d[l-1] < d[l-2]; such a run of pushes is taken whole
-    from one vectorized comparison, so a concave sequence runs no Python
-    loop.  The stacks are typed arrays, 8 bytes an entry."""
-    y = np.ascontiguousarray(y, dtype=float)
-    d = np.diff(y)
-    stops = np.flatnonzero(~(d[1:] < d[:-1])) + 2    # where a run of pushes ends
-    ys, L = memoryview(y), len(y)
-    v, s = array("q", [0]), array("d")  # vertices, slopes of the edges between
-    l = 1
-    while l < L:
-        if len(v) >= 2 and v[-2] == l - 2:
-            i = np.searchsorted(stops, l)
-            end = int(stops[i]) if i < len(stops) else L
-            v.frombytes(np.arange(l, end, dtype=np.int64).tobytes())
-            s.frombytes(d[l - 1:end - 1].tobytes())
-            l = end
-            if l == L:
-                break
-        while True:
-            t = (ys[l] - ys[v[-1]]) / (l - v[-1])
-            if not s or t < s[-1]:
-                break
-            v.pop()
-            s.pop()
-        v.append(l)
-        s.append(t)
-        l += 1
-    return np.array(v)
+    """Vertex indices of the least concave majorant of the points (l, y_l):
+    every vertex whose right slope is >= its left one drops, until none does."""
+    v = np.arange(len(y))
+    while True:
+        s = np.diff(y[v]) / np.diff(v)
+        keep = np.ones(len(v), dtype=bool)
+        keep[1:-1] = s[1:] < s[:-1]
+        if keep.all():
+            return v
+        v = v[keep]
 
 
 @dataclass

@@ -334,32 +334,6 @@ class TestHull:
         assert_queries_equal_scans(sp, [0.1, 0.25, 0.5, 0.75],
                                    [1.0, 1.5, math.e, math.exp(0.5), 3.0])
 
-    @staticmethod
-    def majorant_by_rounds(y):
-        """The earlier _majorant: every vertex whose right slope is >= its
-        left one drops, round after round, until none does."""
-        v = np.arange(len(y))
-        while True:
-            s = np.diff(y[v]) / np.diff(v)
-            keep = np.ones(len(v), dtype=bool)
-            keep[1:-1] = s[1:] < s[:-1]
-            if keep.all():
-                return v
-            v = v[keep]
-
-    @pytest.mark.parametrize("fam", FAMILIES + [W.analytic()], ids=lambda f: f.tag)
-    def test_majorant_equals_rounds_on_builtin_families(self, fam):
-        ws = W.build_sequence(fam)
-        for y in (ws.log_mu, -ws.log_M):
-            assert list(W._majorant(y)) == list(self.majorant_by_rounds(y))
-
-    def test_majorant_one_pass_on_concave_sequence_with_huge_last_entry(self):
-        # the rounds drop one vertex each here: 15,999 rounds at L = 16,000
-        y = np.log1p(np.arange(16_000, dtype=float))
-        y[-1] = 1e6
-        v = W._majorant(y)
-        assert list(v) == list(self.majorant_by_rounds(y)) == [0, 15_999]
-
 
 INCREMENTS = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
 
