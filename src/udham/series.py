@@ -7,8 +7,10 @@ The common currency of every normal-form computation: finite sums
 with |k|_inf <= K, |m| <= D_I, |w'| <= D_w.  The coefficients of the
 present action/parameter monomials are stacked in one complex array, one
 dense (2K+1)^n angle block per monomial, so angle convolutions run through
-batched zero-padded FFTs (exact linear convolution up to roundoff, then
-truncation back to K with a discarded-mass monitor).
+batched zero-padded real FFTs of 5-smooth length: an exact linear
+convolution up to round-off, with every entry below the transform's
+a-priori error bound zeroed, then truncation back to K with a
+discarded-mass monitor.
 
 Torus convention: T^n = R^n/Z^n with basis e^{2 pi i k.theta}; every
 frequency-dependent constant is routed through rho(k) = 2 pi |k|_1.
@@ -427,14 +429,58 @@ def _horner(arr, zs, K):
     return vals
 
 
+def _smooth_length(L: int) -> int:
+    """Least 5-smooth integer >= L (an FFT length with radices 2, 3, 5)."""
+    while True:
+        m = L
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return L
+        L += 1
+
+
+def _mirror(coef, n):
+    """Complete a stack of real blocks from its entries with k_last >= 0, in
+    place: c_k = conj(c_{-k}) for k_last < 0, recursively on the k_last = 0
+    plane, and c_0 real, so the result is exactly Hermitian."""
+    K = coef.shape[-1] // 2
+    coef[..., :K] = np.conj(_flip(coef, n)[..., :K])
+    if n > 1:
+        _mirror(coef[..., K], n - 1)
+    else:
+        coef[..., K] = coef[..., K].real
+    return coef
+
+
+def _half_modes(H, n, K, Lf):
+    """Modes |k|_inf <= K of every row of a half spectrum H (last axis
+    k_last = 0..Lf//2, others at k mod Lf), as Hermitian (2K+1)^n blocks."""
+    idx = np.arange(-K, K + 1) % Lf
+    last = np.abs(np.arange(-K, K + 1))
+    return _mirror(H[np.ix_(np.arange(len(H)), *([idx] * (n - 1)), last)], n)
+
+
 def product(f: FTSeries, g: FTSeries, K_out: Optional[int] = None,
             D_I_out: Optional[int] = None,
             report: Optional[dict] = None) -> FTSeries:
-    """Coefficient product; angle part by zero-padded FFT (exact), action
-    and parameter parts by exponent convolution truncated to D_I/D_w.
+    """Coefficient product; angle part by zero-padded real FFT, action and
+    parameter parts by exponent convolution truncated to D_I/D_w.
+
+    The angle convolution is exact up to round-off: both operands go to
+    real grid values on a 5-smooth length Lf >= 2(f.K + g.K) + 1 (no
+    wrap-around), the pointwise products are summed per output monomial in
+    key-pair order, and one real FFT returns the half spectrum, from which
+    the kept modes are rebuilt with c_{-k} = conj(c_k).  Every entry below
+    the transform's a-priori error bound u log2(Lf^n) |f|_1 |g|_1 (Higham,
+    ch. 24) is zeroed, so the result carries no round-off below that floor
+    and is exactly real.
 
     report, if given, receives 'discarded_fourier' and 'discarded_action'
-    l1 masses; they are computed only then.
+    (l1 masses of the modes beyond K_out and of each dropped pair's full
+    product; computed only then), 'roundoff_floor' and 'pruned_mass' (l1
+    of the kept modes zeroed by the floor).
     """
     f._check_compat(g)
     K_full = f.K + g.K
@@ -443,18 +489,26 @@ def product(f: FTSeries, g: FTSeries, K_out: Optional[int] = None,
     D_w = max(f.D_w, g.D_w)
     if not f.keys or not g.keys:
         if report is not None:
-            report["discarded_fourier"] = report["discarded_action"] = 0.0
+            report.update(discarded_fourier=0.0, discarded_action=0.0,
+                          roundoff_floor=0.0, pruned_mass=0.0)
         return f._new((), None, K=K_out, D_I=D_I_out, D_w=D_w)
-    L = 2 * K_full + 1
     n = f.n
+    Lf = _smooth_length(2 * K_full + 1)
     axes = f._angle_axes()
+    grid = (Lf,) * n
 
-    def spectrum(src):
-        buf = np.zeros((len(src.keys),) + (L,) * n, dtype=complex)
-        buf[(slice(None),) + (slice(0, 2 * src.K + 1),) * n] = src.coef
-        return np.fft.fftn(buf, axes=axes)
+    def values(src):
+        half = np.zeros((len(src.keys),) + grid[:-1] + (Lf // 2 + 1,), dtype=complex)
+        idx = np.arange(-src.K, src.K + 1) % Lf
+        pos = np.arange(src.K + 1)
+        half[np.ix_(np.arange(len(src.keys)), *([idx] * (n - 1)), pos)] = \
+            src.coef[..., src.K:]
+        return np.fft.irfftn(half, s=grid, axes=axes, norm="forward")
 
-    F, G = spectrum(f), spectrum(g)
+    def l1(H):
+        return float(np.sum(np.abs(_half_modes(H, n, K_full, Lf))))
+
+    Fv, Gv = values(f), values(g)
     rows, pairs = {}, []
     disc_action = 0.0
     for i, (m1, w1) in enumerate(f.keys):
@@ -465,28 +519,27 @@ def product(f: FTSeries, g: FTSeries, K_out: Optional[int] = None,
                 continue  # jet truncation: silent by design
             if sum(m) > D_I_out:
                 if report is not None:
-                    disc_action += float(np.sum(np.abs(np.fft.ifftn(F[i] * G[j]))))
+                    disc_action += l1(np.fft.rfftn(Fv[i:i + 1] * Gv[j:j + 1],
+                                                   axes=axes, norm="forward"))
                 continue
             pairs.append((rows.setdefault((m, w), len(rows)), i, j))
-    full = np.zeros((len(rows),) + (L,) * n, dtype=complex)
+    acc = np.zeros((len(rows),) + grid)
     for r, i, j in pairs:
-        full[r] += F[i] * G[j]
-    # linear convolution: mode k sits at position k + K_full, no wrap
-    full = np.fft.ifftn(full, axes=axes, out=full)
-    disc_fourier = 0.0
-    if K_out >= K_full:
-        pad = K_out - K_full
-        kept = np.zeros((len(rows),) + (2 * K_out + 1,) * n, dtype=complex)
-        kept[(slice(None),) + (slice(pad, pad + L),) * n] = full
-    else:
-        kept = full[(slice(None),) + (slice(K_full - K_out, K_full + K_out + 1),) * n]
-        if report is not None:
-            disc_fourier = float(np.sum(np.abs(full)) - np.sum(np.abs(kept)))
+        acc[r] += Fv[i] * Gv[j]
+    H = np.fft.rfftn(acc, axes=axes, norm="forward")
+    kept = _half_modes(H, n, min(K_out, K_full), Lf)
+    if K_out > K_full:
+        kept = np.pad(kept, [(0, 0)] + [(K_out - K_full,) * 2] * n)
+    floor = float(np.finfo(float).eps * n * math.log2(Lf)) * f.coeff_norm1() * g.coeff_norm1()
+    low = np.abs(kept) < floor
     if report is not None:
-        report["discarded_fourier"] = disc_fourier
+        report["discarded_fourier"] = (l1(H) - float(np.sum(np.abs(kept)))
+                                       if K_out < K_full else 0.0)
         report["discarded_action"] = disc_action
-    out = f._new(list(rows), _real_projection(kept, n), K=K_out, D_I=D_I_out, D_w=D_w)
-    return out.prune()
+        report["roundoff_floor"] = floor
+        report["pruned_mass"] = float(np.sum(np.abs(kept[low])))
+    kept[low] = 0.0
+    return f._new(list(rows), kept, K=K_out, D_I=D_I_out, D_w=D_w).prune()
 
 
 def poisson_bracket(f: FTSeries, g: FTSeries, K_out: Optional[int] = None,

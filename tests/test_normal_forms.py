@@ -413,14 +413,77 @@ def test_schedule_m_within_bracket():
                        nu * np.exp(-np.arange(1, sched.m + 1)))
 
 
+def _multifrequency_rel_remainder(eps, with_action):
+    zb = D.zbasis_approx(D.golden_profile(), 5)
+    H = NF.linear_integrable(GOLD, 2, 8, D_I=1)
+    for k in [(1, 0), (1, 1), (2, -1)]:
+        H.add_cos(k, eps)
+    if with_action:
+        H.add_cos((1, 1), eps, m=(1, 0))
+    return NF.multifrequency_normal_form(H, zb.vectors, SP, 1.0).cert_after / eps
+
+
 def test_multifrequency_remainder_improves_with_eps():
-    fp = D.golden_profile()
-    zb = D.zbasis_approx(fp, 5)
-    rels = []
-    for eps in [1e-4, 1e-5]:
-        H = NF.linear_integrable(GOLD, 2, 8, D_I=1)
-        for k in [(1, 0), (1, 1), (2, -1)]:
-            H.add_cos(k, eps)
-        res = NF.multifrequency_normal_form(H, zb.vectors, SP, 1.0)
-        rels.append(res.cert_after / eps)
-    assert rels[1] <= rels[0]
+    # without action dependence every bracket after the first vanishes, so
+    # cert_after / eps does not depend on eps
+    r0, r1 = (_multifrequency_rel_remainder(eps, False) for eps in [1e-4, 1e-5])
+    assert abs(r1 / r0 - 1.0) <= 1e-12
+    # eps I_1 cos 2 pi (th1 + th2) gives a genuine eps^2 part
+    r0, r1 = (_multifrequency_rel_remainder(eps, True) for eps in [1e-4, 1e-5])
+    assert r1 < r0
+
+
+def _prime_length_product(f, g, K_out=None, D_I_out=None, report=None):
+    """`series.product` by complex FFTs of prime length, summing the block
+    pairs in reverse order, pruned at the same a-priori floor."""
+    K_full = f.K + g.K
+    K_out = K_out if K_out is not None else max(f.K, g.K)
+    D_I_out = D_I_out if D_I_out is not None else f.D_I + g.D_I
+    D_w = max(f.D_w, g.D_w)
+    n = f.n
+    L = next(q for q in range(2 * K_full + 1, 8 * K_full + 8)
+             if all(q % d for d in range(2, q)))
+    axes = tuple(range(1, n + 1))
+
+    def spectrum(src):
+        buf = np.zeros((len(src.keys),) + (L,) * n, dtype=complex)
+        buf[(slice(None),) + (slice(0, 2 * src.K + 1),) * n] = src.coef
+        return np.fft.fftn(buf, axes=axes)
+
+    F, G = spectrum(f), spectrum(g)
+    pairs = []
+    for i, (m1, w1) in enumerate(f.keys):
+        for j, (m2, w2) in enumerate(g.keys):
+            m = tuple(a + b for a, b in zip(m1, m2))
+            w = tuple(a + b for a, b in zip(w1, w2))
+            if sum(w) <= D_w and sum(m) <= D_I_out:
+                pairs.append(((m, w), i, j))
+    keys = list(dict.fromkeys(key for key, _, _ in pairs))
+    full = np.zeros((len(keys),) + (L,) * n, dtype=complex)
+    for key, i, j in reversed(pairs):
+        full[keys.index(key)] += F[i] * G[j]
+    full = np.fft.ifftn(full, axes=axes)
+    kk = min(K_out, K_full)
+    kept = full[(slice(None),) + (slice(K_full - kk, K_full + kk + 1),) * n]
+    kept = 0.5 * (kept + np.conj(kept[(slice(None),) + (slice(None, None, -1),) * n]))
+    kept = np.pad(kept, [(0, 0)] + [(K_out - kk,) * 2] * n)
+    floor = np.finfo(float).eps * n * math.log2(L) * f.coeff_norm1() * g.coeff_norm1()
+    kept[np.abs(kept) < floor] = 0.0
+    out = FTSeries.from_blocks(FTSeries.zeros(n, K_out, D_I=D_I_out, D_w=D_w, n_w=f.n_w),
+                               dict(zip(keys, kept)))
+    return out.prune()
+
+
+def test_certificates_independent_of_transform_and_summation_order(monkeypatch):
+    from udham import cli
+    from udham import series
+    H, pv = cli._toy_nf_hamiltonian(cli.ExperimentConfig("nf"))
+    runs = [NF.periodic_normal_form(H, pv, SP, s=1.0, xi=2.0)]
+    monkeypatch.setattr(series, "product", _prime_length_product)
+    runs.append(NF.periodic_normal_form(H, pv, SP, s=1.0, xi=2.0))
+    a, b = runs
+    assert len(a.schedule_log) == len(b.schedule_log) > 1
+    for ea, eb in zip(a.schedule_log, b.schedule_log):
+        assert eb["remainder_cert"] == pytest.approx(ea["remainder_cert"], rel=1e-8)
+    assert b.cert_after == pytest.approx(a.cert_after, rel=1e-8)
+    assert (a.resonant - b.resonant).coeff_norm1() <= 1e-12 * a.resonant.coeff_norm1()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from udham import dioph as D
 from udham import flows as F
@@ -61,7 +61,8 @@ class TestProduct:
         rep3 = {}
         p = product(a, FTSeries.zeros(1, 2, D_I=1), K_out=5, report=rep3)
         assert not p.keys and (p.K, p.D_I, p.D_w) == (5, 1, 0)
-        assert rep3 == {"discarded_fourier": 0.0, "discarded_action": 0.0}
+        assert rep3 == {"discarded_fourier": 0.0, "discarded_action": 0.0,
+                        "roundoff_floor": 0.0, "pruned_mass": 0.0}
 
     def test_action_degree_convolution(self):
         f = FTSeries.zeros(1, 1, D_I=1)
@@ -310,6 +311,102 @@ def test_property_product_commutes(seed):
     ab = product(a, b, K_out=5)
     ba = product(b, a, K_out=5)
     assert (ab - ba).coeff_norm1() < 1e-12
+
+
+def _direct_convolution(a, b):
+    """Linear convolution of two (2K+1)^n blocks by a loop over a's modes;
+    mode k of the result sits at index k + K_a + K_b."""
+    out = np.zeros(tuple(x + y - 1 for x, y in zip(a.shape, b.shape)), dtype=complex)
+    for idx in np.ndindex(a.shape):
+        out[tuple(slice(i, i + s) for i, s in zip(idx, b.shape))] += a[idx] * b
+    return out
+
+
+def _least_5_smooth(L):
+    return next(m for m in range(L, 4 * L) if all(
+        p in (2, 3, 5) for p in range(2, m + 1) if m % p == 0 and all(
+            p % q for q in range(2, p))))
+
+
+def _oracle_product(f, g, K_out, D_I_out):
+    """Blocks, discarded Fourier mass and discarded action mass of the
+    product of the real projections of f and g, by direct convolution."""
+    def real(c):
+        return 0.5 * (c + np.conj(c[(slice(None, None, -1),) * f.n]))
+    rows, disc_action = {}, 0.0
+    for (m1, w1), a in f.blocks.items():
+        for (m2, w2), b in g.blocks.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            w = tuple(x + y for x, y in zip(w1, w2))
+            if sum(w) > max(f.D_w, g.D_w):
+                continue
+            full = _direct_convolution(real(a), real(b))
+            if sum(m) > D_I_out:
+                disc_action += np.sum(np.abs(full))
+            else:
+                rows[(m, w)] = rows.get((m, w), 0.0) + full
+    K_full = f.K + g.K
+    kk = min(K_out, K_full)
+    window = (slice(K_full - kk, K_full + kk + 1),) * f.n
+    disc_fourier = sum(np.sum(np.abs(c)) - np.sum(np.abs(c[window])) for c in rows.values())
+    blocks = {key: np.pad(c[window], K_out - kk) for key, c in rows.items()}
+    return blocks, disc_fourier, disc_action
+
+
+@st.composite
+def product_operands(draw):
+    n = draw(st.integers(1, 3))
+    n_w = draw(st.integers(0, 1))
+    D_w = draw(st.integers(0, 1)) if n_w else 0
+    seed = draw(st.integers(0, 2**32 - 1))
+    r = np.random.default_rng(seed)
+    monomials = [((i, 0, 0)[:n], w) for i in range(3) for w in ([()] if not n_w else [(0,), (1,)][:D_w + 1])]
+    monomials += [((0, 1, 0)[:n], (0,) * n_w)] if n > 1 else []
+    ops = []
+    for _ in range(2):
+        K = draw(st.integers(0, {1: 6, 2: 4, 3: 2}[n]))
+        keys = draw(st.lists(st.sampled_from(monomials), max_size=3, unique=True))
+        decay = draw(st.floats(0.0, 8.0))
+        kk = np.abs(np.indices((2 * K + 1,) * n) - K).sum(axis=0)
+        blocks = {}
+        for key in keys:
+            c = r.normal(size=kk.shape) + 1j * r.normal(size=kk.shape)
+            c = 0.5 * (c + np.conj(c[(slice(None, None, -1),) * n])) * np.exp(-decay * kk)
+            if draw(st.booleans()):  # +-k entries that differ by round-off
+                c = c * (1.0 + 2.0 ** -52 * r.normal(size=kk.shape))
+            blocks[key] = c
+        ops.append(FTSeries.from_blocks(
+            FTSeries.zeros(n, K, D_I=2, D_w=D_w, n_w=n_w), blocks))
+    f, g = ops
+    K_out = draw(st.integers(0, f.K + g.K + 2))
+    D_I_out = draw(st.integers(0, 4))
+    return f, g, K_out, D_I_out
+
+
+@given(product_operands())
+@settings(max_examples=60, deadline=None)
+@example((FTSeries.zeros(2, 3, D_I=2), rand_series(2, 2, 1, D_I=1), 4, 2))
+def test_property_product_equals_direct_convolution(case):
+    f, g, K_out, D_I_out = case
+    rep = {}
+    p = product(f, g, K_out=K_out, D_I_out=D_I_out, report=rep)
+    blocks, disc_fourier, disc_action = _oracle_product(f, g, K_out, D_I_out)
+    floor = rep["roundoff_floor"]
+    L = _least_5_smooth(2 * (f.K + g.K) + 1)
+    assert floor == pytest.approx(np.finfo(float).eps * f.n * math.log2(L)
+                                  * f.coeff_norm1() * g.coeff_norm1(), rel=1e-12)
+    assert (p.K, p.D_I) == (K_out, D_I_out) and set(p.keys) <= set(blocks)
+    assert p.check_reality() == 0.0
+    for key, c in blocks.items():
+        got = p.block(*key)
+        kept = got != 0
+        assert np.all(np.abs(got[kept] - c[kept]) <= floor)
+        assert np.all(np.abs(c[~kept]) <= 2.0 * floor)
+    slack = floor * (2 * (f.K + g.K) + 1) ** f.n * max(len(blocks), 1)
+    assert rep["discarded_fourier"] == pytest.approx(disc_fourier, rel=1e-12, abs=slack)
+    assert rep["discarded_action"] == pytest.approx(disc_action, rel=1e-12,
+                                                    abs=slack * len(f.keys) * len(g.keys))
+    assert 0.0 <= rep["pruned_mass"] <= floor * (2 * K_out + 1) ** f.n * len(blocks)
 
 
 def test_product_lemma_constants_per_family():
