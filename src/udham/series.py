@@ -474,8 +474,8 @@ def product(f: FTSeries, g: FTSeries, K_out: Optional[int] = None,
     key-pair order, and one real FFT returns the half spectrum, from which
     the kept modes are rebuilt with c_{-k} = conj(c_k).  Every entry below
     the transform's a-priori error bound u log2(Lf^n) |f|_1 |g|_1 (Higham,
-    ch. 24) is zeroed, so the result carries no round-off below that floor
-    and is exactly real.
+    ch. 24) is zeroed, so the result keeps no entry below that floor, and
+    it is exactly real.
 
     report, if given, receives 'discarded_fourier' and 'discarded_action'
     (l1 masses of the modes beyond K_out and of each dropped pair's full

@@ -323,9 +323,8 @@ def _direct_convolution(a, b):
 
 
 def _least_5_smooth(L):
-    return next(m for m in range(L, 4 * L) if all(
-        p in (2, 3, 5) for p in range(2, m + 1) if m % p == 0 and all(
-            p % q for q in range(2, p))))
+    return min(m for m in (2**a * 3**b * 5**c for a in range(12) for b in range(8)
+                           for c in range(6)) if m >= L)
 
 
 def _oracle_product(f, g, K_out, D_I_out):
@@ -360,8 +359,9 @@ def product_operands(draw):
     D_w = draw(st.integers(0, 1)) if n_w else 0
     seed = draw(st.integers(0, 2**32 - 1))
     r = np.random.default_rng(seed)
-    monomials = [((i, 0, 0)[:n], w) for i in range(3) for w in ([()] if not n_w else [(0,), (1,)][:D_w + 1])]
-    monomials += [((0, 1, 0)[:n], (0,) * n_w)] if n > 1 else []
+    ws = [(0,) * n_w, (1,) * n_w][:D_w + 1]
+    monomials = [((i, 0, 0)[:n], w) for i in range(3) for w in ws]
+    monomials += [((0, 1, 0)[:n], ws[0])] if n > 1 else []
     ops = []
     for _ in range(2):
         K = draw(st.integers(0, {1: 6, 2: 4, 3: 2}[n]))
