@@ -34,9 +34,6 @@ from .series import FTSeries, poisson_bracket, product
 from .weights import C_NORM, ParameterError, ScaleProfile
 
 TWO_PI = 2.0 * math.pi
-# absolute floor below which a finished coordinate series of a Lie flow
-# stores no coefficient
-_NOISE_FLOOR = 1e-18
 # relative l1 bound at which compose_angle's Taylor expansion stops
 TAYLOR_TOL = 1e-17
 
@@ -234,16 +231,17 @@ def compose_angle(f: FTSeries, E0: list, E1: Optional[list] = None,
     N = 2 (2 K_out + 1): the shifts come from `grid_values`; f and the
     gradient the jets need are Taylor-expanded about the grid node nearest
     each shifted point (`_nearest_node_taylor`, Anderson-Dahleh), so
-    |delta| <= 1/(2N) for any shift; then FFT and truncate.
-    report, if given, receives 'aliasing_mass' (from `from_samples`),
-    'taylor_order', the highest order added, and 'taylor_tail', the
-    certified bound on the samples' error summed over blocks.
+    |delta| <= 1/(2N) for any shift; then `from_samples`.
+    report, if given, receives `from_samples`' report, 'taylor_order', the
+    highest order added, and 'taylor_tail', the certified bound on the
+    samples' error summed over blocks.
     """
     n = f.n
     K_out = K_out if K_out is not None else f.K
     if not f.keys:
         if report is not None:
-            report.update(aliasing_mass=0.0, taylor_order=0, taylor_tail=0.0)
+            report.update(aliasing_mass=0.0, roundoff_floor=0.0, pruned_mass=0.0,
+                          taylor_order=0, taylor_tail=0.0)
         return FTSeries.from_blocks(f, {}, K=K_out)
     N = _collocation_size(K_out)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -299,7 +297,7 @@ def _jet_shift_components(E: list):
 def apply_affine(H: FTSeries, tr: AffineTransform, K_out: Optional[int] = None,
                  D_I_out: Optional[int] = None,
                  report: Optional[dict] = None) -> FTSeries:
-    """Pull back H by the affine transform: H(theta + E, A(theta, I))."""
+    """Pull back H by the affine transform: H(theta + E, A(theta, I)); adds no floor."""
     n = H.n
     K_out = K_out if K_out is not None else H.K
     D_I_out = D_I_out if D_I_out is not None else H.D_I
@@ -307,14 +305,12 @@ def apply_affine(H: FTSeries, tr: AffineTransform, K_out: Optional[int] = None,
     ident = AffineTransform.identity(n, 0, n_w=H.n_w).A
     if (all(e.coeff_norm1() == 0.0 for e in tr.E)
             and all((a - u).coeff_norm1() == 0.0 for a, u in zip(tr.A, ident))):
-        out = H.rebanded(K_out)
         if report is not None:
-            report.update(aliasing_mass=0.0, taylor_order=0, taylor_tail=0.0)
-        return out
+            report.update(aliasing_mass=0.0, roundoff_floor=0.0, pruned_mass=0.0,
+                          taylor_order=0, taylor_tail=0.0)
+        return H.rebanded(K_out)
     base, first = _jet_shift_components(tr.E)
-    scale = max(H.sup_coeff(), 1.0)
     Hs = compose_angle(H, base, first, K_out=K_out, report=report)
-    Hs = Hs.prune_entries(1e-17 * scale)
     # the substitution polynomials are A itself (at K_out, truncating jets
     # at H's degree if that is higher): A acts at the preimage theta, so no
     # angle composition here
@@ -341,7 +337,7 @@ def apply_affine(H: FTSeries, tr: AffineTransform, K_out: Optional[int] = None,
                                  if (mm, ww) == key else [], D_I=0)
         out = out + (piece if sum(m) == 0 else
                      product(piece, lpow(m), K_out=K_out, D_I_out=D_I_out))
-    return out.prune_entries(1e-17 * scale)
+    return out
 
 
 def jet_param_substitute(f: FTSeries, shift, matrix) -> FTSeries:
@@ -445,8 +441,8 @@ def affine_flow_lie(C: FTSeries, D: list, t: float = 1.0,
 
     With X = C + sum_j D_j I_j and ad f = {f, X}: ad theta_i = D_i, so
     E_i = sum_{r>=1} t^r/r! ad^(r-1) D_i, and A_i = I_i o Phi is the Lie
-    series of I_i.  Both run on `lie_flow`'s loop; each finished series is
-    pruned at the noise floor once.  Carries parameter jets.
+    series of I_i.  Both run on `lie_flow`'s loop, whose brackets prune
+    at `product`'s round-off floor.  Carries parameter jets.
     """
     n = C.n
     K_out = K_out if K_out is not None else max([C.K] + [d.K for d in D])
@@ -454,11 +450,10 @@ def affine_flow_lie(C: FTSeries, D: list, t: float = 1.0,
     X = C
     for j, d in enumerate(D):
         X = X + d.map_monomials(lambda m, w, ej=units[j]: [((ej, w), 1.0)], D_I=1)
-    E = [_lie_series(X, d, t, 1, K_out=K_out, D_I_out=0).prune_entries(_NOISE_FLOOR)
-         for d in D]
+    E = [_lie_series(X, d, t, 1, K_out=K_out, D_I_out=0) for d in D]
     I = [FTSeries.zeros(n, K_out, D_I=1, D_w=C.D_w, n_w=C.n_w).set_mode((0,) * n, 1.0, m=u)
          for u in units]
-    A = [lie_flow(X, Ii, t, K_out=K_out, D_I_out=1).prune_entries(_NOISE_FLOOR) for Ii in I]
+    A = [lie_flow(X, Ii, t, K_out=K_out, D_I_out=1) for Ii in I]
     return AffineTransform(E=E, A=A)
 
 

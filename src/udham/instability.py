@@ -644,5 +644,4 @@ def bessi_series(ex: BessiExample, idx: int, K: Optional[int] = None) -> FTSerie
     b = one.copy()
     b.add_cos(kt, ex.mu * ex.nu_orth[idx])
     from .series import product
-    out = product(a, b, K_out=Kv) * (ex.eps * ex.nus[idx])
-    return out.prune_entries(1e-14 * ex.eps * ex.nus[idx])
+    return product(a, b, K_out=Kv) * (ex.eps * ex.nus[idx])

@@ -147,7 +147,7 @@ def averaging_step(split: PeriodicSplit, sigma: float, sp: ScaleProfile,
     Lv = linear_integrable(pv.v, split.n, K_out, D_I=max(D_I_out, 1),
                            n_w=split.F.n_w, D_w=split.F.D_w)
     F_new = H_new - Lv - split.S - G_new
-    new = PeriodicSplit(pv=pv, S=split.S, G=G_new, F=F_new.prune(1e-300))
+    new = PeriodicSplit(pv=pv, S=split.S, G=G_new, F=F_new.prune())
     bound = T * nu * (nu * Csig ** 2 / s ** 2 + eta * Csig / s)
     rep = {
         "nu": nu, "eta": eta, "sigma": sigma, "C_sigma": Csig,
@@ -255,10 +255,10 @@ def periodic_normal_form(H: FTSeries, pv: PeriodicVector, sp: ScaleProfile,
     # resonant side (one more exact projection, free)
     F_res = average_periodic(cur.F, pv)
     G_fin = cur.G + F_res
-    F_fin = (cur.F - F_res).prune(1e-300)
+    F_fin = (cur.F - F_res).prune()
     Lv = linear_integrable(pv.v, split.n, cur.F.K, D_I=max(cur.F.D_I, 1),
                            n_w=H.n_w, D_w=H.D_w)
-    resonant = (Lv + cur.S + G_fin).prune(1e-300)
+    resonant = (Lv + cur.S + G_fin).prune()
     return NFResult(generators=[entry["generator"] for entry in log],
                     resonant=resonant, remainder=F_fin,
                     hamiltonian=cur.total(), resonances=[pv],
@@ -475,7 +475,7 @@ def kam_step(kh: KamHamiltonian, fp: FrequencyProfile, Q: float,
     phi_matrix = np.linalg.solve(M1, np.eye(n))
     phi_shift = -phi_matrix @ b0       # phi_0 - omega_0
     Hn = jet_param_substitute(Hc, phi_shift, phi_matrix)
-    new = KamHamiltonian(H=Hn.prune(1e-300), omega0=kh.omega0)
+    new = KamHamiltonian(H=Hn.prune(), omega0=kh.omega0)
     report = KamStepReport(certs_after=new.certs(sp, s), phi_shift=phi_shift,
                            phi_matrix=phi_matrix)
     return new, tr_total, report

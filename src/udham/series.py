@@ -119,8 +119,10 @@ class FTSeries:
 
         samples maps (m, w) to values at the N^n points theta = j/N (C
         order); their FFT coefficients are truncated to K (like's, or
-        meta's) and projected onto real series.
-        report, if given, receives the 'aliasing_mass' the truncation drops.
+        meta's), projected onto real series, and zeroed below the FFT's
+        a-priori error bound u log2(N^n) |c|_1, c the row's full spectrum.
+        report, if given, receives the 'aliasing_mass' the truncation drops,
+        the largest 'roundoff_floor' and the 'pruned_mass' it zeroes.
         """
         out = like._new((), None, **meta)
         n, K = out.n, out.K
@@ -129,11 +131,18 @@ class FTSeries:
         for r, key in enumerate(keys):
             vals[r] = np.reshape(samples[key], (N,) * n)
         coef = np.fft.fftn(vals, axes=out._angle_axes()) / N ** n
+        l1 = np.sum(np.abs(coef), axis=out._angle_axes(), keepdims=True)
         idx = np.arange(-K, K + 1) % N
-        kept = coef[np.ix_(np.arange(len(keys)), *([idx] * n))]
+        raw = coef[np.ix_(np.arange(len(keys)), *([idx] * n))]
+        kept = _real_projection(raw, n)
+        floor = np.finfo(float).eps * n * math.log2(N) * l1
+        low = np.abs(kept) < floor
         if report is not None:
-            report["aliasing_mass"] = float(np.sum(np.abs(coef)) - np.sum(np.abs(kept)))
-        return out._new(keys, _real_projection(kept, n)).prune()
+            report.update(aliasing_mass=float(np.sum(l1) - np.sum(np.abs(raw))),
+                          roundoff_floor=float(np.max(floor, initial=0.0)),
+                          pruned_mass=float(np.sum(np.abs(kept[low]))))
+        kept[low] = 0.0
+        return out._new(keys, kept).prune()
 
     def _shape(self):
         return (2 * self.K + 1,) * self.n
@@ -190,15 +199,10 @@ class FTSeries:
     def copy(self) -> "FTSeries":
         return self._new(self.keys, self.coef.copy())
 
-    def prune(self, tol=0.0) -> "FTSeries":
-        """Drop the monomials whose largest coefficient is at most tol."""
-        keep = np.max(np.abs(self.coef), axis=self._angle_axes()) > tol
+    def prune(self) -> "FTSeries":
+        """Drop the monomials whose coefficients are all zero."""
+        keep = np.max(np.abs(self.coef), axis=self._angle_axes()) > 0.0
         return self._new([key for key, kp in zip(self.keys, keep) if kp], self.coef[keep])
-
-    def prune_entries(self, floor: float) -> "FTSeries":
-        """Zero every coefficient below the absolute floor (noise control)."""
-        coef = np.where(np.abs(self.coef) < floor, 0.0, self.coef)
-        return self._new(self.keys, coef).prune(0.0)
 
     def map_monomials(self, rule, **meta) -> "FTSeries":
         """Linear substitution on the monomials.
@@ -556,7 +560,7 @@ def poisson_bracket(f: FTSeries, g: FTSeries, K_out: Optional[int] = None,
         t2 = product(f.dI(i), g.dtheta(i), K_out=K_out, D_I_out=D_I_out)
         term = t1 - t2
         out = term if out is None else out + term
-    return out.prune(1e-300)
+    return out.prune()
 
 
 # ---------------------------------------------------------------------------

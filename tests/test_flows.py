@@ -248,14 +248,17 @@ class TestComposeAngle:
              FTSeries.zeros(2, 1).add_cos((0, 1), 0.02)]
         report = {}
         F.compose_angle(f, E, K_out=8, report=report)
-        assert set(report) == {"aliasing_mass", "taylor_order", "taylor_tail"}
+        assert set(report) == {"aliasing_mass", "roundoff_floor", "pruned_mass",
+                               "taylor_order", "taylor_tail"}
+        assert 0.0 < report["roundoff_floor"] and report["pruned_mass"] >= 0.0
         assert isinstance(report["taylor_order"], int) and report["taylor_order"] >= 1
         assert 0.0 < report["taylor_tail"] <= F.TAYLOR_TOL * f.coeff_norm1()
         # the identity shortcut of apply_affine composes nothing
         ident = F.AffineTransform.identity(2, 1)
         report = {}
         F.apply_affine(f, ident, report=report)
-        assert report == {"aliasing_mass": 0.0, "taylor_order": 0, "taylor_tail": 0.0}
+        assert report == {"aliasing_mass": 0.0, "roundoff_floor": 0.0, "pruned_mass": 0.0,
+                          "taylor_order": 0, "taylor_tail": 0.0}
 
     def test_empty_series_returns_at_once(self):
         f = FTSeries.zeros(2, 3, D_I=1)
@@ -263,7 +266,8 @@ class TestComposeAngle:
         g = F.compose_angle(f, [FTSeries.zeros(2, 1).add_cos((1, 0), 0.3)] * 2,
                             K_out=5, report=report)
         assert not g.blocks and (g.K, g.D_I) == (5, 1)
-        assert report == {"aliasing_mass": 0.0, "taylor_order": 0, "taylor_tail": 0.0}
+        assert report == {"aliasing_mass": 0.0, "roundoff_floor": 0.0, "pruned_mass": 0.0,
+                          "taylor_order": 0, "taylor_tail": 0.0}
 
     def test_offset_beyond_half_step_hits_order_cap(self):
         # the order cap holds for |delta| <= 1/(2N); twice that must raise,

@@ -259,6 +259,20 @@ class TestKamIterate:
         assert res.defects[0] / res.defects[-1] >= 10.0
         assert res.defects[-1] <= 1e-10
 
+    def test_certificate_independent_of_bandwidth(self):
+        # the README perturbation: once no operation stores round-off above
+        # its a-priori floor, cert_A measures the torus, not the bandwidth
+        fp = D.golden_profile()
+        sched = NF.KamSchedule.build(SP, fp, s=0.5, n=2, i_max=8)
+        certs = []
+        for K in (16, 24):
+            f = FTSeries.zeros(2, K).add_cos((1, 0)).add_cos((1, 1), 0.8)
+            f.add_sin((2, 1), 0.5)
+            kh = NF.kam_hamiltonian_from_mechanical(f, 1e-4, GOLD, K=K)
+            res = NF.kam_iterate(kh, fp, SP, s=0.5, n_iter=1, schedule=sched)
+            certs.append(res.cert_log[0]["A"])
+        assert 0.5 <= certs[0] / certs[1] <= 2.0
+
     def test_schedule_satisfies_width_budget(self):
         fp = D.golden_profile()
         sched = NF.KamSchedule.build(SP, fp, s=0.5, n=2, i_max=10)
