@@ -231,7 +231,7 @@ def compose_angle(f: FTSeries, E0: list, E1: Optional[list] = None,
     N = 2 (2 K_out + 1): the shifts come from `grid_values`; f and the
     gradient the jets need are Taylor-expanded about the grid node nearest
     each shifted point (`_nearest_node_taylor`, Anderson-Dahleh), so
-    |delta| <= 1/(2N) for any shift; then `from_samples`.
+    |delta| <= 1/(2N) for any shift; then `from_samples` (FFT, truncation, floor).
     report, if given, receives `from_samples`' report, 'taylor_order', the
     highest order added, and 'taylor_tail', the certified bound on the
     samples' error summed over blocks.

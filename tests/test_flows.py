@@ -250,7 +250,7 @@ class TestComposeAngle:
         F.compose_angle(f, E, K_out=8, report=report)
         assert set(report) == {"aliasing_mass", "roundoff_floor", "pruned_mass",
                                "taylor_order", "taylor_tail"}
-        assert 0.0 < report["roundoff_floor"] and report["pruned_mass"] >= 0.0
+        assert report["roundoff_floor"] > 0.0 and report["pruned_mass"] > 0.0
         assert isinstance(report["taylor_order"], int) and report["taylor_order"] >= 1
         assert 0.0 < report["taylor_tail"] <= F.TAYLOR_TOL * f.coeff_norm1()
         # the identity shortcut of apply_affine composes nothing

@@ -260,8 +260,8 @@ class TestKamIterate:
         assert res.defects[-1] <= 1e-10
 
     def test_certificate_independent_of_bandwidth(self):
-        # the README perturbation: once no operation stores round-off above
-        # its a-priori floor, cert_A measures the torus, not the bandwidth
+        # the README perturbation: with every transform pruned at its
+        # round-off floor, cert_A measures the torus, not the bandwidth
         fp = D.golden_profile()
         sched = NF.KamSchedule.build(SP, fp, s=0.5, n=2, i_max=8)
         certs = []

@@ -411,8 +411,9 @@ def test_property_product_equals_direct_convolution(case):
 
 @st.composite
 def sampled_series(draw):
-    """Random real blocks (n = 1, 2, 3), their samples by a direct Fourier
-    sum on N >= 2K + 1 points per axis, and the bandwidth K_out kept."""
+    """Random real blocks (n = 1, 2, 3) of bandwidth K, the bandwidth K_out
+    to keep, and the samples by a direct Fourier sum on N points per axis,
+    N >= 2 max(K, K_out) + 1 so that no kept mode aliases."""
     n = draw(st.integers(1, 3))
     K = draw(st.integers(0, {1: 8, 2: 4, 3: 2}[n]))
     K_out = draw(st.integers(0, K + 1))
