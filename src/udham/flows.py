@@ -157,7 +157,7 @@ def _collocation_grid(n, K_out):
 def _grid_shift(e: FTSeries, N):
     """Real values of the w-degree-0 block of an angle shift on the N^n grid."""
     vals = e.grid_values(N).get(((0,) * e.n, (0,) * e.n_w))
-    return np.zeros(N ** e.n) if vals is None else vals.real.reshape(-1)
+    return np.zeros(N ** e.n) if vals is None else vals.reshape(-1)
 
 
 def _taylor_order_cap(x: float) -> int:

@@ -6,11 +6,14 @@ The common currency of every normal-form computation: finite sums
 
 with |k|_inf <= K, |m| <= D_I, |w'| <= D_w.  The coefficients of the
 present action/parameter monomials are stacked in one complex array, one
-dense (2K+1)^n angle block per monomial, so angle convolutions run through
-batched zero-padded real FFTs of 5-smooth length: an exact linear
-convolution up to round-off, with every entry below the transform's
-a-priori error bound zeroed, then truncation back to K with a
-discarded-mass monitor.
+dense (2K+1)^n angle block per monomial.  Every angle transform is sized
+by the modes a series holds, its occupied band b <= K, not by K: angle
+convolutions run through batched zero-padded real FFTs of the least
+5-smooth length >= 2(b_f + b_g) + 1, an exact linear convolution up to
+round-off, with every entry below the transform's a-priori error bound
+zeroed, then truncation back to K with a discarded-mass monitor; grid
+values come from one real inverse FFT of the occupied window, folded onto
+the grid's frequencies.
 
 Torus convention: T^n = R^n/Z^n with basis e^{2 pi i k.theta}; every
 frequency-dependent constant is routed through rho(k) = 2 pi |k|_1.
@@ -234,6 +237,13 @@ class FTSeries:
         r = np.arange(-self.K, self.K + 1)
         return np.stack(np.meshgrid(*([r] * self.n), indexing="ij"), axis=-1)
 
+    def _band(self) -> int:
+        """Largest |k|_inf of a nonzero coefficient, -1 when there is none."""
+        # scanned as (re, im) float pairs, several times faster than complex != 0
+        parts = np.any(np.ascontiguousarray(self.coef).view(float) != 0, axis=0)
+        occupied = np.nonzero(parts[..., 0::2] | parts[..., 1::2])
+        return int(np.max(np.abs(np.stack(occupied) - self.K), initial=-1))
+
     def coeff_norm1(self) -> float:
         return float(np.sum(np.abs(self.coef)))
 
@@ -338,7 +348,7 @@ class FTSeries:
         return out.real
 
     def grid_values(self, N=None) -> dict:
-        """Per-block values on the uniform N^n grid via inverse FFT."""
+        """Real per-block values on the uniform N^n grid via inverse FFT."""
         N = N if N is not None else 2 * self.K + 2
         if N < 2 * self.K + 1:
             raise ParameterError("grid too small for the stored bandwidth")
@@ -346,19 +356,31 @@ class FTSeries:
 
     def derivative_grid(self, alpha, N: int) -> np.ndarray:
         """d^alpha f / d theta^alpha of every block on the uniform N^n grid
-        theta = j/N, stacked as (len(keys),) + (N,)*n, by one inverse FFT.
+        theta = j/N, stacked as (len(keys),) + (N,)*n, by one real inverse
+        FFT of the half spectrum.
 
-        Mode k lands on grid frequency k mod N; modes that coincide there
-        are summed, so the values are exact samples for any N, also below
-        the 2K + 1 that the stored bandwidth resolves.
+        Only the occupied window |k|_inf <= b = `_band()` is read.  Mode k
+        is added onto grid frequency k mod N, and kept when its last
+        component lands in the half spectrum 0..N//2; modes that coincide
+        there are summed, so the values are exact samples for any N, also
+        below 2b + 1.  The series' exact Hermitian symmetry makes the
+        samples real.
         """
-        coef = self.coef
+        n, K, b = self.n, self.K, self._band()
+        r = np.arange(-b, b + 1)
+        ks = [r] * (n - 1) + [r[r % N <= N // 2]]
+        rows = np.arange(len(self.keys))
+        win = self.coef[np.ix_(rows, *(k + K for k in ks))]
         for i, a in enumerate(alpha):
             if a:
-                coef = coef * self._dtheta_mult(i) ** a
-        for axis in self._angle_axes():
-            coef = _fold(coef, axis, self.K, N)
-        return np.fft.ifftn(coef, axes=self._angle_axes()) * N ** self.n
+                win = win * np.take(self._dtheta_mult(i), ks[i] + K, axis=i + 1) ** a
+        half = np.zeros((len(rows),) + (N,) * (n - 1) + (N // 2 + 1,), dtype=complex)
+        at = np.ix_(rows, *(k % N for k in ks))
+        if N > 2 * b:
+            half[at] = win        # no two modes coincide; several times faster than add.at
+        else:
+            np.add.at(half, at, win)
+        return np.fft.irfftn(half, s=(N,) * n, axes=self._angle_axes(), norm="forward")
 
     # -- serialization ------------------------------------------------------------
 
@@ -395,18 +417,6 @@ class FTSeries:
             block[k] = re_ + 1j * im_
         like = cls(n=n, K=K, D_I=D_I, D_w=D_w, n_w=n_w)
         return cls.from_blocks(like, blocks)
-
-
-def _fold(coef, axis, K, N):
-    """Move a mode axis (mode k at index k + K) onto N grid frequencies
-    (k at index k mod N), summing the modes that coincide mod N."""
-    L = coef.shape[axis]
-    M = -(-L // N) * N
-    pad = [(0, 0)] * coef.ndim
-    pad[axis] = (0, M - L)
-    chunks = np.pad(coef, pad).reshape(coef.shape[:axis] + (M // N, N)
-                                       + coef.shape[axis + 1:])
-    return np.roll(chunks.sum(axis=axis), -K, axis=axis)
 
 
 def _vandermonde(z, L, K):
@@ -472,47 +482,43 @@ def product(f: FTSeries, g: FTSeries, K_out: Optional[int] = None,
     """Coefficient product; angle part by zero-padded real FFT, action and
     parameter parts by exponent convolution truncated to D_I/D_w.
 
-    The angle convolution is exact up to round-off: both operands go to
-    real grid values on a 5-smooth length Lf >= 2(f.K + g.K) + 1 (no
-    wrap-around), the pointwise products are summed per output monomial in
-    key-pair order, and one real FFT returns the half spectrum, from which
-    the kept modes are rebuilt with c_{-k} = conj(c_k).  Every entry below
-    the transform's a-priori error bound u log2(Lf^n) |f|_1 |g|_1 (Higham,
-    ch. 24) is zeroed, so the result keeps no entry below that floor, and
-    it is exactly real.
+    The angle convolution is exact up to round-off and sized by the
+    operands' occupied bands b_f, b_g (`FTSeries._band`), not their stored
+    K: both operands go to real grid values (`derivative_grid` at alpha = 0,
+    which reads only the window |k|_inf <= b) on the least 5-smooth length
+    Lf >= 2(b_f + b_g) + 1 (no wrap-around), the pointwise
+    products are summed per output monomial in key-pair order, and one real
+    FFT returns the half spectrum, from which the kept modes are rebuilt
+    with c_{-k} = conj(c_k).  Every entry below the transform's a-priori
+    error bound u log2(Lf^n) |f|_1 |g|_1 (Higham, ch. 24) is zeroed, so the
+    result keeps no entry below that floor, and it is exactly real.  An
+    operand with no nonzero coefficient gives the empty series.
 
     report, if given, receives 'discarded_fourier' and 'discarded_action'
     (l1 masses of the modes beyond K_out and of each dropped pair's full
-    product; computed only then), 'roundoff_floor' and 'pruned_mass' (l1
-    of the kept modes zeroed by the floor).
+    product; computed only then), 'roundoff_floor', 'pruned_mass' (l1 of
+    the kept modes zeroed by the floor) and 'transform_length' (Lf, 0 when
+    no transform runs).
     """
     f._check_compat(g)
-    K_full = f.K + g.K
+    b_f, b_g = f._band(), g._band()
+    K_full = b_f + b_g
     K_out = K_out if K_out is not None else max(f.K, g.K)
     D_I_out = D_I_out if D_I_out is not None else f.D_I + g.D_I
     D_w = max(f.D_w, g.D_w)
-    if not f.keys or not g.keys:
+    if min(b_f, b_g) < 0:
         if report is not None:
             report.update(discarded_fourier=0.0, discarded_action=0.0,
-                          roundoff_floor=0.0, pruned_mass=0.0)
+                          roundoff_floor=0.0, pruned_mass=0.0, transform_length=0)
         return f._new((), None, K=K_out, D_I=D_I_out, D_w=D_w)
     n = f.n
     Lf = _smooth_length(2 * K_full + 1)
     axes = f._angle_axes()
-    grid = (Lf,) * n
-
-    def values(src):
-        half = np.zeros((len(src.keys),) + grid[:-1] + (Lf // 2 + 1,), dtype=complex)
-        idx = np.arange(-src.K, src.K + 1) % Lf
-        pos = np.arange(src.K + 1)
-        half[np.ix_(np.arange(len(src.keys)), *([idx] * (n - 1)), pos)] = \
-            src.coef[..., src.K:]
-        return np.fft.irfftn(half, s=grid, axes=axes, norm="forward")
 
     def l1(H):
         return float(np.sum(np.abs(_half_modes(H, n, K_full, Lf))))
 
-    Fv, Gv = values(f), values(g)
+    Fv, Gv = f.derivative_grid((0,) * n, Lf), g.derivative_grid((0,) * n, Lf)
     rows, pairs = {}, []
     disc_action = 0.0
     for i, (m1, w1) in enumerate(f.keys):
@@ -527,7 +533,7 @@ def product(f: FTSeries, g: FTSeries, K_out: Optional[int] = None,
                                                    axes=axes, norm="forward"))
                 continue
             pairs.append((rows.setdefault((m, w), len(rows)), i, j))
-    acc = np.zeros((len(rows),) + grid)
+    acc = np.zeros((len(rows),) + (Lf,) * n)
     for r, i, j in pairs:
         acc[r] += Fv[i] * Gv[j]
     H = np.fft.rfftn(acc, axes=axes, norm="forward")
@@ -542,6 +548,7 @@ def product(f: FTSeries, g: FTSeries, K_out: Optional[int] = None,
         report["discarded_action"] = disc_action
         report["roundoff_floor"] = floor
         report["pruned_mass"] = float(np.sum(np.abs(kept[low])))
+        report["transform_length"] = Lf
     kept[low] = 0.0
     return f._new(list(rows), kept, K=K_out, D_I=D_I_out, D_w=D_w).prune()
 

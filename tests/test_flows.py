@@ -334,6 +334,45 @@ def test_property_composition_equals_fourier_sum(seed, amp, K, K_out):
     assert (g - expect).sup_coeff() <= 1e-12
 
 
+def random_band_series(rng, n, b, l1):
+    """A real angle series of n angles with every mode |k|_inf <= b, scaled to |.|_1 = l1."""
+    arr = rng.normal(size=(2 * b + 1,) * n) + 1j * rng.normal(size=(2 * b + 1,) * n)
+    blk = 0.5 * (arr + np.conj(arr[(slice(None, None, -1),) * n]))
+    out = FTSeries.from_blocks(FTSeries.zeros(n, b), {((0,) * n, ()): blk})
+    return (l1 / out.coeff_norm1()) * out
+
+
+@given(st.integers(0, 10_000), st.integers(1, 2), st.floats(0.0, 2e-3))
+@settings(max_examples=15, deadline=None)
+def test_property_compose_angle_round_trip(seed, n, e):
+    # The inverse shift Et = -E o (id + Et), by fixed-point iteration with
+    # compose_angle, undoes the composition: f o (id + E) o (id + Et) = f.
+    # f and the E_i hold every mode |k|_inf <= b = 2 with |f|_1 = 1 and
+    # |E_i|_1 = e.  A composition keeps |k|_inf <= K_out; its order-m terms
+    # in the shift hold modes up to b + m b, so the dropped ones start at
+    # M = (K_out - b) // b + 1, with l1 at most x^M e^x / M! per unit of
+    # |f|_1, x = 2 pi n b |shift|_1 and |shift|_1 <= 2e for Et.  With the
+    # factor 1 + 2 pi n b for the gradient through which Et's truncation
+    # enters, that bounds the round trip up to round-off.
+    rng = np.random.default_rng(seed)
+    b, K_out = 2, 12
+    f = random_band_series(rng, n, b, 1.0)
+    E = [random_band_series(rng, n, b, e) for _ in range(n)]
+    Et = [-c for c in E]
+    for _ in range(40):
+        new = [-F.compose_angle(c, Et, K_out=K_out) for c in E]
+        step = max((u - v).coeff_norm1() for u, v in zip(new, Et))
+        Et = new
+        if step <= 1e-17:
+            break
+    assert max(c.coeff_norm1() for c in Et) <= 2 * e
+    back = F.compose_angle(F.compose_angle(f, E, K_out=K_out), Et, K_out=K_out)
+    x = 2 * math.pi * n * b * 2 * e
+    M = (K_out - b) // b + 1
+    bound = (1 + 2 * math.pi * n * b) * x ** M * math.exp(x) / math.factorial(M)
+    assert (back - f).coeff_norm1() <= bound + 1e-13
+
+
 class TestLieFlow:
     def test_zero_generator(self):
         H = FTSeries.zeros(2, 3, D_I=1).add_cos((1, 0), 0.3)

@@ -62,7 +62,7 @@ class TestProduct:
         p = product(a, FTSeries.zeros(1, 2, D_I=1), K_out=5, report=rep3)
         assert not p.keys and (p.K, p.D_I, p.D_w) == (5, 1, 0)
         assert rep3 == {"discarded_fourier": 0.0, "discarded_action": 0.0,
-                        "roundoff_floor": 0.0, "pruned_mass": 0.0}
+                        "roundoff_floor": 0.0, "pruned_mass": 0.0, "transform_length": 0}
 
     def test_action_degree_convolution(self):
         f = FTSeries.zeros(1, 1, D_I=1)
@@ -407,6 +407,73 @@ def test_property_product_equals_direct_convolution(case):
     assert rep["discarded_action"] == pytest.approx(disc_action, rel=1e-12,
                                                     abs=slack * len(f.keys) * len(g.keys))
     assert 0.0 <= rep["pruned_mass"] <= floor * (2 * K_out + 1) ** f.n * len(blocks)
+
+
+def _occupied_band(s):
+    """Largest |k|_inf over the nonzero entries of s's blocks, -1 for none."""
+    return max((int(np.max(np.abs(idx - s.K))) for blk in s.blocks.values()
+                for idx in np.argwhere(np.asarray(blk) != 0)), default=-1)
+
+
+@given(product_operands(), st.integers(1, 10))
+@settings(max_examples=40, deadline=None)
+@example((FTSeries.from_blocks(FTSeries.zeros(2, 3, D_I=2), {((0, 0), ()): np.zeros((7, 7))}),
+          rand_series(2, 2, 1, D_I=1), 4, 2), 9)      # a present monomial holding no mode
+def test_property_product_sized_by_occupied_band(case, pad):
+    # operands rebanded far above their occupied bands b give the product
+    # of the unpadded operands, on a transform sized by b, not by the stored K
+    f, g, K_out, D_I_out = case
+    ref_rep, rep = {}, {}
+    ref = product(f, g, K_out=K_out, D_I_out=D_I_out, report=ref_rep)
+    p = product(f.rebanded(f.K + pad), g.rebanded(g.K + 2 * pad), K_out=K_out,
+                D_I_out=D_I_out, report=rep)
+    b_f, b_g = _occupied_band(f), _occupied_band(g)
+    if min(b_f, b_g) < 0:
+        empty_rep = {}
+        empty = product(FTSeries.zeros(f.n, f.K, D_I=f.D_I, D_w=f.D_w, n_w=f.n_w), g,
+                        K_out=K_out, D_I_out=D_I_out, report=empty_rep)
+        assert not p.keys and not empty.keys
+        assert (p.K, p.D_I, p.D_w) == (empty.K, empty.D_I, empty.D_w)
+        assert rep == empty_rep and rep["transform_length"] == 0
+        return
+    assert rep["transform_length"] == _least_5_smooth(2 * (b_f + b_g) + 1)
+    floor = rep["roundoff_floor"]
+    assert floor == pytest.approx(np.finfo(float).eps * f.n * math.log2(rep["transform_length"])
+                                  * f.coeff_norm1() * g.coeff_norm1(), rel=1e-12)
+    assert (p.K, p.D_I, p.D_w) == (ref.K, ref.D_I, ref.D_w)
+    for key in set(p.keys) | set(ref.keys):
+        assert np.all(np.abs(p.block(*key) - ref.block(*key)) <= floor)
+    for name in ("discarded_fourier", "discarded_action"):
+        assert rep[name] == pytest.approx(ref_rep[name], rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@given(b=st.integers(0, 4), extra=st.integers(1, 4), N=st.integers(1, 12),
+       alpha=st.tuples(*[st.integers(0, 3)] * 3).filter(lambda a: sum(a) <= 3),
+       seed=st.integers(0, 2**32 - 1))
+@example(b=4, extra=2, N=4, alpha=(2, 1, 0), seed=0)    # N < 2b + 1: modes fold
+@example(b=3, extra=1, N=7, alpha=(0, 0, 3), seed=1)    # N = 2b + 1
+@settings(max_examples=30, deadline=None)
+def test_property_derivative_grid_equals_fourier_sum(n, b, extra, N, alpha, seed):
+    # d^alpha f on the N^n grid against sum_k c_k (2 pi i k)^alpha e^{2 pi i k.j/N},
+    # f of occupied band b stored at K = b + extra, for odd and even N
+    alpha = alpha[:n]
+    r = np.random.default_rng(seed)
+    ks = np.indices((2 * b + 1,) * n).reshape(n, -1).T - b
+    blocks = {}
+    for i in range(2):
+        c = r.normal(size=len(ks)) + 1j * r.normal(size=len(ks))
+        blocks[((i,) + (0,) * (n - 1), ())] = 0.5 * (c + np.conj(c[::-1])).reshape((2 * b + 1,) * n)
+    f = FTSeries.from_blocks(FTSeries.zeros(n, b, D_I=1), blocks).rebanded(b + extra)
+    got = f.derivative_grid(alpha, N)
+    assert got.dtype == np.float64 and got.shape == (2,) + (N,) * n
+    j = np.indices((N,) * n).reshape(n, -1).T
+    waves = np.exp(2j * np.pi * ((j @ ks.T) % N) / N)
+    mult = np.prod((2j * np.pi * ks) ** np.array(alpha), axis=1)
+    for row, c in enumerate(blocks.values()):
+        d = c.reshape(-1) * mult
+        direct = waves @ d
+        assert np.max(np.abs(got[row].reshape(-1) - direct)) <= 1e-12 * np.sum(np.abs(d))
 
 
 @st.composite
