@@ -241,8 +241,11 @@ class FTSeries:
         """Largest |k|_inf of a nonzero coefficient, -1 when there is none."""
         # scanned as (re, im) float pairs, several times faster than complex != 0
         parts = np.any(np.ascontiguousarray(self.coef).view(float) != 0, axis=0)
-        occupied = np.nonzero(parts[..., 0::2] | parts[..., 1::2])
-        return int(np.max(np.abs(np.stack(occupied) - self.K), initial=-1))
+        occupied = parts[..., 0::2] | parts[..., 1::2]
+        k = np.abs(np.arange(-self.K, self.K + 1))
+        per_axis = (np.any(occupied, axis=tuple(j for j in range(self.n) if j != i))
+                    for i in range(self.n))
+        return max(int(np.max(k[hit], initial=-1)) for hit in per_axis)
 
     def coeff_norm1(self) -> float:
         return float(np.sum(np.abs(self.coef)))
@@ -368,9 +371,10 @@ class FTSeries:
         """
         n, K, b = self.n, self.K, self._band()
         r = np.arange(-b, b + 1)
-        ks = [r] * (n - 1) + [r[r % N <= N // 2]]
+        in_half = r % N <= N // 2
+        ks = [r] * (n - 1) + [r[in_half]]
         rows = np.arange(len(self.keys))
-        win = self.coef[np.ix_(rows, *(k + K for k in ks))]
+        win = self.coef[(slice(None),) + (slice(K - b, K + b + 1),) * n][..., in_half]
         for i, a in enumerate(alpha):
             if a:
                 win = win * np.take(self._dtheta_mult(i), ks[i] + K, axis=i + 1) ** a
