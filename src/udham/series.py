@@ -239,13 +239,12 @@ class FTSeries:
 
     def _band(self) -> int:
         """Largest |k|_inf of a nonzero coefficient, -1 when there is none."""
-        # scanned as (re, im) float pairs, several times faster than complex != 0
-        parts = np.any(np.ascontiguousarray(self.coef).view(float) != 0, axis=0)
-        occupied = parts[..., 0::2] | parts[..., 1::2]
-        k = np.abs(np.arange(-self.K, self.K + 1))
-        per_axis = (np.any(occupied, axis=tuple(j for j in range(self.n) if j != i))
-                    for i in range(self.n))
-        return max(int(np.max(k[hit], initial=-1)) for hit in per_axis)
+        occupied = np.argwhere(np.any(self.coef != 0, axis=0))
+        return int(np.max(np.abs(occupied - self.K), initial=-1))
+
+    def _window(self, b) -> np.ndarray:
+        """The stacked blocks' modes |k|_inf <= b, mode k at index k + b."""
+        return self.coef[(slice(None),) + (slice(self.K - b, self.K + b + 1),) * self.n]
 
     def coeff_norm1(self) -> float:
         return float(np.sum(np.abs(self.coef)))
@@ -362,29 +361,21 @@ class FTSeries:
         theta = j/N, stacked as (len(keys),) + (N,)*n, by one real inverse
         FFT of the half spectrum.
 
-        Only the occupied window |k|_inf <= b = `_band()` is read.  Mode k
-        is added onto grid frequency k mod N, and kept when its last
-        component lands in the half spectrum 0..N//2; modes that coincide
-        there are summed, so the values are exact samples for any N, also
-        below 2b + 1.  The series' exact Hermitian symmetry makes the
-        samples real.
+        Only the occupied window |k|_inf <= b = `_band()` is read, and
+        `_half_spectrum` folds it onto the grid's frequencies, so the values
+        are exact samples for any N, also below 2b + 1.  The series' exact
+        Hermitian symmetry makes the samples real.
         """
-        n, K, b = self.n, self.K, self._band()
-        r = np.arange(-b, b + 1)
-        in_half = r % N <= N // 2
-        ks = [r] * (n - 1) + [r[in_half]]
-        rows = np.arange(len(self.keys))
-        win = self.coef[(slice(None),) + (slice(K - b, K + b + 1),) * n][..., in_half]
+        b = self._band()
+        k = np.arange(-b, b + 1) + self.K
+        win = self._window(b)
         for i, a in enumerate(alpha):
             if a:
-                win = win * np.take(self._dtheta_mult(i), ks[i] + K, axis=i + 1) ** a
-        half = np.zeros((len(rows),) + (N,) * (n - 1) + (N // 2 + 1,), dtype=complex)
-        at = np.ix_(rows, *(k % N for k in ks))
-        if N > 2 * b:
-            half[at] = win        # no two modes coincide; several times faster than add.at
-        else:
-            np.add.at(half, at, win)
-        return np.fft.irfftn(half, s=(N,) * n, axes=self._angle_axes(), norm="forward")
+                win = win * np.take(self._dtheta_mult(i), k, axis=i + 1) ** a
+        # scaled after a backward transform: norm="forward" is as accurate,
+        # but moves the README kam run's omega_star by about ten ulps
+        return np.fft.irfftn(_half_spectrum(win, N, self.n), s=(N,) * self.n,
+                             axes=self._angle_axes()) * N ** self.n
 
     # -- serialization ------------------------------------------------------------
 
@@ -447,6 +438,19 @@ def _horner(arr, zs, K):
     return vals
 
 
+def _half_spectrum(win, N, n):
+    """Half spectrum on the N^n grid of a stack of windows (mode k at index
+    k + b per axis): mode k is added onto grid frequency k mod N and kept
+    when its last component lands in 0..N//2; modes that coincide are
+    summed, so any N folds exactly."""
+    r = np.arange(win.shape[-1]) - win.shape[-1] // 2
+    in_half = r % N <= N // 2
+    half = np.zeros((len(win),) + (N,) * (n - 1) + (N // 2 + 1,), dtype=complex)
+    np.add.at(half, np.ix_(np.arange(len(win)), *([r % N] * (n - 1)), r[in_half] % N),
+              win[..., in_half])
+    return half
+
+
 def _smooth_length(L: int) -> int:
     """Least 5-smooth integer >= L (an FFT length with radices 2, 3, 5)."""
     while True:
@@ -488,9 +492,9 @@ def product(f: FTSeries, g: FTSeries, K_out: Optional[int] = None,
 
     The angle convolution is exact up to round-off and sized by the
     operands' occupied bands b_f, b_g (`FTSeries._band`), not their stored
-    K: both operands go to real grid values (`derivative_grid` at alpha = 0,
-    which reads only the window |k|_inf <= b) on the least 5-smooth length
-    Lf >= 2(b_f + b_g) + 1 (no wrap-around), the pointwise
+    K: only the window |k|_inf <= b of each operand goes to real grid
+    values on the least 5-smooth length Lf >= 2(b_f + b_g) + 1 (no
+    wrap-around), the pointwise
     products are summed per output monomial in key-pair order, and one real
     FFT returns the half spectrum, from which the kept modes are rebuilt
     with c_{-k} = conj(c_k).  Every entry below the transform's a-priori
@@ -522,7 +526,11 @@ def product(f: FTSeries, g: FTSeries, K_out: Optional[int] = None,
     def l1(H):
         return float(np.sum(np.abs(_half_modes(H, n, K_full, Lf))))
 
-    Fv, Gv = f.derivative_grid((0,) * n, Lf), g.derivative_grid((0,) * n, Lf)
+    def values(src, b):
+        return np.fft.irfftn(_half_spectrum(src._window(b), Lf, n), s=(Lf,) * n,
+                             axes=axes, norm="forward")
+
+    Fv, Gv = values(f, b_f), values(g, b_g)
     rows, pairs = {}, []
     disc_action = 0.0
     for i, (m1, w1) in enumerate(f.keys):
