@@ -154,10 +154,13 @@ def _collocation_grid(n, K_out):
     return N, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
 
 
-def _grid_shift(e: FTSeries, N):
-    """Real values of the w-degree-0 block of an angle shift on the N^n grid."""
-    vals = e.grid_values(N).get(((0,) * e.n, (0,) * e.n_w))
-    return np.zeros(N ** e.n) if vals is None else vals.reshape(-1)
+def _grid_shift(e: FTSeries, N, alpha=None):
+    """Real values of d^alpha (none by default) of the I^0 w^0 block of e on
+    the N^n grid, flattened in C order, from `derivative_grid`."""
+    key = ((0,) * e.n, (0,) * e.n_w)
+    if key not in e.keys:
+        return np.zeros(N ** e.n)
+    return e.derivative_grid(alpha or (0,) * e.n, N)[e.keys.index(key)].reshape(-1)
 
 
 def _taylor_order_cap(x: float) -> int:
@@ -228,10 +231,11 @@ def compose_angle(f: FTSeries, E0: list, E1: Optional[list] = None,
     E0 is the base shift (n series), E1 an optional list indexed by
     parameter a of first-order jet shifts; the composition is expanded to
     first order in w (jet semantics).  Collocation on the uniform N^n grid,
-    N = 2 (2 K_out + 1): the shifts come from `grid_values`; f and the
+    N = 2 (2 K_out + 1): the shifts come from `derivative_grid`; f and the
     gradient the jets need are Taylor-expanded about the grid node nearest
     each shifted point (`_nearest_node_taylor`, Anderson-Dahleh), so
-    |delta| <= 1/(2N) for any shift; then `from_samples` (FFT, truncation, floor).
+    |delta| <= 1/(2N) for any shift; then `from_samples` (real FFT,
+    truncation, floor).
     report, if given, receives `from_samples`' report, 'taylor_order', the
     highest order added, and 'taylor_tail', the certified bound on the
     samples' error summed over blocks.

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import dioph
 from .dioph import FrequencyProfile, PeriodicVector
-from .flows import (AffineTransform, affine_flow_lie, apply_affine, compose_affine,
-                    jet_param_substitute, lie_flow)
+from .flows import (AffineTransform, _grid_shift, affine_flow_lie, apply_affine,
+                    compose_affine, jet_param_substitute, lie_flow)
 from .series import (FTSeries, average_periodic, average_zero_mode, norm_upper,
                      poisson_bracket, solve_homological_periodic)
 from .weights import HorizonError, ParameterError, ScaleProfile
@@ -574,21 +574,23 @@ def mechanical_defect_fn(f: FTSeries, eps: float, omega0, n_grid: int = 64):
     """Invariance defect for H = |I|^2/2 + eps f(theta).
 
     The embedding is Theta(theta) = (theta + E*(theta), omega* + G*(theta));
-    the defect is max over a grid of
-        |(Id + dE*) omega_0 - (omega* + G*)|  and  |dG* omega_0 + eps grad f|."""
+    the defect is max over the uniform n_grid^n grid of
+        |(Id + dE*) omega_0 - (omega* + G*)|  and  |dG* omega_0 + eps grad f|,
+    E*, G* and dE*, dG* from `derivative_grid`, grad f at theta + E* by `eval`."""
     omega0 = np.asarray(omega0, dtype=float)
     n = len(omega0)
     axes = [np.arange(n_grid) / n_grid] * n
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     gradf = f.grad_theta()
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+
+    def values(series, alpha=None):
+        return np.stack([_grid_shift(s, n_grid, alpha) for s in series], axis=-1)
 
     def defect(E0, G0, omega_star):
-        Ev = np.stack([e.eval(grid) for e in E0], axis=-1)
-        Gv = np.stack([g.eval(grid) for g in G0], axis=-1)
-        dE = np.stack([np.stack([E0[i].dtheta(j).eval(grid) for j in range(n)],
-                                axis=-1) for i in range(n)], axis=-2)
-        dG = np.stack([np.stack([G0[i].dtheta(j).eval(grid) for j in range(n)],
-                                axis=-1) for i in range(n)], axis=-2)
+        Ev, Gv = values(E0), values(G0)
+        dE = np.stack([values(E0, u) for u in units], axis=-1)   # [p, i, j] = d_j E_i
+        dG = np.stack([values(G0, u) for u in units], axis=-1)
         pts = grid + Ev
         gf = np.stack([g.eval(pts) for g in gradf], axis=-1)
         d_theta = (omega0[None, :] + np.einsum("pij,j->pi", dE, omega0)

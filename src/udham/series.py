@@ -11,9 +11,11 @@ by the modes a series holds, its occupied band b <= K, not by K: angle
 convolutions run through batched zero-padded real FFTs of the least
 5-smooth length >= 2(b_f + b_g) + 1, an exact linear convolution up to
 round-off, with every entry below the transform's a-priori error bound
-zeroed, then truncation back to K with a discarded-mass monitor; grid
-values come from one real inverse FFT of the occupied window, folded onto
-the grid's frequencies.
+zeroed, then truncation back to K with a discarded-mass monitor.  Uniform
+grid values come only from `derivative_grid` (one real inverse FFT, on a
+grid where no mode folds), samples go back only through `from_samples`
+(one real FFT, kept modes rebuilt as in `product`), and scattered points
+through `eval_blocks`.
 
 Torus convention: T^n = R^n/Z^n with basis e^{2 pi i k.theta}; every
 frequency-dependent constant is routed through rho(k) = 2 pi |k|_1.
@@ -46,11 +48,6 @@ class ConsistencyError(ValueError):
 def _flip(coef, n):
     """c_{-k} for every block of a stack: reverse the n trailing angle axes."""
     return coef[(Ellipsis,) + (slice(None, None, -1),) * n]
-
-
-def _real_projection(coef, n):
-    """Nearest real series: c_k -> (c_k + conj(c_{-k})) / 2 per block."""
-    return 0.5 * (coef + np.conj(_flip(coef, n)))
 
 
 @dataclass
@@ -121,27 +118,31 @@ class FTSeries:
         """Series whose (m, w) blocks interpolate samples on the uniform grid.
 
         samples maps (m, w) to values at the N^n points theta = j/N (C
-        order); their FFT coefficients are truncated to K (like's, or
-        meta's), projected onto real series, and zeroed below the FFT's
-        a-priori error bound u log2(N^n) |c|_1, c the row's full spectrum.
+        order), N >= 2K + 1 for like's K (or meta's).  Their real parts go
+        through one real FFT; the modes |k|_inf <= K are rebuilt from the
+        half spectrum as in `product` (`_half_modes`) and zeroed below the
+        FFT's a-priori error bound u log2(N^n) |c|_1, c the row's full
+        spectrum (half-spectrum columns 0 < k_last < N/2 count twice).
         report, if given, receives the 'aliasing_mass' the truncation drops,
         the largest 'roundoff_floor' and the 'pruned_mass' it zeroes.
         """
         out = like._new((), None, **meta)
         n, K = out.n, out.K
+        if N < 2 * K + 1:
+            raise ParameterError("grid too small for the kept bandwidth")
         keys = list(samples)
-        vals = np.zeros((len(keys),) + (N,) * n, dtype=complex)
+        vals = np.zeros((len(keys),) + (N,) * n)
         for r, key in enumerate(keys):
-            vals[r] = np.reshape(samples[key], (N,) * n)
-        coef = np.fft.fftn(vals, axes=out._angle_axes()) / N ** n
-        l1 = np.sum(np.abs(coef), axis=out._angle_axes(), keepdims=True)
-        idx = np.arange(-K, K + 1) % N
-        raw = coef[np.ix_(np.arange(len(keys)), *([idx] * n))]
-        kept = _real_projection(raw, n)
+            vals[r] = np.reshape(np.real(samples[key]), (N,) * n)
+        H = np.fft.rfftn(vals, axes=out._angle_axes()) / N ** n
+        col = np.arange(N // 2 + 1)
+        l1 = np.sum(np.abs(H) * np.where((col == 0) | (2 * col == N), 1.0, 2.0),
+                    axis=out._angle_axes(), keepdims=True)
+        kept = _half_modes(H, n, K, N)
         floor = np.finfo(float).eps * n * math.log2(N) * l1
         low = np.abs(kept) < floor
         if report is not None:
-            report.update(aliasing_mass=float(np.sum(l1) - np.sum(np.abs(raw))),
+            report.update(aliasing_mass=float(np.sum(l1) - np.sum(np.abs(kept))),
                           roundoff_floor=float(np.max(floor, initial=0.0)),
                           pruned_mass=float(np.sum(np.abs(kept[low]))))
         kept[low] = 0.0
@@ -256,10 +257,10 @@ class FTSeries:
         """Yield (k, m, w, coeff) over nonzero coefficients, sorted."""
         order = sorted(range(len(self.keys)), key=self.keys.__getitem__)
         coef = self.coef[order]
-        for idx in np.argwhere(np.abs(coef) > 0):
-            m, w = self.keys[order[idx[0]]]
-            k = tuple(int(i) - self.K for i in idx[1:])
-            yield k, m, w, complex(coef[tuple(idx)])
+        idx = np.argwhere(np.abs(coef) > 0)
+        for (r, *k), c in zip(idx.tolist(), coef[tuple(idx.T)].tolist()):
+            m, w = self.keys[order[r]]
+            yield tuple(i - self.K for i in k), m, w, c
 
     def check_reality(self) -> float:
         """Max |c_{-k} - conj(c_k)| over blocks."""
@@ -329,12 +330,11 @@ class FTSeries:
     # -- evaluation --------------------------------------------------------------
 
     def eval_blocks(self, theta_pts) -> dict:
-        """Evaluate each (m, w) angle block at arbitrary points (P, n)."""
+        """Each (m, w) angle block at points (P, n), from the occupied window."""
         theta_pts = np.atleast_2d(np.asarray(theta_pts, dtype=float))
         zs = [np.exp(TWO_PI * 1j * theta_pts[:, i]) for i in range(self.n)]
-        if not self.keys:
-            return {}
-        return dict(zip(self.keys, _horner(self.coef, zs, self.K)))
+        b = max(self._band(), 0)
+        return dict(zip(self.keys, _horner(self._window(b), zs, b)))
 
     def eval(self, theta_pts, I=None, w=None) -> np.ndarray:
         """f(theta, I, w) at points (P, n); w a fixed vector, I a fixed
@@ -349,22 +349,16 @@ class FTSeries:
                 (np.prod(wv ** np.array(ww)) if self.n_w else 1.0)
         return out.real
 
-    def grid_values(self, N=None) -> dict:
-        """Real per-block values on the uniform N^n grid via inverse FFT."""
-        N = N if N is not None else 2 * self.K + 2
-        if N < 2 * self.K + 1:
-            raise ParameterError("grid too small for the stored bandwidth")
-        return dict(zip(self.keys, self.derivative_grid((0,) * self.n, N)))
-
     def derivative_grid(self, alpha, N: int) -> np.ndarray:
         """d^alpha f / d theta^alpha of every block on the uniform N^n grid
         theta = j/N, stacked as (len(keys),) + (N,)*n, by one real inverse
         FFT of the half spectrum.
 
-        Only the occupied window |k|_inf <= b = `_band()` is read, and
-        `_half_spectrum` folds it onto the grid's frequencies, so the values
-        are exact samples for any N, also below 2b + 1.  The series' exact
-        Hermitian symmetry makes the samples real.
+        Only the occupied window |k|_inf <= b = `_band()` is read.  It is
+        transformed on the least multiple qN >= 2b + 1 of N, where no mode
+        folds, and every q-th sample is kept, so the values are exact
+        samples for any N, also below 2b + 1.  The series' exact Hermitian
+        symmetry makes the samples real.
         """
         b = self._band()
         k = np.arange(-b, b + 1) + self.K
@@ -372,10 +366,12 @@ class FTSeries:
         for i, a in enumerate(alpha):
             if a:
                 win = win * np.take(self._dtheta_mult(i), k, axis=i + 1) ** a
+        q = max(-(-(2 * b + 1) // N), 1)
         # scaled after a backward transform: norm="forward" is as accurate,
         # but moves the README kam run's omega_star by about ten ulps
-        return np.fft.irfftn(_half_spectrum(win, N, self.n), s=(N,) * self.n,
-                             axes=self._angle_axes()) * N ** self.n
+        vals = np.fft.irfftn(_half_spectrum(win, q * N, self.n), s=(q * N,) * self.n,
+                             axes=self._angle_axes()) * (q * N) ** self.n
+        return vals[(slice(None),) + (slice(None, None, q),) * self.n]
 
     # -- serialization ------------------------------------------------------------
 
@@ -387,8 +383,7 @@ class FTSeries:
         buf.write("ftseries 1\n")
         buf.write(f"{self.n} {self.K} {self.D_I} {self.n_w} {self.D_w} 1.0 1.0 0.0 1\n")
         for k, m, w, c in self.terms():
-            fields = list(k) + list(m) + list(w) + [repr(c.real), repr(c.imag)]
-            buf.write(" ".join(str(x) for x in fields) + "\n")
+            buf.write(" ".join(map(str, k + m + w)) + f" {c.real!r} {c.imag!r}\n")
         return buf.getvalue()
 
     @classmethod
@@ -439,15 +434,13 @@ def _horner(arr, zs, K):
 
 
 def _half_spectrum(win, N, n):
-    """Half spectrum on the N^n grid of a stack of windows (mode k at index
-    k + b per axis): mode k is added onto grid frequency k mod N and kept
-    when its last component lands in 0..N//2; modes that coincide are
-    summed, so any N folds exactly."""
-    r = np.arange(win.shape[-1]) - win.shape[-1] // 2
-    in_half = r % N <= N // 2
+    """Half spectrum on the N^n grid, N >= 2b + 1, of a stack of windows
+    (mode k at index k + b per axis): mode k is placed at grid frequency
+    k mod N, where no two modes meet, and kept when k_last >= 0."""
+    b = (win.shape[-1] - 1) // 2
+    r = np.arange(-b, b + 1) % N
     half = np.zeros((len(win),) + (N,) * (n - 1) + (N // 2 + 1,), dtype=complex)
-    np.add.at(half, np.ix_(np.arange(len(win)), *([r % N] * (n - 1)), r[in_half] % N),
-              win[..., in_half])
+    half[np.ix_(np.arange(len(win)), *([r] * (n - 1)), r[b:])] = win[..., b:]
     return half
 
 

@@ -309,10 +309,46 @@ class TestKamIterate:
             th = traj.thetas[t_idx] % 1.0
             on_torus_I = res.omega_star + np.array(
                 [g.eval(th[None, :])[0] for g in G0])
-            th_emb = th + np.array([e.eval(th[None, :])[0] for e in E0])
             worst = max(worst, float(np.max(np.abs(
                 traj.actions[t_idx] - on_torus_I))))
         assert worst < 5e-6
+
+    def test_defect_equals_fourier_sum_defect(self):
+        # the defect of an embedding whose E* and G* hold modes |k|_inf <= 5,
+        # more than the 8^2 grid resolves, against one from direct sums
+        rng = np.random.default_rng(3)
+        n_grid, eps, omega_star = 8, 1e-3, GOLD + np.array([1e-6, -2e-6])
+        f = FTSeries.zeros(2, 6).add_cos((1, 0)).add_cos((1, 1), 0.8).add_sin((2, 1), 0.5)
+
+        def embedding_part(scale):
+            arr = rng.normal(size=(11, 11)) + 1j * rng.normal(size=(11, 11))
+            blk = 0.5 * scale * (arr + np.conj(arr[::-1, ::-1]))
+            return FTSeries.from_blocks(FTSeries.zeros(2, 5), {((0, 0), ()): blk})
+
+        E0 = [embedding_part(1e-5) for _ in range(2)]
+        G0 = [embedding_part(1e-5) for _ in range(2)]
+
+        def direct(s, pts, alpha=(0, 0)):
+            # sum_k c_k (2 pi i k)^alpha e^{2 pi i k.theta}, term by term
+            ks = np.indices((2 * s.K + 1,) * 2).reshape(2, -1).T - s.K
+            mult = np.prod((2j * np.pi * ks) ** np.array(alpha), axis=1)
+            c = np.asarray(s.block()).reshape(-1) * mult
+            return (np.exp(2j * np.pi * pts @ ks.T) @ c).real
+
+        grid = np.stack(np.meshgrid(*[np.arange(n_grid) / n_grid] * 2, indexing="ij"),
+                        axis=-1).reshape(-1, 2)
+        units = [(1, 0), (0, 1)]
+        Ev = np.stack([direct(e, grid) for e in E0], axis=-1)
+        Gv = np.stack([direct(g, grid) for g in G0], axis=-1)
+        dE = np.moveaxis([[direct(e, grid, u) for u in units] for e in E0], -1, 0)
+        dG = np.moveaxis([[direct(g, grid, u) for u in units] for g in G0], -1, 0)
+        gf = np.stack([direct(f, grid + Ev, u) for u in units], axis=-1)
+        d_theta = GOLD + np.einsum("pij,j->pi", dE, GOLD) - (omega_star + Gv)
+        d_I = np.einsum("pij,j->pi", dG, GOLD) + eps * gf
+        expect = max(np.max(np.abs(d_theta)), np.max(np.abs(d_I)))
+        got = NF.mechanical_defect_fn(f, eps, GOLD, n_grid=n_grid)(E0, G0, omega_star)
+        assert expect > 1e-3
+        assert got == pytest.approx(expect, rel=1e-12)
 
 
 class TestSteepChain:

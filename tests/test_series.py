@@ -274,10 +274,15 @@ class TestEvalAndIO:
 
     def test_grid_roundtrip(self):
         f = rand_series(2, 6, 41)
-        vals = f.grid_values(32)[((0, 0), ())]
+        vals = f.derivative_grid((0, 0), 32)[0]
         coef = np.fft.fftn(vals) / 32**2
         idx = np.arange(-6, 7) % 32
         assert np.max(np.abs(coef[np.ix_(idx, idx)] - f.block())) < 1e-12
+
+    def test_from_samples_rejects_grid_below_bandwidth(self):
+        # N = 2K points cannot hold the 2K + 1 kept modes of each axis
+        with pytest.raises(W.ParameterError):
+            FTSeries.from_samples(FTSeries.zeros(1, 3), {((0,), ()): np.ones(6)}, 6)
 
     def test_reality_invariant(self):
         f = rand_series(2, 4, 42)
@@ -500,8 +505,17 @@ def sampled_series(draw):
     return n, K, K_out, N, blocks, samples
 
 
+def _nyquist_case():
+    """n = 1, K = 2 on N = 4 points, K_out = 1: the dropped modes +-2 are
+    real and meet in the N/2 column, which the full spectrum's l1 counts once."""
+    c = np.array([0.3, -0.2 + 0.1j, 0.5, -0.2 - 0.1j, 0.3])
+    samples = np.exp(2j * np.pi * np.outer(np.arange(4) / 4, np.arange(-2, 3))) @ c
+    return 1, 2, 1, 4, {((0,), ()): c}, {((0,), ()): samples}
+
+
 @given(sampled_series())
 @settings(max_examples=60, deadline=None)
+@example(_nyquist_case())
 def test_property_from_samples_equals_fourier_coefficients(case):
     n, K, K_out, N, blocks, samples = case
     rep = {}
@@ -519,6 +533,12 @@ def test_property_from_samples_equals_fourier_coefficients(case):
         assert np.all(np.abs(got[kept] - true[kept]) <= floors[key])
         assert np.all(np.abs(true[~kept]) <= 2.0 * floors[key])
     assert 0.0 <= rep["pruned_mass"] <= rep["roundoff_floor"] * (2 * K_out + 1) ** n * len(blocks)
+    # the truncation drops exactly the true modes |k|_inf > K_out
+    ks = np.indices((2 * K + 1,) * n).reshape(n, -1).T - K
+    beyond = np.max(np.abs(ks), axis=1, initial=0) > K_out
+    dropped = sum(float(np.sum(np.abs(c.reshape(-1)[beyond]))) for c in blocks.values())
+    assert rep["aliasing_mass"] == pytest.approx(dropped, rel=1e-12,
+                                                 abs=N ** n * sum(floors.values()))
 
 
 def test_product_lemma_constants_per_family():
