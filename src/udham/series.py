@@ -255,12 +255,11 @@ class FTSeries:
 
     def terms(self):
         """Yield (k, m, w, coeff) over nonzero coefficients, sorted."""
-        order = sorted(range(len(self.keys)), key=self.keys.__getitem__)
-        coef = self.coef[order]
-        idx = np.argwhere(np.abs(coef) > 0)
-        for (r, *k), c in zip(idx.tolist(), coef[tuple(idx.T)].tolist()):
-            m, w = self.keys[order[r]]
-            yield tuple(i - self.K for i in k), m, w, c
+        for r in sorted(range(len(self.keys)), key=self.keys.__getitem__):
+            (m, w), blk = self.keys[r], self.coef[r]
+            idx = np.argwhere(np.abs(blk) > 0)
+            for k, c in zip(idx.tolist(), blk[tuple(idx.T)].tolist()):
+                yield tuple(i - self.K for i in k), m, w, c
 
     def check_reality(self) -> float:
         """Max |c_{-k} - conj(c_k)| over blocks."""
