@@ -7,11 +7,16 @@ The common currency of every normal-form computation: finite sums
 with |k|_inf <= K, |m| <= D_I, |w'| <= D_w.  The coefficients of the
 present action/parameter monomials are stacked in one complex array, one
 dense (2K+1)^n angle block per monomial.  Every angle transform is sized
-by the modes a series holds, its occupied band b <= K, not by K: angle
-convolutions run through batched zero-padded real FFTs of the least
-5-smooth length >= 2(b_f + b_g) + 1, an exact linear convolution up to
-round-off, with every entry below the transform's a-priori error bound
-zeroed, then truncation back to K with a discarded-mass monitor.  Uniform
+by the modes a series holds, its occupied band b <= K, not by K.  Products
+and Poisson brackets are one spectral kernel, `_spectral_product`: each
+operand's window and its theta derivatives go to real grid values (action
+derivatives only reweight rows), the signed pointwise products are summed
+per output monomial, and one real FFT returns the result.  Its length is
+the least 5-smooth >= b_f + b_g + min(K_out, b_f + b_g) + 1, where the kept
+modes are exact up to round-off (Orszag's 3/2 rule), or >= 2(b_f + b_g) + 1
+for a product asked for a report, whose discarded masses must be true l1
+masses.  Every kept entry below the summed a-priori error bound
+u log2(Lf^n) sum_terms |f_t|_1 |g_t|_1 is zeroed.  Uniform
 grid values come only from `derivative_grid` (one real inverse FFT, on a
 grid where no mode folds), samples go back only through `from_samples`
 (one real FFT, kept modes rebuilt as in `product`), and scattered points
@@ -247,6 +252,15 @@ class FTSeries:
         """The stacked blocks' modes |k|_inf <= b, mode k at index k + b."""
         return self.coef[(slice(None),) + (slice(self.K - b, self.K + b + 1),) * self.n]
 
+    def _dwindow(self, b, alpha) -> np.ndarray:
+        """d^alpha / d theta^alpha of `_window(b)`."""
+        k = np.arange(-b, b + 1) + self.K
+        win = self._window(b)
+        for i, a in enumerate(alpha):
+            if a:
+                win = win * np.take(self._dtheta_mult(i), k, axis=i + 1) ** a
+        return win
+
     def coeff_norm1(self) -> float:
         return float(np.sum(np.abs(self.coef)))
 
@@ -360,11 +374,7 @@ class FTSeries:
         symmetry makes the samples real.
         """
         b = self._band()
-        k = np.arange(-b, b + 1) + self.K
-        win = self._window(b)
-        for i, a in enumerate(alpha):
-            if a:
-                win = win * np.take(self._dtheta_mult(i), k, axis=i + 1) ** a
+        win = self._dwindow(b, alpha)
         q = max(-(-(2 * b + 1) // N), 1)
         # scaled after a backward transform: norm="forward" is as accurate,
         # but moves the README kam run's omega_star by about ten ulps
@@ -476,80 +486,94 @@ def _half_modes(H, n, K, Lf):
     return _mirror(H[np.ix_(np.arange(len(H)), *([idx] * (n - 1)), last)], n)
 
 
-def product(f: FTSeries, g: FTSeries, K_out: Optional[int] = None,
-            D_I_out: Optional[int] = None,
-            report: Optional[dict] = None) -> FTSeries:
-    """Coefficient product; angle part by zero-padded real FFT, action and
-    parameter parts by exponent convolution truncated to D_I/D_w.
+def _lowered(keys, a):
+    """(m_a, key with m_a lowered by one) per (m, w) key: the rows of
+    d/dI_a and their factors; (1, key) when a is None."""
+    if a is None:
+        return [(1, key) for key in keys]
+    return [(m[a], (m[:a] + (m[a] - 1,) + m[a + 1:], w)) for m, w in keys]
 
-    The angle convolution is exact up to round-off and sized by the
-    operands' occupied bands b_f, b_g (`FTSeries._band`), not their stored
-    K: only the window |k|_inf <= b of each operand goes to real grid
-    values on the least 5-smooth length Lf >= 2(b_f + b_g) + 1 (no
-    wrap-around), the pointwise
-    products are summed per output monomial in key-pair order, and one real
-    FFT returns the half spectrum, from which the kept modes are rebuilt
-    with c_{-k} = conj(c_k).  Every entry below the transform's a-priori
-    error bound u log2(Lf^n) |f|_1 |g|_1 (Higham, ch. 24) is zeroed, so the
-    result keeps no entry below that floor, and it is exactly real.  An
-    operand with no nonzero coefficient gives the empty series.
 
-    report, if given, receives 'discarded_fourier' and 'discarded_action'
-    (l1 masses of the modes beyond K_out and of each dropped pair's full
-    product; computed only then), 'roundoff_floor', 'pruned_mass' (l1 of
-    the kept modes zeroed by the floor) and 'transform_length' (Lf, 0 when
-    no transform runs).
+def _spectral_product(f: FTSeries, g: FTSeries, terms, K_out: int, D_I_out: int,
+                      report: Optional[dict] = None) -> FTSeries:
+    """sum of c * d_theta_tf d_I_af f * d_theta_tg d_I_ag g over the terms
+    (c, (tf, af), (tg, ag)), axis None for no derivative: the one transform
+    behind `product` (one term) and `poisson_bracket` (2n terms).
+
+    Only the occupied window |k|_inf <= b of each operand is read.  Each
+    theta derivative a term takes goes to real grid values by one inverse
+    transform; d_I_a needs none, it reweights the rows with m_a >= 1.  The
+    signed pointwise products are summed per output monomial in term and
+    key-pair order, and one real FFT returns the half spectrum, from which
+    the kept modes are rebuilt with c_{-k} = conj(c_k).  The length Lf is
+    the least 5-smooth >= K_full + min(K_out, K_full) + 1, K_full = b_f + b_g
+    (Orszag's 3/2 rule: the kept modes are exact, only dropped ones fold),
+    and >= 2 max(b_f, b_g) + 1, so that no operand mode folds; with a report
+    it is >= 2 K_full + 1, so the discarded masses are true l1 masses.
+    Every kept entry below the summed floor u log2(Lf^n) sum_terms
+    |f_t|_1 |g_t|_1, f_t and g_t a term's two factors, is zeroed.
     """
     f._check_compat(g)
-    b_f, b_g = f._band(), g._band()
-    K_full = b_f + b_g
-    K_out = K_out if K_out is not None else max(f.K, g.K)
-    D_I_out = D_I_out if D_I_out is not None else f.D_I + g.D_I
     D_w = max(f.D_w, g.D_w)
+    b_f, b_g = f._band(), g._band()
     if min(b_f, b_g) < 0:
         if report is not None:
             report.update(discarded_fourier=0.0, discarded_action=0.0,
                           roundoff_floor=0.0, pruned_mass=0.0, transform_length=0)
         return f._new((), None, K=K_out, D_I=D_I_out, D_w=D_w)
-    n = f.n
-    Lf = _smooth_length(2 * K_full + 1)
-    axes = f._angle_axes()
+    n, axes = f.n, f._angle_axes()
+    K_full = b_f + b_g
+    K_kept = min(K_out, K_full)
+    Lf = _smooth_length(max(K_full + (K_full if report is not None else K_kept),
+                            2 * max(b_f, b_g)) + 1)
 
-    def l1(H):
-        return float(np.sum(np.abs(_half_modes(H, n, K_full, Lf))))
+    def grids(s, b, side):
+        """For each theta axis t (None: no derivative) that the terms take
+        on this side, the grid values of d_theta_t s and their rows' l1."""
+        out = {}
+        for t in dict.fromkeys(term[side][0] for term in terms):
+            win = s._dwindow(b, [int(i == t) for i in range(n)])
+            out[t] = (np.fft.irfftn(_half_spectrum(win, Lf, n), s=(Lf,) * n, axes=axes,
+                                    norm="forward"),
+                      np.sum(np.abs(win), axis=axes))
+        return out
 
-    def values(src, b):
-        return np.fft.irfftn(_half_spectrum(src._window(b), Lf, n), s=(Lf,) * n,
-                             axes=axes, norm="forward")
-
-    Fv, Gv = values(f, b_f), values(g, b_g)
-    rows, pairs = {}, []
-    disc_action = 0.0
-    for i, (m1, w1) in enumerate(f.keys):
-        for j, (m2, w2) in enumerate(g.keys):
-            m = tuple(a + b for a, b in zip(m1, m2))
-            w = tuple(a + b for a, b in zip(w1, w2))
-            if sum(w) > D_w:
-                continue  # jet truncation: silent by design
-            if sum(m) > D_I_out:
-                if report is not None:
-                    disc_action += l1(np.fft.rfftn(Fv[i:i + 1] * Gv[j:j + 1],
-                                                   axes=axes, norm="forward"))
-                continue
-            pairs.append((rows.setdefault((m, w), len(rows)), i, j))
-    acc = np.zeros((len(rows),) + (Lf,) * n)
-    for r, i, j in pairs:
-        acc[r] += Fv[i] * Gv[j]
+    F, G = grids(f, b_f, 1), grids(g, b_g, 2)
+    rows, pairs, dropped = {}, [], []
+    l1 = 0.0
+    for c, (tf, af), (tg, ag) in terms:
+        (Fv, Fl1), (Gv, Gl1) = F[tf], G[tg]
+        lf, lg = _lowered(f.keys, af), _lowered(g.keys, ag)
+        l1 += (sum(a * x for (a, _), x in zip(lf, Fl1))
+               * sum(a * x for (a, _), x in zip(lg, Gl1)))
+        for i, (a1, (m1, w1)) in enumerate(lf):
+            for j, (a2, (m2, w2)) in enumerate(lg):
+                if not a1 * a2:
+                    continue
+                m = tuple(x + y for x, y in zip(m1, m2))
+                w = tuple(x + y for x, y in zip(w1, w2))
+                if sum(w) > D_w:
+                    continue  # jet truncation: silent by design
+                if sum(m) <= D_I_out:
+                    pairs.append((rows.setdefault((m, w), len(rows)), c * a1 * a2, Fv[i], Gv[j]))
+                elif report is not None:
+                    dropped.append((c * a1 * a2, Fv[i], Gv[j]))
+    # a dropped pair gets a row of its own: its full l1 is the discarded action mass
+    pairs += [(len(rows) + r, c, x, y) for r, (c, x, y) in enumerate(dropped)]
+    acc = np.zeros((len(rows) + len(dropped),) + (Lf,) * n)
+    for r, c, x, y in pairs:
+        acc[r] += c * x * y
     H = np.fft.rfftn(acc, axes=axes, norm="forward")
-    kept = _half_modes(H, n, min(K_out, K_full), Lf)
+    kept = _half_modes(H[:len(rows)], n, K_kept, Lf)
     if K_out > K_full:
         kept = np.pad(kept, [(0, 0)] + [(K_out - K_full,) * 2] * n)
-    floor = float(np.finfo(float).eps * n * math.log2(Lf)) * f.coeff_norm1() * g.coeff_norm1()
+    floor = float(np.finfo(float).eps * n * math.log2(Lf)) * l1
     low = np.abs(kept) < floor
     if report is not None:
-        report["discarded_fourier"] = (l1(H) - float(np.sum(np.abs(kept)))
+        full = np.sum(np.abs(_half_modes(H, n, K_full, Lf)), axis=axes)
+        report["discarded_fourier"] = (float(np.sum(full[:len(rows)]) - np.sum(np.abs(kept)))
                                        if K_out < K_full else 0.0)
-        report["discarded_action"] = disc_action
+        report["discarded_action"] = float(np.sum(full[len(rows):]))
         report["roundoff_floor"] = floor
         report["pruned_mass"] = float(np.sum(np.abs(kept[low])))
         report["transform_length"] = Lf
@@ -557,21 +581,53 @@ def product(f: FTSeries, g: FTSeries, K_out: Optional[int] = None,
     return f._new(list(rows), kept, K=K_out, D_I=D_I_out, D_w=D_w).prune()
 
 
+def product(f: FTSeries, g: FTSeries, K_out: Optional[int] = None,
+            D_I_out: Optional[int] = None,
+            report: Optional[dict] = None) -> FTSeries:
+    """Coefficient product; angle part by zero-padded real FFT, action and
+    parameter parts by exponent convolution truncated to D_I/D_w.
+
+    The one-term case of `_spectral_product`: the angle convolution is
+    sized by the operands' occupied bands b_f, b_g (`FTSeries._band`), not
+    their stored K, on the least 5-smooth length Lf >= b_f + b_g +
+    min(K_out, b_f + b_g) + 1 (and >= 2 max(b_f, b_g) + 1), where every
+    kept mode is exact up to round-off (Orszag's 3/2 rule); with a report,
+    Lf >= 2(b_f + b_g) + 1, where no mode wraps around, so that the
+    discarded masses are true l1 masses.  Every entry below the transform's
+    a-priori error bound u log2(Lf^n) |f|_1 |g|_1 (Higham, ch. 24) is
+    zeroed, so the result keeps no entry below that floor, and it is
+    exactly real.  An operand with no nonzero coefficient gives the empty
+    series.
+
+    report, if given, receives 'discarded_fourier' and 'discarded_action'
+    (l1 masses of the modes beyond K_out and of each dropped pair's full
+    product; computed only then), 'roundoff_floor', 'pruned_mass' (l1 of
+    the kept modes zeroed by the floor) and 'transform_length' (Lf, 0 when
+    no transform runs).
+    """
+    K_out = K_out if K_out is not None else max(f.K, g.K)
+    D_I_out = D_I_out if D_I_out is not None else f.D_I + g.D_I
+    return _spectral_product(f, g, [(1, (None, None), (None, None))], K_out, D_I_out,
+                             report)
+
+
 def poisson_bracket(f: FTSeries, g: FTSeries, K_out: Optional[int] = None,
                     D_I_out: Optional[int] = None) -> FTSeries:
-    """{f,g} = sum_i dtheta_i f dI_i g - dI_i f dtheta_i g."""
-    f._check_compat(g)
+    """{f,g} = sum_i dtheta_i f dI_i g - dI_i f dtheta_i g.
+
+    The 2n-term case of `_spectral_product`: 2(n + 1) inverse transforms
+    (each operand and its n theta derivatives) and one forward transform,
+    at the 3/2-rule length of `product`.  Every kept entry below
+    u log2(Lf^n) sum_i (|dtheta_i f|_1 |dI_i g|_1 + |dI_i f|_1 |dtheta_i g|_1)
+    is zeroed.
+    """
     if f.D_I < 1 and g.D_I < 1:
         raise DomainMismatch("poisson bracket needs action dependence")
     K_out = K_out if K_out is not None else max(f.K, g.K)
     D_I_out = D_I_out if D_I_out is not None else max(f.D_I + g.D_I - 1, 0)
-    out = None
-    for i in range(f.n):
-        t1 = product(f.dtheta(i), g.dI(i), K_out=K_out, D_I_out=D_I_out)
-        t2 = product(f.dI(i), g.dtheta(i), K_out=K_out, D_I_out=D_I_out)
-        term = t1 - t2
-        out = term if out is None else out + term
-    return out.prune()
+    terms = [term for i in range(f.n)
+             for term in ((1, (i, None), (None, i)), (-1, (None, i), (i, None)))]
+    return _spectral_product(f, g, terms, K_out, D_I_out)
 
 
 # ---------------------------------------------------------------------------

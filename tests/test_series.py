@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from udham import dioph as D
 from udham import flows as F
@@ -450,6 +451,83 @@ def test_property_product_sized_by_occupied_band(case, pad):
         assert np.all(np.abs(p.block(*key) - ref.block(*key)) <= floor)
     for name in ("discarded_fourier", "discarded_action"):
         assert rep[name] == pytest.approx(ref_rep[name], rel=1e-12, abs=1e-300)
+
+
+@given(product_operands(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_property_product_without_report_equals_full_length(case, data):
+    # without a report the product runs at the 3/2-rule length
+    # b_f + b_g + K_out + 1, where only dropped modes fold; with one, at
+    # 2(b_f + b_g) + 1, where none does
+    f, g, _, D_I_out = case
+    K_full = _occupied_band(f) + _occupied_band(g)
+    assume(K_full >= 1 and min(_occupied_band(f), _occupied_band(g)) >= 0)
+    K_out = data.draw(st.integers(0, K_full - 1))
+    rep = {}
+    ref = product(f, g, K_out=K_out, D_I_out=D_I_out, report=rep)
+    p = product(f, g, K_out=K_out, D_I_out=D_I_out)
+    assert rep["transform_length"] == _least_5_smooth(2 * K_full + 1)
+    assert (p.K, p.D_I, p.D_w) == (ref.K, ref.D_I, ref.D_w)
+    assert p.check_reality() == 0.0
+    for key in set(p.keys) | set(ref.keys):
+        assert np.all(np.abs(p.block(*key) - ref.block(*key)) <= rep["roundoff_floor"])
+
+
+@st.composite
+def bracket_operands(draw):
+    """Two real operands (n = 1, 2, 3) over the action monomials |m| <= 2,
+    the bandwidth K_out to keep (below and above b_f + b_g) and an action
+    degree D_I_out that may drop pairs (the full bracket has degree 3)."""
+    n = draw(st.integers(1, 3))
+    n_w = draw(st.integers(0, 1))
+    ws = [(0,) * n_w, (1,) * n_w][:n_w + 1]
+    monomials = [(m, w) for m in itertools.product(range(3), repeat=n) if sum(m) <= 2
+                 for w in ws]
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ops = []
+    for _ in range(2):
+        K = draw(st.integers(0, {1: 6, 2: 4, 3: 2}[n]))
+        keys = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=4, unique=True))
+        decay = draw(st.floats(0.0, 1.0))
+        kk = np.abs(np.indices((2 * K + 1,) * n) - K).sum(axis=0)
+        blocks = {}
+        for key in keys:
+            c = r.normal(size=kk.shape) + 1j * r.normal(size=kk.shape)
+            blocks[key] = 0.5 * (c + np.conj(c[(slice(None, None, -1),) * n])) * np.exp(-decay * kk)
+        ops.append(FTSeries.from_blocks(FTSeries.zeros(n, K, D_I=2, D_w=n_w, n_w=n_w), blocks))
+    f, g = ops
+    return f, g, draw(st.integers(0, f.K + g.K + 2)), draw(st.integers(0, 3))
+
+
+@given(bracket_operands())
+@settings(max_examples=60, deadline=None)
+@example((rand_series(2, 3, 31, D_I=1), rand_series(2, 2, 32, D_I=1), 2, 0))  # K_out < b_f + b_g
+@example((rand_series(2, 3, 33, D_I=1), rand_series(2, 2, 34, D_I=1), 7, 1))  # K_out > b_f + b_g
+def test_property_bracket_equals_two_n_products(case):
+    # the fused bracket against sum_i dtheta_i f * dI_i g - dI_i f * dtheta_i g
+    # built from full-length products, entry by entry within the fused
+    # bracket's summed floor plus the reference products' floors
+    f, g, K_out, D_I_out = case
+    n = f.n
+    ref = FTSeries.zeros(n, K_out, D_I=D_I_out, D_w=f.D_w, n_w=f.n_w)
+    ref_floor, l1 = 0.0, 0.0
+    for i in range(n):
+        for sign, a, b in ((1.0, f.dtheta(i), g.dI(i)), (-1.0, f.dI(i), g.dtheta(i))):
+            rep = {}
+            ref = ref + sign * product(a, b, K_out=K_out, D_I_out=D_I_out, report=rep)
+            ref_floor += rep["roundoff_floor"]
+            l1 += a.coeff_norm1() * b.coeff_norm1()
+    b_f, b_g = _occupied_band(f), _occupied_band(g)
+    K_full = b_f + b_g
+    Lf = _least_5_smooth(max(K_full + min(K_out, K_full), 2 * max(b_f, b_g)) + 1)
+    floor = np.finfo(float).eps * n * math.log2(Lf) * l1
+    pb = poisson_bracket(f, g, K_out=K_out, D_I_out=D_I_out)
+    assert (pb.K, pb.D_I, pb.D_w) == (K_out, D_I_out, f.D_w)
+    assert pb.check_reality() == 0.0
+    for key in set(pb.keys) | set(ref.keys):
+        got = pb.block(*key)
+        assert np.all(np.abs(got - ref.block(*key)) <= floor + ref_floor)
+        assert np.all(np.abs(got[got != 0]) >= floor * (1.0 - 1e-12))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
