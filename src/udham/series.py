@@ -67,8 +67,8 @@ class FTSeries:
     (len(keys), (2K+1,)*n) whose row r is the angle block of keys[r], mode k
     at index k + K per axis.  Absent monomials are zero and cost nothing.
     Keys stay in the order in which they first appear; that order fixes
-    the order in which ``product`` sums block pairs, and with it the
-    round-off of every result.
+    the order in which products and brackets sum block pairs, and with it
+    the round-off of every result.
     Only this module reads or writes ``coef``; other code reads ``blocks``,
     a read-only mapping, and builds series with ``zeros``, ``from_blocks``,
     ``from_samples``, ``from_text`` and the operations.
