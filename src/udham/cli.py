@@ -535,7 +535,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (HorizonError, dioph.BudgetError, dioph.UnsupportedError,
-            flows.LieDivergence, flows.StiffnessError) as exc:
+            flows.LieDivergence, flows.StiffnessError, flows.QuadratureError) as exc:
         write_manifest(Path(cfg.outdir) / "manifest.txt", {
             **cfg.as_manifest_dict(), "error": str(exc)})
         print(f"budget/horizon: {exc}", file=sys.stderr)

@@ -17,7 +17,10 @@ Three grades of flow machinery, in decreasing exactness:
 
 Also here: symplectic integrators (leapfrog / Yoshida-4 / implicit
 midpoint) and the pendulum rotation-orbit toolbox used by the coupled-map
-instability construction.
+instability construction.  Its times are integrals of 1/speed, taken by an
+adaptive Gauss-Kronrod (10, 21) quadrature (``_quad``), and inverted by
+Anderson-Bjorck regula falsi on a sign-changing bracket
+(``_regula_falsi``); both use numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .series import FTSeries, poisson_bracket, product
-from .weights import C_NORM, ParameterError, ScaleProfile
+from .weights import C_NORM, ParameterError, ScaleProfile, log_factorial
 
 TWO_PI = 2.0 * math.pi
 # relative l1 bound at which compose_angle's Taylor expansion stops
@@ -48,6 +51,10 @@ class TaylorTailError(RuntimeError):
 
 class StiffnessError(RuntimeError):
     """Integrator step-size underflow."""
+
+
+class QuadratureError(RuntimeError):
+    """Quadrature panels or root-bracket steps exhausted before the tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +589,94 @@ def integrate_midpoint(grad_theta: Callable, grad_I: Callable, theta0, I0,
 # pendulum rotation orbits
 # ---------------------------------------------------------------------------
 
+# Gauss-Kronrod (10, 21) on [-1, 1], the pair of QUADPACK's qk21: the 21
+# Kronrod nodes contain the 10 Gauss nodes (every second one from the end).
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+        0.0)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077600525478311, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+GK_NODES = np.array([-x for x in _XGK] + list(_XGK[-2::-1]))
+GK_KRONROD = np.array(_WGK + _WGK[-2::-1])
+GK_GAUSS = np.zeros(21)
+GK_GAUSS[1:10:2] = _WG
+GK_GAUSS[11:20:2] = _WG[::-1]
+
+
+def _quad(f: Callable, a: float, b: float, epsabs: float = 1e-15,
+          epsrel: float = 1e-13, limit: int = 100) -> float:
+    """int_a^b f(x) dx for f vectorized over an array of abscissae.
+
+    Each panel gets the 21-point Kronrod value K and the 10-point Gauss
+    value G, and |K - G| stands as its error.  Until those errors sum to
+    at most max(epsabs, epsrel |I|), every panel whose error exceeds its
+    length's share of that tolerance is bisected, all in one vectorized
+    round; the sum stops once no panel exceeds its share (the tolerance
+    follows |I| as it settles), and past ``limit`` panels QuadratureError
+    is raised.
+    """
+    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
+    done, done_err, panels = 0.0, 0.0, 1
+    while True:
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        fx = f(mid[:, None] + half[:, None] * GK_NODES)
+        k = half * (fx @ GK_KRONROD)
+        err = np.abs(k - half * (fx @ GK_GAUSS))
+        total = done + float(np.sum(k))
+        tol = max(epsabs, epsrel * abs(total))
+        if done_err + float(np.sum(err)) <= tol:
+            return total
+        split = err > tol * np.abs(hi - lo) / abs(b - a)
+        if not split.any():
+            return total
+        done += float(np.sum(k[~split]))
+        done_err += float(np.sum(err[~split]))
+        panels += int(np.count_nonzero(split))
+        if panels > limit:
+            raise QuadratureError(f"quadrature on [{a}, {b}] needs more than {limit} panels")
+        lo = np.concatenate([lo[split], mid[split]])
+        hi = np.concatenate([mid[split], hi[split]])
+
+
+def _regula_falsi(f: Callable, a: float, b: float, xtol: float,
+                  rtol: float = 4 * np.finfo(float).eps, maxiter: int = 100) -> float:
+    """Root of f between a and b, where f(a) and f(b) differ in sign.
+
+    Regula falsi in the Anderson-Bjorck form: b is the newest point and a
+    the other end of the bracket.  When the new point lands on b's side, a
+    is kept and f(a) is scaled by 1 - f(new)/f(b) (by 1/2 if that is not
+    positive, the Illinois rule), so a kept end cannot stall the bracket.
+    Stops once the bracket is narrower than xtol + rtol |b|, as brentq does.
+    """
+    fa, fb = f(a), f(b)
+    if fa == 0.0:
+        return a
+    if (fa > 0.0) == (fb > 0.0):
+        raise ParameterError(f"no sign change of f on [{a}, {b}]")
+    for _ in range(maxiter):
+        if fb == 0.0 or abs(b - a) <= xtol + rtol * abs(b):
+            return b
+        c = b - fb * (b - a) / (fb - fa)
+        fc = f(c)
+        if (fc > 0.0) != (fb > 0.0):
+            a, fa = b, fb
+        else:
+            m = 1.0 - fc / fb
+            fa *= m if m > 0.0 else 0.5
+        b, fb = c, fc
+    raise QuadratureError(f"root bracket [{a}, {b}] not closed in {maxiter} steps")
+
+
 VARTHETA = -0.5 + (2.0 / math.pi) * math.atan(math.exp(math.pi))
 
 
@@ -620,11 +715,9 @@ class PendulumOrbit:
         th = abs(theta)
         if th > 0.5:
             raise ParameterError("tau is defined on [-1/2, 1/2]")
-        from scipy.integrate import quad
         u_lo = 0.5 - th
         direct_hi = min(th, 0.25)
-        val, _ = quad(lambda x: 1.0 / self.speed(x), 0.0, direct_hi,
-                      epsabs=1e-15, epsrel=1e-13, limit=100)
+        val = _quad(lambda x: 1.0 / self.speed(x), 0.0, direct_hi)
         if th > 0.25:
             val += _sinh_piece(self.a2, u_lo, 0.25)
         return sgn * val
@@ -642,8 +735,7 @@ class PendulumOrbit:
         hi = 0.5 if self.a2 > 0.0 else 0.5 - 1e-12
         if self.a2 == 0.0 and tm >= self._tau_sep_end:
             return 0.5
-        from scipy.optimize import brentq
-        return brentq(lambda x: self.tau(x) - tm, 0.0, hi, xtol=1e-15)
+        return _regula_falsi(lambda x: self.tau(x) - tm, 0.0, hi, xtol=1e-15)
 
     @cached_property
     def _tau_sep_end(self) -> float:
@@ -661,7 +753,6 @@ def _sinh_piece(a2: float, u_lo: float, u_hi: float) -> float:
     """
     if u_hi <= u_lo:
         return 0.0
-    from scipy.integrate import quad
     if a2 == 0.0:
         if u_lo <= 0.0:
             raise ParameterError("separatrix integrand diverges at u = 0")
@@ -670,9 +761,7 @@ def _sinh_piece(a2: float, u_lo: float, u_hi: float) -> float:
             u = np.exp(v)
             return u / (2.0 * np.sin(math.pi * u))
 
-        val, _ = quad(h0, math.log(u_lo), math.log(u_hi),
-                      epsabs=1e-15, epsrel=1e-13, limit=200)
-        return val
+        return _quad(h0, math.log(u_lo), math.log(u_hi), limit=200)
     a = math.sqrt(a2)
     t_lo = math.asinh(TWO_PI * u_lo / a)
     t_hi = math.asinh(TWO_PI * u_hi / a)
@@ -681,18 +770,16 @@ def _sinh_piece(a2: float, u_lo: float, u_hi: float) -> float:
         u = (a / TWO_PI) * np.sinh(t)
         return (a / TWO_PI) * np.cosh(t) / np.sqrt(4.0 * np.sin(math.pi * u) ** 2 + a2)
 
-    val, _ = quad(h, t_lo, t_hi, epsabs=1e-15, epsrel=1e-13, limit=200)
-    return val
+    return _quad(h, t_lo, t_hi, limit=200)
 
 
 def pendulum_period_of_eps(eps: float) -> float:
     """Winding time of the rotation orbit with I_B = 2 + eps."""
     if eps <= 0:
         raise ParameterError("rotation orbits require eps > 0")
-    from scipy.integrate import quad
     a2 = 4.0 * eps + eps ** 2
-    direct, _ = quad(lambda x: 1.0 / np.sqrt(4.0 * np.cos(math.pi * x) ** 2 + a2),
-                     0.0, 0.25, epsabs=1e-15, epsrel=1e-13, limit=100)
+    direct = _quad(lambda x: 1.0 / np.sqrt(4.0 * np.cos(math.pi * x) ** 2 + a2),
+                   0.0, 0.25)
     return 2.0 * (direct + _sinh_piece(a2, 0.0, 0.25))
 
 
@@ -709,9 +796,8 @@ def pendulum_periodic_point(B: float) -> PendulumOrbit:
     if B > 100.0:
         eps = math.exp(log_eps) if log_eps > -700.0 else 0.0
         return PendulumOrbit(B=float(B), eps=eps, log_eps=log_eps)
-    from scipy.optimize import brentq
     f = lambda x: pendulum_period_of_eps(math.exp(x)) - B
-    x = brentq(f, -700.0, math.log(5.0), xtol=1e-13, rtol=8.9e-16)
+    x = _regula_falsi(f, -700.0, math.log(5.0), xtol=1e-13, rtol=8.9e-16)
     return PendulumOrbit(B=float(B), eps=math.exp(x), log_eps=x)
 
 
@@ -749,9 +835,8 @@ def tau_norm_certificate(orbit: PendulumOrbit, sp: ScaleProfile, s: float,
         g = 1.0 / np.sqrt(4.0 * np.cos(math.pi * z) ** 2 + orbit.a2)
         Mg = max(Mg, float(np.max(np.abs(g))))
     sup_tau = abs(orbit.tau(VARTHETA))
-    from scipy.special import gammaln
     l = np.arange(1, l_cap + 1, dtype=float)
-    log_terms = (2.0 * np.log(l + 1.0) + l * math.log(s) + gammaln(l)
+    log_terms = (2.0 * np.log(l + 1.0) + l * math.log(s) + log_factorial(l_cap)
                  + math.log(Mg) + (1.0 - l) * math.log(radius)
                  - sp.ws.log_M[1:l_cap + 1])
     return C_NORM * max(sup_tau, float(np.exp(np.max(log_terms))))

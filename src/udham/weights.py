@@ -92,13 +92,18 @@ def analytic() -> Family:
     return Family("analytic")
 
 
+def log_factorial(L: int) -> np.ndarray:
+    """ln l! for l = 0..L-1, each from math.lgamma (within 3 ulp)."""
+    return np.array([math.lgamma(l + 1.0) for l in range(L)])
+
+
 @dataclass
 class WeightSequence:
     """A weight sequence with derived arrays, all in log-space.
 
     ``log_M`` has length L_max+1 (indices 0..L_max); ``log_mu`` and
     ``log_nu`` have length L_max (index l covers the ratio l -> l+1).
-    ``log_N`` is derived on first use, so scipy loads only where N is read.
+    ``log_N`` is derived on first use, from ``log_factorial``.
     """
 
     log_M: np.ndarray
@@ -131,8 +136,7 @@ class WeightSequence:
     @cached_property
     def log_N(self) -> np.ndarray:
         """ln N_l = ln M_l - ln l!."""
-        from scipy.special import gammaln
-        return self.log_M - gammaln(np.arange(len(self.log_M), dtype=float) + 1.0)
+        return self.log_M - log_factorial(len(self.log_M))
 
     @property
     def bigN(self) -> np.ndarray:

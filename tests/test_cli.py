@@ -332,8 +332,8 @@ class TestPlainArtifacts:
         assert proc.returncode == 0, proc.stderr
 
     def test_cli_import_loads_no_scipy(self):
-        # quadrature and root finding serve only the pendulum orbits, and
-        # gammaln only N = M/l!; each is imported where it is used
+        # udham imports no scipy module at all: N = M/l! takes ln l! from
+        # math.lgamma, and the pendulum orbits use flows' own quadrature
         code = ("import sys, udham.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
@@ -342,7 +342,8 @@ class TestPlainArtifacts:
         assert proc.stdout.strip() == "[]"
 
     def test_dioph_run_leaves_special_functions_unloaded(self, tmp_path):
-        # only N = M/l! needs gammaln, and dioph never reads N
+        # N = M/l! takes ln l! from math.lgamma, so no special-function
+        # module loads, and dioph does not read N anyway
         code = ("import sys; from udham import cli; "
                 "code = cli.main(['dioph', '--omega', 'golden', '--q-max', '50', "
                 f"'--outdir', {str(tmp_path)!r}]); "
@@ -351,3 +352,29 @@ class TestPlainArtifacts:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "0 False"
+
+    def test_weights_and_pendulum_runs_load_no_scipy(self, tmp_path):
+        # the two commands that read ln l! and integrate the pendulum times
+        code = ("import sys; from udham import cli; "
+                f"out = {str(tmp_path)!r}; "
+                "codes = [cli.main(['weights', '--family', 'gevrey', '--alpha', '2', "
+                "'--outdir', out + '/w']), "
+                "cli.main(['ms', '--mode', 'pendulum', '--n', '3', '--j', '2', "
+                "'--s', '0.05', '--outdir', out + '/ms'])]; "
+                "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0] []"
+
+    def test_package_source_imports_no_scipy(self):
+        for path in sorted(Path(cli.__file__).resolve().parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert all(name.split(".")[0] != "scipy" for name in names), \
+                    f"{path.name}:{node.lineno}"

@@ -491,6 +491,55 @@ class TestPendulum:
             th = orb.theta_of_t(t)
             assert orb.tau(th) % orb.B == pytest.approx(t % orb.B, abs=1e-6)
 
+    def test_tau_theta_round_trip(self):
+        # theta -> tau -> theta_of_t on a fast orbit, a slow one and the
+        # separatrix (B = 1000 underflows eps to 0)
+        for B in [3, 7, 1000]:
+            orb = F.pendulum_periodic_point(B)
+            for th in [*np.linspace(0.01, 0.49, 25), 1e-6, 0.4999, 0.5 - 1e-9]:
+                assert orb.theta_of_t(orb.tau(th)) == pytest.approx(th, abs=1e-14)
+
+    def test_gauss_kronrod_rule_degrees(self):
+        # K21 integrates x^d over [-1, 1] exactly up to d = 31, G10 up to 19
+        x = F.GK_NODES
+        assert np.array_equal(x, -x[::-1])
+        assert np.allclose(x[1:20:2], np.sort(np.polynomial.legendre.leggauss(10)[0]),
+                           rtol=0, atol=1e-15)
+        for d in range(32):
+            exact = 0.0 if d % 2 else 2.0 / (d + 1)
+            assert F.GK_KRONROD @ x ** d == pytest.approx(exact, abs=4e-16), d
+            if d < 20:
+                assert F.GK_GAUSS @ x ** d == pytest.approx(exact, abs=4e-16), d
+
+    @staticmethod
+    def mp_piece(a2, u_lo, u_hi):
+        """int_{u_lo}^{u_hi} du / sqrt(4 sin^2(pi u) + a2) at 40 digits,
+        split geometrically from the peak width sqrt(a2) up to u_hi."""
+        import mpmath as mp
+        with mp.workdps(40):
+            a2 = mp.mpf(a2)
+            lo = max(mp.mpf(u_lo), mp.sqrt(a2) / 100)
+            n = int(mp.ceil(mp.log10(u_hi / lo) / 3)) + 2
+            pts = [mp.mpf(u_lo)] + [mp.exp(v) for v in mp.linspace(mp.log(lo), mp.log(u_hi), n)]
+            if pts[1] == pts[0]:
+                pts = pts[1:]
+            val = mp.quad(lambda u: 1 / mp.sqrt(4 * mp.sin(mp.pi * u) ** 2 + a2), pts)
+        return float(val)
+
+    def test_quadrature_against_mpmath(self):
+        # each piece within the epsrel = 1e-13 the quadrature is given
+        for a2 in [4e-3, 1e-10, 1e-50, 1e-150]:
+            orb = F.PendulumOrbit(B=0.0, eps=a2 / 4.0)
+            for th in [0.1, 0.25]:   # tau up to theta = 1/4 is the direct piece
+                ref = self.mp_piece(orb.a2, 0.5 - th, 0.5)
+                assert orb.tau(th) == pytest.approx(ref, rel=1e-13, abs=0)
+            for u_lo in [0.0, 0.1, 0.2]:
+                ref = self.mp_piece(a2, u_lo, 0.25)
+                assert F._sinh_piece(a2, u_lo, 0.25) == pytest.approx(ref, rel=1e-13, abs=0)
+        for u_lo in [1e-12, 1e-3, 0.2]:   # separatrix: log substitution
+            ref = self.mp_piece(0.0, u_lo, 0.25)
+            assert F._sinh_piece(0.0, u_lo, 0.25) == pytest.approx(ref, rel=1e-13, abs=0)
+
     def test_lambda_probe_bounded(self):
         # sup_B |tau_B|_{M,s} < oo : certificates stabilize along B
         for fam in [W.gevrey(1), W.gevrey(2), W.exp_sqrt()]:

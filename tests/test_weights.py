@@ -41,11 +41,21 @@ class TestBuild:
             assert np.allclose(ws.log_M[1:], np.cumsum(ws.log_mu), rtol=1e-12)
 
     def test_log_n_is_log_m_minus_log_factorial(self):
-        from scipy.special import gammaln
         for fam in FAMILIES:
             ws = W.build_sequence(fam, 300)
-            assert np.array_equal(ws.log_N, ws.log_M - gammaln(np.arange(301) + 1.0))
+            assert np.array_equal(ws.log_N, ws.log_M - W.log_factorial(301))
             assert ws.log_N is ws.log_N  # derived once, then cached
+        # mpmath at 200 bits rounds ln l! correctly; scipy's gammaln has the
+        # same 3 ulp worst case, so the two agree within 6 ulp
+        import mpmath
+        from scipy.special import gammaln
+        ls = np.unique(np.r_[np.arange(2049), np.geomspace(2049, 65536, 64).astype(int)])
+        got = W.log_factorial(65537)[ls]
+        with mpmath.workprec(200):
+            ref = np.array([float(mpmath.loggamma(int(l) + 1)) for l in ls])
+        assert got[0] == got[1] == 0.0
+        assert np.all(np.abs(got - ref) <= 3 * np.spacing(ref))
+        assert np.all(np.abs(got - gammaln(ls + 1.0)) <= 6 * np.spacing(ref))
 
     def test_invalid_parameters(self):
         with pytest.raises(W.ParameterError):
