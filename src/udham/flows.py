@@ -649,21 +649,22 @@ def _quad(f: Callable, a: float, b: float, epsabs: float = 1e-15,
 
 
 def _regula_falsi(f: Callable, a: float, b: float, xtol: float,
-                  rtol: float = 4 * np.finfo(float).eps, maxiter: int = 100) -> float:
+                  rtol: float = 4 * np.finfo(float).eps) -> float:
     """Root of f between a and b, where f(a) and f(b) differ in sign.
 
     Regula falsi in the Anderson-Bjorck form: b is the newest point and a
     the other end of the bracket.  When the new point lands on b's side, a
     is kept and f(a) is scaled by 1 - f(new)/f(b) (by 1/2 if that is not
     positive, the Illinois rule), so a kept end cannot stall the bracket.
-    Stops once the bracket is narrower than xtol + rtol |b|, as brentq does.
+    Stops once the bracket is narrower than xtol + rtol |b|, as brentq does;
+    after 100 steps QuadratureError is raised.
     """
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
     if (fa > 0.0) == (fb > 0.0):
         raise ParameterError(f"no sign change of f on [{a}, {b}]")
-    for _ in range(maxiter):
+    for _ in range(100):
         if fb == 0.0 or abs(b - a) <= xtol + rtol * abs(b):
             return b
         c = b - fb * (b - a) / (fb - fa)
@@ -674,7 +675,7 @@ def _regula_falsi(f: Callable, a: float, b: float, xtol: float,
             m = 1.0 - fc / fb
             fa *= m if m > 0.0 else 0.5
         b, fb = c, fc
-    raise QuadratureError(f"root bracket [{a}, {b}] not closed in {maxiter} steps")
+    raise QuadratureError(f"root bracket [{a}, {b}] not closed in 100 steps")
 
 
 VARTHETA = -0.5 + (2.0 / math.pi) * math.atan(math.exp(math.pi))

@@ -540,6 +540,12 @@ class TestPendulum:
             ref = self.mp_piece(0.0, u_lo, 0.25)
             assert F._sinh_piece(0.0, u_lo, 0.25) == pytest.approx(ref, rel=1e-13, abs=0)
 
+    def test_quadrature_and_root_finder_refuse(self):
+        with pytest.raises(F.QuadratureError, match="more than 5 panels"):
+            F._quad(lambda x: np.sin(1e4 * x), 0.0, 1.0, limit=5)
+        with pytest.raises(ParameterError, match="no sign change"):
+            F._regula_falsi(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-15)
+
     def test_lambda_probe_bounded(self):
         # sup_B |tau_B|_{M,s} < oo : certificates stabilize along B
         for fam in [W.gevrey(1), W.gevrey(2), W.exp_sqrt()]:
