@@ -613,17 +613,20 @@ GK_GAUSS[1:10:2] = _WG
 GK_GAUSS[11:20:2] = _WG[::-1]
 
 
-def _quad(f: Callable, a: float, b: float, epsabs: float = 1e-15,
-          epsrel: float = 1e-13, limit: int = 100) -> float:
+QUAD_EPSABS, QUAD_EPSREL = 1e-15, 1e-13
+ROOT_RTOL = 4 * np.finfo(float).eps
+
+
+def _quad(f: Callable, a: float, b: float, limit: int = 100) -> float:
     """int_a^b f(x) dx for f vectorized over an array of abscissae.
 
     Each panel gets the 21-point Kronrod value K and the 10-point Gauss
     value G, and |K - G| stands as its error.  Until those errors sum to
-    at most max(epsabs, epsrel |I|), every panel whose error exceeds its
-    length's share of that tolerance is bisected, all in one vectorized
-    round; the sum stops once no panel exceeds its share (the tolerance
-    follows |I| as it settles), and past ``limit`` panels QuadratureError
-    is raised.
+    at most max(QUAD_EPSABS, QUAD_EPSREL |I|), every panel whose error
+    exceeds its length's share of that tolerance is bisected, all in one
+    vectorized round; the sum stops once no panel exceeds its share (the
+    tolerance follows |I| as it settles), and past ``limit`` panels
+    QuadratureError is raised.
     """
     lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
     done, done_err, panels = 0.0, 0.0, 1
@@ -633,7 +636,7 @@ def _quad(f: Callable, a: float, b: float, epsabs: float = 1e-15,
         k = half * (fx @ GK_KRONROD)
         err = np.abs(k - half * (fx @ GK_GAUSS))
         total = done + float(np.sum(k))
-        tol = max(epsabs, epsrel * abs(total))
+        tol = max(QUAD_EPSABS, QUAD_EPSREL * abs(total))
         if done_err + float(np.sum(err)) <= tol:
             return total
         split = err > tol * np.abs(hi - lo) / abs(b - a)
@@ -648,24 +651,26 @@ def _quad(f: Callable, a: float, b: float, epsabs: float = 1e-15,
         hi = np.concatenate([mid[split], hi[split]])
 
 
-def _regula_falsi(f: Callable, a: float, b: float, xtol: float,
-                  rtol: float = 4 * np.finfo(float).eps) -> float:
+def _regula_falsi(f: Callable, a: float, b: float, xtol: float) -> float:
     """Root of f between a and b, where f(a) and f(b) differ in sign.
 
     Regula falsi in the Anderson-Bjorck form: b is the newest point and a
     the other end of the bracket.  When the new point lands on b's side, a
     is kept and f(a) is scaled by 1 - f(new)/f(b) (by 1/2 if that is not
     positive, the Illinois rule), so a kept end cannot stall the bracket.
-    Stops once the bracket is narrower than xtol + rtol |b|, as brentq does;
-    after 100 steps QuadratureError is raised.
+    Stops once the bracket is narrower than xtol + ROOT_RTOL |b|, as brentq
+    does.  A bracket without a sign change, or still open after 100 steps,
+    raises QuadratureError.
     """
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
+    if fb == 0.0:
+        return b
     if (fa > 0.0) == (fb > 0.0):
-        raise ParameterError(f"no sign change of f on [{a}, {b}]")
+        raise QuadratureError(f"no sign change of f on [{a}, {b}]")
     for _ in range(100):
-        if fb == 0.0 or abs(b - a) <= xtol + rtol * abs(b):
+        if fb == 0.0 or abs(b - a) <= xtol + ROOT_RTOL * abs(b):
             return b
         c = b - fb * (b - a) / (fb - fa)
         fc = f(c)
@@ -733,15 +738,20 @@ class PendulumOrbit:
         half = self.B / 2.0
         if tm >= half:
             return 0.5
-        hi = 0.5 if self.a2 > 0.0 else 0.5 - 1e-12
-        if self.a2 == 0.0 and tm >= self._tau_sep_end:
+        hi, tau_hi = self._bracket_end
+        if tm >= tau_hi:
             return 0.5
         return _regula_falsi(lambda x: self.tau(x) - tm, 0.0, hi, xtol=1e-15)
 
     @cached_property
-    def _tau_sep_end(self) -> float:
-        """tau(1/2 - 1e-12): on the separatrix, later times map to theta = 1/2."""
-        return self.tau(0.5 - 1e-12)
+    def _bracket_end(self) -> tuple[float, float]:
+        """(hi, tau(hi)) for hi = 1/2, or 1/2 - 1e-12 on the separatrix.
+
+        Later times map to theta = 1/2: on the separatrix tau diverges at
+        1/2, and on a rotation orbit tau(1/2) may fall short of B/2 by
+        round-off."""
+        hi = 0.5 if self.a2 > 0.0 else 0.5 - 1e-12
+        return hi, self.tau(hi)
 
 
 def _sinh_piece(a2: float, u_lo: float, u_hi: float) -> float:
@@ -798,7 +808,7 @@ def pendulum_periodic_point(B: float) -> PendulumOrbit:
         eps = math.exp(log_eps) if log_eps > -700.0 else 0.0
         return PendulumOrbit(B=float(B), eps=eps, log_eps=log_eps)
     f = lambda x: pendulum_period_of_eps(math.exp(x)) - B
-    x = _regula_falsi(f, -700.0, math.log(5.0), xtol=1e-13, rtol=8.9e-16)
+    x = _regula_falsi(f, -700.0, math.log(5.0), xtol=1e-13)
     return PendulumOrbit(B=float(B), eps=math.exp(x), log_eps=x)
 
 

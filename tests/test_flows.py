@@ -499,6 +499,14 @@ class TestPendulum:
             for th in [*np.linspace(0.01, 0.49, 25), 1e-6, 0.4999, 0.5 - 1e-9]:
                 assert orb.theta_of_t(orb.tau(th)) == pytest.approx(th, abs=1e-14)
 
+    def test_theta_of_t_below_half_period(self):
+        # on B = 8 the computed tau(1/2) is 4 - 8.9e-16, one rounding short
+        # of B/2, so times in between have no root in the bracket
+        orb = F.pendulum_periodic_point(8)
+        assert orb.tau(0.5) < 4.0
+        for t in [math.nextafter(4.0, 0.0), 4.0 - 1e-15, 4.0]:
+            assert orb.theta_of_t(t) == 0.5
+
     def test_gauss_kronrod_rule_degrees(self):
         # K21 integrates x^d over [-1, 1] exactly up to d = 31, G10 up to 19
         x = F.GK_NODES
@@ -543,8 +551,12 @@ class TestPendulum:
     def test_quadrature_and_root_finder_refuse(self):
         with pytest.raises(F.QuadratureError, match="more than 5 panels"):
             F._quad(lambda x: np.sin(1e4 * x), 0.0, 1.0, limit=5)
-        with pytest.raises(ParameterError, match="no sign change"):
+        with pytest.raises(F.QuadratureError, match="no sign change"):
             F._regula_falsi(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-15)
+
+    def test_root_finder_takes_an_exact_root_at_either_end(self):
+        assert F._regula_falsi(lambda x: x - 1.0, 0.0, 1.0, xtol=1e-15) == 1.0
+        assert F._regula_falsi(lambda x: x - 1.0, 1.0, 3.0, xtol=1e-15) == 1.0
 
     def test_lambda_probe_bounded(self):
         # sup_B |tau_B|_{M,s} < oo : certificates stabilize along B
