@@ -99,16 +99,14 @@ def parse_family(params) -> weights.Family:
     name = params.get("family", "gevrey")
     alpha = float(params.get("alpha", 1.0))
     beta = float(params.get("beta", 0.0))
-    mapping = {"analytic": weights.analytic(), "gevrey": weights.gevrey(alpha),
-               "gevrey-log": weights.gevrey_log(alpha, beta),
-               "gevrey_log": weights.gevrey_log(alpha, beta),
-               "exp-log": weights.exp_log(), "exp_log": weights.exp_log(),
-               "explog": weights.exp_log(), "gevreylog": weights.gevrey_log(alpha, beta),
-               "exp-sqrt": weights.exp_sqrt(), "exp_sqrt": weights.exp_sqrt(),
-               "expsqrt": weights.exp_sqrt()}
-    if name not in mapping:
-        raise ParameterError(f"unknown family {name!r}")
-    return mapping[name]
+    # one entry per family; a "-" in a name may also be spelled "_" or left out
+    builders = {"analytic": weights.analytic, "gevrey": lambda: weights.gevrey(alpha),
+                "gevrey-log": lambda: weights.gevrey_log(alpha, beta),
+                "exp-log": weights.exp_log, "exp-sqrt": weights.exp_sqrt}
+    for family, build in builders.items():
+        if name in (family, family.replace("-", "_"), family.replace("-", "")):
+            return build()
+    raise ParameterError(f"unknown family {name!r}")
 
 
 def parse_omega(params, n=2):
@@ -123,12 +121,22 @@ def parse_omega(params, n=2):
     return dioph.profile_from_brute(om, int(params.get("q_max", 60)))
 
 
+def count(text) -> int:
+    """A count: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise ParameterError(f"a count must be at least 1, got {n}")
+    return n
+
+
 def _grid(spec: str):
     """Log-spaced grid from "lo:hi[:n]" (33 points by default)."""
     parts = str(spec).split(":")
-    lo, hi = float(parts[0]), float(parts[1])
-    n = int(parts[2]) if len(parts) > 2 else 33
-    return np.geomspace(lo, hi, n)
+    try:
+        lo, hi, n = (*parts, 33) if len(parts) == 2 else parts
+        return np.geomspace(float(lo), float(hi), count(n))
+    except ValueError as exc:
+        raise ParameterError(f"grid {spec!r} is not lo:hi[:n] ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +146,8 @@ def _grid(spec: str):
 def cmd_weights(cfg: ExperimentConfig) -> int:
     p = cfg.params
     fam = parse_family(p)
+    sigmas = _grid(p.get("sigma_grid", "1e-3:0.5"))
+    ys = _grid(p.get("y_grid", "1.5:1e6"))
     L = int(p.get("l_max", weights.DEFAULT_L_MAX))
     ws = weights.build_sequence(fam, L)
     sp = weights.ScaleProfile(ws)
@@ -150,12 +160,12 @@ def cmd_weights(cfg: ExperimentConfig) -> int:
     write_csv(out / "weights.csv",
               ["l", "M_l_log", "mu_l_log", "N_l_log", "nu_l"], l_rows)
     rows = []
-    for sig in _grid(p.get("sigma_grid", "1e-3:0.5")):
+    for sig in sigmas:
         r = sp.cauchy_c(float(sig))
         rows.append((float(sig), r.value, r.argmax, int(r.certified)))
     write_csv(out / "cauchy.csv", ["sigma", "C", "argmax", "certified"], rows)
     rows = []
-    for y in _grid(p.get("y_grid", "1.5:1e6")):
+    for y in ys:
         try:
             r = sp.omega(float(y))
             rows.append((float(y), r.value, r.argmax))
@@ -471,15 +481,33 @@ COMMANDS = {
 }
 
 _FLAGS = {
-    "family": str, "alpha": float, "beta": float, "l_max": int,
-    "sigma_grid": str, "y_grid": str, "table_rows": int,
-    "omega": str, "q_max": int, "s": float, "eta": float, "n": int,
-    "i_max": int, "c2": float, "k_max": int, "eps": float, "xi": float,
-    "A": float, "hamiltonian": str, "perturbation": str, "v": str, "T": int,
-    "n_iter": int, "tol": float, "defect_grid": int, "j": int,
-    "t_end": float, "t_n": int, "dt": float, "mode": str, "q": int,
-    "csv_rows": int, "exponent_mode": str, "s0": float, "mu": float,
-    "n_steps": int, "norm": str,
+    "family": str, "alpha": float, "beta": float, "l_max": count,
+    "sigma_grid": str, "y_grid": str, "table_rows": count,
+    "omega": str, "q_max": count, "s": float, "eta": float, "n": count,
+    "i_max": count, "c2": float, "k_max": count, "eps": float, "xi": float,
+    "A": float, "hamiltonian": str, "perturbation": str, "v": str, "T": count,
+    "n_iter": count, "tol": float, "defect_grid": count, "j": count,
+    "t_end": float, "t_n": count, "dt": float, "mode": str, "q": count,
+    "csv_rows": count, "exponent_mode": str, "s0": float, "mu": float,
+    "n_steps": count, "norm": str, "verify_drift": bool,
+}
+
+# the flags each command reads, in any of its modes; parse_family reads the
+# first three of _WEIGHTS and parse_omega reads _OMEGA
+_WEIGHTS = ("family", "alpha", "beta", "l_max")
+_OMEGA = ("omega", "q_max")
+COMMAND_FLAGS = {
+    "weights": (*_WEIGHTS, "sigma_grid", "y_grid", "table_rows"),
+    "dioph": (*_OMEGA, "norm"),
+    "brtest": (*_WEIGHTS, *_OMEGA, "s", "eta", "n", "i_max", "c2"),
+    "nf": (*_WEIGHTS, "hamiltonian", "v", "T", "k_max", "eps", "eta", "s", "xi", "A"),
+    "kam": (*_WEIGHTS, *_OMEGA, "k_max", "eps", "s", "perturbation", "defect_grid",
+            "n_iter", "c2", "tol"),
+    "diffuse": (*_WEIGHTS, *_OMEGA, "j", "s", "n", "t_end", "t_n", "dt"),
+    "ms": (*_WEIGHTS, "mode", "q", "csv_rows", "verify_drift", "n", "j", "s",
+           "exponent_mode"),
+    "bessi": (*_WEIGHTS, *_OMEGA, "s0", "s", "n_steps", "eps", "mu"),
+    "report": (),
 }
 
 
@@ -488,49 +516,51 @@ def build_parser():
                                  description="ultra-differentiable Hamiltonian lab")
     sub = ap.add_subparsers(dest="subcommand", required=True)
     for name in sorted(COMMANDS):
-        sp = sub.add_parser(name)
+        # no abbreviations: --q must not stand for --q-max where only that is read
+        sp = sub.add_parser(name, allow_abbrev=False)
         sp.add_argument("--config", default=None)
         sp.add_argument("--outdir", default=None)
         sp.add_argument("--seed", type=int, default=0)
         if name == "report":
             sp.add_argument("inputs", nargs="*")
-        if name == "ms":
-            sp.add_argument("--verify-drift", action="store_true",
-                            dest="verify_drift")
-        for flag, typ in sorted(_FLAGS.items()):
-            sp.add_argument(f"--{flag.replace('_', '-')}", dest=flag,
-                            type=typ, default=None)
+        for flag in sorted(COMMAND_FLAGS[name]):
+            typ = _FLAGS[flag]
+            kind = {"action": "store_true"} if typ is bool else {"type": typ}
+            sp.add_argument(f"--{flag.replace('_', '-')}", dest=flag, default=None, **kind)
     return ap
 
 
 def main(argv=None) -> int:
     ap = build_parser()
     ns = ap.parse_args(argv)
+    cmd = ns.subcommand
     params = {}
     outdir = None
     try:
         if ns.config:
             file_params = load_config_file(ns.config)
             outdir = file_params.pop("outdir", None)
+            for key, value in file_params.items():
+                if key not in COMMAND_FLAGS[cmd] and (cmd, key) != ("report", "inputs"):
+                    raise ParameterError(f"{cmd} does not read config key {key!r}")
+                if key in _FLAGS:
+                    _FLAGS[key](value)   # a count or a number must parse as one
             params.update(file_params)
-        for flag in _FLAGS:
-            val = getattr(ns, flag, None)
+        for flag in COMMAND_FLAGS[cmd]:
+            val = getattr(ns, flag)
             if val is not None:
                 params[flag] = val
-        if getattr(ns, "verify_drift", False):
-            params["verify_drift"] = True
-        if ns.subcommand == "report":
-            params["inputs"] = list(getattr(ns, "inputs", []) or params.get("inputs", []))
+        if cmd == "report":
+            params["inputs"] = list(ns.inputs or params.get("inputs", []))
         if ns.outdir:
             outdir = ns.outdir
-        cfg = ExperimentConfig(subcommand=ns.subcommand, params=params,
-                               outdir=outdir or f"runs/{ns.subcommand}",
-                               seed=ns.seed)
-    except (ParameterError, OSError, json.JSONDecodeError) as exc:
+        cfg = ExperimentConfig(subcommand=cmd, params=params,
+                               outdir=outdir or f"runs/{cmd}", seed=ns.seed)
+    except (ValueError, TypeError, OSError) as exc:   # ParameterError, JSONDecodeError too
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        code = COMMANDS[ns.subcommand](cfg)
+        code = COMMANDS[cmd](cfg)
     except (ParameterError, dioph.ResonanceError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

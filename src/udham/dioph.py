@@ -60,6 +60,7 @@ def knorm(k) -> float:
 
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+PSI_BRUTE_BUDGET = 20_000_000   # lattice points either psi oracle may enumerate
 
 
 def named_value(name: str) -> float:
@@ -72,7 +73,7 @@ def named_value(name: str) -> float:
     raise ParameterError(f"unknown symbolic frequency {name!r}")
 
 
-def convergents_of_float(x: float, q_max: int = 10**15):
+def convergents_of_float(x: float):
     """Exact continued-fraction convergents of the double x.
 
     Works on Fraction(x), which represents the float exactly, so the output
@@ -83,7 +84,7 @@ def convergents_of_float(x: float, q_max: int = 10**15):
     out = []
     p0, q0, p1, q1 = 1, 0, int(math.floor(frac)), 1
     rem = frac - int(math.floor(frac))
-    while q1 <= q_max:
+    while q1 <= 10**15:
         e = q1 * frac - p1
         out.append((p1, q1, float(e)))
         if rem == 0 or e == 0:
@@ -137,8 +138,7 @@ def periodic_from_rational(num, den) -> PeriodicVector:
 # Psi oracles and the frequency profile
 # ---------------------------------------------------------------------------
 
-def psi_brute(omega, Q: float, budget: int = 20_000_000,
-              resonance_rtol: float = 1e-14):
+def psi_brute(omega, Q: float):
     """Exact max of |k.omega|^-1 over 0 < |k|_1 <= Q by lattice enumeration.
 
     Returns (value, k) with k the lexicographically smallest maximizer.
@@ -150,7 +150,7 @@ def psi_brute(omega, Q: float, budget: int = 20_000_000,
         raise ParameterError("psi requires Q >= 1")
     if n > 4 or Qi > 1000:
         raise BudgetError("brute-force psi limited to n <= 4, Q <= 1000")
-    if (2 * Qi + 1) ** n > budget:
+    if (2 * Qi + 1) ** n > PSI_BRUTE_BUDGET:
         raise BudgetError(f"lattice ball of size ~{(2*Qi+1)**n:.2e} exceeds budget")
     rngs = [np.arange(-Qi, Qi + 1)] * n
     K = np.stack(np.meshgrid(*rngs, indexing="ij"), axis=-1).reshape(-1, n)
@@ -158,7 +158,7 @@ def psi_brute(omega, Q: float, budget: int = 20_000_000,
     K = K[(norms > 0) & (norms <= Qi)]
     dots = np.abs(K @ omega)
     scale = np.sum(np.abs(K), axis=1) * np.max(np.abs(omega))
-    res = dots <= resonance_rtol * scale
+    res = dots <= 1e-14 * scale
     if np.any(res):
         k_res = K[np.argmax(res)]
         raise ResonanceError(f"exact resonance at k={tuple(k_res)}", k_res)
@@ -168,11 +168,11 @@ def psi_brute(omega, Q: float, budget: int = 20_000_000,
     return 1.0 / best, tuple(int(x) for x in k)
 
 
-def psi_brute_table(omega, Q_max: int, budget: int = 20_000_000):
+def psi_brute_table(omega, Q_max: int):
     """Psi_omega(Q) for all integer Q = 1..Q_max in one enumeration pass."""
     omega = np.asarray(omega, dtype=float)
     n = len(omega)
-    if (2 * Q_max + 1) ** n > budget:
+    if (2 * Q_max + 1) ** n > PSI_BRUTE_BUDGET:
         raise BudgetError("lattice ball exceeds budget")
     rngs = [np.arange(-Q_max, Q_max + 1)] * n
     K = np.stack(np.meshgrid(*rngs, indexing="ij"), axis=-1).reshape(-1, n)
@@ -368,10 +368,10 @@ def _nonresonant_dim(omega) -> int:
     return int(nz[-1]) + 1 if len(nz) else 0
 
 
-def profile_from_brute(omega, Q_max: int, d: Optional[int] = None) -> FrequencyProfile:
+def profile_from_brute(omega, Q_max: int) -> FrequencyProfile:
     """Profile by exhaustive enumeration up to Q_max (small dimensions)."""
     omega = np.asarray(omega, dtype=float)
-    d = _nonresonant_dim(omega) if d is None else d
+    d = _nonresonant_dim(omega)
     vals, ks = psi_brute_table(omega[:d], Q_max)
     pad = (0,) * (len(omega) - d)
     fp = FrequencyProfile(omega=omega, d=d, norm="l1", convergents=None, label="brute")
@@ -437,21 +437,20 @@ def profile_linf(fp: FrequencyProfile) -> FrequencyProfile:
                             label=fp.label + "-linf")
 
 
-def profile_from_prescribed(convergents, n: int = 2, label: str = "prescribed",
+def profile_from_prescribed(convergents,
                             omega_value: Optional[float] = None) -> FrequencyProfile:
-    """Profile from externally constructed convergents (p, q, e)."""
+    """Profile of omega = (1, w) from externally constructed convergents (p, q, e)."""
     w = omega_value if omega_value is not None else convergents[-1][0] / convergents[-1][1]
-    omega = np.array([1.0, w] + [0.0] * (n - 2))
-    return FrequencyProfile(omega=omega, d=2, norm="l1", convergents=list(convergents),
-                            label=label)
+    return FrequencyProfile(omega=np.array([1.0, w]), d=2, norm="l1",
+                            convergents=list(convergents), label="prescribed")
 
 
-def named_profile(name: str, n: int = 2, n_convergents: int = 48) -> FrequencyProfile:
+def named_profile(name: str, n: int = 2) -> FrequencyProfile:
     if name == "golden":
         return golden_profile(n)
     w = named_value(name)
     omega = np.array([1.0, w] + [0.0] * (n - 2))
-    return profile_from_cf(omega, n_convergents=n_convergents, d=2, label=name)
+    return profile_from_cf(omega, n_convergents=48, d=2, label=name)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +466,7 @@ class DirichletResult:
     T_bounds: tuple     # (|omega|^-1, n |omega|^-1 Q^(n-1))
 
 
-def dirichlet_approx(omega, Q: float, q_budget: int = 10**7) -> DirichletResult:
+def dirichlet_approx(omega, Q: float) -> DirichletResult:
     """T-periodic v with |omega - v| <= (n-1)/(TQ), T <= n|omega|^-1 Q^{n-1}.
 
     Factors out a pivot component; the first component is preferred when the
@@ -478,7 +477,7 @@ def dirichlet_approx(omega, Q: float, q_budget: int = 10**7) -> DirichletResult:
     if np.all(omega == 0.0):
         raise ParameterError("dirichlet_approx requires omega != 0")
     q_cap = int(math.ceil(Q ** (n - 1)))
-    if q_cap > q_budget:
+    if q_cap > 10**7:
         raise BudgetError(f"denominator scan {q_cap} exceeds budget")
 
     def attempt(pivot):
@@ -541,7 +540,7 @@ class ZBasisResult:
     c_den: float        # max over j of q_j / Psi(Q)
 
 
-def zbasis_approx(fp: FrequencyProfile, Q: float, q_budget: int = 10**6) -> ZBasisResult:
+def zbasis_approx(fp: FrequencyProfile, Q: float) -> ZBasisResult:
     """n periodic vectors whose integer vectors T_j v_j form a Z-basis.
 
     n = 2: consecutive convergents of omega_bar (exact, unimodular by the
@@ -550,13 +549,10 @@ def zbasis_approx(fp: FrequencyProfile, Q: float, q_budget: int = 10**6) -> ZBas
     """
     omega = fp.omega
     n = len(omega)
-    if n == 2:
+    if n == 2 or fp.d == 2:
         return _zbasis_convergents(fp, Q)
     if n == 3 and fp.d == 3:
-        return _zbasis_brute3(omega, Q, q_budget)
-    if fp.d == 2:
-        base = _zbasis_convergents(fp, Q)
-        return base
+        return _zbasis_brute3(omega, Q)
     raise UnsupportedError("Z-basis approximations implemented for n <= 3 only")
 
 
@@ -583,10 +579,10 @@ def _zbasis_convergents(fp: FrequencyProfile, Q: float) -> ZBasisResult:
     return ZBasisResult(vectors=vecs, det=int(det), c_err=cerr, c_den=cden)
 
 
-def _zbasis_brute3(omega, Q, q_budget):
+def _zbasis_brute3(omega, Q):
     w = omega / omega[0]
     cands = []
-    for q in range(1, min(int(q_budget), 4000) + 1):
+    for q in range(1, 4001):
         p = np.round(q * w[1:])
         err = float(np.max(np.abs(q * w[1:] - p)))
         cands.append((err * Q * q, q, tuple(int(x) for x in p)))
@@ -659,17 +655,17 @@ def _sum_with_tail(sigmas: np.ndarray):
 
 
 def br_test(sp: ScaleProfile, fp: FrequencyProfile, s: float = 1.0,
-            eta: float = 0.0, n: int = 2, i_max: int = 30, c2: float = 1.0,
-            Q0_cap: float = 1e9) -> BRReport:
+            eta: float = 0.0, n: int = 2, i_max: int = 30, c2: float = 1.0) -> BRReport:
     """Dyadic convergence test for the arithmetic condition.
 
     Searches the minimal Q0 >= n+2 with
         sigma_0 + sum_{i>=1} sigma_i <= ln(2)/(4n+2),
-    tail-extrapolated beyond i_max.  Geometrically decaying sigma_i yield
-    ConvergedWithinBudget; sigma_i ~ 1/i (partial sums ~ ln i) yield
-    DivergenceDiagnosed.
+    tail-extrapolated beyond i_max; the search for Q0 gives up beyond 1e9.
+    Geometrically decaying sigma_i yield ConvergedWithinBudget; sigma_i ~ 1/i
+    (partial sums ~ ln i) yield DivergenceDiagnosed.
     """
     budget = math.log(2.0) / (4.0 * n + 2.0)
+    Q0_cap = 1e9
 
     def total(Q0):
         _, sig = _dyadic_sigmas(sp, fp, Q0, s, eta, i_max, c2)

@@ -61,10 +61,10 @@ class QuadratureError(RuntimeError):
 # exact shear for angle-only generators
 # ---------------------------------------------------------------------------
 
-def angle_flow(u: FTSeries, t: float = 1.0):
-    """Exact time-t map of an angle-only Hamiltonian u(theta).
+def angle_flow(u: FTSeries):
+    """Exact time-1 map of an angle-only Hamiltonian u(theta).
 
-    Angles are frozen and I -> I - t grad u(theta); the map is exactly
+    Angles are frozen and I -> I - grad u(theta); the map is exactly
     symplectic (a shear).  Returns a callable (theta, I) -> (theta, I').
     """
     for (m, w) in u.blocks:
@@ -76,7 +76,7 @@ def angle_flow(u: FTSeries, t: float = 1.0):
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
         I = np.atleast_2d(np.asarray(I, dtype=float))
         kick = np.stack([g.eval(theta) for g in grads], axis=-1)
-        return theta, I - t * kick
+        return theta, I - kick
 
     return flow
 
@@ -115,9 +115,10 @@ class AffineTransform:
         Av = np.stack([a.eval(theta, I=I, w=w) for a in self.A], axis=-1)
         return theta + Ev, Av
 
-    def jacobian_defect(self, rng=None, n_pts=64, h=1e-6):
+    def jacobian_defect(self, n_pts=64):
         """Max |det DPhi - 1| over random points (symplecticity probe)."""
-        rng = rng or np.random.default_rng(0)
+        rng = np.random.default_rng(0)
+        h = 1e-6
         n = self.n
         pts_th = rng.uniform(size=(n_pts, n))
         pts_I = rng.uniform(-0.3, 0.3, size=(n_pts, n))
@@ -473,19 +474,17 @@ def affine_flow_lie(C: FTSeries, D: list, t: float = 1.0,
 # ---------------------------------------------------------------------------
 
 def lie_flow(Y: FTSeries, H: FTSeries, t: float = 1.0, max_order: int = 40,
-             tol: float = 1e-16, K_out: Optional[int] = None,
-             D_I_out: Optional[int] = None) -> FTSeries:
+             K_out: Optional[int] = None, D_I_out: Optional[int] = None) -> FTSeries:
     """H o Phi_Y^t = sum_r (t^r/r!) ad_Y^r H at truncation.
 
     The tail is monitored; if term norms grow for three consecutive orders
-    before reaching tol the series is declared divergent.
+    before falling below 1e-16 |H| the series is declared divergent.
     """
-    return _lie_series(Y, H, t, 0, max_order, tol, K_out, D_I_out)
+    return _lie_series(Y, H, t, 0, max_order, K_out, D_I_out)
 
 
 def _lie_series(Y: FTSeries, H: FTSeries, t: float, r0: int, max_order: int = 40,
-                tol: float = 1e-16, K_out: Optional[int] = None,
-                D_I_out: Optional[int] = None) -> FTSeries:
+                K_out: Optional[int] = None, D_I_out: Optional[int] = None) -> FTSeries:
     """sum_{r>=0} t^(r+r0)/(r+r0)! ad_Y^r H, ad f = {f, Y}, r0 in {0, 1},
     with `lie_flow`'s tail monitor relative to |H|."""
     K_out = K_out if K_out is not None else max(Y.K, H.K)
@@ -501,7 +500,7 @@ def _lie_series(Y: FTSeries, H: FTSeries, t: float, r0: int, max_order: int = 40
         fac = fac * t / (r + r0)
         out = out + fac * term
         size = abs(fac) * term.coeff_norm1()
-        if size < tol * scale:
+        if size < 1e-16 * scale:
             return out.prune()
         if size > last:
             grow += 1
@@ -553,8 +552,8 @@ def _yoshida4(theta, I, dt, grad_v):
 
 def integrate_midpoint(grad_theta: Callable, grad_I: Callable, theta0, I0,
                        t_end: float, dt: float = 1e-2,
-                       energy: Optional[Callable] = None, newton_tol: float = 1e-13,
-                       max_inner: int = 60, sample_every: int = 1) -> Trajectory:
+                       energy: Optional[Callable] = None,
+                       sample_every: int = 1) -> Trajectory:
     """Implicit midpoint by fixed-point iteration (symplectic, 2nd order)."""
     n_steps = int(round(t_end / dt))
     theta = np.asarray(theta0, dtype=float).copy()
@@ -563,14 +562,14 @@ def integrate_midpoint(grad_theta: Callable, grad_I: Callable, theta0, I0,
     Es.append(energy(theta, I) if energy else 0.0)
     for step in range(1, n_steps + 1):
         th_new, I_new = theta, I
-        for it in range(max_inner):
+        for it in range(60):
             th_mid = 0.5 * (theta + th_new)
             I_mid = 0.5 * (I + I_new)
             th_next = theta + dt * grad_I(th_mid, I_mid)
             I_next = I - dt * grad_theta(th_mid, I_mid)
             delta = np.max(np.abs(th_next - th_new)) + np.max(np.abs(I_next - I_new))
             th_new, I_new = th_next, I_next
-            if delta < newton_tol:
+            if delta < 1e-13:
                 break
         else:
             raise StiffnessError(f"midpoint fixed point stalled at step {step}")
@@ -785,13 +784,11 @@ def _sinh_piece(a2: float, u_lo: float, u_hi: float) -> float:
 
 
 def pendulum_period_of_eps(eps: float) -> float:
-    """Winding time of the rotation orbit with I_B = 2 + eps."""
+    """Winding time 2 tau(1/2) of the rotation orbit with I_B = 2 + eps."""
     if eps <= 0:
         raise ParameterError("rotation orbits require eps > 0")
-    a2 = 4.0 * eps + eps ** 2
-    direct = _quad(lambda x: 1.0 / np.sqrt(4.0 * np.cos(math.pi * x) ** 2 + a2),
-                   0.0, 0.25)
-    return 2.0 * (direct + _sinh_piece(a2, 0.0, 0.25))
+    # tau does not read the period B, which is what is sought here
+    return 2.0 * PendulumOrbit(B=math.nan, eps=eps).tau(0.5)
 
 
 def pendulum_periodic_point(B: float) -> PendulumOrbit:
@@ -825,21 +822,20 @@ def pendulum_exclusion_margin(orbit: PendulumOrbit, n_samples: int = 200) -> flo
     return margin
 
 
-def tau_norm_certificate(orbit: PendulumOrbit, sp: ScaleProfile, s: float,
-                         radius: float = 0.02, l_cap: int = 120,
-                         n_circle: int = 256) -> float:
+def tau_norm_certificate(orbit: PendulumOrbit, sp: ScaleProfile, s: float) -> float:
     """Certified upper bound for |tau_B|_{M,s} on [-vartheta, vartheta].
 
     tau_B' = 1/speed is analytic in a strip whose width is uniform in B:
     the complex turning points sit over theta = 1/2 +- i y_B, a distance
-    > 1/2 - vartheta from the window.  Cauchy estimates off circles of the
-    given radius bound every derivative, giving
-        c * max( sup|tau|, sup_{l>=1} (l+1)^2 s^l (l-1)! Mg r^{1-l} / M_l ).
+    > 1/2 - vartheta from the window.  Cauchy estimates off circles of
+    radius r = 0.02 (256 points each) bound every derivative, giving
+        c * max( sup|tau|, sup_{1<=l<=120} (l+1)^2 s^l (l-1)! Mg r^{1-l} / M_l ).
     """
+    radius, l_cap = 0.02, 120
     if radius >= 0.5 - VARTHETA:
         raise ParameterError("radius exceeds the uniform analyticity margin")
     xs = np.linspace(-VARTHETA, VARTHETA, 41)
-    ang = np.exp(2j * math.pi * np.arange(n_circle) / n_circle)
+    ang = np.exp(2j * math.pi * np.arange(256) / 256)
     Mg = 0.0
     for x0 in xs:
         z = x0 + radius * ang

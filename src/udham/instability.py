@@ -25,7 +25,7 @@ import numpy as np
 from . import dioph, flows
 from .dioph import FrequencyProfile
 from .flows import VARTHETA, PendulumOrbit
-from .series import FTSeries
+from .series import FTSeries, product
 from .weights import C_NORM, HorizonError, ParameterError, ScaleProfile
 
 TWO_PI = 2.0 * math.pi
@@ -257,19 +257,17 @@ def eta_p(p: int):
     return val, dval
 
 
-def eta_p_series(p: int, K: Optional[int] = None) -> FTSeries:
-    out = FTSeries.zeros(1, K if K is not None else 2 * (p - 1))
+def eta_p_series(p: int) -> FTSeries:
     base = FTSeries.zeros(1, p - 1)
     base.set_mode((0,), 1.0 / p)
     for l in range(1, p):
         base.add_cos((l,), 1.0 / p)
-    from .series import product
-    return product(base, base, K_out=out.K)
+    return product(base, base, K_out=2 * (p - 1))
 
 
-def smooth_bump(half_width: float = VARTHETA):
-    """exp-profile bump: 1 at 0, derivative 0 at 0, support (-w, w)."""
-    w = half_width
+def smooth_bump():
+    """exp-profile bump: 1 at 0, derivative 0 at 0, support (-vartheta, vartheta)."""
+    w = VARTHETA
 
     def val(x):
         x = ((x + 0.5) % 1.0) - 0.5
@@ -288,22 +286,22 @@ def smooth_bump(half_width: float = VARTHETA):
     return val, dval
 
 
-def bump_norm_certificate(sp: ScaleProfile, s: float, l_cap: int = 24,
-                          n_grid: int = 4096, half_width: float = VARTHETA) -> float:
+def bump_norm_certificate(sp: ScaleProfile, s: float) -> float:
     """Finite-order certificate of the bump in the (M, s) norm.
 
     The exp-profile bump is smooth but need not belong to every M-class;
     non-quasi-analytic classes do contain true class bumps, but no
     constructive normalization is available, so membership is certified
-    numerically up to l_cap derivatives by spectral differentiation
-    (conditioning degrades beyond ~l_cap)."""
-    val, _ = smooth_bump(half_width)
+    numerically up to 24 derivatives by spectral differentiation on 4096
+    points (conditioning degrades beyond ~24)."""
+    val, _ = smooth_bump()
+    n_grid = 4096
     xs = np.arange(n_grid) / n_grid
     v = np.array([val(x) for x in xs])
     coef = np.fft.fft(v) / n_grid
     kfreq = np.fft.fftfreq(n_grid, d=1.0 / n_grid)
     worst = 0.0
-    for l in range(l_cap + 1):
+    for l in range(25):
         dcoef = coef * (TWO_PI * 1j * kfreq) ** l
         sup = float(np.max(np.abs(np.fft.ifft(dcoef) * n_grid)))
         term = C_NORM * (l + 1) ** 2 * s ** l * sup / math.exp(sp.ws.log_M[l])
@@ -410,7 +408,7 @@ def build_ms(n: int, j: int, s: float, sp: ScaleProfile,
     raise ParameterError("certificate q^-1|g| <= A^-2 unreachable within retries")
 
 
-def synchronization_check(msc: MSConstruction, tol: float = 1e-9) -> dict:
+def synchronization_check(msc: MSConstruction) -> dict:
     """Verify g(a) = 1, dg(a) = 0, g(G^k a) = dg(G^k a) = 0, 1<=k<q.
 
     The rotator factors are exact; the pendulum factor is followed through
@@ -424,6 +422,7 @@ def synchronization_check(msc: MSConstruction, tol: float = 1e-9) -> dict:
     inside the window: each k in 1..ceil(A t_win) and q-ceil(A t_win)..q-1
     is visited once, which covers every k with |r| < A t_win."""
     q, A = msc.q, msc.A
+    tol = 1e-9
     worst_val, worst_dg = 0.0, 0.0
     a = msc.a_point
     g0 = msc.g_value([p[0] for p in a])
@@ -560,7 +559,7 @@ class BessiExample:
 
 
 def build_bessi(fp: FrequencyProfile, sp: ScaleProfile, s0: float, s: float,
-                eps: float, mu: float, j_list=None) -> BessiExample:
+                eps: float, mu: float) -> BessiExample:
     """Single-resonance perturbation family on convergent-derived modes.
 
     This construction lives on the 2-pi torus with its own mode norm
@@ -578,11 +577,7 @@ def build_bessi(fp: FrequencyProfile, sp: ScaleProfile, s0: float, s: float,
     omega = fp.omega[:2]
     ks, korth, nus, nuorth, certs, growth = [], [], [], [], [], []
     c_orth = math.inf
-    js = j_list if j_list is not None else range(len(fp.convergents))
-    for j in js:
-        if j >= len(fp.convergents):
-            break
-        p, q, e = fp.convergents[j]
+    for p, q, e in fp.convergents:
         if e is None or e == 0.0:
             continue
         k = np.array([p, -q], dtype=float)
@@ -632,16 +627,15 @@ def liouville_growth_for_bessi(sp: ScaleProfile, s0: float):
     return growth
 
 
-def bessi_series(ex: BessiExample, idx: int, K: Optional[int] = None) -> FTSeries:
+def bessi_series(ex: BessiExample, idx: int) -> FTSeries:
     """The perturbation F as a series (for cross-checking the certificate)."""
     k = tuple(int(x) for x in ex.ks[idx])
     kt = tuple(int(x) for x in ex.k_orth[idx])
-    Kv = K if K is not None else int(2 * max(dioph.knorm(k), dioph.knorm(kt)))
+    Kv = int(2 * max(dioph.knorm(k), dioph.knorm(kt)))
     one = FTSeries.zeros(2, Kv)
     one.set_mode((0, 0), 1.0)
     a = one.copy()
     a.add_cos(k, -1.0)
     b = one.copy()
     b.add_cos(kt, ex.mu * ex.nu_orth[idx])
-    from .series import product
     return product(a, b, K_out=Kv) * (ex.eps * ex.nus[idx])

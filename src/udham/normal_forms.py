@@ -3,7 +3,8 @@
 Every routine here runs finitely many exact-at-truncation steps and
 *measures* its remainders with norm certificates; theorem-style smallness
 thresholds are evaluated and logged but never block execution (the
-implicit dimensional constants are configuration inputs, default 1).
+implicit dimensional constants are 1, apart from the schedule constants A
+and c2, which callers pass).
 
 Contents: the single resonant averaging step, the iterated periodic normal
 form with the one-big-then-uniform width schedule, the multi-frequency
@@ -64,14 +65,13 @@ class NFResult:
     schedule_log: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
-    def commutation_defect(self, K_out=None) -> float:
+    def commutation_defect(self) -> float:
         worst = 0.0
         n = self.resonant.n
         for pv in self.resonances:
             Lv = linear_integrable(pv.v, n, self.resonant.K, D_I=1,
                                    n_w=self.resonant.n_w, D_w=self.resonant.D_w)
-            pb = poisson_bracket(self.resonant, Lv,
-                                 K_out=K_out or self.resonant.K)
+            pb = poisson_bracket(self.resonant, Lv, K_out=self.resonant.K)
             worst = max(worst, pb.coeff_norm1())
         return worst
 
@@ -114,9 +114,7 @@ class PeriodicSplit:
 
 
 def averaging_step(split: PeriodicSplit, sigma: float, sp: ScaleProfile,
-                   s: float, K_out: Optional[int] = None,
-                   D_I_out: Optional[int] = None,
-                   first_integral: Optional[FTSeries] = None):
+                   s: float, first_integral: Optional[FTSeries] = None):
     """One resonant averaging step.
 
     Solves {Y, L_v} = F - [F]_v, pushes H through the time-1 flow of Y and
@@ -128,8 +126,8 @@ def averaging_step(split: PeriodicSplit, sigma: float, sp: ScaleProfile,
     and the new remainder; the report measures both defects.
     """
     pv = split.pv
-    K_out = K_out if K_out is not None else split.F.K
-    D_I_out = D_I_out if D_I_out is not None else max(split.F.D_I, 1)
+    K_out = split.F.K
+    D_I_out = max(split.F.D_I, 1)
     T = pv.T
     nu = norm_upper(split.F, sp, s).bound
     eta = grad_cert(split.S, sp, s)
@@ -186,13 +184,13 @@ class NFSchedule:
 
     @classmethod
     def build(cls, xi: float, sp: ScaleProfile, s: float, T: float, eta: float,
-              nu: float, A: float = 1.0, m_cap: int = 400) -> "NFSchedule":
+              nu: float, A: float = 1.0) -> "NFSchedule":
         if xi <= 1.0:
             raise ParameterError("xi > 1 required")
         kappa = math.log(xi) / 24.0
         y = s / (A * T * eta) if eta > 0 else math.inf
         ci = sp.cauchy_c_inv(max(y, 1.0)) if math.isfinite(y) else sp.sigma_bar
-        m = max(1, min(m_cap, int(math.ceil(kappa / ci))))
+        m = max(1, min(400, int(math.ceil(kappa / ci))))
         sigma1 = kappa
         sigma_m = kappa / (m - 1) if m >= 2 else kappa
         budgets = nu * np.exp(-np.arange(1, m + 1, dtype=float))
@@ -202,8 +200,6 @@ class NFSchedule:
 
 def periodic_normal_form(H: FTSeries, pv: PeriodicVector, sp: ScaleProfile,
                          s: float, xi: float = 2.0, A: float = 1.0,
-                         K_out: Optional[int] = None,
-                         D_I_out: Optional[int] = None,
                          schedule: Optional[NFSchedule] = None,
                          first_integral: Optional[FTSeries] = None) -> NFResult:
     """Iterated averaging along one periodic vector (Neishtadt schedule).
@@ -232,8 +228,7 @@ def periodic_normal_form(H: FTSeries, pv: PeriodicVector, sp: ScaleProfile,
     log = []
     for j in range(1, schedule.m + 1):
         sigma = schedule.sigma1 if j == 1 else schedule.sigma_m
-        cur, Yj, rep = averaging_step(cur, sigma, sp, s_j, K_out=K_out,
-                                      D_I_out=D_I_out,
+        cur, Yj, rep = averaging_step(cur, sigma, sp, s_j,
                                       first_integral=first_integral)
         s_j = s_j * (1.0 - sigma) ** 3
         within = rep["remainder_cert"] <= schedule.nu_budgets[j - 1]
@@ -269,15 +264,15 @@ def periodic_normal_form(H: FTSeries, pv: PeriodicVector, sp: ScaleProfile,
 
 
 def _normal_form_chain(H: FTSeries, stages: list, order: list, sp: ScaleProfile,
-                       s: float, xi: float, log_steps: bool, **kw) -> NFResult:
-    """`periodic_normal_form` (with ``kw``) over ``order``, a list of (label,
+                       s: float, xi: float, log_steps: bool) -> NFResult:
+    """`periodic_normal_form` over ``order``, a list of (label,
     PeriodicVector); the resonant part is then averaged along every stage."""
     cur = H
     gens, logs, warns = [], [], []
     cert0 = None
     s_j = s
     for label, pv in order:
-        res = periodic_normal_form(cur, pv, sp, s_j, xi=xi, **kw)
+        res = periodic_normal_form(cur, pv, sp, s_j, xi=xi)
         if cert0 is None:
             cert0 = res.cert_before
         gens.extend(res.generators)
@@ -300,17 +295,14 @@ def _normal_form_chain(H: FTSeries, stages: list, order: list, sp: ScaleProfile,
 
 
 def multifrequency_normal_form(H: FTSeries, basis: list, sp: ScaleProfile,
-                               s: float, K_out: Optional[int] = None,
-                               D_I_out: Optional[int] = None,
-                               A: float = 1.0) -> NFResult:
+                               s: float) -> NFResult:
     """Loop the periodic normal form over a basis with xi = 2^(1/d).
 
     The final resonant part commutes with every L_{v_j}; for a full
     unimodular basis that forces it to the zero-mode projection.
     """
     return _normal_form_chain(H, basis, list(enumerate(basis)), sp, s,
-                              xi=2.0 ** (1.0 / len(basis)), log_steps=True,
-                              A=A, K_out=K_out, D_I_out=D_I_out)
+                              xi=2.0 ** (1.0 / len(basis)), log_steps=True)
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +331,7 @@ def scale_actions(H: FTSeries, rho: float, energy_scale: Optional[float] = None)
 
 
 def local_normal_form(h: FTSeries, f: FTSeries, I1, rho: float,
-                      pv: PeriodicVector, sp: ScaleProfile, s: float,
-                      K_out: Optional[int] = None, A: float = 1.0) -> dict:
+                      pv: PeriodicVector, sp: ScaleProfile, s: float) -> dict:
     """Normal form near I1 with |grad h(I1) - v| small.
 
     Translate by I1, rescale actions by rho, expand the integrable part to
@@ -354,7 +345,7 @@ def local_normal_form(h: FTSeries, f: FTSeries, I1, rho: float,
     # drop the constant term (irrelevant energy offset)
     if ((0,) * Hr.n, (0,) * Hr.n_w) in Hr.blocks:
         Hr.set_mode((0,) * Hr.n, 0.0)
-    res = periodic_normal_form(Hr, pv, sp, s / 2.0, xi=2.0, A=A, K_out=K_out)
+    res = periodic_normal_form(Hr, pv, sp, s / 2.0, xi=2.0)
     grad_h = np.array([h.dI(i).eval(np.zeros((1, h.n)), I=np.asarray(I1))[0]
                        for i in range(h.n)])
     res.warnings.append(
@@ -412,7 +403,7 @@ class KamHamiltonian:
 
 
 def kam_hamiltonian_from_mechanical(f: FTSeries, eps: float, omega0,
-                                    K: int, D_I: int = 2) -> KamHamiltonian:
+                                    K: int) -> KamHamiltonian:
     """Parameterize H = |I|^2/2 + eps f(theta) around omega = grad h.
 
     With I = omega + J:  H = e(omega) + omega.J + |J|^2/2 + eps f, where
@@ -422,7 +413,7 @@ def kam_hamiltonian_from_mechanical(f: FTSeries, eps: float, omega0,
         raise ParameterError(f"perturbation bandwidth {f.K} exceeds K = {K}")
     omega0 = np.asarray(omega0, dtype=float)
     n = len(omega0)
-    H = FTSeries.zeros(n, K, D_I=D_I, D_w=1, n_w=n)
+    H = FTSeries.zeros(n, K, D_I=2, D_w=1, n_w=n)
     zero = (0,) * n
     units = [tuple(1 if x == i else 0 for x in range(n)) for i in range(n)]
     H.set_mode(zero, 0.5 * float(omega0 @ omega0))
@@ -485,7 +476,7 @@ def kam_step(kh: KamHamiltonian, fp: FrequencyProfile, Q: float,
 class KamSchedule:
     """Geometric schedules of the iteration: eps_i = 16^-i eps,
     mu_i = 4^-i mu, delta_i = 2^-i-2 r, h_i = 2^-i h, Delta_i = 2^i
-    Delta(Q0), Q_i = Delta*(Delta_i), sigma_i = C^-1(c2(1+eta)^-1 s Q_i)."""
+    Delta(Q0), Q_i = Delta*(Delta_i), sigma_i = C^-1(c2 s Q_i)."""
 
     Q0: float
     sigmas: np.ndarray
@@ -495,12 +486,12 @@ class KamSchedule:
 
     @classmethod
     def build(cls, sp: ScaleProfile, fp: FrequencyProfile, s: float, n: int,
-              eta: float = 0.0, c2: float = 1.0, i_max: int = 12) -> "KamSchedule":
-        rep = dioph.br_test(sp, fp, s=s, eta=eta, n=n, i_max=max(i_max, 20), c2=c2)
+              c2: float = 1.0, i_max: int = 12) -> "KamSchedule":
+        rep = dioph.br_test(sp, fp, s=s, n=n, i_max=max(i_max, 20), c2=c2)
         if rep.verdict != "ConvergedWithinBudget":
             raise HorizonError(f"no admissible Q0: {rep.verdict}")
         Q0 = rep.Q0
-        Qs, sigmas = dioph._dyadic_sigmas(sp, fp, Q0, s, eta, i_max, c2)
+        Qs, sigmas = dioph._dyadic_sigmas(sp, fp, Q0, s, 0.0, i_max, c2)
         budget = math.log(2.0) / (4.0 * n + 2.0)
         prod = float(np.exp((2 * n + 1) * np.sum(np.log1p(-sigmas))))
         return cls(Q0=Q0, sigmas=sigmas, Qs=Qs, budget=budget,
@@ -605,8 +596,7 @@ def mechanical_defect_fn(f: FTSeries, eps: float, omega0, n_grid: int = 64):
 # steep-case chain and dichotomy probe
 # ---------------------------------------------------------------------------
 
-def nekhoroshev_chain(H: FTSeries, stages: list, sp: ScaleProfile, s: float,
-                      K_out: Optional[int] = None) -> NFResult:
+def nekhoroshev_chain(H: FTSeries, stages: list, sp: ScaleProfile, s: float) -> NFResult:
     """Chain periodic normal forms over stage vectors v_j, ..., v_1.
 
     stages: list of PeriodicVector, processed last-to-first per the
@@ -615,8 +605,7 @@ def nekhoroshev_chain(H: FTSeries, stages: list, sp: ScaleProfile, s: float,
     The final resonant part commutes with every stage vector.
     """
     order = [(len(stages) - i, pv) for i, pv in enumerate(reversed(stages))]
-    return _normal_form_chain(H, stages, order, sp, s, xi=2.0,
-                              log_steps=False, K_out=K_out)
+    return _normal_form_chain(H, stages, order, sp, s, xi=2.0, log_steps=False)
 
 
 def steep_exponents(n: int, p: float):
@@ -661,45 +650,38 @@ def almost_plane_curve_probe(h: FTSeries, curve_pts: np.ndarray,
 def stability_time_predict(regime: str, sp: ScaleProfile,
                            fp: Optional[FrequencyProfile], s: float,
                            eps: float, n: int, rho: Optional[float] = None,
-                           p: float = 2.0, r: Optional[float] = None,
-                           constants: Optional[dict] = None) -> dict:
+                           p: float = 2.0) -> dict:
     """Evaluate the radius/time formulas of the four stability regimes.
 
-    All dimensional constants default to 1 and are configuration inputs;
-    the returned numbers are shapes to compare across parameters, not
-    certified bounds."""
-    c = {"c1": 1.0, "c2": 1.0, "c3": 1.0, "c4": 1.0, "ct": 1.0}
-    if constants:
-        c.update(constants)
+    Every dimensional constant of the formulas is 1, so the returned numbers
+    are shapes to compare across parameters, not certified bounds."""
     out = {"regime": regime, "eps": eps, "s": s, "n": n}
     if regime == "linear":
         if fp is None:
             raise ParameterError("linear regime needs a frequency profile")
-        Q = fp.delta_star(c["c2"] * s / eps)
+        Q = fp.delta_star(s / eps)
         out["Q"] = Q
-        rr = r if r is not None else min(2 * c["c1"] * fp.psi_envelope(Q) * eps, 0.25)
+        rr = min(2 * fp.psi_envelope(Q) * eps, 0.25)
         out["radius"] = 2.0 * rr
-        out["time"] = (c["ct"] * rr * s / eps
-                       * math.exp(c["c3"] / sp.cauchy_c_inv(max(c["c4"] * s * Q, 1.0))))
+        out["time"] = rr * s / eps * math.exp(1.0 / sp.cauchy_c_inv(max(s * Q, 1.0)))
     elif regime == "nonlinear-local":
         if fp is None or rho is None:
             raise ParameterError("nonlinear-local regime needs fp and rho")
-        Q = fp.delta_star(c["c2"] * s / rho)
-        rr = r if r is not None else rho / 4.0
+        Q = fp.delta_star(s / rho)
+        rr = rho / 4.0
         out["Q"] = Q
         out["radius"] = 2.0 * rr
-        out["time"] = (c["ct"] * rr * s / eps
-                       * math.exp(c["c3"] / sp.cauchy_c_inv(max(c["c4"] * s * Q, 1.0))))
+        out["time"] = rr * s / eps * math.exp(1.0 / sp.cauchy_c_inv(max(s * Q, 1.0)))
     elif regime == "quasiconvex":
-        out["radius"] = c["c1"] * s * (eps / s ** 2) ** (1.0 / (2 * n))
-        y = c["c3"] * s * (s ** 2 / eps) ** (1.0 / (2 * n))
-        out["time"] = c["ct"] * s * math.exp(c["c2"] / sp.cauchy_c_inv(max(y, 1.0)))
+        out["radius"] = s * (eps / s ** 2) ** (1.0 / (2 * n))
+        y = s * (s ** 2 / eps) ** (1.0 / (2 * n))
+        out["time"] = s * math.exp(1.0 / sp.cauchy_c_inv(max(y, 1.0)))
     elif regime == "steep":
         a = (n * p) ** (n - 1)
         out["a"] = a
-        out["radius"] = c["c1"] * eps ** (1.0 / (2 * n * a))
-        y = c["c3"] * s * eps ** (-1.0 / (2 * n * a))
-        out["time"] = s * math.exp(c["c2"] / sp.cauchy_c_inv(max(y, 1.0)))
+        out["radius"] = eps ** (1.0 / (2 * n * a))
+        y = s * eps ** (-1.0 / (2 * n * a))
+        out["time"] = s * math.exp(1.0 / sp.cauchy_c_inv(max(y, 1.0)))
     else:
         raise ParameterError(f"unknown regime {regime!r}")
     return out

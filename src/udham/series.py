@@ -656,8 +656,7 @@ def average_zero_mode(f: FTSeries) -> FTSeries:
     return f._new([key for key, kp in zip(f.keys, keep) if kp], coef)
 
 
-def solve_homological_periodic(f: FTSeries, pv, remove_average=True,
-                               tol=1e-13) -> FTSeries:
+def solve_homological_periodic(f: FTSeries, pv, remove_average=True) -> FTSeries:
     """Y with {Y, L_v} = f - [f]_v, solved modewise: Y_k = f_k/(2 pi i k.v).
 
     Equals the time-average formula T int_0^1 (f-[f]_v)(theta+tTv) t dt
@@ -666,22 +665,22 @@ def solve_homological_periodic(f: FTSeries, pv, remove_average=True,
     mask = _resonance_mask(f, pv.Tv)
     kdotv = (f._kgrid() @ np.asarray(pv.Tv, dtype=float)) / pv.T
     if not remove_average and np.any(np.abs(f.coef[:, mask])
-                                     > tol * max(f.sup_coeff(), 1.0)):
+                                     > 1e-13 * max(f.sup_coeff(), 1.0)):
         raise ConsistencyError("resonant amplitude present; average first")
     coef = np.zeros_like(f.coef)
     coef[:, ~mask] = f.coef[:, ~mask] / ((TWO_PI * 1j) * kdotv[~mask])
     return f._new(f.keys, coef).prune()
 
 
-def homological_integral_oracle(f: FTSeries, pv, n_t=160) -> FTSeries:
+def homological_integral_oracle(f: FTSeries, pv) -> FTSeries:
     """Direct quadrature of T int_0^1 (f - [f]_v)(theta + t T v) t dt.
 
     Independent check of the divisor formula: the time shift acts modewise
-    as e^{2 pi i t k.Tv}, integrated by Gauss-Legendre (spectrally exact for
-    the oscillation orders reachable at the stored truncation)."""
+    as e^{2 pi i t k.Tv}, integrated by 160-point Gauss-Legendre (spectrally
+    exact for the oscillation orders reachable at the stored truncation)."""
     g = f - average_periodic(f, pv)
     kTv = g._kgrid() @ np.asarray(pv.Tv, dtype=float)
-    ts, wts = np.polynomial.legendre.leggauss(n_t)
+    ts, wts = np.polynomial.legendre.leggauss(160)
     ts = 0.5 * (ts + 1.0)
     wts = 0.5 * wts
     phase = np.tensordot(np.exp(TWO_PI * 1j * np.multiply.outer(ts, kTv)),

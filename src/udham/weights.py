@@ -198,19 +198,19 @@ def from_log_mu(log_mu: np.ndarray, family_tag: str = "Custom",
                           ratio_monotone=monotone, mono_from=mono_from)
 
 
-def from_values(values: np.ndarray, family_tag: str = "Custom") -> WeightSequence:
+def from_values(values: np.ndarray) -> WeightSequence:
     """Build from explicit M_l values (linear space; must fit in doubles)."""
     values = np.asarray(values, dtype=float)
     if np.any(values <= 0) or not np.all(np.isfinite(values)):
         raise ParameterError("M_l must be finite and positive")
     log_M = np.log(values)
-    return from_log_mu(np.diff(log_M), family_tag=family_tag)
+    return from_log_mu(np.diff(log_M))
 
 
-def _increment_monotonicity(log_mu: np.ndarray, tol: float = 1e-12):
+def _increment_monotonicity(log_mu: np.ndarray):
     """Last index from which increments of log(mu) are nonincreasing."""
     d = np.diff(log_mu)
-    rising = np.flatnonzero(np.diff(d) > tol)
+    rising = np.flatnonzero(np.diff(d) > 1e-12)
     mono_from = 0 if len(rising) == 0 else int(rising[-1] + 1)
     monotone = mono_from + 2 < len(log_mu)
     return mono_from, monotone
@@ -312,10 +312,10 @@ class ScaleProfile:
     def cauchy_c_value(self, sigma: float) -> float:
         return self.cauchy_c(sigma).value
 
-    def cauchy_c_inv(self, y: float, rtol: float = 1e-10) -> float:
+    def cauchy_c_inv(self, y: float) -> float:
         """Inverse of C on its monotone branch (0, sigma_bar]: the exact
         max_{l >= 1} (ln mu_l - ln y)/l clamped to sigma_bar, so C(C^-1(y)) = y
-        whenever y is in the range of C on the horizon (rtol met with margin)."""
+        whenever y is in the range of C on the horizon (rtol 1e-10 met with margin)."""
         if y < 1.0:
             raise ParameterError("cauchy_c_inv requires y >= 1")
         log_y = math.log(y)
@@ -331,7 +331,7 @@ class ScaleProfile:
                 partial=max(sigma, 1e-16),
             )
         got = self.cauchy_c_value(sigma)
-        if abs(got - y) > rtol * y:
+        if abs(got - y) > 1e-10 * y:
             raise HorizonError(f"cauchy_c_inv residual {got - y:.3e} exceeds rtol",
                                partial=sigma)
         return sigma
@@ -369,13 +369,12 @@ class ScaleProfile:
         ys = np.asarray(ys, dtype=float)
         return self._omega_at(ys, np.log(np.maximum(ys, 1.0)))[1]
 
-    def omega_brute(self, y: float, l_cap: Optional[int] = None) -> float:
+    def omega_brute(self, y: float) -> float:
         """Direct scan oracle for Omega (tests only)."""
         if y <= 1.0:
             return 0.0
-        L = self.ws.L_max if l_cap is None else min(l_cap, self.ws.L_max)
-        l = np.arange(L + 1, dtype=float)
-        return float(np.max(l * math.log(y) - self.ws.log_M[: L + 1]))
+        l = np.arange(self.ws.L_max + 1, dtype=float)
+        return float(np.max(l * math.log(y) - self.ws.log_M))
 
     # -- matching diagnostics ------------------------------------------------
 

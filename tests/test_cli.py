@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from udham import cli, dioph
+from udham.weights import ParameterError
 
 
 def run(args):
@@ -378,3 +380,103 @@ class TestPlainArtifacts:
                     continue
                 assert all(name.split(".")[0] != "scipy" for name in names), \
                     f"{path.name}:{node.lineno}"
+
+
+def exit_code(argv):
+    """cli.main's exit code, also when argparse exits on a bad argument."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestFlagTable:
+    # one flag that each command does not read
+    UNREAD = [["weights", "--eps", "1"], ["dioph", "--family", "gevrey"],
+              ["brtest", "--k-max", "8"], ["nf", "--omega", "golden"],
+              ["kam", "--j", "2"], ["diffuse", "--mode", "exact"],
+              ["ms", "--omega", "golden"], ["bessi", "--q", "3"],
+              ["report", "--alpha", "2"]]
+
+    @pytest.mark.parametrize("argv", UNREAD, ids=lambda argv: "_".join(argv))
+    def test_unread_flag_is_config_error(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert exit_code(argv + ["--outdir", str(out)]) == 2
+        assert not out.exists()
+
+    def test_unread_config_key_is_config_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("family = gevrey\neps = 7\n")
+        out = tmp_path / "out"
+        assert run(["weights", "--config", str(cfgfile), "--outdir", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["ms", "--mode", "exact", "--q", "40", "--csv-rows", "0"],
+        ["ms", "--mode", "exact", "--q", "0"],
+        ["diffuse", "--omega", "golden", "--j", "5", "--t-n", "0"],
+        ["weights", "--sigma-grid", "1e-3"],
+        ["nf", "--k-max", "-1"],
+        ["kam", "--k-max", "4", "--defect-grid", "0"],
+    ], ids=lambda argv: "_".join(argv))
+    def test_out_of_range_input_is_config_error(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert exit_code(argv + ["--outdir", str(out)]) == 2
+        assert not (out / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+    def test_help_lists_only_the_flags_read(self, capsys, name):
+        assert exit_code([name, "--help"]) == 0
+        listed = set(re.findall(r"--[A-Za-z][A-Za-z0-9-]*", capsys.readouterr().out))
+        read = {"--" + flag.replace("_", "-") for flag in cli.COMMAND_FLAGS[name]}
+        assert listed == read | {"--help", "--config", "--outdir", "--seed"}
+
+    def test_listed_flags_are_the_keys_each_command_reads(self):
+        # scan cli's source for p.get("key"), p["key"] and "key" in p on the
+        # params dict (named p or params), following calls into other cli
+        # functions such as parse_family, parse_omega and the toy Hamiltonian
+        tree = ast.parse(Path(cli.__file__).read_text())
+        funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+        def is_params(node):
+            return isinstance(node, ast.Name) and node.id in ("p", "params")
+
+        def keys_read(name, seen):
+            keys = set()
+            for node in ast.walk(funcs[name]):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "get" and is_params(node.func.value)):
+                    keys.add(node.args[0].value)
+                elif isinstance(node, ast.Subscript) and is_params(node.value):
+                    keys.add(node.slice.value)
+                elif (isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.In)
+                      and is_params(node.comparators[0])):
+                    keys.add(node.left.value)
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id in funcs and node.func.id not in seen):
+                    seen.add(node.func.id)
+                    keys |= keys_read(node.func.id, seen)
+            return keys
+
+        for name in cli.COMMANDS:
+            assert set(cli.COMMAND_FLAGS[name]) == keys_read(f"cmd_{name}", set()), name
+        assert sum(map(len, cli.COMMAND_FLAGS.values())) == 83
+
+
+class TestParseFamily:
+    TAGS = {"analytic": "Analytic", "gevrey": "Gevrey(2)",
+            "gevrey-log": "GevreyLog(2,0.5)", "gevrey_log": "GevreyLog(2,0.5)",
+            "gevreylog": "GevreyLog(2,0.5)", "exp-log": "ExpLog", "exp_log": "ExpLog",
+            "explog": "ExpLog", "exp-sqrt": "ExpSqrt", "exp_sqrt": "ExpSqrt",
+            "expsqrt": "ExpSqrt"}
+
+    @pytest.mark.parametrize("spelling", sorted(TAGS))
+    def test_each_spelling_gives_its_family(self, spelling):
+        fam = cli.parse_family({"family": spelling, "alpha": 2, "beta": 0.5})
+        assert fam.tag == self.TAGS[spelling]
+
+    @pytest.mark.parametrize("spelling", ["Gevrey", "exp log", "exp_-sqrt", "gevrey-"])
+    def test_other_spellings_are_rejected(self, spelling):
+        with pytest.raises(ParameterError):
+            cli.parse_family({"family": spelling})
