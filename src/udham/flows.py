@@ -11,7 +11,7 @@ Three grades of flow machinery, in decreasing exactness:
   A_i = G_i(theta) + sum_j (delta_ij + F_ij(theta)) I_j.  (E, A) come either
   from per-grid-point ODE integration (collocation) or from Lie series on
   the coordinate functions (exact at truncation, carries parameter jets);
-  composing two such maps is one pullback of the outer's components;
+  composing two is one `apply_affine` pullback of the outer's 2n components;
 * arbitrary generators: Lie series H o Phi = sum ad_Y^r H / r! with a tail
   monitor, cross-validated against grid composition.
 
@@ -155,13 +155,6 @@ def _collocation_size(K_out):
     return 2 * (2 * K_out + 1)
 
 
-def _collocation_grid(n, K_out):
-    """Uniform collocation grid, flattened in C order (N^n, n)."""
-    N = _collocation_size(K_out)
-    axes = [np.arange(N) / N] * n
-    return N, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-
-
 def _grid_shift(e: FTSeries, N, alpha=None):
     """Real values of d^alpha (none by default) of the I^0 w^0 block of e on
     the N^n grid, flattened in C order, from `derivative_grid`."""
@@ -178,11 +171,6 @@ def _taylor_order_cap(x: float) -> int:
         j += 1
         term *= x / (j + 1)
     return j
-
-
-def _multi_indices(n, j):
-    """Every alpha in N^n with |alpha| = j."""
-    return [a for a in itertools.product(range(j + 1), repeat=n) if sum(a) == j]
 
 
 def _nearest_node_taylor(f: FTSeries, N: int, node, delta, betas):
@@ -217,7 +205,7 @@ def _nearest_node_taylor(f: FTSeries, N: int, node, delta, betas):
     vals = [0.0] * len(betas)
     rem = x * np.exp(x)                       # x^(j+1) e^x / (j+1)! at j = 0
     for j in range(cap + 1):
-        for alpha in _multi_indices(n, j):
+        for alpha in [a for a in itertools.product(range(j + 1), repeat=n) if sum(a) == j]:
             mono = np.prod([delta[:, i] ** a / math.factorial(a)
                             for i, a in enumerate(alpha)], axis=0)
             for b, beta in enumerate(betas):
@@ -231,30 +219,40 @@ def _nearest_node_taylor(f: FTSeries, N: int, node, delta, betas):
     raise TaylorTailError(f"Taylor tail {max(tails):.3e} after the order cap {cap}")
 
 
-def compose_angle(f: FTSeries, E0: list, E1: Optional[list] = None,
+def _merge_reports(report: Optional[dict], parts: list):
+    """Merge per-series reports: masses and tails summed, largest floor and order."""
+    if report is not None:
+        report.update({key: sum((p[key] for p in parts), 0.0)
+                       for key in ("aliasing_mass", "pruned_mass", "taylor_tail")},
+                      roundoff_floor=max((p["roundoff_floor"] for p in parts), default=0.0),
+                      taylor_order=max((p["taylor_order"] for p in parts), default=0))
+
+
+def compose_angle(fs: list, E0: list, E1: Optional[list] = None,
                   K_out: Optional[int] = None,
-                  report: Optional[dict] = None) -> FTSeries:
-    """f(theta + E(theta, w), I, w) truncated back to K_out.
+                  report: Optional[dict] = None) -> list:
+    """[f(theta + E(theta, w), I, w) for f in fs], truncated to K_out (by
+    default the largest K in fs).
 
     E0 is the base shift (n series), E1 an optional list indexed by
     parameter a of first-order jet shifts; the composition is expanded to
     first order in w (jet semantics).  Collocation on the uniform N^n grid,
-    N = 2 (2 K_out + 1): the shifts come from `derivative_grid`; f and the
-    gradient the jets need are Taylor-expanded about the grid node nearest
-    each shifted point (`_nearest_node_taylor`, Anderson-Dahleh), so
-    |delta| <= 1/(2N) for any shift; then `from_samples` (real FFT,
-    truncation, floor).
-    report, if given, receives `from_samples`' report, 'taylor_order', the
-    highest order added, and 'taylor_tail', the certified bound on the
-    samples' error summed over blocks.
+    N = 2 (2 K_out + 1): the shifts and their nearest nodes come from
+    `derivative_grid` once per list; each f and the gradient its jets need
+    are Taylor-expanded about the node nearest each shifted point
+    (`_nearest_node_taylor`, Anderson-Dahleh), so |delta| <= 1/(2N) for any
+    shift; then `from_samples` (real FFT, truncation, floor).
+    report, if given, receives the sums over fs of `from_samples`' masses
+    and of 'taylor_tail' (the certified bound on the samples' error), the
+    largest 'roundoff_floor' and the largest 'taylor_order' reached.
     """
-    n = f.n
-    K_out = K_out if K_out is not None else f.K
-    if not f.keys:
-        if report is not None:
-            report.update(aliasing_mass=0.0, roundoff_floor=0.0, pruned_mass=0.0,
-                          taylor_order=0, taylor_tail=0.0)
-        return FTSeries.from_blocks(f, {}, K=K_out)
+    n, parts = len(E0), []
+    K_out = K_out if K_out is not None else max(f.K for f in fs)
+    out = [FTSeries.from_blocks(f, {}, K=K_out) for f in fs]
+    live = [(r, f) for r, f in enumerate(fs) if f.keys]
+    if not live:                              # nothing to compose
+        _merge_reports(report, parts)
+        return out
     N = _collocation_size(K_out)
     with np.errstate(invalid="ignore", over="ignore"):
         shift = np.stack([_grid_shift(e, N) for e in E0], axis=-1)
@@ -272,22 +270,24 @@ def compose_angle(f: FTSeries, E0: list, E1: Optional[list] = None,
                                   for a, E1a in enumerate(E1)
                                   for i, c in enumerate(E1a) if c is not None]
     axes = sorted({i for _, i, _ in jets})
-    units = [tuple(int(b == i) for b in range(n)) for i in axes]
-    vals, order, tails = _nearest_node_taylor(f, N, node, delta, [(0,) * n] + units)
-    acc = dict(zip(f.keys, vals[0]))
-    # first-order jet correction w_a E1^a . grad_theta f at the shifted
-    # points; only blocks with |w| + 1 <= D_w survive the jet truncation
-    for a, i, e1v in jets:
-        grad = vals[1 + axes.index(i)]
-        for (m, w), v in zip(f.keys, grad):
-            if sum(w) < f.D_w:
-                key = (m, w[:a] + (w[a] + 1,) + w[a + 1:])
-                acc[key] = acc.get(key, 0.0) + v * e1v
-    if report is not None:
-        report["taylor_order"] = order
-        report["taylor_tail"] = tails[0] + sum(
-            float(np.max(np.abs(e1v))) * tails[1 + axes.index(i)] for _, i, e1v in jets)
-    return FTSeries.from_samples(f, acc, N, report=report, K=K_out)
+    betas = [(0,) * n] + [tuple(int(b == i) for b in range(n)) for i in axes]
+    for r, f in live:
+        vals, order, tails = _nearest_node_taylor(f, N, node, delta, betas)
+        acc = dict(zip(f.keys, vals[0]))
+        # first-order jet correction w_a E1^a . grad_theta f at the shifted
+        # points; only blocks with |w| + 1 <= D_w survive the jet truncation
+        for a, i, e1v in jets:
+            grad = vals[1 + axes.index(i)]
+            for (m, w), v in zip(f.keys, grad):
+                if sum(w) < f.D_w:
+                    key = (m, w[:a] + (w[a] + 1,) + w[a + 1:])
+                    acc[key] = acc.get(key, 0.0) + v * e1v
+        part = {"taylor_order": order, "taylor_tail": tails[0] + sum(
+            float(np.max(np.abs(e1v))) * tails[1 + axes.index(i)] for _, i, e1v in jets)}
+        out[r] = FTSeries.from_samples(f, acc, N, report=part, K=K_out)
+        parts.append(part)
+    _merge_reports(report, parts)
+    return out
 
 
 def _jet_shift_components(E: list):
@@ -296,59 +296,53 @@ def _jet_shift_components(E: list):
     if n_w == 0 or E[0].D_w == 0:
         return E, None
     w0 = (0,) * n_w
-
-    def coefficient(e, wa):
-        return e.map_monomials(lambda m, w: [((m, w0), 1.0)] if w == wa else [], D_w=0)
-
-    units = [tuple(int(b == a) for b in range(n_w)) for a in range(n_w)]
-    first = [[c if c.blocks else None for c in (coefficient(e, u) for e in E)]
-             for u in units]
-    return [coefficient(e, w0) for e in E], first
+    part = lambda e, wa: e.map_monomials(lambda m, w: [((m, w0), 1.0)] if w == wa else [],
+                                         D_w=0)
+    first = [[c if c.blocks else None for c in (part(e, u) for e in E)]
+             for u in (w0[:a] + (1,) + w0[a + 1:] for a in range(n_w))]
+    return [part(e, w0) for e in E], first
 
 
-def apply_affine(H: FTSeries, tr: AffineTransform, K_out: Optional[int] = None,
-                 D_I_out: Optional[int] = None,
-                 report: Optional[dict] = None) -> FTSeries:
-    """Pull back H by the affine transform: H(theta + E, A(theta, I)); adds no floor."""
-    n = H.n
-    K_out = K_out if K_out is not None else H.K
-    D_I_out = D_I_out if D_I_out is not None else H.D_I
-    zero = (0,) * n
-    ident = AffineTransform.identity(n, 0, n_w=H.n_w).A
+def apply_affine(Hs: list, tr: AffineTransform, K_out: Optional[int] = None,
+                 report: Optional[dict] = None) -> list:
+    """Pull back each H of Hs by the affine transform, H(theta + E, A(theta,
+    I)), at H's own action degree and at K_out (by default the largest K);
+    adds no floor.  One `compose_angle` call serves the whole list, and each
+    power A^m is formed once; report, if given, receives that call's report."""
+    n = tr.n
+    K_out = K_out if K_out is not None else max(H.K for H in Hs)
+    ident = AffineTransform.identity(n, 0, n_w=tr.E[0].n_w).A
     if (all(e.coeff_norm1() == 0.0 for e in tr.E)
             and all((a - u).coeff_norm1() == 0.0 for a, u in zip(tr.A, ident))):
-        if report is not None:
-            report.update(aliasing_mass=0.0, roundoff_floor=0.0, pruned_mass=0.0,
-                          taylor_order=0, taylor_tail=0.0)
-        return H.rebanded(K_out)
+        _merge_reports(report, [])            # the identity composes nothing
+        return [H.rebanded(K_out) for H in Hs]
     base, first = _jet_shift_components(tr.E)
-    Hs = compose_angle(H, base, first, K_out=K_out, report=report)
-    # the substitution polynomials are A itself (at K_out, truncating jets
-    # at H's degree if that is higher): A acts at the preimage theta, so no
-    # angle composition here
-    L = [FTSeries.zeros(n, K_out, D_I=1, D_w=H.D_w, n_w=H.n_w) + a.rebanded(K_out)
-         for a in tr.A]
-    out = FTSeries.from_blocks(H, {}, K=K_out, D_I=D_I_out)
-    powers = {}
+    composed = compose_angle(Hs, base, first, K_out=K_out, report=report)
+    # the substitution polynomials are A itself at K_out: A acts at the
+    # preimage theta, so no angle composition here
+    A = [a.rebanded(K_out) for a in tr.A]
+    powers = {}           # freed on return: lpow loops, a recursive closure would be a cycle
 
-    def lpow(m):
-        m = tuple(m)
-        if m in powers:
-            return powers[m]
-        cur = None
-        for i, mi in enumerate(m):
-            for _ in range(mi):
-                cur = L[i] if cur is None else product(cur, L[i], K_out=K_out,
-                                                       D_I_out=D_I_out)
-        powers[m] = cur
-        return cur
+    def lpow(m, D_I, D_w):       # A^m at degree D_I, with jets to D_w if that is higher
+        key = (m, D_I, D_w)
+        if key not in powers:
+            L = [FTSeries.zeros(n, K_out, D_I=1, D_w=D_w, n_w=a.n_w) + a for a in A]
+            cur = None
+            for i, mi in enumerate(m):
+                for _ in range(mi):
+                    cur = L[i] if cur is None else product(cur, L[i], K_out=K_out, D_I_out=D_I)
+            powers[key] = cur
+        return powers[key]
 
-    # each monomial h(theta + E) I^m w^w of Hs becomes h(theta + E) w^w L^m
-    for m, w in Hs.blocks:
-        piece = Hs.map_monomials(lambda mm, ww, key=(m, w): [((zero, ww), 1.0)]
-                                 if (mm, ww) == key else [], D_I=0)
-        out = out + (piece if sum(m) == 0 else
-                     product(piece, lpow(m), K_out=K_out, D_I_out=D_I_out))
+    out = []
+    for H, G in zip(Hs, composed):
+        acc = FTSeries.from_blocks(H, {}, K=K_out)
+        # each monomial h(theta + E) I^m w^w of G becomes h(theta + E) w^w A^m
+        for (m, w), blk in G.blocks.items():
+            piece = FTSeries.from_blocks(G, {((0,) * n, w): blk}, D_I=0)
+            acc = acc + (piece if sum(m) == 0 else product(
+                piece, lpow(m, H.D_I, H.D_w), K_out=K_out, D_I_out=H.D_I))
+        out.append(acc)
     return out
 
 
@@ -383,17 +377,16 @@ def compose_affine(outer: AffineTransform, inner: AffineTransform,
 
         E = E_in + E_out o V,   A = A_out(V, A_in),
 
-    each the pullback of an outer component by inner (``apply_affine``); if
-    a parameter map is supplied the outer's jets are first pulled back
+    one pullback (``apply_affine``) of the outer's 2n components by inner;
+    if a parameter map is supplied the outer's jets are first pulled back
     through it."""
     K_out = K_out if K_out is not None else max(outer.E[0].K, inner.E[0].K)
+    parts = outer.E + outer.A
     if phi_shift is not None:
-        sub = lambda f: jet_param_substitute(f, phi_shift, phi_matrix)
-    else:
-        sub = lambda f: f
-    pull = lambda f: apply_affine(sub(f), inner, K_out=K_out)
-    return AffineTransform(E=[e.rebanded(K_out) + pull(oe) for e, oe in zip(inner.E, outer.E)],
-                           A=[pull(a) for a in outer.A])
+        parts = [jet_param_substitute(f, phi_shift, phi_matrix) for f in parts]
+    pulled = apply_affine(parts, inner, K_out=K_out)
+    return AffineTransform(E=[e.rebanded(K_out) + p for e, p in zip(inner.E, pulled)],
+                           A=pulled[outer.n:])
 
 
 def affine_flow_ode(C: FTSeries, D: list, t: float = 1.0, n_steps: int = 64,
@@ -406,7 +399,9 @@ def affine_flow_ode(C: FTSeries, D: list, t: float = 1.0, n_steps: int = 64,
     """
     n = C.n
     K_out = K_out if K_out is not None else max([C.K] + [d.K for d in D])
-    N, grid = _collocation_grid(n, K_out)
+    N = _collocation_size(K_out)      # the grid in C order, (N^n, n)
+    grid = np.stack(np.meshgrid(*[np.arange(N) / N] * n, indexing="ij"),
+                    axis=-1).reshape(-1, n)
     P = len(grid)
 
     gradC = [C.dtheta(i) for i in range(n)]
@@ -683,6 +678,8 @@ def _regula_falsi(f: Callable, a: float, b: float, xtol: float) -> float:
 
 
 VARTHETA = -0.5 + (2.0 / math.pi) * math.atan(math.exp(math.pi))
+# tau_norm_certificate's Cauchy radius, below the margin 1/2 - VARTHETA
+TAU_CAUCHY_RADIUS = 0.02
 
 
 @dataclass
@@ -831,9 +828,7 @@ def tau_norm_certificate(orbit: PendulumOrbit, sp: ScaleProfile, s: float) -> fl
     radius r = 0.02 (256 points each) bound every derivative, giving
         c * max( sup|tau|, sup_{1<=l<=120} (l+1)^2 s^l (l-1)! Mg r^{1-l} / M_l ).
     """
-    radius, l_cap = 0.02, 120
-    if radius >= 0.5 - VARTHETA:
-        raise ParameterError("radius exceeds the uniform analyticity margin")
+    radius, l_cap = TAU_CAUCHY_RADIUS, 120
     xs = np.linspace(-VARTHETA, VARTHETA, 41)
     ang = np.exp(2j * math.pi * np.arange(256) / 256)
     Mg = 0.0

@@ -453,7 +453,7 @@ def kam_step(kh: KamHamiltonian, fp: FrequencyProfile, Q: float,
         Cj = solve_homological_periodic(p_cur["A"], pv)
         Dj = [solve_homological_periodic(b, pv) for b in p_cur["B"]]
         tr = affine_flow_lie(Cj, Dj, t=1.0, K_out=K)
-        Hc = apply_affine(Hc, tr, K_out=K, D_I_out=H.D_I)
+        Hc, = apply_affine([Hc], tr, K_out=K)
         tr_total = tr if tr_total is None else compose_affine(tr_total, tr, K_out=K)
 
     # frequency counterterm: zero modes of the m = e_i blocks define

@@ -209,8 +209,11 @@ class FTSeries:
         return self._new(self.keys, self.coef.copy())
 
     def prune(self) -> "FTSeries":
-        """Drop the monomials whose coefficients are all zero."""
-        keep = np.max(np.abs(self.coef), axis=self._angle_axes()) > 0.0
+        """Drop the all-zero monomials; a non-finite coefficient raises ParameterError."""
+        peak = np.max(np.abs(self.coef), axis=self._angle_axes())
+        if not np.all(np.isfinite(peak)):
+            raise ParameterError("series has a non-finite coefficient")
+        keep = peak > 0.0
         return self._new([key for key, kp in zip(self.keys, keep) if kp], self.coef[keep])
 
     def map_monomials(self, rule, **meta) -> "FTSeries":

@@ -425,6 +425,13 @@ class TestFlagTable:
         assert exit_code(argv + ["--outdir", str(out)]) == 2
         assert not (out / "manifest.txt").exists()
 
+    def test_nan_eps_is_config_error(self, tmp_path, capsys):
+        # a NaN perturbation must not be pruned as if it were zero and
+        # leave the integrable Hamiltonian to "converge"
+        out = tmp_path / "out"
+        assert exit_code(["kam", "--k-max", "8", "--eps", "nan", "--outdir", str(out)]) == 2
+        assert "non-finite coefficient" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
     def test_help_lists_only_the_flags_read(self, capsys, name):
         assert exit_code([name, "--help"]) == 0

@@ -186,13 +186,39 @@ class TestAffineFlow:
         H.set_mode((0, 0), 0.5, m=(2, 0))
         H.set_mode((0, 0), 0.5, m=(0, 2))
         H = H + FTSeries.zeros(2, 4, D_I=2).add_cos((1, 1), 1e-3)
-        Hc = F.apply_affine(H, tr, K_out=12, D_I_out=2)
+        Hc, = F.apply_affine([H], tr, K_out=12)
         pts_th = np.random.default_rng(0).uniform(size=(30, 2))
         pts_I = np.random.default_rng(1).uniform(-0.3, 0.3, (30, 2))
         tho, Io = tr.apply(pts_th, pts_I)
         lhs = np.array([Hc.eval(pts_th[i:i + 1], I=pts_I[i])[0] for i in range(30)])
         rhs = np.array([H.eval(tho[i:i + 1], I=Io[i])[0] for i in range(30)])
         assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+    def test_list_pullback_equals_one_call_per_series(self):
+        # one apply_affine call on a list shares the shift grid, the nodes,
+        # the jet split and the powers of A, and must change no bit of any
+        # series: jets to degree 1 and 2, action degrees 1 and 2, an empty
+        # series, and each series' own bandwidth and report
+        tr = F.affine_flow_lie(*jet_affine_generator(2e-2, 3), K_out=8)
+        f = FTSeries.zeros(2, 4, D_I=2, D_w=1, n_w=2).add_cos((1, 0), 0.7, m=(1, 0))
+        f.add_sin((1, 2), 0.4, m=(0, 2)).add_cos((0, 1), 0.3, w=(1, 0))
+        f.set_mode((0, 0), 0.5, m=(1, 1))
+        g = FTSeries.zeros(2, 3, D_I=2, D_w=2, n_w=2).add_sin((2, -1), 0.6)
+        g.add_cos((1, 1), 0.2, m=(2, 0), w=(0, 1)).add_cos((0, 1), 0.1, w=(1, 1))
+        empty = FTSeries.zeros(2, 2, D_I=1, D_w=1, n_w=2)
+        Hs = [f, empty, g, f]
+        report, parts = {}, [{} for _ in Hs]
+        together = F.apply_affine(Hs, tr, K_out=8, report=report)
+        apart = [F.apply_affine([H], tr, K_out=8, report=rep)[0] for H, rep in zip(Hs, parts)]
+        for a, b in zip(together, apart):
+            assert (a.keys, a.K, a.D_I, a.D_w, a.n_w) == (b.keys, b.K, b.D_I, b.D_w, b.n_w)
+            assert np.array_equal(a.coef, b.coef)
+        assert not together[1].keys and together[2].D_w == 2
+        assert set(report) == set(parts[0])
+        for key in ("aliasing_mass", "pruned_mass", "taylor_tail"):
+            assert report[key] == sum(p[key] for p in parts)
+        for key in ("roundoff_floor", "taylor_order"):
+            assert report[key] == max(p[key] for p in parts)
 
     def test_compose_angle_first_order_jet(self):
         # f(theta + E0 + w.E1) to first order in w, against pointwise
@@ -206,7 +232,7 @@ class TestAffineFlow:
         E1 = [[FTSeries.zeros(2, 1).add_cos((0, 1), 0.03), None],
               [FTSeries.zeros(2, 1).add_sin((1, -1), 0.02),
                FTSeries.zeros(2, 1).add_cos((1, 0), 0.04)]]
-        g = F.compose_angle(f, E0, E1, K_out=16)
+        g, = F.compose_angle([f], E0, E1, K_out=16)
         rng = np.random.default_rng(4)
         for th, I, w in zip(rng.uniform(size=(10, 2)), rng.uniform(-0.5, 0.5, (10, 2)),
                             rng.uniform(-0.5, 0.5, (10, 2))):
@@ -247,7 +273,7 @@ class TestComposeAngle:
         E = [FTSeries.zeros(2, 1).add_sin((1, 0), 0.01),
              FTSeries.zeros(2, 1).add_cos((0, 1), 0.02)]
         report = {}
-        F.compose_angle(f, E, K_out=8, report=report)
+        F.compose_angle([f], E, K_out=8, report=report)
         assert set(report) == {"aliasing_mass", "roundoff_floor", "pruned_mass",
                                "taylor_order", "taylor_tail"}
         assert report["roundoff_floor"] > 0.0 and report["pruned_mass"] > 0.0
@@ -256,16 +282,21 @@ class TestComposeAngle:
         # the identity shortcut of apply_affine composes nothing
         ident = F.AffineTransform.identity(2, 1)
         report = {}
-        F.apply_affine(f, ident, report=report)
+        F.apply_affine([f], ident, report=report)
         assert report == {"aliasing_mass": 0.0, "roundoff_floor": 0.0, "pruned_mass": 0.0,
                           "taylor_order": 0, "taylor_tail": 0.0}
 
     def test_empty_series_returns_at_once(self):
         f = FTSeries.zeros(2, 3, D_I=1)
         report = {}
-        g = F.compose_angle(f, [FTSeries.zeros(2, 1).add_cos((1, 0), 0.3)] * 2,
-                            K_out=5, report=report)
+        g, = F.compose_angle([f], [FTSeries.zeros(2, 1).add_cos((1, 0), 0.3)] * 2,
+                             K_out=5, report=report)
         assert not g.blocks and (g.K, g.D_I) == (5, 1)
+        assert report == {"aliasing_mass": 0.0, "roundoff_floor": 0.0, "pruned_mass": 0.0,
+                          "taylor_order": 0, "taylor_tail": 0.0}
+        # with nothing to compose, a non-finite shift is never read
+        bad = [FTSeries.zeros(2, 1).set_mode((1, 0), np.nan), FTSeries.zeros(2, 1)]
+        assert F.compose_angle([f, f], bad, report=report)[1].K == 3
         assert report == {"aliasing_mass": 0.0, "roundoff_floor": 0.0, "pruned_mass": 0.0,
                           "taylor_order": 0, "taylor_tail": 0.0}
 
@@ -286,7 +317,7 @@ class TestComposeAngle:
         f = FTSeries.zeros(2, 2).add_cos((1, 0), 1.0)
         E = [FTSeries.zeros(2, 1).set_mode((1, 0), bad), FTSeries.zeros(2, 1)]
         with pytest.raises(ParameterError):
-            F.compose_angle(f, E)
+            F.compose_angle([f], E)
 
 
 def fourier_sum(series, pts):
@@ -320,7 +351,7 @@ def test_property_composition_equals_fourier_sum(seed, amp, K, K_out):
                            keys=[((0, 0), (0,)), ((1, 0), (0,)), ((0, 0), (1,))])
     E0 = [random_real_series(rng, 1, amp) for _ in range(2)]
     E1 = [[random_real_series(rng, 1, 0.01), None]]
-    g = F.compose_angle(f, E0, E1, K_out=K_out)
+    g, = F.compose_angle([f], E0, E1, K_out=K_out)
     N = 2 * (2 * K_out + 1)
     grid = np.stack(np.meshgrid(np.arange(N) / N, np.arange(N) / N, indexing="ij"),
                     axis=-1).reshape(-1, 2)
@@ -360,13 +391,13 @@ def test_property_compose_angle_round_trip(seed, n, e):
     E = [random_band_series(rng, n, b, e) for _ in range(n)]
     Et = [-c for c in E]
     for _ in range(40):
-        new = [-F.compose_angle(c, Et, K_out=K_out) for c in E]
+        new = [-c for c in F.compose_angle(E, Et, K_out=K_out)]
         step = max((u - v).coeff_norm1() for u, v in zip(new, Et))
         Et = new
         if step <= 1e-17:
             break
     assert max(c.coeff_norm1() for c in Et) <= 2 * e
-    back = F.compose_angle(F.compose_angle(f, E, K_out=K_out), Et, K_out=K_out)
+    back, = F.compose_angle(F.compose_angle([f], E, K_out=K_out), Et, K_out=K_out)
     x = 2 * math.pi * n * b * 2 * e
     M = (K_out - b) // b + 1
     bound = (1 + 2 * math.pi * n * b) * x ** M * math.exp(x) / math.factorial(M)
@@ -393,7 +424,7 @@ class TestLieFlow:
         H.set_mode((0, 0), 0.5, m=(2, 0))
         H = H + FTSeries.zeros(2, 4, D_I=2).add_cos((1, 1), 2e-3)
         a = F.lie_flow(X, H, K_out=12, D_I_out=2)
-        b = F.apply_affine(H, tr, K_out=12, D_I_out=2)
+        b, = F.apply_affine([H], tr, K_out=12)
         assert (a - b).coeff_norm1() < 1e-10
 
     def test_second_order_accuracy_of_homological_step(self):
@@ -476,6 +507,11 @@ class TestPendulum:
 
     def test_vartheta_value(self):
         assert F.VARTHETA == pytest.approx(0.4725062709989, abs=1e-12)
+
+    def test_cauchy_radius_inside_analyticity_margin(self):
+        # tau_norm_certificate's circles must stay in the strip of width
+        # 1/2 - vartheta where tau is analytic uniformly in B
+        assert 0.0 < F.TAU_CAUCHY_RADIUS < 0.5 - F.VARTHETA
 
     def test_exclusion_window(self):
         for B in [3, 5, 12, 30]:

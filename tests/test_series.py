@@ -263,6 +263,15 @@ class TestDecay:
         assert slope > 0.1  # Omega(s|k|) grows linearly in |k| => e^{-c|k|}
 
 
+class TestPrune:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mode_raises(self, bad):
+        # max |c| > 0 is False for NaN, so a NaN block would be dropped as zero
+        f = FTSeries.zeros(2, 2).set_mode((1, 0), bad)
+        with pytest.raises(W.ParameterError):
+            f.prune()
+
+
 class TestEvalAndIO:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_eval_matches_direct_sum(self, n):
@@ -710,8 +719,8 @@ def _operations(seed):
         ("prune", [f], lambda: f.prune()),
         ("average_periodic", [f], lambda: average_periodic(f, pv)),
         ("solve_homological_periodic", [f], lambda: solve_homological_periodic(f, pv)),
-        ("compose_angle", [f] + E, lambda: F.compose_angle(f, E, report={})),
-        ("apply_affine", [f] + tr_series, lambda: F.apply_affine(f, tr, report={})),
+        ("compose_angle", [f, g] + E, lambda: F.compose_angle([f, g], E, report={})),
+        ("apply_affine", [f, g] + tr_series, lambda: F.apply_affine([f, g], tr, report={})),
         ("compose_affine", tr_series, lambda: F.compose_affine(tr, tr)),
         ("jet_param_substitute", [j], lambda: F.jet_param_substitute(j, [0.01, 0.02], M)),
     ]
@@ -723,7 +732,8 @@ def test_property_operations_leave_inputs_unchanged(seed):
     for name, inputs, op in _operations(seed):
         before = [(x.keys, x.coef.copy()) for x in inputs]
         out = op()
-        outs = out.E + out.A if isinstance(out, F.AffineTransform) else [out]
+        outs = (out.E + out.A if isinstance(out, F.AffineTransform)
+                else out if isinstance(out, list) else [out])
         for x, (keys, coef) in zip(inputs, before):
             assert x.keys == keys and np.array_equal(x.coef, coef), name
             assert not any(np.shares_memory(y.coef, x.coef) for y in outs), name
