@@ -129,6 +129,22 @@ def count(text) -> int:
     return n
 
 
+def positive(text) -> float:
+    """A finite number greater than 0."""
+    x = float(text)
+    if not 0.0 < x < math.inf:
+        raise ParameterError(f"expected a finite number > 0, got {x}")
+    return x
+
+
+def nonnegative(text) -> float:
+    """A finite number of at least 0."""
+    x = float(text)
+    if not 0.0 <= x < math.inf:
+        raise ParameterError(f"expected a finite number >= 0, got {x}")
+    return x
+
+
 def _grid(spec: str):
     """Log-spaced grid from "lo:hi[:n]" (33 points by default)."""
     parts = str(spec).split(":")
@@ -186,13 +202,13 @@ def cmd_weights(cfg: ExperimentConfig) -> int:
 
 def cmd_dioph(cfg: ExperimentConfig) -> int:
     p = cfg.params
-    fp = parse_omega(p)
+    Q_max = int(p.get("q_max", 100))
+    fp = parse_omega({**p, "q_max": Q_max})
     norm = str(p.get("norm", "l1"))
     if norm == "linf":
         fp = dioph.profile_linf(fp)
     elif norm != "l1":
         raise ParameterError(f"unknown lattice norm {norm!r}")
-    Q_max = int(p.get("q_max", 100))
     rows = []
     try:
         for Q in range(1, Q_max + 1):
@@ -483,12 +499,12 @@ COMMANDS = {
 _FLAGS = {
     "family": str, "alpha": float, "beta": float, "l_max": count,
     "sigma_grid": str, "y_grid": str, "table_rows": count,
-    "omega": str, "q_max": count, "s": float, "eta": float, "n": count,
+    "omega": str, "q_max": count, "s": positive, "eta": nonnegative, "n": count,
     "i_max": count, "c2": float, "k_max": count, "eps": float, "xi": float,
-    "A": float, "hamiltonian": str, "perturbation": str, "v": str, "T": count,
+    "A": positive, "hamiltonian": str, "perturbation": str, "v": str, "T": count,
     "n_iter": count, "tol": float, "defect_grid": count, "j": count,
-    "t_end": float, "t_n": count, "dt": float, "mode": str, "q": count,
-    "csv_rows": count, "exponent_mode": str, "s0": float, "mu": float,
+    "t_end": positive, "t_n": count, "dt": positive, "mode": str, "q": count,
+    "csv_rows": count, "exponent_mode": str, "s0": positive, "mu": float,
     "n_steps": count, "norm": str, "verify_drift": bool,
 }
 

@@ -672,44 +672,36 @@ def br_test(sp: ScaleProfile, fp: FrequencyProfile, s: float = 1.0,
         return _sum_with_tail(sig)
 
     lo = n + 2
-    t_lo = total(lo)
-    if t_lo[0] <= budget:
+    Q0 = None
+    if total(lo)[0] <= budget:
         Q0 = float(lo)
     else:
         hi = lo
         while total(hi)[0] > budget and hi < Q0_cap:
             hi *= 2
-        if hi >= Q0_cap:
-            Qs, sig = _dyadic_sigmas(sp, fp, lo, s, eta, i_max, c2)
-            tot, tail_r, slope = _sum_with_tail(sig)
-            psums = np.cumsum(sig)
-            verdict = "DivergenceDiagnosed" if slope > -0.05 or not math.isfinite(tot) \
-                else "Inconclusive"
-            prod = float(np.exp((2 * n + 1) * np.sum(np.log1p(-sig)))) \
-                if np.all(sig < 1.0) else 0.0
-            return BRReport(verdict=verdict, Q0=None, sigmas=sig, Q_list=Qs,
-                            partial_sums=psums, budget=budget,
-                            total_with_tail=tot, tail_ratio=tail_r,
-                            tail_slope=slope, product_lower=prod, n=n, s=s,
-                            eta=eta, c2=c2,
-                            notes=f"no Q0 <= {Q0_cap:g} meets the budget")
-        a, b = hi // 2, hi
-        while b - a > 1:
-            mid = (a + b) // 2
-            if total(mid)[0] <= budget:
-                b = mid
-            else:
-                a = mid
-        Q0 = float(b)
+        if hi < Q0_cap:
+            a, b = hi // 2, hi
+            while b - a > 1:
+                mid = (a + b) // 2
+                if total(mid)[0] <= budget:
+                    b = mid
+                else:
+                    a = mid
+            Q0 = float(b)
 
-    Qs, sig = _dyadic_sigmas(sp, fp, Q0, s, eta, i_max, c2)
+    Qs, sig = _dyadic_sigmas(sp, fp, lo if Q0 is None else Q0, s, eta, i_max, c2)
     tot, tail_r, slope = _sum_with_tail(sig)
-    psums = np.cumsum(sig)
+    if Q0 is not None:
+        verdict, notes = "ConvergedWithinBudget", ""
+    else:
+        verdict = "DivergenceDiagnosed" if slope > -0.05 or not math.isfinite(tot) \
+            else "Inconclusive"
+        notes = f"no Q0 <= {Q0_cap:g} meets the budget"
     prod = float(np.exp((2 * n + 1) * np.sum(np.log1p(-sig))))
-    return BRReport(verdict="ConvergedWithinBudget", Q0=Q0, sigmas=sig,
-                    Q_list=Qs, partial_sums=psums, budget=budget,
+    return BRReport(verdict=verdict, Q0=Q0, sigmas=sig, Q_list=Qs,
+                    partial_sums=np.cumsum(sig), budget=budget,
                     total_with_tail=tot, tail_ratio=tail_r, tail_slope=slope,
-                    product_lower=prod, n=n, s=s, eta=eta, c2=c2)
+                    product_lower=prod, n=n, s=s, eta=eta, c2=c2, notes=notes)
 
 
 # ---------------------------------------------------------------------------

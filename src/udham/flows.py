@@ -479,17 +479,24 @@ def lie_flow(Y: FTSeries, H: FTSeries, t: float = 1.0, max_order: int = 40,
 
 
 def _lie_series(Y: FTSeries, H: FTSeries, t: float, r0: int, max_order: int = 40,
-                K_out: Optional[int] = None, D_I_out: Optional[int] = None) -> FTSeries:
+                K_out: Optional[int] = None, D_I_out: Optional[int] = None,
+                start: Optional[FTSeries] = None,
+                scale: Optional[float] = None) -> FTSeries:
     """sum_{r>=0} t^(r+r0)/(r+r0)! ad_Y^r H, ad f = {f, Y}, r0 in {0, 1},
-    with `lie_flow`'s tail monitor relative to |H|."""
+    with `lie_flow`'s tail monitor relative to ``scale`` (default |H|).
+    A ``start`` replaces the r = 0 term, which then only meets the tail
+    test: below it, no bracket is formed."""
     K_out = K_out if K_out is not None else max(Y.K, H.K)
     D_I_out = D_I_out if D_I_out is not None else max(H.D_I, Y.D_I)
     fac = t if r0 else 1.0
-    out = fac * H if r0 else H
+    norm = H.coeff_norm1()
+    scale = max(norm if scale is None else scale, 1e-300)
+    if start is not None and abs(fac) * norm < 1e-16 * scale:
+        return start.prune()
+    out = start if start is not None else fac * H if r0 else H
     term = H
     grow = 0
     last = math.inf
-    scale = max(H.coeff_norm1(), 1e-300)
     for r in range(1, max_order + 1):
         term = poisson_bracket(term, Y, K_out=K_out, D_I_out=D_I_out)
         fac = fac * t / (r + r0)

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import dioph
 from .dioph import FrequencyProfile, PeriodicVector
-from .flows import (AffineTransform, _grid_shift, affine_flow_lie, apply_affine,
-                    compose_affine, jet_param_substitute, lie_flow)
+from .flows import (AffineTransform, _grid_shift, _lie_series, affine_flow_lie,
+                    apply_affine, compose_affine, jet_param_substitute)
 from .series import (FTSeries, average_periodic, average_zero_mode, norm_upper,
                      poisson_bracket, solve_homological_periodic)
 from .weights import HorizonError, ParameterError, ScaleProfile
@@ -91,15 +91,6 @@ class PeriodicSplit:
     G: FTSeries
     F: FTSeries
 
-    @property
-    def n(self):
-        return self.F.n
-
-    def total(self) -> FTSeries:
-        Lv = linear_integrable(self.pv.v, self.n, self.F.K, D_I=max(self.F.D_I, 1),
-                               n_w=self.F.n_w, D_w=self.F.D_w)
-        return Lv + self.S + self.G + self.F
-
     @classmethod
     def from_hamiltonian(cls, H: FTSeries, pv: PeriodicVector) -> "PeriodicSplit":
         """Split a full Hamiltonian: integrable -> L_v + S, resonant
@@ -117,8 +108,10 @@ def averaging_step(split: PeriodicSplit, sigma: float, sp: ScaleProfile,
                    s: float, first_integral: Optional[FTSeries] = None):
     """One resonant averaging step.
 
-    Solves {Y, L_v} = F - [F]_v, pushes H through the time-1 flow of Y and
-    regroups: the resonant average joins G, everything else is the new F.
+    Solves {Y, L_v} = F - [F]_v; [F]_v joins G.  With Z = S + G + F,
+    V = {Z, Y} and W = [F]_v - F + V = {H, Y}, the new remainder is
+    F_new = V + sum_{r>=1} ad_Y^r W/(r+1)!, its tail measured against
+    |H| ~ |Z| + |v|: neither L_v nor H is formed, so nothing cancels.
     Returns (new_split, Y, report); report carries the measured remainder
     certificate and the second-order bound T nu (nu C(sigma)^2/s^2 +
     eta C(sigma)/s) it is compared against.  A supplied integrable first
@@ -138,14 +131,15 @@ def averaging_step(split: PeriodicSplit, sigma: float, sp: ScaleProfile,
             f"smallness C(sigma)^2 T nu = {Csig**2*T*nu:.3e} exceeds s^2 = {s**2:.3e}")
 
     F_res = average_periodic(split.F, pv)
-    Y = solve_homological_periodic(split.F - F_res, pv)
-    H_new = lie_flow(Y, split.total(), K_out=K_out, D_I_out=D_I_out)
+    Y = solve_homological_periodic(split.F, pv)
+    Z = split.S + split.G + split.F
+    V = poisson_bracket(Z, Y, K_out=K_out, D_I_out=D_I_out)
+    F_new = _lie_series(Y, F_res - split.F + V, 1.0, 1, K_out=K_out,
+                        D_I_out=D_I_out, start=V,
+                        scale=Z.coeff_norm1() + float(np.sum(np.abs(pv.v))))
 
     G_new = split.G + F_res
-    Lv = linear_integrable(pv.v, split.n, K_out, D_I=max(D_I_out, 1),
-                           n_w=split.F.n_w, D_w=split.F.D_w)
-    F_new = H_new - Lv - split.S - G_new
-    new = PeriodicSplit(pv=pv, S=split.S, G=G_new, F=F_new.prune())
+    new = PeriodicSplit(pv=pv, S=split.S, G=G_new, F=F_new)
     bound = T * nu * (nu * Csig ** 2 / s ** 2 + eta * Csig / s)
     rep = {
         "nu": nu, "eta": eta, "sigma": sigma, "C_sigma": Csig,
@@ -185,8 +179,8 @@ class NFSchedule:
     @classmethod
     def build(cls, xi: float, sp: ScaleProfile, s: float, T: float, eta: float,
               nu: float, A: float = 1.0) -> "NFSchedule":
-        if xi <= 1.0:
-            raise ParameterError("xi > 1 required")
+        if not 1.0 < xi < math.inf:
+            raise ParameterError("a finite xi > 1 required")
         kappa = math.log(xi) / 24.0
         y = s / (A * T * eta) if eta > 0 else math.inf
         ci = sp.cauchy_c_inv(max(y, 1.0)) if math.isfinite(y) else sp.sigma_bar
@@ -251,12 +245,10 @@ def periodic_normal_form(H: FTSeries, pv: PeriodicVector, sp: ScaleProfile,
     F_res = average_periodic(cur.F, pv)
     G_fin = cur.G + F_res
     F_fin = (cur.F - F_res).prune()
-    Lv = linear_integrable(pv.v, split.n, cur.F.K, D_I=max(cur.F.D_I, 1),
-                           n_w=H.n_w, D_w=H.D_w)
-    resonant = (Lv + cur.S + G_fin).prune()
+    resonant = (average_zero_mode(H) + G_fin).prune()   # L_v + S + G_fin
     return NFResult(generators=[entry["generator"] for entry in log],
                     resonant=resonant, remainder=F_fin,
-                    hamiltonian=cur.total(), resonances=[pv],
+                    hamiltonian=resonant + F_fin, resonances=[pv],
                     cert_before=nu0,
                     cert_after=norm_upper(F_fin, sp, s_j).bound,
                     predicted_bound=predicted, final_width=s_j,

@@ -46,10 +46,6 @@ class DomainMismatch(ValueError):
     """Incompatible dimensions between two series."""
 
 
-class ConsistencyError(ValueError):
-    """A resonant mode survived where the construction requires none."""
-
-
 def _flip(coef, n):
     """c_{-k} for every block of a stack: reverse the n trailing angle axes."""
     return coef[(Ellipsis,) + (slice(None, None, -1),) * n]
@@ -266,9 +262,6 @@ class FTSeries:
 
     def coeff_norm1(self) -> float:
         return float(np.sum(np.abs(self.coef)))
-
-    def sup_coeff(self) -> float:
-        return float(np.max(np.abs(self.coef), initial=0.0))
 
     def terms(self):
         """Yield (k, m, w, coeff) over nonzero coefficients, sorted."""
@@ -659,17 +652,15 @@ def average_zero_mode(f: FTSeries) -> FTSeries:
     return f._new([key for key, kp in zip(f.keys, keep) if kp], coef)
 
 
-def solve_homological_periodic(f: FTSeries, pv, remove_average=True) -> FTSeries:
-    """Y with {Y, L_v} = f - [f]_v, solved modewise: Y_k = f_k/(2 pi i k.v).
+def solve_homological_periodic(f: FTSeries, pv) -> FTSeries:
+    """Y with {Y, L_v} = f - [f]_v, solved modewise: Y_k = f_k/(2 pi i k.v)
+    and Y_k = 0 where k.Tv = 0, so f need not be averaged first.
 
     Equals the time-average formula T int_0^1 (f-[f]_v)(theta+tTv) t dt
     coefficientwise, via int_0^1 t e^{2 pi i m t} dt = 1/(2 pi i m).
     """
     mask = _resonance_mask(f, pv.Tv)
     kdotv = (f._kgrid() @ np.asarray(pv.Tv, dtype=float)) / pv.T
-    if not remove_average and np.any(np.abs(f.coef[:, mask])
-                                     > 1e-13 * max(f.sup_coeff(), 1.0)):
-        raise ConsistencyError("resonant amplitude present; average first")
     coef = np.zeros_like(f.coef)
     coef[:, ~mask] = f.coef[:, ~mask] / ((TWO_PI * 1j) * kdotv[~mask])
     return f._new(f.keys, coef).prune()

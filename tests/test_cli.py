@@ -70,6 +70,16 @@ class TestDioph:
             assert tuple(map(int, k)) == k_brute
         assert cli.parse_omega({"omega": "1,0.3"}).label == "cf"
 
+    def test_brute_profile_reaches_the_default_table(self, tmp_path):
+        # without --q-max the brute-force profile is built to the Q the
+        # table runs to, dioph's default 100
+        out = tmp_path / "d2"
+        code = run(["dioph", "--omega", "1.4142135623730951,1.7320508075688772",
+                    "--outdir", str(out)])
+        assert code == 0
+        assert len((out / "psi.csv").read_text().splitlines()) == 101
+        assert "horizon = 100.0" in (out / "manifest.txt").read_text()
+
     def test_resonant_omega_is_config_error(self, tmp_path):
         # 5 * 0.2 - 1 = 0: an exact resonance within |k|_1 <= 20
         code = run(["dioph", "--omega", "1,0.3,0.2", "--q-max", "20",
@@ -424,6 +434,29 @@ class TestFlagTable:
         out = tmp_path / "out"
         assert exit_code(argv + ["--outdir", str(out)]) == 2
         assert not (out / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["brtest", "--eta", "-1"],
+        ["nf", "--s", "0"], ["nf", "--A", "0"],
+        ["diffuse", "--t-end", "nan"], ["diffuse", "--t-end", "inf"],
+        ["diffuse", "--dt", "0"], ["diffuse", "--dt", "nan"],
+        ["bessi", "--s0", "nan"],
+        ["ms", "--mode", "pendulum", "--s", "0"],
+        ["nf", "--family", "gevrey", "--alpha", "2", "--xi", "nan"],
+        ["nf", "--family", "gevrey", "--alpha", "2", "--xi", "inf"],
+    ], ids=lambda argv: "_".join(argv))
+    def test_float_outside_its_domain_is_config_error(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert exit_code(argv + ["--outdir", str(out)]) == 2
+        assert not out.exists()
+
+    def test_config_float_outside_its_domain_is_config_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("dt = 0\n")
+        out = tmp_path / "out"
+        assert run(["diffuse", "--config", str(cfgfile), "--outdir", str(out)]) == 2
+        assert "finite number > 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nan_eps_is_config_error(self, tmp_path, capsys):
         # a NaN perturbation must not be pruned as if it were zero and

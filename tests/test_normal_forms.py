@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,20 +8,25 @@ from udham import dioph as D
 from udham import flows as FL
 from udham import normal_forms as NF
 from udham import weights as W
-from udham.series import FTSeries, norm_upper, poisson_bracket
+from udham.series import FTSeries, average_periodic, norm_upper, poisson_bracket
 
 SP = W.ScaleProfile(W.build_sequence(W.gevrey(2), 1 << 16))
 GOLD = np.array([1.0, D.GOLDEN])
 
 
-def toy_split(eps, K=8, with_action=True):
+def toy_hamiltonian(eps, K=8, with_action=True):
     pv = D.periodic_from_rational((1, 0), 1)
     H = NF.linear_integrable(pv.v, 2, K, D_I=2)
     pert = FTSeries.zeros(2, K, D_I=2).add_sin((1, 1), eps)
     if with_action:
         pert.set_mode((1, 1), eps / 2.0j, m=(1, 0))
         pert.set_mode((-1, -1), -eps / 2.0j, m=(1, 0))
-    return NF.PeriodicSplit.from_hamiltonian(H + pert, pv), pv
+    return H + pert, pv
+
+
+def toy_split(eps, K=8, with_action=True):
+    H, pv = toy_hamiltonian(eps, K, with_action)
+    return NF.PeriodicSplit.from_hamiltonian(H, pv), pv
 
 
 class TestAveragingStep:
@@ -67,11 +73,22 @@ class TestAveragingStep:
         res = poisson_bracket(new.G + new.F, I2, K_out=8)
         assert res.coeff_norm1() < 1e-10
 
+    def test_remainder_equals_flow_of_whole_hamiltonian(self):
+        # the remainder formed from the homological identity equals the
+        # time-1 flow of the whole H with L_v, S and G + [F]_v taken out
+        split, pv = toy_split(1e-3, K=8)
+        new, Y, rep = NF.averaging_step(split, 0.2, SP, 0.5)
+        Lv = NF.linear_integrable(pv.v, 2, 8, D_I=2)
+        H = Lv + split.S + split.G + split.F
+        G_new = split.G + average_periodic(split.F, pv)
+        ref = FL.lie_flow(Y, H, K_out=8, D_I_out=2) - Lv - split.S - G_new
+        assert new.F.coeff_norm1() > 0.0
+        assert (new.F - ref).coeff_norm1() <= 1e-12 * split.F.coeff_norm1()
+
 
 class TestPeriodicNF:
     def test_m1_reduces_to_single_step(self):
-        split, pv = toy_split(1e-4)
-        H = split.total()
+        H, pv = toy_hamiltonian(1e-4)
         sched = NF.NFSchedule(xi=2.0, m=1, sigma1=math.log(2.0) / 24.0,
                               sigma_m=math.log(2.0) / 24.0, A=1.0,
                               nu_budgets=np.array([1.0]))
@@ -102,8 +119,7 @@ class TestPeriodicNF:
 
     def test_grid_identity_of_transform(self):
         # transformed Hamiltonian equals original o flow on sample points
-        split, pv = toy_split(1e-3, K=8)
-        H = split.total()
+        H, pv = toy_hamiltonian(1e-3, K=8)
         res = NF.periodic_normal_form(H, pv, SP, s=0.5, xi=2.0)
         pts_th = np.random.default_rng(3).uniform(size=(12, 2))
         pts_I = np.random.default_rng(4).uniform(-0.2, 0.2, (12, 2))
@@ -133,8 +149,7 @@ class TestPeriodicNF:
 
 class TestMultifrequency:
     def test_d1_equals_periodic_xi2(self):
-        split, pv = toy_split(1e-4)
-        H = split.total()
+        H, pv = toy_hamiltonian(1e-4)
         a = NF.multifrequency_normal_form(H, [pv], SP, 1.0)
         b = NF.periodic_normal_form(H, pv, SP, 1.0, xi=2.0)
         assert a.cert_after == pytest.approx(b.cert_after, rel=1e-9)
@@ -537,3 +552,53 @@ def test_certificates_independent_of_transform_and_summation_order(monkeypatch):
         assert eb["remainder_cert"] == pytest.approx(ea["remainder_cert"], rel=1e-8)
     assert b.cert_after == pytest.approx(a.cert_after, rel=1e-8)
     assert (a.resonant - b.resonant).coeff_norm1() <= 1e-12 * a.resonant.coeff_norm1()
+
+
+def _dense_nf_blocks(seed, K=12):
+    """The averaging benchmark's input stored at K: L_v + eta I_2 + eps f with
+    v = (1, 0), eta = 1e-7, eps = 1e-5 and, for |m| <= 2 and
+    0 < |k|_inf <= 8, f_km = (a + i b) e^{-|k|_1} / 2, f_{-k,m} = conj f_km."""
+    rng = np.random.default_rng(seed)
+    r = range(-8, 9)
+    blocks = {}
+    for m in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
+        b = np.zeros((2 * K + 1,) * 2, dtype=complex)
+        for k in itertools.product(r, r):
+            if k <= (0, 0):
+                continue
+            c = complex(rng.normal(), rng.normal()) * math.exp(-abs(k[0]) - abs(k[1])) / 2
+            b[K + k[0], K + k[1]] = 1e-5 * c
+            b[K - k[0], K - k[1]] = 1e-5 * c.conjugate()
+        blocks[(m, ())] = b
+    blocks[((1, 0), ())][K, K] = 1.0
+    blocks[((0, 1), ())][K, K] = 1e-7
+    return blocks
+
+
+def test_stage_certificates_stable_under_roundoff_probe():
+    # scaling each +-k pair of the input by 1 + 1e-15 N(0, 1) (real, k = 0
+    # kept) moves every stage certificate by round-off only, because the
+    # step never forms F + {L_v, Y} = [F]_v in floating point: that sum
+    # cancels at the scale of |F| and amplified such noise to about 1e-4
+    K = 12
+    pv = D.periodic_from_rational((1, 0), 1)
+    base = _dense_nf_blocks(1, K)
+    like = FTSeries.zeros(2, K, D_I=2)
+
+    def certs(blocks):
+        res = NF.periodic_normal_form(FTSeries.from_blocks(like, blocks), pv, SP,
+                                      s=1.0, xi=2.0)
+        return np.array([e["remainder_cert"] for e in res.schedule_log])
+
+    ref = certs(base)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        probe = {}
+        for key, b in base.items():
+            fac = 1.0 + 1e-15 * rng.standard_normal(b.shape)
+            fac = (fac + fac[::-1, ::-1]) / 2
+            fac[K, K] = 1.0
+            probe[key] = b * fac
+        moved = certs(probe)
+        assert len(moved) == len(ref) > 30
+        assert np.max(np.abs(moved / ref - 1.0)) <= 1e-6

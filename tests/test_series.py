@@ -8,11 +8,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from udham import dioph as D
 from udham import flows as F
 from udham import weights as W
-from udham.series import (ConsistencyError, FTSeries, average_periodic,
-                          average_zero_mode, decay_check,
-                          homological_integral_oracle, norm_upper,
-                          poisson_bracket, product,
-                          solve_homological_periodic)
+from udham.series import (FTSeries, average_periodic, average_zero_mode,
+                          decay_check, homological_integral_oracle, norm_upper,
+                          poisson_bracket, product, solve_homological_periodic)
 
 SP = W.ScaleProfile(W.build_sequence(W.gevrey(2), 4096))
 
@@ -193,12 +191,6 @@ class TestHomological:
         pv = D.periodic_from_rational((1, 0), 1)
         f = FTSeries.zeros(2, 3).add_cos((0, 1))
         assert solve_homological_periodic(f, pv).coeff_norm1() == 0.0
-
-    def test_resonant_amplitude_error(self):
-        pv = D.periodic_from_rational((1, 0), 1)
-        f = FTSeries.zeros(2, 3).add_cos((0, 1))
-        with pytest.raises(ConsistencyError):
-            solve_homological_periodic(f, pv, remove_average=False)
 
 
 class TestNormCertificate:
