@@ -109,40 +109,57 @@ def parse_family(params) -> weights.Family:
     raise ParameterError(f"unknown family {name!r}")
 
 
-def parse_omega(params, n=2):
+def parse_omega(params):
     spec = str(params.get("omega", "golden"))
     try:
         vals = [float(x) for x in spec.split(",")]
     except ValueError:
-        return dioph.named_profile(spec, n)
-    om = np.array(vals + [0.0] * (n - len(vals)))
+        return dioph.named_profile(spec)
+    om = np.array(vals + [0.0] * (2 - len(vals)))
     if len(vals) == 2 and abs(om[0] - 1.0) < 1e-15 and om[1] > 0:
         return dioph.profile_from_cf(om)
     return dioph.profile_from_brute(om, int(params.get("q_max", 60)))
 
 
+# flag types take a command-line string or a config-file value, and reject
+# a value the command would read otherwise than written (2.5 as a count)
+
 def count(text) -> int:
-    """A count: an integer of at least 1."""
-    n = int(text)
-    if n < 1:
-        raise ParameterError(f"a count must be at least 1, got {n}")
-    return n
+    """A count: an integer of at least 1 (not a float or a bool)."""
+    if isinstance(text, (bool, float)) or int(text) < 1:
+        raise ParameterError(f"a count must be an integer of at least 1, got {text!r}")
+    return int(text)
+
+
+def finite(text) -> float:
+    """A finite number (not a bool)."""
+    x = math.nan if isinstance(text, bool) else float(text)
+    if not math.isfinite(x):
+        raise ParameterError(f"expected a finite number, got {text!r}")
+    return x
 
 
 def positive(text) -> float:
     """A finite number greater than 0."""
-    x = float(text)
-    if not 0.0 < x < math.inf:
+    x = finite(text)
+    if not x > 0.0:
         raise ParameterError(f"expected a finite number > 0, got {x}")
     return x
 
 
 def nonnegative(text) -> float:
     """A finite number of at least 0."""
-    x = float(text)
-    if not 0.0 <= x < math.inf:
+    x = finite(text)
+    if not x >= 0.0:
         raise ParameterError(f"expected a finite number >= 0, got {x}")
     return x
+
+
+def switch(value) -> bool:
+    """An on/off flag: set on the command line, true or false in a config file."""
+    if not isinstance(value, bool):
+        raise ParameterError(f"expected true or false, got {value!r}")
+    return value
 
 
 def _grid(spec: str):
@@ -497,15 +514,15 @@ COMMANDS = {
 }
 
 _FLAGS = {
-    "family": str, "alpha": float, "beta": float, "l_max": count,
+    "family": str, "alpha": finite, "beta": finite, "l_max": count,
     "sigma_grid": str, "y_grid": str, "table_rows": count,
     "omega": str, "q_max": count, "s": positive, "eta": nonnegative, "n": count,
-    "i_max": count, "c2": float, "k_max": count, "eps": float, "xi": float,
+    "i_max": count, "c2": positive, "k_max": count, "eps": finite, "xi": finite,
     "A": positive, "hamiltonian": str, "perturbation": str, "v": str, "T": count,
-    "n_iter": count, "tol": float, "defect_grid": count, "j": count,
+    "n_iter": count, "tol": positive, "defect_grid": count, "j": count,
     "t_end": positive, "t_n": count, "dt": positive, "mode": str, "q": count,
-    "csv_rows": count, "exponent_mode": str, "s0": positive, "mu": float,
-    "n_steps": count, "norm": str, "verify_drift": bool,
+    "csv_rows": count, "exponent_mode": str, "s0": positive, "mu": finite,
+    "n_steps": count, "norm": str, "verify_drift": switch,
 }
 
 # the flags each command reads, in any of its modes; parse_family reads the
@@ -541,7 +558,7 @@ def build_parser():
             sp.add_argument("inputs", nargs="*")
         for flag in sorted(COMMAND_FLAGS[name]):
             typ = _FLAGS[flag]
-            kind = {"action": "store_true"} if typ is bool else {"type": typ}
+            kind = {"action": "store_true"} if typ is switch else {"type": typ}
             sp.add_argument(f"--{flag.replace('_', '-')}", dest=flag, default=None, **kind)
     return ap
 
@@ -560,7 +577,7 @@ def main(argv=None) -> int:
                 if key not in COMMAND_FLAGS[cmd] and (cmd, key) != ("report", "inputs"):
                     raise ParameterError(f"{cmd} does not read config key {key!r}")
                 if key in _FLAGS:
-                    _FLAGS[key](value)   # a count or a number must parse as one
+                    _FLAGS[key](value)   # a value must have its flag's type
             params.update(file_params)
         for flag in COMMAND_FLAGS[cmd]:
             val = getattr(ns, flag)

@@ -73,28 +73,31 @@ def named_value(name: str) -> float:
     raise ParameterError(f"unknown symbolic frequency {name!r}")
 
 
+def _convergents(x: Fraction) -> Iterator:
+    """Continued-fraction convergents (p, q, e) of the rational x, ending at x.
+
+    e = q*x - p is exact before it is rounded to a float; |e| decreases.
+    """
+    p0, q0, p1, q1 = 0, 1, 1, 0   # the convergents of index -2 and -1
+    rem = x
+    while True:
+        a = math.floor(rem)
+        p0, p1 = p1, a * p1 + p0
+        q0, q1 = q1, a * q1 + q0
+        yield p1, q1, float(q1 * x - p1)
+        if rem == a:
+            return
+        rem = 1 / (rem - a)
+
+
 def convergents_of_float(x: float):
-    """Exact continued-fraction convergents of the double x.
+    """Exact continued-fraction convergents of the double x, q <= 1e15.
 
     Works on Fraction(x), which represents the float exactly, so the output
     is bit-consistent with any other computation on the same double.
     Returns a list of (p, q, e) with e = q*x - p exact, |e| decreasing.
     """
-    frac = Fraction(x)
-    out = []
-    p0, q0, p1, q1 = 1, 0, int(math.floor(frac)), 1
-    rem = frac - int(math.floor(frac))
-    while q1 <= 10**15:
-        e = q1 * frac - p1
-        out.append((p1, q1, float(e)))
-        if rem == 0 or e == 0:
-            break
-        rem = 1 / rem
-        a = int(math.floor(rem))
-        rem -= a
-        p0, p1 = p1, a * p1 + p0
-        q0, q1 = q1, a * q1 + q0
-    return out
+    return list(itertools.takewhile(lambda c: c[1] <= 10**15, _convergents(Fraction(x))))
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +113,10 @@ class PeriodicVector:
     Tv: tuple
 
     def __post_init__(self):
-        tv = np.asarray(self.Tv, dtype=object)
         approx = self.T * np.asarray(self.v, dtype=float)
         if np.max(np.abs(approx - np.asarray(self.Tv, dtype=float))) > 1e-10:
             raise ParameterError("T*v is not integer to 1e-10")
-        g = 0
-        for m in self.Tv:
-            g = math.gcd(g, int(m))
+        g = math.gcd(*(int(m) for m in self.Tv))
         if g != 1:
             raise ParameterError(f"period not minimal: gcd(Tv) = {g}")
 
@@ -125,10 +125,7 @@ def periodic_from_rational(num, den) -> PeriodicVector:
     """Periodic vector v = num/den (componentwise integer num, common den)."""
     num = [int(x) for x in num]
     den = int(den)
-    g = 0
-    for x in num:
-        g = math.gcd(g, x)
-    g = math.gcd(g, den)
+    g = math.gcd(*num, den)
     num = [x // g for x in num]
     den //= g
     return PeriodicVector(v=tuple(x / den for x in num), T=float(den), Tv=tuple(num))
@@ -326,7 +323,8 @@ class FrequencyProfile:
     def log_psi_at(self, Q: float) -> float:
         if Q < 1:
             raise ParameterError("psi requires Q >= 1")
-        return self.log_psi[self._idx(Q)]
+        i = self._idx(Q)   # may extend the list first
+        return self.log_psi[i]
 
     def psi_envelope(self, Q: float) -> float:
         """Continuous nondecreasing envelope with Psi_w(Q) <= env <= Psi_w(Q+1)."""
@@ -380,13 +378,12 @@ def profile_from_brute(omega, Q_max: int) -> FrequencyProfile:
     return fp
 
 
-def profile_from_cf(omega, n_convergents: int = 64, d: Optional[int] = None,
-                    label: str = "cf") -> FrequencyProfile:
+def profile_from_cf(omega, n_convergents: int = 64, label: str = "cf") -> FrequencyProfile:
     """Exact profile for omega = (1, w, 0...) via continued fractions of w."""
     omega = np.asarray(omega, dtype=float)
     if abs(omega[0] - 1.0) > 1e-15 or omega[1] <= 0.0:
         raise UnsupportedError("cf profile requires omega = (1, w) with w > 0")
-    d = _nonresonant_dim(omega) if d is None else d
+    d = _nonresonant_dim(omega)
     if d != 2:
         raise UnsupportedError("cf profile is exact only for d = 2")
     conv = convergents_of_float(float(omega[1]))[: n_convergents]
@@ -410,14 +407,14 @@ def _fibonacci(j: int):
         p, q = p + q, p
 
 
-def golden_profile(n: int = 2) -> FrequencyProfile:
-    """omega = (1, phi, 0...) with exact Fibonacci convergents, lazy horizon.
+def golden_profile() -> FrequencyProfile:
+    """omega = (1, phi) with exact Fibonacci convergents, lazy horizon.
 
     |F_{j+1} phi - F_{j+2}| = phi^-(j+1) exactly, so the staircase extends to
     arbitrary Q without precision loss.  A fresh profile holds j = 0..8
     (l1 horizon 143).
     """
-    omega = np.array([1.0, GOLDEN] + [0.0] * (n - 2))
+    omega = np.array([1.0, GOLDEN])
     conv = [c[:3] for c in itertools.islice(_fibonacci(0), 9)]
     return FrequencyProfile(omega=omega, d=2, norm="l1", convergents=conv,
                             more=_fibonacci, label="golden")
@@ -445,12 +442,10 @@ def profile_from_prescribed(convergents,
                             convergents=list(convergents), label="prescribed")
 
 
-def named_profile(name: str, n: int = 2) -> FrequencyProfile:
+def named_profile(name: str) -> FrequencyProfile:
     if name == "golden":
-        return golden_profile(n)
-    w = named_value(name)
-    omega = np.array([1.0, w] + [0.0] * (n - 2))
-    return profile_from_cf(omega, n_convergents=48, d=2, label=name)
+        return golden_profile()
+    return profile_from_cf(np.array([1.0, named_value(name)]), n_convergents=48, label=name)
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +497,7 @@ def dirichlet_approx(omega, Q: float) -> DirichletResult:
         tv = np.empty(n)
         tv[pivot] = q * np.sign(a)
         tv[np.arange(n) != pivot] = p * np.sign(a)
-        g = 0
-        for m in tv:
-            g = math.gcd(g, int(round(m)))
+        g = math.gcd(*(int(round(m)) for m in tv))
         return PeriodicVector(v=tuple(v), T=q / abs(a) / g,
                               Tv=tuple(int(round(m)) // g for m in tv))
 
@@ -564,8 +557,7 @@ def _zbasis_convergents(fp: FrequencyProfile, Q: float) -> ZBasisResult:
     pairs = [(p, q) for (p, q, _e) in fp.convergents]
     w = float(fp.omega[1])
     # largest consecutive pair with both denominators <= Psi(Q)
-    j = max(i for i in range(len(pairs) - 1) if pairs[i + 1][1] <= psi_q) \
-        if any(pairs[i + 1][1] <= psi_q for i in range(len(pairs) - 1)) else 0
+    j = max((i for i in range(len(pairs) - 1) if pairs[i + 1][1] <= psi_q), default=0)
     sel = [pairs[j], pairs[j + 1]] if j + 1 < len(pairs) else [pairs[j - 1], pairs[j]]
     vecs, cerr, cden = [], 0.0, 0.0
     for (p, q) in sel:
@@ -666,30 +658,27 @@ def br_test(sp: ScaleProfile, fp: FrequencyProfile, s: float = 1.0,
     """
     budget = math.log(2.0) / (4.0 * n + 2.0)
     Q0_cap = 1e9
+    seqs = {}   # Q0 -> (Q_i, sigma_i): each Q0 of the search is formed once
 
     def total(Q0):
-        _, sig = _dyadic_sigmas(sp, fp, Q0, s, eta, i_max, c2)
-        return _sum_with_tail(sig)
+        seqs[Q0] = _dyadic_sigmas(sp, fp, Q0, s, eta, i_max, c2)
+        return _sum_with_tail(seqs[Q0][1])[0]
 
-    lo = n + 2
+    lo = hi = n + 2
+    while total(hi) > budget and hi < Q0_cap:
+        hi *= 2
     Q0 = None
-    if total(lo)[0] <= budget:
-        Q0 = float(lo)
-    else:
-        hi = lo
-        while total(hi)[0] > budget and hi < Q0_cap:
-            hi *= 2
-        if hi < Q0_cap:
-            a, b = hi // 2, hi
-            while b - a > 1:
-                mid = (a + b) // 2
-                if total(mid)[0] <= budget:
-                    b = mid
-                else:
-                    a = mid
-            Q0 = float(b)
+    if hi < Q0_cap:   # total(hi) meets the budget: bisect on (hi/2, hi], or take lo
+        a, b = max(hi // 2, lo - 1), hi
+        while b - a > 1:
+            mid = (a + b) // 2
+            if total(mid) <= budget:
+                b = mid
+            else:
+                a = mid
+        Q0 = float(b)
 
-    Qs, sig = _dyadic_sigmas(sp, fp, lo if Q0 is None else Q0, s, eta, i_max, c2)
+    Qs, sig = seqs[lo if Q0 is None else Q0]   # a float key finds its int
     tot, tail_r, slope = _sum_with_tail(sig)
     if Q0 is not None:
         verdict, notes = "ConvergedWithinBudget", ""
@@ -740,12 +729,13 @@ def liouville_probe(sp: ScaleProfile, fp: FrequencyProfile, c_grid,
 def liouville_convergents(sp: ScaleProfile, s0: float, n_steps: int,
                           growth=None):
     """Convergents with q_{j+1} = ceil(exp(Omega(4 q_j s0))) (clamped up by
-    the CF recurrence), which force the exponential-Liouville condition."""
-    import mpmath
+    the CF recurrence), which force the exponential-Liouville condition.
 
-    p0, q0, p1, q1 = 1, 0, 0, 1  # start from x in (0,1): a0 = 0
+    Returns the convergents j = 1..n of the rational x = [0; a_1, ..., a_n,
+    1 x 64] (e exact before rounding, None for the last) and float(x).
+    """
+    q0, q1 = 0, 1  # start from x in (0,1): a0 = 0
     terms = []
-    pq = [(p1, q1)]
     for _ in range(n_steps):
         # q_{j+1} >= exp(Omega(4 q_j s0)) forces the exponential-Liouville
         # condition; growth is doubly exponential, so the Omega horizon ends
@@ -757,20 +747,14 @@ def liouville_convergents(sp: ScaleProfile, s0: float, n_steps: int,
             break
         a = max(1, int(math.ceil((target - q0) / q1)))
         terms.append(a)
-        p0, p1 = p1, a * p1 + p0
         q0, q1 = q1, a * q1 + q0
-        pq.append((p1, q1))
     if not terms:
         raise HorizonError("Omega horizon too small for even one Liouville step")
     # a generic all-ones tail keeps the value irrational so every reported
     # residual satisfies the strict convergent inequalities
-    mpmath.mp.dps = max(40, 2 * len(str(q1)) + 40)
-    x = mpmath.mpf(0)
+    x = Fraction(0)
     for a in reversed(terms + [1] * 64):
         x = 1 / (a + x)
-    conv = []
-    for (p, q) in pq[:-1]:
-        e = float(q * x - p)
-        conv.append((p, q, e))
-    conv.append((pq[-1][0], pq[-1][1], None))
-    return conv[1:], float(x)
+    conv = list(itertools.islice(_convergents(x), 1, len(terms) + 1))
+    conv[-1] = conv[-1][:2] + (None,)
+    return conv, float(x)

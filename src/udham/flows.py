@@ -351,8 +351,6 @@ def jet_param_substitute(f: FTSeries, shift, matrix) -> FTSeries:
 
     Used to pull back omega-dependence through a frequency map phi:
     shift = phi_0 - omega_0 and matrix = Dphi."""
-    if f.n_w == 0 or f.D_w == 0:
-        return f.copy()
     if any(sum(w) > 1 for _, w in f.blocks):
         raise ParameterError("jet substitution implemented for D_w <= 1")
     shift = np.asarray(shift, dtype=float)

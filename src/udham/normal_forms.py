@@ -482,11 +482,10 @@ class KamSchedule:
         rep = dioph.br_test(sp, fp, s=s, n=n, i_max=max(i_max, 20), c2=c2)
         if rep.verdict != "ConvergedWithinBudget":
             raise HorizonError(f"no admissible Q0: {rep.verdict}")
-        Q0 = rep.Q0
-        Qs, sigmas = dioph._dyadic_sigmas(sp, fp, Q0, s, 0.0, i_max, c2)
-        budget = math.log(2.0) / (4.0 * n + 2.0)
+        # the schedule is the first i_max + 1 terms of the test's sequence at Q0
+        Qs, sigmas = rep.Q_list[: i_max + 1], rep.sigmas[: i_max + 1]
         prod = float(np.exp((2 * n + 1) * np.sum(np.log1p(-sigmas))))
-        return cls(Q0=Q0, sigmas=sigmas, Qs=Qs, budget=budget,
+        return cls(Q0=rep.Q0, sigmas=sigmas, Qs=Qs, budget=rep.budget,
                    product_lower=prod)
 
 

@@ -302,8 +302,6 @@ class FTSeries:
                          D_w=max(self.D_w, other.D_w))
 
     def __mul__(self, a):
-        if isinstance(a, FTSeries):
-            return product(self, a)
         return self._new(self.keys, self.coef * a)
 
     __rmul__ = __mul__
@@ -694,9 +692,6 @@ class NormCertificate:
     worst_term: float
     constants: dict
 
-    def __float__(self):
-        return self.bound
-
 
 def norm_upper(f: FTSeries, sp: ScaleProfile, s: float) -> NormCertificate:
     """Certified upper bound for |f|_{M,s} on the unit polydomain.
@@ -718,11 +713,8 @@ def norm_upper(f: FTSeries, sp: ScaleProfile, s: float) -> NormCertificate:
                            constants={"c": C_NORM, "freq_scale": "2pi|k|_1 + |m| + |w|"})
 
 
-def decay_check(f: FTSeries, sp: ScaleProfile, s: float,
-                bound: Optional[float] = None) -> dict:
+def decay_check(f: FTSeries, sp: ScaleProfile, s: float, bound: float) -> dict:
     """Check |f_k| <= (bound/c) exp(-Omega(2 pi s |k|_inf)) modewise."""
-    if bound is None:
-        bound = norm_upper(f, sp, s).bound
     worst_margin = math.inf
     worst_k = None
     rows = []

@@ -40,6 +40,8 @@ C_NORM = 4.0 * math.pi**2 / 3.0  # normalizing constant of the U_{M,s} norm
 
 SIGMA_BAR_CAP = 0.99
 DEFAULT_L_MAX = 2048
+LEMMA_L_CAP = 300   # orders l the product and composition lemma scans cover
+MG_L_CAP = 150      # orders l the moderate-growth scans cover
 
 
 class ParameterError(ValueError):
@@ -482,11 +484,11 @@ def check_conditions(ws: WeightSequence, mg_horizon: int = 512) -> ConditionRepo
 # and of the moderate-growth bound)
 # ---------------------------------------------------------------------------
 
-def _convolution_scan(ws: WeightSequence, l_cap: int, a: int) -> float:
+def _convolution_scan(ws: WeightSequence, a: int) -> float:
     """Max over l of (l+1+a)^2/N_{l+a} * sum_j N_{j+a}N_{l-j+a}/((j+1+a)(l-j+1+a))^2."""
     logN = ws.log_N
     worst = 0.0
-    for l in range(min(l_cap, ws.L_max - 1 - a) + 1):
+    for l in range(min(LEMMA_L_CAP, ws.L_max - 1 - a) + 1):
         j = np.arange(l + 1)
         terms = (np.exp(logN[j + a] + logN[l - j + a] - logN[l + a])
                  / ((j + 1.0 + a) ** 2 * (l - j + 1.0 + a) ** 2))
@@ -494,32 +496,32 @@ def _convolution_scan(ws: WeightSequence, l_cap: int, a: int) -> float:
     return worst
 
 
-def product_lemma_scan(ws: WeightSequence, l_cap: int = 300) -> float:
-    """Max over l <= l_cap of (l+1)^2/N_l * sum_j N_j N_{l-j}/((j+1)(l-j+1))^2.
+def product_lemma_scan(ws: WeightSequence) -> float:
+    """Max over l <= LEMMA_L_CAP of (l+1)^2/N_l * sum_j N_j N_{l-j}/((j+1)(l-j+1))^2.
 
     Under H1 the value never exceeds 4 pi^2 / 3 (Banach-algebra constant).
     Ratios are formed in log-space; each summand is <= 1 under H1.
     """
-    return _convolution_scan(ws, l_cap, 0)
+    return _convolution_scan(ws, 0)
 
 
-def composition_lemma_scan(ws: WeightSequence, l_cap: int = 300) -> float:
+def composition_lemma_scan(ws: WeightSequence) -> float:
     """Shifted variant: (l+2)^2/N_{l+1} * sum_j N_{j+1}N_{l-j+1}/((j+2)(l-j+2))^2."""
-    return _convolution_scan(ws, l_cap, 1)
+    return _convolution_scan(ws, 1)
 
 
-def mg_diagonal_constant(ws: WeightSequence, l_cap: int = 150) -> float:
-    """Smallest A with M_{2l} <= A^l M_l^2 for all 1 <= l <= l_cap."""
-    L = min(l_cap, ws.L_max // 2)
+def mg_diagonal_constant(ws: WeightSequence) -> float:
+    """Smallest A with M_{2l} <= A^l M_l^2 for all 1 <= l <= MG_L_CAP."""
+    L = min(MG_L_CAP, ws.L_max // 2)
     l = np.arange(1, L + 1)
     vals = (ws.log_M[2 * l] - 2.0 * ws.log_M[l]) / l
     return float(math.exp(np.max(vals)))
 
 
-def mg_mu_bound_scan(ws: WeightSequence, l_cap: int = 150) -> bool:
+def mg_mu_bound_scan(ws: WeightSequence) -> bool:
     """Check ln(mu_l)/ln(l) <= ln(A)(1/ln 2 + 2/ln l) with measured A."""
-    A = max(mg_diagonal_constant(ws, l_cap), 1.0 + 1e-15)
-    L = min(l_cap, ws.L_max - 1)
+    A = max(mg_diagonal_constant(ws), 1.0 + 1e-15)
+    L = min(MG_L_CAP, ws.L_max - 1)
     l = np.arange(2, L + 1, dtype=float)
     lhs = ws.log_mu[2 : L + 1] / np.log(l)
     rhs = math.log(A) * (1.0 / math.log(2.0) + 2.0 / np.log(l))

@@ -71,8 +71,8 @@ def test_criterion_02_product_lemma_constants():
     for fam in [W.gevrey(1), W.gevrey(2), W.gevrey_log(1, 1),
                 W.gevrey_log(1.5, 2), W.exp_log(), W.exp_sqrt()]:
         ws = W.build_sequence(fam, 320)
-        worst_p = max(worst_p, W.product_lemma_scan(ws, 300))
-        worst_c = max(worst_c, W.composition_lemma_scan(ws, 300))
+        worst_p = max(worst_p, W.product_lemma_scan(ws))
+        worst_c = max(worst_c, W.composition_lemma_scan(ws))
     el = time.time() - t0
     ok = worst_p <= W.C_NORM + 1e-9 and worst_c <= W.C_NORM + 1e-9 and el < 1.0
     assert _line("02 product-lemma constants", ok,
@@ -92,7 +92,7 @@ def test_criterion_03_moderate_growth_lemma():
         rhs = l * math.log(A) + 2.0 * ws.log_M[l]
         ok &= bool(np.all(lhs <= rhs + 1e-9))
         # and the mu-bound of the same lemma holds with this A
-        ok &= W.mg_mu_bound_scan(ws, 150)
+        ok &= W.mg_mu_bound_scan(ws)
         details.append(f"a={alpha}: A={A:.3f}")
     assert _line("03 moderate-growth scan", ok, "; ".join(details))
 

@@ -379,7 +379,18 @@ class TestPlainArtifacts:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[0, 0] []"
 
+    def test_bessi_run_loads_no_mpmath(self, tmp_path):
+        # the Liouville value is an exact rational, not an mpmath number
+        code = ("import sys; from udham import cli; "
+                f"code = cli.main(['bessi', '--alpha', '4', '--outdir', {str(tmp_path)!r}]); "
+                "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))")
+        proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 []"
+
     def test_package_source_imports_no_scipy(self):
+        # nor mpmath: numpy is the package's one dependency
         for path in sorted(Path(cli.__file__).resolve().parent.rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Import):
@@ -388,7 +399,7 @@ class TestPlainArtifacts:
                     names = [node.module or ""]
                 else:
                     continue
-                assert all(name.split(".")[0] != "scipy" for name in names), \
+                assert all(name.split(".")[0] not in ("scipy", "mpmath") for name in names), \
                     f"{path.name}:{node.lineno}"
 
 
@@ -458,11 +469,44 @@ class TestFlagTable:
         assert "finite number > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd, text", [
+        ("brtest", "i_max = 2.5\n"),          # ran with i_max = 2
+        ("brtest", "i_max = 2.0\n"),
+        ("dioph", "q_max = true\n"),          # ran with Q = 1
+        ("ms", "verify_drift = no\n"),        # turned verification on
+        ("ms", '{"verify_drift": "false"}'),
+        ("kam", "eps = true\n"),
+    ], ids=["i_max_float", "i_max_integral_float", "q_max_bool", "verify_drift_no",
+            "verify_drift_string", "eps_bool"])
+    def test_config_value_of_another_type_is_config_error(self, tmp_path, capsys, cmd, text):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(text)
+        out = tmp_path / "out"
+        assert run([cmd, "--config", str(cfgfile), "--outdir", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_switch_takes_true_and_false(self, tmp_path):
+        for value in ("true", "false"):
+            cfgfile = tmp_path / f"{value}.cfg"
+            cfgfile.write_text(f"mode = exact\nq = 20\nverify_drift = {value}\n")
+            out = tmp_path / value
+            assert run(["ms", "--config", str(cfgfile), "--outdir", str(out)]) == 0
+            manifest = (out / "manifest.txt").read_text()
+            assert f"\nverify_drift = {value.capitalize()}\n" in manifest
+
     def test_nan_eps_is_config_error(self, tmp_path, capsys):
         # a NaN perturbation must not be pruned as if it were zero and
-        # leave the integrable Hamiltonian to "converge"
+        # leave the integrable Hamiltonian to "converge": --eps nan is not a
+        # finite number, and a NaN coefficient read from a file is not dropped
         out = tmp_path / "out"
         assert exit_code(["kam", "--k-max", "8", "--eps", "nan", "--outdir", str(out)]) == 2
+        assert "invalid finite value" in capsys.readouterr().err
+        pert = tmp_path / "f.fts"
+        pert.write_text("ftseries 1\n2 4 0 0 0 1.0 1.0 0.0 1\n-1 0 0 0 nan 0.0\n"
+                        "1 0 0 0 nan 0.0\n")
+        assert exit_code(["kam", "--k-max", "8", "--perturbation", str(pert),
+                          "--outdir", str(out)]) == 2
         assert "non-finite coefficient" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
@@ -520,3 +564,42 @@ class TestParseFamily:
     def test_other_spellings_are_rejected(self, spelling):
         with pytest.raises(ParameterError):
             cli.parse_family({"family": spelling})
+
+
+# a small valid run of each command that reads a float flag; ms reads its
+# float flags in pendulum mode
+FLOAT_BASE = {
+    "weights": ["weights", "--l-max", "256", "--sigma-grid", "1e-2:0.5:4",
+                "--y-grid", "2:100:4", "--table-rows", "4"],
+    "brtest": ["brtest", "--l-max", "4096", "--i-max", "8"],
+    "nf": ["nf", "--k-max", "4", "--l-max", "4096"],
+    "kam": ["kam", "--k-max", "4", "--n-iter", "1", "--defect-grid", "8"],
+    "diffuse": ["diffuse", "--j", "2", "--t-n", "3", "--l-max", "4096"],
+    "ms": ["ms", "--mode", "pendulum", "--n", "3", "--j", "2", "--l-max", "4096"],
+    "bessi": ["bessi", "--n-steps", "3"],
+}
+FLOAT_PAIRS = [(cmd, flag) for cmd in sorted(FLOAT_BASE) for flag in cli.COMMAND_FLAGS[cmd]
+               if cli._FLAGS[flag] in (cli.finite, cli.positive, cli.nonnegative)]
+
+
+def test_every_float_flag_is_in_the_gate():
+    floats = {flag for flag, typ in cli._FLAGS.items()
+              if typ not in (str, cli.count, cli.switch)}
+    assert len(FLOAT_PAIRS) == 34
+    assert {(cmd, flag) for cmd, flags in cli.COMMAND_FLAGS.items()
+            for flag in flags if flag in floats} == set(FLOAT_PAIRS)
+
+
+@pytest.mark.parametrize("cmd, flag", FLOAT_PAIRS, ids=lambda x: x)
+def test_float_edge_values_end_cleanly(tmp_path, cmd, flag):
+    # each edge value exits 0, 2 or 3, never with a traceback, and no result
+    # line holds nan or inf: only the recorded input and an error may
+    for i, value in enumerate(["0", "-1", "nan", "inf"]):
+        out = tmp_path / str(i)
+        code = exit_code(FLOAT_BASE[cmd] + [f"--{flag.replace('_', '-')}", value,
+                                            "--outdir", str(out)])
+        assert code in (0, 2, 3), (value, code)
+        for path in sorted(out.rglob("*")) if out.exists() else []:
+            for line in path.read_text().splitlines():
+                if not line.startswith(("param.", "error = ")):
+                    assert not re.search(r"\b(nan|inf)\b", line, re.I), (value, path.name, line)

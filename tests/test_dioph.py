@@ -139,6 +139,12 @@ class TestProfiles:
         assert float(exact) == pytest.approx(1.0 / v, rel=1e-12)
 
 
+    def test_lazy_extension_by_log_psi_at(self):
+        # a lookup past a fresh profile's horizon (143) reads the extended
+        # list: the jump at |k|_1 = F_19 = 4181 is ln Psi = 17 ln phi
+        assert D.golden_profile().log_psi_at(4181.0) == 17 * math.log(PHI)
+
+
 class TestDeltaStar:
     def test_left_endpoint(self):
         fp = D.golden_profile()
@@ -277,8 +283,61 @@ class TestBRTest:
         assert a.Q0 == b.Q0
         assert np.array_equal(a.sigmas, b.sigmas)
 
+    @pytest.mark.parametrize("family", [W.gevrey(2), W.exp_sqrt()], ids=lambda f: f.tag)
+    def test_each_q0_gets_one_sigma_sequence(self, monkeypatch, family):
+        # the search forms one sequence per Q0 it tries, and the report is
+        # the sequence of the Q0 it returns, equal to a fresh one at that Q0
+        sp = W.ScaleProfile(W.build_sequence(family, 1 << 16))
+        fp = D.golden_profile()
+        formed, sigmas = [], D._dyadic_sigmas
+
+        def counted(sp_, fp_, Q0, *args):
+            formed.append(Q0)
+            return sigmas(sp_, fp_, Q0, *args)
+
+        monkeypatch.setattr(D, "_dyadic_sigmas", counted)
+        rep = D.br_test(sp, fp, s=1.0, eta=0.0, n=2, i_max=30)
+        assert len(formed) == len(set(formed)) >= 2
+        Qs, sig = sigmas(sp, D.golden_profile(), rep.Q0 or 4, 1.0, 0.0, 30, 1.0)
+        assert np.array_equal(rep.sigmas, sig) and np.array_equal(rep.Q_list, Qs)
+
+
+def _liouville_mpmath(sp, s0, n_steps, growth):
+    """liouville_convergents with x evaluated in mpmath at 2 digits(q_n) + 40
+    digits, as an extended-precision oracle for the exact rational path."""
+    import mpmath
+    q0, q1, terms, pq = 0, 1, [], []
+    p0, p1 = 1, 0
+    for _ in range(n_steps):
+        try:
+            target = growth(q1) if growth is not None else \
+                int(math.ceil(math.exp(sp.omega_value(4.0 * q1 * s0)))) + 1
+        except (W.HorizonError, OverflowError):
+            break
+        a = max(1, int(math.ceil((target - q0) / q1)))
+        terms.append(a)
+        p0, p1 = p1, a * p1 + p0
+        q0, q1 = q1, a * q1 + q0
+        pq.append((p1, q1))
+    with mpmath.workdps(2 * len(str(q1)) + 40):
+        x = mpmath.mpf(0)
+        for a in reversed(terms + [1] * 64):
+            x = 1 / (a + x)
+        conv = [(p, q, float(q * x - p)) for p, q in pq[:-1]]
+        return conv + [pq[-1] + (None,)], float(x)
+
 
 class TestLiouville:
+    @pytest.mark.parametrize("bessi", [False, True], ids=["default", "bessi"])
+    def test_exact_value_matches_mpmath(self, bessi):
+        from udham.instability import liouville_growth_for_bessi
+        sp = W.ScaleProfile(W.build_sequence(W.gevrey(4), 1 << 20))
+        growth = liouville_growth_for_bessi(sp, 1.0) if bessi else None
+        got = D.liouville_convergents(sp, s0=1.0, n_steps=8, growth=growth)
+        assert got == _liouville_mpmath(sp, 1.0, 8, growth)
+        if bessi:   # the last denominator is near exp(700)
+            assert len(str(got[0][-1][1])) >= 300
+
     def test_construction_forces_large_psi(self):
         sp = W.ScaleProfile(W.build_sequence(W.gevrey(4), 1 << 20))
         conv, x = D.liouville_convergents(sp, s0=1.0, n_steps=8)

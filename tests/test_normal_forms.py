@@ -294,6 +294,15 @@ class TestKamIterate:
         assert np.sum(sched.sigmas) <= sched.budget + 1e-12
         assert sched.product_lower >= 0.5
 
+    def test_schedule_is_the_br_test_sequence_at_q0(self):
+        # the first i_max + 1 terms of br_test's sequence, equal to a fresh
+        # sequence at the Q0 it returns
+        fp = D.golden_profile()
+        sched = NF.KamSchedule.build(SP, fp, s=0.5, n=2, i_max=10)
+        Qs, sigmas = D._dyadic_sigmas(SP, D.golden_profile(), sched.Q0, 0.5, 0.0, 10, 1.0)
+        assert np.array_equal(sched.Qs, Qs) and np.array_equal(sched.sigmas, sigmas)
+        assert sched.product_lower == float(np.exp(5 * np.sum(np.log1p(-sigmas))))
+
     def test_orbit_stays_near_torus(self):
         # integrate from a point on the embedding; it must shadow the torus
         fp = D.golden_profile()

@@ -117,7 +117,7 @@ class TestConditions:
                   "ExpSqrt": (2.812635392209588, 0.9696214589198842)}
         for fam in FAMILIES:
             ws = W.build_sequence(fam, 320)
-            got = (W.product_lemma_scan(ws, 300), W.composition_lemma_scan(ws, 300))
+            got = (W.product_lemma_scan(ws), W.composition_lemma_scan(ws))
             assert max(got) <= W.C_NORM + 1e-9, fam.tag
             assert got == pytest.approx(pinned[fam.tag], rel=1e-13), fam.tag
 
