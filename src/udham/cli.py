@@ -421,8 +421,7 @@ def cmd_ms(cfg: ExperimentConfig) -> int:
         fam = parse_family({**p, "alpha": p.get("alpha", 2.0)})
         sp = weights.ScaleProfile(weights.build_sequence(fam, int(p.get("l_max", 1 << 14))))
         msc = instability.build_ms(int(p.get("n", 3)), int(p.get("j", 2)),
-                                   s=float(p.get("s", 0.05)), sp=sp,
-                                   exponent_mode=str(p.get("exponent_mode", "proof")))
+                                   s=float(p.get("s", 0.05)), sp=sp)
         sync = instability.synchronization_check(msc)
         manifest.update({
             "mode": mode, "n": msc.n, "j": msc.j, "A_prime": msc.A_prime,
@@ -432,7 +431,8 @@ def cmd_ms(cfg: ExperimentConfig) -> int:
             "sync_passed": sync["passed"],
             "sync_max_g": sync["max_g_on_orbit"],
             "sync_max_dg": sync["max_dg_on_orbit"],
-            "exponent_mode": msc.exponent_mode,
+            "B_formula_proof": msc.log["B_formula"]["proof"],
+            "B_formula_statement": msc.log["B_formula"]["statement"],
         })
         ok = sync["passed"] and msc.cert_g <= msc.cert_budget
     write_manifest(out / "manifest.txt", manifest)
@@ -521,7 +521,7 @@ _FLAGS = {
     "A": positive, "hamiltonian": str, "perturbation": str, "v": str, "T": count,
     "n_iter": count, "tol": positive, "defect_grid": count, "j": count,
     "t_end": positive, "t_n": count, "dt": positive, "mode": str, "q": count,
-    "csv_rows": count, "exponent_mode": str, "s0": positive, "mu": finite,
+    "csv_rows": count, "s0": positive, "mu": finite,
     "n_steps": count, "norm": str, "verify_drift": switch,
 }
 
@@ -537,8 +537,7 @@ COMMAND_FLAGS = {
     "kam": (*_WEIGHTS, *_OMEGA, "k_max", "eps", "s", "perturbation", "defect_grid",
             "n_iter", "c2", "tol"),
     "diffuse": (*_WEIGHTS, *_OMEGA, "j", "s", "n", "t_end", "t_n", "dt"),
-    "ms": (*_WEIGHTS, "mode", "q", "csv_rows", "verify_drift", "n", "j", "s",
-           "exponent_mode"),
+    "ms": (*_WEIGHTS, "mode", "q", "csv_rows", "verify_drift", "n", "j", "s"),
     "bessi": (*_WEIGHTS, *_OMEGA, "s0", "s", "n_steps", "eps", "mu"),
     "report": (),
 }

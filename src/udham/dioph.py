@@ -135,36 +135,6 @@ def periodic_from_rational(num, den) -> PeriodicVector:
 # Psi oracles and the frequency profile
 # ---------------------------------------------------------------------------
 
-def psi_brute(omega, Q: float):
-    """Exact max of |k.omega|^-1 over 0 < |k|_1 <= Q by lattice enumeration.
-
-    Returns (value, k) with k the lexicographically smallest maximizer.
-    """
-    omega = np.asarray(omega, dtype=float)
-    n = len(omega)
-    Qi = int(math.floor(Q))
-    if Qi < 1:
-        raise ParameterError("psi requires Q >= 1")
-    if n > 4 or Qi > 1000:
-        raise BudgetError("brute-force psi limited to n <= 4, Q <= 1000")
-    if (2 * Qi + 1) ** n > PSI_BRUTE_BUDGET:
-        raise BudgetError(f"lattice ball of size ~{(2*Qi+1)**n:.2e} exceeds budget")
-    rngs = [np.arange(-Qi, Qi + 1)] * n
-    K = np.stack(np.meshgrid(*rngs, indexing="ij"), axis=-1).reshape(-1, n)
-    norms = np.sum(np.abs(K), axis=1)
-    K = K[(norms > 0) & (norms <= Qi)]
-    dots = np.abs(K @ omega)
-    scale = np.sum(np.abs(K), axis=1) * np.max(np.abs(omega))
-    res = dots <= 1e-14 * scale
-    if np.any(res):
-        k_res = K[np.argmax(res)]
-        raise ResonanceError(f"exact resonance at k={tuple(k_res)}", k_res)
-    best = np.min(dots)
-    winners = K[dots <= best * (1.0 + 1e-12)]
-    k = min(map(tuple, winners))
-    return 1.0 / best, tuple(int(x) for x in k)
-
-
 def psi_brute_table(omega, Q_max: int):
     """Psi_omega(Q) for all integer Q = 1..Q_max in one enumeration pass."""
     omega = np.asarray(omega, dtype=float)

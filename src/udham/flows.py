@@ -387,59 +387,6 @@ def compose_affine(outer: AffineTransform, inner: AffineTransform,
                            A=pulled[outer.n:])
 
 
-def affine_flow_ode(C: FTSeries, D: list, t: float = 1.0, n_steps: int = 64,
-                    K_out: Optional[int] = None) -> AffineTransform:
-    """Collocation flow of X = C(theta) + D(theta).I for t in [0, 1].
-
-    Per grid point, RK4 on the decoupled angle ODE and the linear
-    variational equations
-        E' = D(theta+E),  F' = -gradD(theta+E)(1+F),  G' = -gradC - gradD G.
-    """
-    n = C.n
-    K_out = K_out if K_out is not None else max([C.K] + [d.K for d in D])
-    N = _collocation_size(K_out)      # the grid in C order, (N^n, n)
-    grid = np.stack(np.meshgrid(*[np.arange(N) / N] * n, indexing="ij"),
-                    axis=-1).reshape(-1, n)
-    P = len(grid)
-
-    gradC = [C.dtheta(i) for i in range(n)]
-    gradD = [[D[j].dtheta(i) for j in range(n)] for i in range(n)]
-
-    def rhs(E, F, G):
-        pts = grid + E
-        Dv = np.stack([d.eval(pts) for d in D], axis=-1)
-        gC = np.stack([g.eval(pts) for g in gradC], axis=-1)
-        gD = np.stack([np.stack([gradD[i][j].eval(pts) for j in range(n)],
-                                axis=-1) for i in range(n)], axis=-2)
-        dE = Dv
-        eye = np.eye(n)
-        dF = -np.einsum("pij,pjk->pik", gD, F + eye)
-        dG = -gC - np.einsum("pij,pj->pi", gD, G)
-        return dE, dF, dG
-
-    E = np.zeros((P, n))
-    F = np.zeros((P, n, n))
-    G = np.zeros((P, n))
-    h = t / n_steps
-    for _ in range(n_steps):
-        k1 = rhs(E, F, G)
-        k2 = rhs(E + 0.5 * h * k1[0], F + 0.5 * h * k1[1], G + 0.5 * h * k1[2])
-        k3 = rhs(E + 0.5 * h * k2[0], F + 0.5 * h * k2[1], G + 0.5 * h * k2[2])
-        k4 = rhs(E + h * k3[0], F + h * k3[1], G + h * k3[2])
-        E = E + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        F = F + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        G = G + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-
-    def to_series(vals):
-        return FTSeries.from_samples(FTSeries.zeros(n, K_out),
-                                     {((0,) * n, ()): vals}, N)
-
-    return AffineTransform(
-        E=[to_series(E[:, i]) for i in range(n)],
-        A=[_action_component(i, to_series(G[:, i]), [to_series(F[:, i, j]) for j in range(n)])
-           for i in range(n)])
-
-
 def affine_flow_lie(C: FTSeries, D: list, t: float = 1.0,
                     K_out: Optional[int] = None) -> AffineTransform:
     """Affine flow by Lie series on the coordinate functions.

@@ -189,13 +189,38 @@ class CoupledFactor:
     dg: Callable
 
 
+def _coupling(factors, thetas):
+    """g = prod_i g_i(theta_i) and its partials dg_i(theta_i) prod_{l != i}
+    g_l(theta_l), each product taken left to right over the factors."""
+    vals = [f.g(th) for f, th in zip(factors, thetas)]
+    g = 1.0
+    for v in vals:
+        g *= v
+    partials = []
+    for i, (f, th) in enumerate(zip(factors, thetas)):
+        d = f.dg(th)
+        for l, v in enumerate(vals):
+            if l != i:
+                d *= v
+        partials.append(d)
+    return g, partials
+
+
+def _l1(xs):
+    # left to right: sum() compensates float sums from Python 3.12 on
+    total = 0.0
+    for x in xs:
+        total += abs(x)
+    return total
+
+
 @dataclass
 class MSConstruction:
     """Synchronized data (g_j, G_j, a_j, q_j) of the coupled-map machine."""
 
     n: int
     j: int
-    primes: list
+    rotators: list                 # the rotator primes p_{j-n+3} .. p_j
     A_prime: int
     A: int
     B: int
@@ -205,7 +230,6 @@ class MSConstruction:
     factors: list                  # CoupledFactor per theta_2..theta_n
     cert_g: float
     cert_budget: float             # A^-2 * q target
-    exponent_mode: str
     log: dict = field(default_factory=dict)
 
     @property
@@ -213,21 +237,10 @@ class MSConstruction:
         return tuple(f.point for f in self.factors)
 
     def g_value(self, thetas):
-        v = 1.0
-        for f, th in zip(self.factors, thetas):
-            v *= f.g(th)
-        return v
+        return _coupling(self.factors, thetas)[0]
 
     def dg_norm(self, thetas):
-        vals = [f.g(th) for f, th in zip(self.factors, thetas)]
-        total = 0.0
-        for i, f in enumerate(self.factors):
-            prod = f.dg(thetas[i])
-            for l, v in enumerate(vals):
-                if l != i:
-                    prod *= v
-            total += abs(prod)
-        return total
+        return _l1(_coupling(self.factors, thetas)[1])
 
 
 def _primes(count):
@@ -313,46 +326,40 @@ MS_S_PRIME_FACTOR = 2.0     # the formula width s' = 2 s
 MS_MAX_RETRIES = 40         # doublings of B before the certificate is given up
 
 
-def build_ms(n: int, j: int, s: float, sp: ScaleProfile,
-             exponent_mode: str = "proof") -> MSConstruction:
+def build_ms(n: int, j: int, s: float, sp: ScaleProfile) -> MSConstruction:
     """Construct the synchronized coupling data (g_j, G_j, a_j, q_j).
 
-    A_j = p_j A_j' with A_j' the product of the n-2 preceding primes.  The
-    formula value B = 2 ceil(c1 c^(2(n-1)) A_j exp(E_j) + 1) is computed
-    for both exponent modes (E_j = 2(n-1) Omega(s' p_j) in 'proof' mode;
-    the 'statement' mode drops the n-1 factor) and reported, but the
-    operative B is floored by A_j * cert(g_j) measured from the actual
-    certificate chain, since the abstract s' hides the mode weights and
-    the time-parametrization constant.  If the certificate still violates
-    q^-1 |g|_s <= A^-2 the inflation loop doubles B and retries.
+    A_j = p_j A_j' with A_j' = p_{j-n+3} ... p_j, the n-2 rotator primes
+    up to and including p_j (A_j' = 1 at n = 2).  The formula value
+    B = 2 ceil(c1 c^(2(n-1)) A_j exp(E_j) + 1) is logged under the proof's
+    exponent E_j = 2(n-1) Omega(s' p_j) and the statement's 2 Omega(s' p_j);
+    the operative B is floored by the proof's value and by A_j * cert(g_j)
+    measured from the actual certificate chain, since the abstract s'
+    hides the mode weights and the time-parametrization constant.  If the
+    certificate still violates q^-1 |g|_s <= A^-2 the inflation loop
+    doubles B and retries.
     """
     if n < 2:
         raise ParameterError("n >= 2 required")
+    if j < n - 3:
+        raise ParameterError("j too small for the prime schedule at this n")
     primes = _primes(j + 1)
     p_j = primes[j]
-    if n == 2:
-        A_prime = 1
-    else:
-        lo = j - (n - 3)
-        if lo < 0:
-            raise ParameterError("j too small for the prime schedule at this n")
-        A_prime = 1
-        for idx in range(lo, j + 1):
-            A_prime *= primes[idx]
+    rotators = primes[j - n + 3:]
+    A_prime = math.prod(rotators)
     A = p_j * A_prime
     sprime = MS_S_PRIME_FACTOR * s
     c1 = bump_norm_certificate(sp, s)
-    factor = 2 * (n - 1) if exponent_mode == "proof" else 2
-    EJ = factor * sp.omega_value(sprime * p_j)
-    B_formula = 2 * (int(math.ceil(
-        c1 * C_NORM ** (2 * (n - 1)) * A * math.exp(min(EJ, 700.0)))) + 1)
+    om_sp = sp.omega_value(sprime * p_j)
+    B_formula = {mode: 2 * (int(math.ceil(
+        c1 * C_NORM ** (2 * (n - 1)) * A * math.exp(min(factor * om_sp, 700.0)))) + 1)
+        for mode, factor in (("proof", 2 * (n - 1)), ("statement", 2))}
     om_eta = sp.omega_value(8.0 * math.pi * p_j * min(s, 0.01))
 
     def g_cert(tau_cert):
         # certificate chain: |g|_s <= c1 * |eta o tau|_s * prod |eta_i|_s
         cert = c1 * ((C_NORM * math.exp(om_eta)) ** 2 * max(tau_cert, 1.0))
-        for i in range(3, n + 1):
-            pi = primes[j - (n - i)]
+        for pi in rotators:
             cert *= (C_NORM * math.exp(sp.omega_value(8.0 * math.pi * pi * s))) ** 2
         return cert
 
@@ -361,47 +368,39 @@ def build_ms(n: int, j: int, s: float, sp: ScaleProfile,
     # (B >= A |g|_s makes q^-1|g| <= A^-2), floored by the formula value
     cert0 = g_cert(flows.tau_norm_certificate(flows.pendulum_periodic_point(1000),
                                               sp, s=min(s, 0.01)))
-    B = max(B_formula, 2 * (int(math.ceil(A * cert0 / 2.0)) + 1))
+    B = max(B_formula["proof"], 2 * (int(math.ceil(A * cert0 / 2.0)) + 1))
 
     bump_v, bump_d = smooth_bump()
+    eta_j_v, eta_j_d = eta_p(p_j)
+    pend_step = flows.pendulum_time1_map(A, rtol=1e-13)
+    rotator_factors = [CoupledFactor(lambda th, I: ((th + I) % 1.0, I), (0.0, 1.0 / pi),
+                                     *eta_p(pi)) for pi in rotators]
     for attempt in range(MS_MAX_RETRIES):
         q = A * B
         orbit = flows.pendulum_periodic_point(B)
         tau_cert = flows.tau_norm_certificate(orbit, sp, s=min(s, 0.01))
-        eta_j_v, eta_j_d = eta_p(p_j)
-
-        def g2(th, _ov=orbit, _ev=eta_j_v, _bv=bump_v):
-            x = ((th + 0.5) % 1.0) - 0.5
-            if abs(x) >= VARTHETA:
-                return 0.0
-            return _ev(_ov.tau(x)) * _bv(x)
-
-        def dg2(th, _ov=orbit, _ev=eta_j_v, _ed=eta_j_d, _bv=bump_v, _bd=bump_d):
-            x = ((th + 0.5) % 1.0) - 0.5
-            if abs(x) >= VARTHETA:
-                return 0.0
-            t = _ov.tau(x)
-            return _ed(t) / _ov.speed(x) * _bv(x) + _ev(t) * _bd(x)
-
-        pend_step = flows.pendulum_time1_map(A, rtol=1e-13)
-        factors = [CoupledFactor(
-            step=lambda th, I, _f=pend_step: _f(th, I),
-            point=(0.0, orbit.I_B / A), g=g2, dg=dg2)]
-        for i in range(3, n + 1):
-            pi = primes[j - (n - i)]
-            ev, ed = eta_p(pi)
-            factors.append(CoupledFactor(
-                step=lambda th, I: ((th + I) % 1.0, I),
-                point=(0.0, 1.0 / pi), g=ev, dg=ed))
-
         cert = g_cert(tau_cert)
         budget = q / A ** 2
         if cert <= budget:
-            return MSConstruction(n=n, j=j, primes=primes, A_prime=A_prime,
+            def g2(th):
+                x = ((th + 0.5) % 1.0) - 0.5
+                if abs(x) >= VARTHETA:
+                    return 0.0
+                return eta_j_v(orbit.tau(x)) * bump_v(x)
+
+            def dg2(th):
+                x = ((th + 0.5) % 1.0) - 0.5
+                if abs(x) >= VARTHETA:
+                    return 0.0
+                t = orbit.tau(x)
+                return eta_j_d(t) / orbit.speed(x) * bump_v(x) + eta_j_v(t) * bump_d(x)
+
+            factors = [CoupledFactor(pend_step, (0.0, orbit.I_B / A), g2, dg2),
+                       *rotator_factors]
+            return MSConstruction(n=n, j=j, rotators=rotators, A_prime=A_prime,
                                   A=A, B=B, q=q, s=s, orbit=orbit,
                                   factors=factors, cert_g=cert,
                                   cert_budget=budget,
-                                  exponent_mode=exponent_mode,
                                   log={"c1": c1, "tau_cert": tau_cert,
                                        "retries": attempt, "B_formula": B_formula})
         B *= 2
@@ -418,15 +417,14 @@ def synchronization_check(msc: MSConstruction) -> dict:
     (k mod p_i)/p_i, since k/A loses its fraction once q > 2^53.  tau is
     odd and increasing on [0, 1/2], so a pendulum time |r|/A >= t_win =
     tau(vartheta) puts theta_2 outside the bump's support: g_2 = dg_2 = 0
-    there, every term of g_value and dg_norm is 0, and tau is inverted only
+    there, every term of g and its partials is 0, and tau is inverted only
     inside the window: each k in 1..ceil(A t_win) and q-ceil(A t_win)..q-1
     is visited once, which covers every k with |r| < A t_win."""
     q, A = msc.q, msc.A
     tol = 1e-9
     worst_val, worst_dg = 0.0, 0.0
-    a = msc.a_point
-    g0 = msc.g_value([p[0] for p in a])
-    dg0 = msc.dg_norm([p[0] for p in a])
+    g0, partials = _coupling(msc.factors, [p[0] for p in msc.a_point])
+    dg0 = _l1(partials)
     t_win = msc.orbit.tau(VARTHETA)
     w = math.ceil(A * t_win)
     for k in [*range(1, min(w, q - 1) + 1), *range(max(w + 1, q - w), q)]:
@@ -434,11 +432,10 @@ def synchronization_check(msc: MSConstruction) -> dict:
         if abs(r) / A >= t_win:
             continue
         thetas = [math.copysign(msc.orbit.theta_of_t(abs(r) / A), r)]
-        for i in range(3, msc.n + 1):
-            pi = msc.primes[msc.j - (msc.n - i)]
-            thetas.append((k % pi) / pi)
-        worst_val = max(worst_val, abs(msc.g_value(thetas)))
-        worst_dg = max(worst_dg, msc.dg_norm(thetas))
+        thetas += [(k % pi) / pi for pi in msc.rotators]
+        g, partials = _coupling(msc.factors, thetas)
+        worst_val = max(worst_val, abs(g))
+        worst_dg = max(worst_dg, _l1(partials))
     return {"g_at_a": g0, "dg_at_a": dg0, "max_g_on_orbit": worst_val,
             "max_dg_on_orbit": worst_dg,
             "passed": (abs(g0 - 1.0) < tol and dg0 < tol
@@ -449,52 +446,39 @@ def synchronization_check(msc: MSConstruction) -> dict:
 class CoupledMap:
     """Psi = Phi^{f x g} o (F x G) on A x A^(n-1).
 
-    Exact mode runs the second factor as a rational rotator on the integer
-    lattice Z/qZ, where the synchronization values of eta are *exactly*
-    {1, 0} (the lattice vanishing is a separately verified identity), so
-    only the drift bookkeeping of the coupling lemma is exercised.  The
-    transverse dynamics of the synchronized orbit is genuinely unstable,
-    which is why a float rotator cannot hold the orbit over q^2 steps.
-    Pendulum mode follows the real construction numerically."""
+    With no factors the map runs in exact mode: the second factor is a
+    rational rotator on the integer lattice Z/qZ, where the
+    synchronization values of eta are *exactly* {1, 0} (the lattice
+    vanishing is a separately verified identity), so only the drift
+    bookkeeping of the coupling lemma is exercised.  The transverse
+    dynamics of the synchronized orbit is genuinely unstable, which is why
+    a float rotator cannot hold the orbit over q^2 steps.  With factors the
+    map follows the real construction numerically."""
 
     q: int
     factors: list
-    g_funcs: list
-    dg_funcs: list
-    mode: str
 
     def step(self, x, y):
         """One application; x = (th1, I1); y: factor states."""
         th1, I1 = x
         th1, I1 = (th1 + I1), I1
-        if self.mode == "exact":
+        if not self.factors:              # exact mode
             m = (y[0] + 1) % self.q
-            gv = 1.0 if m == 0 else 0.0   # eta_r on its own lattice
-            if gv != 0.0:
-                I1 = I1 + math.cos(TWO_PI * th1) * gv / self.q
+            if m == 0:                    # eta_r on its own lattice
+                I1 = I1 + math.cos(TWO_PI * th1) / self.q
             return (th1 % 1.0, I1), [m]
         y2 = [f.step(t, i) for f, (t, i) in zip(self.factors, y)]
-        vals = [g(t) for g, (t, _i) in zip(self.g_funcs, y2)]
-        gv = 1.0
-        for v in vals:
-            gv *= v
+        g, partials = _coupling(self.factors, [t for t, _i in y2])
         # shear kick of f x g with f = q^-1 U(th1), U' = -cos(2 pi th)
-        I1 = I1 + math.cos(TWO_PI * th1) * gv / self.q
+        I1 = I1 + math.cos(TWO_PI * th1) * g / self.q
         U = -math.sin(TWO_PI * th1) / TWO_PI
-        y3 = []
-        for i, (g, dg, (t, ii)) in enumerate(zip(self.g_funcs, self.dg_funcs, y2)):
-            prod = dg(t)
-            for l, v in enumerate(vals):
-                if l != i:
-                    prod *= v
-            y3.append((t, ii - U * prod / self.q))
-        return (th1 % 1.0, I1), y3
+        return (th1 % 1.0, I1), [(t, i - U * d / self.q) for (t, i), d in zip(y2, partials)]
 
 
 def coupled_map(q: int) -> CoupledMap:
     """The exact-mode coupled map: the second factor is a rational rotator
     of period q on the integer lattice."""
-    return CoupledMap(q=int(q), factors=[], g_funcs=[], dg_funcs=[], mode="exact")
+    return CoupledMap(q=int(q), factors=[])
 
 
 def eta_lattice_identity(p: int) -> dict:
@@ -508,31 +492,24 @@ def eta_lattice_identity(p: int) -> dict:
             "max_eta_lattice": worst_v, "max_deta_lattice": worst_d}
 
 
-def run_coupled_drift(cm: CoupledMap, a_point=None, n_steps: Optional[int] = None):
+def run_coupled_drift(cm: CoupledMap, n_steps: Optional[int] = None):
     """Iterate Psi from ((0,0), a) and record the I_1 drift.
 
-    The coupling lemma predicts Psi^{kq}((0,0), a) = (psi_q^k(0,0), a)
-    = ((0, k/q), a), hence I_1 = 1 after q^2 steps."""
+    a is the factors' point, or the rotator's lattice point 0 in exact
+    mode.  The coupling lemma predicts Psi^{kq}((0,0), a) = (psi_q^k(0,0),
+    a) = ((0, k/q), a), hence I_1 = 1 after q^2 steps."""
     q = cm.q
     n_steps = n_steps if n_steps is not None else q * q
     x = (0.0, 0.0)
-    if cm.mode == "exact":
-        y = [0]
-        a_ref = [0]
-    else:
-        y = [tuple(p) for p in a_point]
-        a_ref = a_point
+    y = [f.point for f in cm.factors] or [0]
     I1 = np.empty(n_steps + 1)
     I1[0] = x[1]
     for k in range(1, n_steps + 1):
         x, y = cm.step(x, y)
         I1[k] = x[1]
-    if cm.mode == "exact":
-        a_err = float(abs(y[0] - a_ref[0]))
-    else:
-        a_err = 0.0
-        for (t, i), p in zip(y, a_ref):
-            a_err = max(a_err, abs(((t - p[0]) + 0.5) % 1.0 - 0.5), abs(i - p[1]))
+    a_err = 0.0 if cm.factors else float(abs(y[0]))
+    for (t, i), f in zip(y, cm.factors):
+        a_err = max(a_err, abs(((t - f.point[0]) + 0.5) % 1.0 - 0.5), abs(i - f.point[1]))
     return {"I1": I1, "final": x, "a_return_error": a_err,
             "drift_error": abs(x[1] - n_steps / q ** 2)}
 

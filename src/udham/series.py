@@ -664,22 +664,6 @@ def solve_homological_periodic(f: FTSeries, pv) -> FTSeries:
     return f._new(f.keys, coef).prune()
 
 
-def homological_integral_oracle(f: FTSeries, pv) -> FTSeries:
-    """Direct quadrature of T int_0^1 (f - [f]_v)(theta + t T v) t dt.
-
-    Independent check of the divisor formula: the time shift acts modewise
-    as e^{2 pi i t k.Tv}, integrated by 160-point Gauss-Legendre (spectrally
-    exact for the oscillation orders reachable at the stored truncation)."""
-    g = f - average_periodic(f, pv)
-    kTv = g._kgrid() @ np.asarray(pv.Tv, dtype=float)
-    ts, wts = np.polynomial.legendre.leggauss(160)
-    ts = 0.5 * (ts + 1.0)
-    wts = 0.5 * wts
-    phase = np.tensordot(np.exp(TWO_PI * 1j * np.multiply.outer(ts, kTv)),
-                         wts * ts, axes=(0, 0))
-    return g._new(g.keys, g.coef * (pv.T * phase)).prune()
-
-
 # ---------------------------------------------------------------------------
 # norm certificates
 # ---------------------------------------------------------------------------

@@ -371,13 +371,6 @@ class ScaleProfile:
         ys = np.asarray(ys, dtype=float)
         return self._omega_at(ys, np.log(np.maximum(ys, 1.0)))[1]
 
-    def omega_brute(self, y: float) -> float:
-        """Direct scan oracle for Omega (tests only)."""
-        if y <= 1.0:
-            return 0.0
-        l = np.arange(self.ws.L_max + 1, dtype=float)
-        return float(np.max(l * math.log(y) - self.ws.log_M))
-
     # -- matching diagnostics ------------------------------------------------
 
     def matching_report(self, y_grid) -> dict:

@@ -17,14 +17,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import homological_integral_oracle
 from udham import dioph as D
 from udham import flows as FL
 from udham import instability as INS
 from udham import normal_forms as NF
 from udham import weights as W
 from udham.series import (FTSeries, average_periodic, average_zero_mode,
-                          homological_integral_oracle, norm_upper,
-                          poisson_bracket, solve_homological_periodic)
+                          norm_upper, poisson_bracket, solve_homological_periodic)
 
 REPORT = Path(__file__).resolve().parent.parent / "acceptance_report.txt"
 _t0 = None
@@ -341,9 +341,8 @@ def test_criterion_11_marco_sauzin():
     pend = FL.pendulum_time1_map(1.0, rtol=1e-14)
     fac = INS.CoupledFactor(step=lambda th, I: pend(th, I),
                             point=(0.0, orbit.I_B), g=g2, dg=dg2)
-    cm = INS.CoupledMap(q=B, factors=[fac], g_funcs=[g2], dg_funcs=[dg2],
-                        mode="pendulum")
-    outp = INS.run_coupled_drift(cm, [fac.point])
+    cm = INS.CoupledMap(q=B, factors=[fac])
+    outp = INS.run_coupled_drift(cm)
     ok &= abs(outp["final"][1] - 1.0) <= 1e-6
     details.append(f"pendulum {abs(outp['final'][1]-1.0):.1e}")
     # eta_p synchronization to 1e-12 for p <= 31

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from udham import cli, dioph
+from oracles import psi_brute
+from udham import cli
 from udham.weights import ParameterError
 
 
@@ -64,7 +65,7 @@ class TestDioph:
         assert lines[0] == "Q,psi,k1,k2,k3" and len(lines) == 21
         for line in lines[1:]:
             Q, psi, *k = line.split(",")
-            value, k_brute = dioph.psi_brute(omega, int(Q))
+            value, k_brute = psi_brute(omega, int(Q))
             # the staircase stores ln psi, so psi comes back through exp(ln)
             assert float(psi) == pytest.approx(value, rel=1e-15)
             assert tuple(map(int, k)) == k_brute
@@ -151,6 +152,8 @@ class TestMS:
         man = (out / "manifest.txt").read_text()
         assert "sync_passed = True" in man
         assert "cert_ok = True" in man
+        values = dict(line.split(" = ", 1) for line in man.splitlines())
+        assert int(values["B_formula_proof"]) >= int(values["B_formula_statement"])
 
     def test_pendulum_mode_rejects_verify_drift(self, tmp_path):
         # only exact mode reads the flag; a pendulum run would record an unused input
@@ -307,7 +310,7 @@ class TestPlainArtifacts:
     ]
     # values that are free text by design
     TEXT_KEYS = {"family", "label", "norm", "notes", "outdir", "subcommand", "verdict",
-                 "warnings", "mode", "exponent_mode", "param.family", "param.omega",
+                 "warnings", "mode", "param.family", "param.omega",
                  "param.sigma_grid", "param.mode"}
 
     @staticmethod
@@ -545,7 +548,10 @@ class TestFlagTable:
 
         for name in cli.COMMANDS:
             assert set(cli.COMMAND_FLAGS[name]) == keys_read(f"cmd_{name}", set()), name
-        assert sum(map(len, cli.COMMAND_FLAGS.values())) == 83
+        assert sum(map(len, cli.COMMAND_FLAGS.values())) == 82
+
+    def test_every_flag_type_is_read_by_a_command(self):
+        assert set(cli._FLAGS) == set().union(*cli.COMMAND_FLAGS.values())
 
 
 class TestParseFamily:

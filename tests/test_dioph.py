@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import psi_brute
 from udham import dioph as D
 from udham import weights as W
 
@@ -13,20 +14,20 @@ PHI = D.GOLDEN
 
 class TestPsiBrute:
     def test_golden_q5(self):
-        val, k = D.psi_brute([1.0, PHI], 5)
+        val, k = psi_brute([1.0, PHI], 5)
         assert val == pytest.approx(1.0 / abs(-3.0 + 2.0 * PHI), rel=1e-12)
         assert k == (-3, 2)
 
     def test_exact_resonance(self):
         for Q in [3, 5, 10]:
             with pytest.raises(D.ResonanceError) as exc:
-                D.psi_brute([1.0, 0.5], Q)
+                psi_brute([1.0, 0.5], Q)
             k = np.asarray(exc.value.k)
             assert abs(k @ np.array([1.0, 0.5])) == 0.0
 
     def test_budget_guard(self):
         with pytest.raises(D.BudgetError):
-            D.psi_brute([1.0, PHI, 0.1, 0.2], 900)
+            psi_brute([1.0, PHI, 0.1, 0.2], 900)
 
     def test_nondecreasing_in_q(self):
         vals, _ = D.psi_brute_table(np.array([1.0, math.sqrt(2.0)]), 60)

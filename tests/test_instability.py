@@ -125,9 +125,8 @@ class TestShearAndCoupling:
         pend = F.pendulum_time1_map(1.0, rtol=1e-14)
         fac = INS.CoupledFactor(step=lambda th, I: pend(th, I),
                                 point=(0.0, orbit.I_B), g=g2, dg=dg2)
-        cm = INS.CoupledMap(q=B, factors=[fac], g_funcs=[g2], dg_funcs=[dg2],
-                            mode="pendulum")
-        out = INS.run_coupled_drift(cm, [fac.point])
+        cm = INS.CoupledMap(q=B, factors=[fac])
+        out = INS.run_coupled_drift(cm)
         assert out["final"][1] == pytest.approx(1.0, abs=1e-6)
         assert out["a_return_error"] < 1e-6
 
@@ -138,12 +137,11 @@ def sync_oracle(msc, tol=1e-9, band=1000):
     g0 = msc.g_value([p[0] for p in msc.a_point])
     dg0 = msc.dg_norm([p[0] for p in msc.a_point])
     q, A = msc.q, msc.A
-    rotators = [msc.primes[msc.j - (msc.n - i)] for i in range(3, msc.n + 1)]
     worst_val = worst_dg = 0.0
     for k in sorted(set(range(1, min(q, band + 1))) | set(range(max(1, q - band), q))):
         r = k - q if 2 * k > q else k
         thetas = [math.copysign(msc.orbit.theta_of_t(abs(r) / A), r)]
-        thetas += [(k % p) / p for p in rotators]
+        thetas += [(k % p) / p for p in msc.rotators]
         worst_val = max(worst_val, abs(msc.g_value(thetas)))
         worst_dg = max(worst_dg, msc.dg_norm(thetas))
     return {"g_at_a": g0, "dg_at_a": dg0, "max_g_on_orbit": worst_val,
@@ -202,10 +200,22 @@ class TestMSConstruction:
         assert rep["passed"]
         assert rep["max_g_on_orbit"] < 1e-30
 
-    def test_exponent_mode_flag(self):
-        a = INS.build_ms(3, 2, s=0.05, sp=SP, exponent_mode="proof")
-        b = INS.build_ms(3, 2, s=0.05, sp=SP, exponent_mode="statement")
-        assert a.log["B_formula"] >= b.log["B_formula"]
+    def test_b_formula_under_both_exponents(self):
+        msc = INS.build_ms(3, 2, s=0.05, sp=SP)
+        assert msc.log["B_formula"]["proof"] >= msc.log["B_formula"]["statement"]
+
+    @pytest.mark.parametrize("nj", [(2, 0), (3, 2), (4, 3)])
+    def test_construction_factors_drive_coupled_map(self, nj):
+        # the pendulum factor steps theta_2 along theta_B(k/A) and each
+        # rotator factor steps its phase to (k mod p)/p
+        msc = INS.build_ms(*nj, s=0.05, sp=SP)
+        cm = INS.CoupledMap(q=msc.q, factors=msc.factors)
+        x, y = (0.0, 0.0), list(msc.a_point)
+        for k in range(1, 6):
+            x, y = cm.step(x, y)
+            want = [msc.orbit.theta_of_t(k / msc.A)] + [(k % p) / p for p in msc.rotators]
+            for (theta, _I), phase in zip(y, want):
+                assert abs((theta - phase + 0.5) % 1.0 - 0.5) <= 1e-6, (nj, k)
 
     def test_timing_bracket_shape(self):
         # ln tau_j = 2 ln q_j between 2 Omega(c eps^-1/(2(n-2))) envelopes
@@ -312,12 +322,10 @@ class TestMultiFactorPendulumMode:
         f2 = INS.CoupledFactor(step=lambda th, I: ((th + I) % 1.0, I),
                                point=(0.0, 1.0 / p), g=ev, dg=ed)
         q_eff = B * p
-        cm = INS.CoupledMap(q=q_eff, factors=[f1, f2],
-                            g_funcs=[f1.g, f2.g], dg_funcs=[f1.dg, f2.dg],
-                            mode="pendulum")
+        cm = INS.CoupledMap(q=q_eff, factors=[f1, f2])
         # one q-block only: the saddle passages amplify integrator error by
         # ~e^{2 pi} per winding, so long pendulum-mode runs derail (that is
         # exactly why the exact mode exists); 3 windings stay accurate
-        out = INS.run_coupled_drift(cm, [f1.point, f2.point], n_steps=q_eff)
+        out = INS.run_coupled_drift(cm, n_steps=q_eff)
         assert out["final"][1] == pytest.approx(1.0 / q_eff, abs=1e-6)
         assert out["a_return_error"] < 1e-3

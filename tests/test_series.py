@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from oracles import homological_integral_oracle
 from udham import dioph as D
 from udham import flows as F
 from udham import weights as W
 from udham.series import (FTSeries, average_periodic, average_zero_mode,
-                          decay_check, homological_integral_oracle, norm_upper,
-                          poisson_bracket, product, solve_homological_periodic)
+                          decay_check, norm_upper, poisson_bracket, product,
+                          solve_homological_periodic)
 
 SP = W.ScaleProfile(W.build_sequence(W.gevrey(2), 4096))
 
