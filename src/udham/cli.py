@@ -43,6 +43,11 @@ class ExperimentConfig:
             d[f"param.{k}"] = self.params[k]
         return d
 
+    @property
+    def values(self) -> dict:
+        """The command's defaults overlaid by the given params."""
+        return {**COMMAND_FLAGS[self.subcommand], **self.params}
+
 
 def load_config_file(path: str) -> dict:
     """key = value lines (JSON literals where they parse) or a JSON object."""
@@ -96,12 +101,11 @@ def _fmt(v):
 
 
 def parse_family(params) -> weights.Family:
-    name = params.get("family", "gevrey")
-    alpha = float(params.get("alpha", 1.0))
-    beta = float(params.get("beta", 0.0))
+    name = params["family"]
     # one entry per family; a "-" in a name may also be spelled "_" or left out
-    builders = {"analytic": weights.analytic, "gevrey": lambda: weights.gevrey(alpha),
-                "gevrey-log": lambda: weights.gevrey_log(alpha, beta),
+    builders = {"analytic": weights.analytic,
+                "gevrey": lambda: weights.gevrey(params["alpha"]),
+                "gevrey-log": lambda: weights.gevrey_log(params["alpha"], params["beta"]),
                 "exp-log": weights.exp_log, "exp-sqrt": weights.exp_sqrt}
     for family, build in builders.items():
         if name in (family, family.replace("-", "_"), family.replace("-", "")):
@@ -109,8 +113,12 @@ def parse_family(params) -> weights.Family:
     raise ParameterError(f"unknown family {name!r}")
 
 
+def scale_profile(params) -> weights.ScaleProfile:
+    return weights.ScaleProfile(weights.build_sequence(parse_family(params), params["l_max"]))
+
+
 def parse_omega(params):
-    spec = str(params.get("omega", "golden"))
+    spec = params["omega"]
     try:
         vals = [float(x) for x in spec.split(",")]
     except ValueError:
@@ -118,7 +126,15 @@ def parse_omega(params):
     om = np.array(vals + [0.0] * (2 - len(vals)))
     if len(vals) == 2 and abs(om[0] - 1.0) < 1e-15 and om[1] > 0:
         return dioph.profile_from_cf(om)
-    return dioph.profile_from_brute(om, int(params.get("q_max", 60)))
+    return dioph.profile_from_brute(om, params["q_max"])
+
+
+def read_series(path: str) -> FTSeries:
+    """An .fts file; a missing or malformed one is a config error."""
+    try:
+        return FTSeries.from_text(Path(path).read_text())
+    except (OSError, ValueError, IndexError) as exc:
+        raise ParameterError(f"cannot read series file {path!r}: {exc}") from None
 
 
 # flag types take a command-line string or a config-file value, and reject
@@ -164,7 +180,7 @@ def switch(value) -> bool:
 
 def _grid(spec: str):
     """Log-spaced grid from "lo:hi[:n]" (33 points by default)."""
-    parts = str(spec).split(":")
+    parts = spec.split(":")
     try:
         lo, hi, n = (*parts, 33) if len(parts) == 2 else parts
         return np.geomspace(float(lo), float(hi), count(n))
@@ -177,19 +193,16 @@ def _grid(spec: str):
 # ---------------------------------------------------------------------------
 
 def cmd_weights(cfg: ExperimentConfig) -> int:
-    p = cfg.params
-    fam = parse_family(p)
-    sigmas = _grid(p.get("sigma_grid", "1e-3:0.5"))
-    ys = _grid(p.get("y_grid", "1.5:1e6"))
-    L = int(p.get("l_max", weights.DEFAULT_L_MAX))
-    ws = weights.build_sequence(fam, L)
-    sp = weights.ScaleProfile(ws)
+    p = cfg.values
+    sigmas, ys = _grid(p["sigma_grid"]), _grid(p["y_grid"])
+    sp = scale_profile(p)
+    ws, L = sp.ws, p["l_max"]
     out = Path(cfg.outdir)
     l_rows = [(l, float(ws.log_M[l]),
                float(ws.log_mu[l]) if l < L else math.nan,
                float(ws.log_N[l]),
                float(math.exp(ws.log_nu[l])) if l < L else math.nan)
-              for l in range(min(L, int(p.get("table_rows", 256))) + 1)]
+              for l in range(min(L, p["table_rows"]) + 1)]
     write_csv(out / "weights.csv",
               ["l", "M_l_log", "mu_l_log", "N_l_log", "nu_l"], l_rows)
     rows = []
@@ -208,7 +221,7 @@ def cmd_weights(cfg: ExperimentConfig) -> int:
     rep = weights.check_conditions(ws)
     write_manifest(out / "manifest.txt", {
         **cfg.as_manifest_dict(),
-        "family": fam.tag, "L_max": L, "sigma_bar": sp.sigma_bar,
+        "family": ws.family_tag, "L_max": L, "sigma_bar": sp.sigma_bar,
         "sigma_bar_capped": sp.sigma_bar_capped,
         "H1_pass": rep.h1_pass, "H2_tail_max": rep.h2_tail_max,
         "H3_partial_sum": rep.h3_partial_sum, "MG_value": rep.mg_value,
@@ -218,17 +231,16 @@ def cmd_weights(cfg: ExperimentConfig) -> int:
 
 
 def cmd_dioph(cfg: ExperimentConfig) -> int:
-    p = cfg.params
-    Q_max = int(p.get("q_max", 100))
-    fp = parse_omega({**p, "q_max": Q_max})
-    norm = str(p.get("norm", "l1"))
+    p = cfg.values
+    fp = parse_omega(p)
+    norm = p["norm"]
     if norm == "linf":
         fp = dioph.profile_linf(fp)
     elif norm != "l1":
         raise ParameterError(f"unknown lattice norm {norm!r}")
     rows = []
     try:
-        for Q in range(1, Q_max + 1):
+        for Q in range(1, p["q_max"] + 1):
             v, k = fp.psi(Q)
             rows.append((Q, v) + tuple(k))
     except HorizonError:
@@ -244,13 +256,10 @@ def cmd_dioph(cfg: ExperimentConfig) -> int:
 
 
 def cmd_brtest(cfg: ExperimentConfig) -> int:
-    p = cfg.params
-    fam = parse_family(p)
-    sp = weights.ScaleProfile(weights.build_sequence(fam, int(p.get("l_max", 1 << 16))))
+    p = cfg.values
+    sp = scale_profile(p)
     fp = parse_omega(p)
-    rep = dioph.br_test(sp, fp, s=float(p.get("s", 1.0)),
-                        eta=float(p.get("eta", 0.0)), n=int(p.get("n", 2)),
-                        i_max=int(p.get("i_max", 24)), c2=float(p.get("c2", 1.0)))
+    rep = dioph.br_test(sp, fp, s=p["s"], eta=p["eta"], n=p["n"], i_max=p["i_max"], c2=p["c2"])
     out = Path(cfg.outdir)
     rows = [(i, float(rep.Q_list[i]), float(rep.sigmas[i]),
              float(rep.partial_sums[i])) for i in range(len(rep.sigmas))]
@@ -266,33 +275,28 @@ def cmd_brtest(cfg: ExperimentConfig) -> int:
 
 
 def _toy_nf_hamiltonian(cfg: ExperimentConfig):
-    p = cfg.params
-    K = int(p.get("k_max", 16))
-    eps = float(p.get("eps", 1e-4))
-    eta = float(p.get("eta", 1e-5))
+    p = cfg.values
     pv = dioph.periodic_from_rational((1, 0), 1)
-    H = normal_forms.linear_integrable(pv.v, 2, K, D_I=1)
-    H.set_mode((0, 0), eta / weights.C_NORM, m=(0, 1))
+    H = normal_forms.linear_integrable(pv.v, 2, p["k_max"], D_I=1)
+    H.set_mode((0, 0), p["eta"] / weights.C_NORM, m=(0, 1))
     rng = np.random.default_rng(cfg.seed)
     for k in [(1, 1), (2, -1), (0, 1), (3, 2), (1, 0)]:
-        H.add_cos(k, eps * rng.uniform(0.5, 1.0))
+        H.add_cos(k, p["eps"] * rng.uniform(0.5, 1.0))
     return H, pv
 
 
 def cmd_nf(cfg: ExperimentConfig) -> int:
-    p = cfg.params
-    fam = parse_family(p)
-    sp = weights.ScaleProfile(weights.build_sequence(fam, int(p.get("l_max", 1 << 16))))
-    if "hamiltonian" in p:
-        H = FTSeries.from_text(Path(p["hamiltonian"]).read_text())
-        tv = [int(x) for x in str(p.get("v", "1,0")).split(",")]
-        T = int(p.get("T", 1))
-        pv = dioph.periodic_from_rational(tv, T)
-    else:
+    p = cfg.values
+    sp = scale_profile(p)
+    if p["hamiltonian"] is None:
         H, pv = _toy_nf_hamiltonian(cfg)
-    res = normal_forms.periodic_normal_form(H, pv, sp, s=float(p.get("s", 1.0)),
-                                            xi=float(p.get("xi", 2.0)),
-                                            A=float(p.get("A", 1.0)))
+    else:
+        H = read_series(p["hamiltonian"])
+        try:
+            pv = dioph.periodic_from_rational(p["v"].split(","), p["T"])
+        except ValueError:
+            raise ParameterError(f"--v must be integers k1,...,kn, got {p['v']!r}") from None
+    res = normal_forms.periodic_normal_form(H, pv, sp, s=p["s"], xi=p["xi"], A=p["A"])
     out = Path(cfg.outdir)
     rows = [(e["step"], e["width"], e["remainder_cert"], e["budget"],
              int(e["within_budget"])) for e in res.schedule_log]
@@ -314,34 +318,22 @@ def cmd_nf(cfg: ExperimentConfig) -> int:
 
 
 def cmd_kam(cfg: ExperimentConfig) -> int:
-    p = cfg.params
-    fam = parse_family({**p, "alpha": p.get("alpha", 2.0)})
-    sp = weights.ScaleProfile(weights.build_sequence(fam, int(p.get("l_max", 1 << 16))))
+    p = cfg.values
+    sp = scale_profile(p)
     fp = parse_omega(p)
-    K = int(p.get("k_max", 32))
-    eps = float(p.get("eps", 1e-4))
-    s = float(p.get("s", 0.5))
-    if "perturbation" in p:
-        f = FTSeries.from_text(Path(p["perturbation"]).read_text())
-    else:
+    K, s = p["k_max"], p["s"]
+    if p["perturbation"] is None:
         f = FTSeries.zeros(2, K).add_cos((1, 0)).add_cos((1, 1), 0.8)
         f.add_sin((2, 1), 0.5)
+    else:
+        f = read_series(p["perturbation"])
     omega0 = fp.omega[:2]
-    kh = normal_forms.kam_hamiltonian_from_mechanical(f, eps, omega0, K=K)
-    dfn = normal_forms.mechanical_defect_fn(f, eps, omega0,
-                                            n_grid=int(p.get("defect_grid", 48)))
-    try:
-        sched = normal_forms.KamSchedule.build(
-            sp, fp, s=s, n=2, i_max=max(int(p.get("n_iter", 6)) + 2, 8),
-            c2=float(p.get("c2", 1.0)))
-    except HorizonError as exc:
-        write_manifest(Path(cfg.outdir) / "manifest.txt", {
-            **cfg.as_manifest_dict(), "error": str(exc)})
-        return EXIT_BUDGET
-    res = normal_forms.kam_iterate(kh, fp, sp, s=s,
-                                   n_iter=int(p.get("n_iter", 6)),
-                                   schedule=sched, defect_fn=dfn,
-                                   tol=float(p.get("tol", 1e-9)))
+    kh = normal_forms.kam_hamiltonian_from_mechanical(f, p["eps"], omega0, K=K)
+    dfn = normal_forms.mechanical_defect_fn(f, p["eps"], omega0, n_grid=p["defect_grid"])
+    sched = normal_forms.KamSchedule.build(sp, fp, s=s, n=2,
+                                           i_max=max(p["n_iter"] + 2, 8), c2=p["c2"])
+    res = normal_forms.kam_iterate(kh, fp, sp, s=s, n_iter=p["n_iter"], schedule=sched,
+                                   defect_fn=dfn, tol=p["tol"])
     out = Path(cfg.outdir)
     rows = []
     width = s
@@ -362,22 +354,18 @@ def cmd_kam(cfg: ExperimentConfig) -> int:
         **cfg.as_manifest_dict(), "Q0": sched.Q0,
         "sigma_budget": sched.budget, "product_lower": sched.product_lower,
         "omega_star": list(res.omega_star), "defects": res.defects,
-        "converged": res.converged, "tol": float(p.get("tol", 1e-9)),
+        "converged": res.converged, "tol": p["tol"],
     })
     return EXIT_OK if res.converged else EXIT_BUDGET
 
 
 def cmd_diffuse(cfg: ExperimentConfig) -> int:
-    p = cfg.params
-    fam = parse_family({**p, "alpha": p.get("alpha", 2.0)})
-    sp = weights.ScaleProfile(weights.build_sequence(fam, int(p.get("l_max", 1 << 14))))
+    p = cfg.values
+    sp = scale_profile(p)
     fp = parse_omega(p)
-    j = int(p.get("j", 5))
-    s = float(p.get("s", 1.0))
-    ex = instability.build_linear_diffusion(fp, j, s=s, sp=sp, n=int(p.get("n", 3)))
-    t_grid = np.linspace(0.0, float(p.get("t_end", 1000.0)), int(p.get("t_n", 21)))
-    res = instability.run_linear_diffusion(ex, np.zeros(3), np.zeros(3), t_grid,
-                                           dt=float(p.get("dt", 0.5)))
+    ex = instability.build_linear_diffusion(fp, p["j"], s=p["s"], sp=sp, n=p["n"])
+    t_grid = np.linspace(0.0, p["t_end"], p["t_n"])
+    res = instability.run_linear_diffusion(ex, np.zeros(3), np.zeros(3), t_grid, dt=p["dt"])
     sw = instability.diffusion_sandwich(ex, fp, sp)
     out = Path(cfg.outdir)
     rows = [(float(t),) + tuple(float(x) for x in res["closed_I"][i])
@@ -385,7 +373,7 @@ def cmd_diffuse(cfg: ExperimentConfig) -> int:
     write_csv(out / "drift.csv",
               ["t"] + [f"I{i+1}" for i in range(3)] + ["drift_l1"], rows)
     write_manifest(out / "manifest.txt", {
-        **cfg.as_manifest_dict(), "j": j, "k": list(ex.k.astype(int)),
+        **cfg.as_manifest_dict(), "j": p["j"], "k": list(ex.k.astype(int)),
         "eps_j": ex.eps_j, "mu_j": ex.mu_j, "rate": ex.drift_rate(),
         "sandwich_lower": sw["lower"], "sandwich_upper": sw["upper"],
         "sandwich_ok": sw["ok"], "integrator_error": res["integrator_error"],
@@ -394,20 +382,22 @@ def cmd_diffuse(cfg: ExperimentConfig) -> int:
 
 
 def cmd_ms(cfg: ExperimentConfig) -> int:
-    p = cfg.params
-    mode = str(p.get("mode", "exact"))
+    p = cfg.values
+    mode = p["mode"]
+    if mode not in ("exact", "pendulum"):
+        raise ParameterError(f"unknown ms mode {mode!r} (exact or pendulum)")
     out = Path(cfg.outdir)
     manifest = dict(cfg.as_manifest_dict())
     if mode == "exact":
-        q = int(p.get("q", 50))
+        q = p["q"]
         cm = instability.coupled_map(q)
         res = instability.run_coupled_drift(cm)
-        stride = max(1, q * q // int(p.get("csv_rows", 400)))
+        stride = max(1, q * q // p["csv_rows"])
         rows = [(k, float(res["I1"][k])) for k in range(0, q * q + 1, stride)]
         if rows[-1][0] != q * q:
             rows.append((q * q, float(res["I1"][-1])))
         write_csv(out / "drift.csv", ["step", "I1"], rows)
-        verify = bool(p.get("verify_drift", False))
+        verify = p["verify_drift"]
         manifest.update({"mode": mode, "q": q,
                          "final_I1": float(res["final"][1]),
                          "drift_error": res["drift_error"],
@@ -416,12 +406,9 @@ def cmd_ms(cfg: ExperimentConfig) -> int:
         # --verify-drift also checks the coupling lemma's return of the rotator point
         ok = res["drift_error"] <= 1e-9 and (not verify or res["a_return_error"] <= 1e-9)
     else:
-        if "verify_drift" in p:
+        if "verify_drift" in cfg.params:
             raise ParameterError("--verify-drift applies to --mode exact only")
-        fam = parse_family({**p, "alpha": p.get("alpha", 2.0)})
-        sp = weights.ScaleProfile(weights.build_sequence(fam, int(p.get("l_max", 1 << 14))))
-        msc = instability.build_ms(int(p.get("n", 3)), int(p.get("j", 2)),
-                                   s=float(p.get("s", 0.05)), sp=sp)
+        msc = instability.build_ms(p["n"], p["j"], s=p["s"], sp=scale_profile(p))
         sync = instability.synchronization_check(msc)
         manifest.update({
             "mode": mode, "n": msc.n, "j": msc.j, "A_prime": msc.A_prime,
@@ -440,21 +427,16 @@ def cmd_ms(cfg: ExperimentConfig) -> int:
 
 
 def cmd_bessi(cfg: ExperimentConfig) -> int:
-    p = cfg.params
-    fam = parse_family({**p, "alpha": p.get("alpha", 4.0)})
-    sp = weights.ScaleProfile(weights.build_sequence(fam, int(p.get("l_max", 1 << 20))))
-    s0 = float(p.get("s0", 1.0))
-    s = float(p.get("s", 0.5))
-    if "omega" in p:
-        fp = parse_omega(p)
-    else:
+    p = cfg.values
+    sp = scale_profile(p)
+    if p["omega"] is None:
         conv, x = dioph.liouville_convergents(
-            sp, s0=s0, n_steps=int(p.get("n_steps", 8)),
-            growth=instability.liouville_growth_for_bessi(sp, s0))
+            sp, s0=p["s0"], n_steps=p["n_steps"],
+            growth=instability.liouville_growth_for_bessi(sp, p["s0"]))
         fp = dioph.profile_from_prescribed(conv, omega_value=x)
-    ex = instability.build_bessi(fp, sp, s0=s0, s=s,
-                                 eps=float(p.get("eps", 0.1)),
-                                 mu=float(p.get("mu", 0.5)))
+    else:
+        fp = parse_omega(p)
+    ex = instability.build_bessi(fp, sp, s0=p["s0"], s=p["s"], eps=p["eps"], mu=p["mu"])
     out = Path(cfg.outdir)
     rows = [(i, int(np.sum(np.abs(ex.ks[i]))), ex.nus[i], ex.certs[i],
              ex.growth[i]) for i in range(len(ex.ks))]
@@ -468,15 +450,11 @@ def cmd_bessi(cfg: ExperimentConfig) -> int:
         if len(ex.growth) > 1 else True,
         "c_orth": ex.c_orth,
     })
-    if not ex.candidates_found:
-        return EXIT_BUDGET
-    return EXIT_OK
+    return EXIT_OK if ex.candidates_found else EXIT_BUDGET
 
 
 def cmd_report(cfg: ExperimentConfig) -> int:
     paths = cfg.params.get("inputs", [])
-    if isinstance(paths, str):
-        paths = [paths]
     rows = []
     missing = 0
     for raw in sorted(paths):
@@ -525,21 +503,28 @@ _FLAGS = {
     "n_steps": count, "norm": str, "verify_drift": switch,
 }
 
-# the flags each command reads, in any of its modes; parse_family reads the
-# first three of _WEIGHTS and parse_omega reads _OMEGA
-_WEIGHTS = ("family", "alpha", "beta", "l_max")
-_OMEGA = ("omega", "q_max")
+
+# each command's flags, in any of its modes, with their defaults: a value of the
+# flag's type, or None for an input that may be absent.  scale_profile reads
+# _WEIGHTS (parse_family the first three) and parse_omega reads _OMEGA.
+_WEIGHTS = {"family": "gevrey", "alpha": 1.0, "beta": 0.0, "l_max": 1 << 16}
+_OMEGA = {"omega": "golden", "q_max": 60}
 COMMAND_FLAGS = {
-    "weights": (*_WEIGHTS, "sigma_grid", "y_grid", "table_rows"),
-    "dioph": (*_OMEGA, "norm"),
-    "brtest": (*_WEIGHTS, *_OMEGA, "s", "eta", "n", "i_max", "c2"),
-    "nf": (*_WEIGHTS, "hamiltonian", "v", "T", "k_max", "eps", "eta", "s", "xi", "A"),
-    "kam": (*_WEIGHTS, *_OMEGA, "k_max", "eps", "s", "perturbation", "defect_grid",
-            "n_iter", "c2", "tol"),
-    "diffuse": (*_WEIGHTS, *_OMEGA, "j", "s", "n", "t_end", "t_n", "dt"),
-    "ms": (*_WEIGHTS, "mode", "q", "csv_rows", "verify_drift", "n", "j", "s"),
-    "bessi": (*_WEIGHTS, *_OMEGA, "s0", "s", "n_steps", "eps", "mu"),
-    "report": (),
+    "weights": {**_WEIGHTS, "l_max": weights.DEFAULT_L_MAX, "sigma_grid": "1e-3:0.5",
+                "y_grid": "1.5:1e6", "table_rows": 256},
+    "dioph": {**_OMEGA, "q_max": 100, "norm": "l1"},
+    "brtest": {**_WEIGHTS, **_OMEGA, "s": 1.0, "eta": 0.0, "n": 2, "i_max": 24, "c2": 1.0},
+    "nf": {**_WEIGHTS, "hamiltonian": None, "v": "1,0", "T": 1, "k_max": 16, "eps": 1e-4,
+           "eta": 1e-5, "s": 1.0, "xi": 2.0, "A": 1.0},
+    "kam": {**_WEIGHTS, "alpha": 2.0, **_OMEGA, "k_max": 32, "eps": 1e-4, "s": 0.5,
+            "perturbation": None, "defect_grid": 48, "n_iter": 6, "c2": 1.0, "tol": 1e-9},
+    "diffuse": {**_WEIGHTS, "alpha": 2.0, "l_max": 1 << 14, **_OMEGA, "j": 5, "s": 1.0,
+                "n": 3, "t_end": 1000.0, "t_n": 21, "dt": 0.5},
+    "ms": {**_WEIGHTS, "alpha": 2.0, "l_max": 1 << 14, "mode": "exact", "q": 50,
+           "csv_rows": 400, "verify_drift": False, "n": 3, "j": 2, "s": 0.05},
+    "bessi": {**_WEIGHTS, "alpha": 4.0, "l_max": 1 << 20, **_OMEGA, "omega": None,
+              "s0": 1.0, "s": 0.5, "n_steps": 8, "eps": 0.1, "mu": 0.5},
+    "report": {},
 }
 
 
@@ -575,19 +560,15 @@ def main(argv=None) -> int:
             for key, value in file_params.items():
                 if key not in COMMAND_FLAGS[cmd] and (cmd, key) != ("report", "inputs"):
                     raise ParameterError(f"{cmd} does not read config key {key!r}")
-                if key in _FLAGS:
-                    _FLAGS[key](value)   # a value must have its flag's type
-            params.update(file_params)
-        for flag in COMMAND_FLAGS[cmd]:
-            val = getattr(ns, flag)
-            if val is not None:
-                params[flag] = val
-        if cmd == "report":
-            params["inputs"] = list(ns.inputs or params.get("inputs", []))
-        if ns.outdir:
-            outdir = ns.outdir
+                # a value must have its flag's type, and is kept as that type
+                params[key] = _FLAGS[key](value) if key in _FLAGS else value
+        params.update({flag: val for flag in COMMAND_FLAGS[cmd]
+                       if (val := getattr(ns, flag)) is not None})
+        if cmd == "report":   # a config file may name one input as a string
+            inputs = ns.inputs or params.get("inputs", [])
+            params["inputs"] = [inputs] if isinstance(inputs, str) else list(inputs)
         cfg = ExperimentConfig(subcommand=cmd, params=params,
-                               outdir=outdir or f"runs/{cmd}", seed=ns.seed)
+                               outdir=ns.outdir or outdir or f"runs/{cmd}", seed=ns.seed)
     except (ValueError, TypeError, OSError) as exc:   # ParameterError, JSONDecodeError too
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

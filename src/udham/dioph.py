@@ -148,8 +148,8 @@ def psi_brute_table(omega, Q_max: int):
     K, norms = K[sel], norms[sel]
     dots = np.abs(K @ omega)
     if np.any(dots == 0.0):
-        k_res = K[np.argmax(dots == 0.0)]
-        raise ResonanceError(f"exact resonance at k={tuple(k_res)}", k_res)
+        k_res = tuple(int(x) for x in K[np.argmax(dots == 0.0)])
+        raise ResonanceError(f"exact resonance at k={k_res}", k_res)
     vals = np.empty(Q_max)
     ks = []
     best = math.inf

@@ -95,6 +95,8 @@ class PeriodicSplit:
     def from_hamiltonian(cls, H: FTSeries, pv: PeriodicVector) -> "PeriodicSplit":
         """Split a full Hamiltonian: integrable -> L_v + S, resonant
         nonintegrable -> G, rest -> F."""
+        if len(pv.Tv) != H.n:
+            raise ParameterError(f"periodic vector {pv.Tv} for a series in {H.n} angles")
         integ = average_zero_mode(H)
         Lv = linear_integrable(pv.v, H.n, H.K, D_I=max(H.D_I, 1),
                                n_w=H.n_w, D_w=H.D_w)

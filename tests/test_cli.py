@@ -10,6 +10,7 @@ import pytest
 
 from oracles import psi_brute
 from udham import cli
+from udham.series import FTSeries
 from udham.weights import ParameterError
 
 
@@ -236,6 +237,10 @@ class TestDeterminism:
         run(["weights", "--family", "gevrey", "--alpha", "2",
              "--l-max", "256", "--outdir", str(out2)])
         assert (out1 / "weights.csv").read_bytes() == (out2 / "weights.csv").read_bytes()
+        # the file's alpha = 2 is recorded as the flag's 2.0, its flag type's value
+        m1 = (out1 / "manifest.txt").read_text().replace(str(out1), "X")
+        m2 = (out2 / "manifest.txt").read_text().replace(str(out2), "X")
+        assert m1 == m2 and "\nparam.alpha = 2.0\n" in m1
 
     def test_json_config(self, tmp_path):
         cfgfile = tmp_path / "run.json"
@@ -262,6 +267,28 @@ class TestHamiltonianFileInput:
                     "--outdir", str(out)])
         assert code == 0
         assert (out / "remainder.fts").exists()
+
+    # a coefficient that is not a number, and a valid series in two angles
+    BAD_COEFFICIENT = "ftseries 1\n2 4 0 0 0 1.0 1.0 0.0 1\n1 0 0 0 x 0.0\n"
+    TWO_ANGLES = FTSeries.zeros(2, 4).add_cos((1, 1), 1e-4).to_text()
+
+    @pytest.mark.parametrize("argv, text", [
+        (["nf", "--hamiltonian", "missing.fts"], None),
+        (["kam", "--perturbation", "missing.fts"], None),
+        (["nf", "--hamiltonian", "H.fts"], BAD_COEFFICIENT),
+        (["kam", "--perturbation", "H.fts"], BAD_COEFFICIENT),
+        (["nf", "--hamiltonian", "H.fts", "--v", "1.5,0"], TWO_ANGLES),
+        (["nf", "--hamiltonian", "H.fts", "--v", "1,0,0"], TWO_ANGLES),
+    ], ids=["nf_missing", "kam_missing", "nf_bad_coefficient", "kam_bad_coefficient",
+            "v_not_integers", "v_of_three_components"])
+    def test_malformed_input_is_config_error(self, tmp_path, capsys, argv, text):
+        if text is not None:
+            (tmp_path / "H.fts").write_text(text)
+        argv = [str(tmp_path / a) if a.endswith(".fts") else a for a in argv]
+        out = tmp_path / "out"
+        assert exit_code(argv + ["--outdir", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
 
     def test_nf_rejects_complex_series_file(self, tmp_path, capsys):
         ham = tmp_path / "H.fts"
@@ -443,6 +470,7 @@ class TestFlagTable:
         ["weights", "--sigma-grid", "1e-3"],
         ["nf", "--k-max", "-1"],
         ["kam", "--k-max", "4", "--defect-grid", "0"],
+        ["ms", "--mode", "banana"],
     ], ids=lambda argv: "_".join(argv))
     def test_out_of_range_input_is_config_error(self, tmp_path, argv):
         out = tmp_path / "out"
@@ -552,6 +580,24 @@ class TestFlagTable:
 
     def test_every_flag_type_is_read_by_a_command(self):
         assert set(cli._FLAGS) == set().union(*cli.COMMAND_FLAGS.values())
+
+    def test_each_default_is_a_value_its_flag_type_keeps(self):
+        # a default its own flag would reject, or read as another type, cannot stand
+        for name, flags in cli.COMMAND_FLAGS.items():
+            for flag, default in flags.items():
+                if default is not None:
+                    typed = cli._FLAGS[flag](default)
+                    assert (type(typed), typed) == (type(default), default), (name, flag)
+
+    def test_config_file_names_one_report_input_as_a_string(self, tmp_path):
+        art = tmp_path / "m.txt"
+        art.write_text("verdict = ConvergedWithinBudget\n")
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"inputs = {art}\n")
+        out = tmp_path / "rep"
+        assert run(["report", "--config", str(cfgfile), "--outdir", str(out)]) == 0
+        assert (out / "report.csv").read_text().splitlines()[1:] == [
+            f"{art},OK,ConvergedWithinBudget"]
 
 
 class TestParseFamily:

@@ -25,6 +25,14 @@ class TestPsiBrute:
             k = np.asarray(exc.value.k)
             assert abs(k @ np.array([1.0, 0.5])) == 0.0
 
+    def test_resonance_message_holds_plain_ints(self):
+        # numpy 2 writes a numpy integer as np.int64(-3), not as -3
+        with pytest.raises(D.ResonanceError) as exc:
+            D.profile_from_brute([1.0, 0.5], 10)
+        assert all(type(x) is int for x in exc.value.k)
+        assert str(exc.value) == f"exact resonance at k={exc.value.k}"
+        assert "np." not in str(exc.value)
+
     def test_budget_guard(self):
         with pytest.raises(D.BudgetError):
             psi_brute([1.0, PHI, 0.1, 0.2], 900)
