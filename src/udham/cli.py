@@ -459,11 +459,13 @@ def cmd_report(cfg: ExperimentConfig) -> int:
     missing = 0
     for raw in sorted(paths):
         path = Path(raw)
-        if not path.exists():
-            rows.append((str(path), "SKIPPED", "missing artifact"))
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = "missing" if isinstance(exc, FileNotFoundError) else "unreadable"
+            rows.append((str(path), "SKIPPED", f"{reason} artifact"))
             missing += 1
             continue
-        text = path.read_text()
         if text.startswith("ACCEPTANCE"):
             for line in text.splitlines():
                 head, _, detail = line.partition(" - ")

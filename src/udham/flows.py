@@ -209,7 +209,7 @@ def _nearest_node_taylor(f: FTSeries, N: int, node, delta, betas):
             mono = np.prod([delta[:, i] ** a / math.factorial(a)
                             for i, a in enumerate(alpha)], axis=0)
             for b, beta in enumerate(betas):
-                vals[b] = vals[b] + grid(tuple(a + c for a, c in zip(alpha, beta))) * mono
+                vals[b] += grid(tuple(a + c for a, c in zip(alpha, beta))) * mono
         for gamma in [g for g in grids if sum(g) <= j]:
             del grids[gamma]
         tails = [float(np.sum(w * rem)) for w in weights]

@@ -22,6 +22,14 @@ grid where no mode folds), samples go back only through `from_samples`
 (one real FFT, kept modes rebuilt as in `product`), and scattered points
 through `eval_blocks`.
 
+Transforms are pruned (Frigo-Johnson, Proc. IEEE 93, 2005): each
+multi-dimensional real FFT runs as numpy's own sequence of 1-D passes
+(`_grid_values`, `_half_spectrum`), and the complex passes run only over
+the lines that hold modes, so every value is computed by the same
+floating-point operations as `irfftn`/`rfftn` of the whole half spectrum.
+`from_samples` alone keeps a full `rfftn`: its floor and its
+`aliasing_mass` need the l1 of the whole spectrum.
+
 Torus convention: T^n = R^n/Z^n with basis e^{2 pi i k.theta}; every
 frequency-dependent constant is routed through rho(k) = 2 pi |k|_1.
 """
@@ -36,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .weights import C_NORM, ParameterError, ScaleProfile
+from .weights import C_NORM, HorizonError, ParameterError, ScaleProfile
 
 TWO_PI = 2.0 * math.pi
 _META = ("n", "K", "D_I", "D_w", "n_w")
@@ -139,7 +147,10 @@ class FTSeries:
         col = np.arange(N // 2 + 1)
         l1 = np.sum(np.abs(H) * np.where((col == 0) | (2 * col == N), 1.0, 2.0),
                     axis=out._angle_axes(), keepdims=True)
-        kept = _half_modes(H, n, K, N)
+        H = H[..., :K + 1]
+        for axis in range(1, n):
+            H = _centre(H, axis, K)
+        kept = _half_modes(H, n, K, K)
         floor = np.finfo(float).eps * n * math.log2(N) * l1
         low = np.abs(kept) < floor
         if report is not None:
@@ -238,13 +249,9 @@ class FTSeries:
 
     # -- basic queries ---------------------------------------------------------
 
-    def _kgrid(self):
-        r = np.arange(-self.K, self.K + 1)
-        return np.stack(np.meshgrid(*([r] * self.n), indexing="ij"), axis=-1)
-
     def _band(self) -> int:
         """Largest |k|_inf of a nonzero coefficient, -1 when there is none."""
-        occupied = np.argwhere(np.any(self.coef != 0, axis=0))
+        occupied = np.argwhere(np.any(self.coef, axis=0))
         return int(np.max(np.abs(occupied - self.K), initial=-1))
 
     def _window(self, b) -> np.ndarray:
@@ -294,10 +301,10 @@ class FTSeries:
         keys = list(self.keys) + [key for key in other.keys if key not in self.keys]
         row = {key: r for r, key in enumerate(keys)}
         coef = np.zeros((len(keys),) + (2 * K + 1,) * self.n, dtype=complex)
-        for src, fac in ((self, 1.0), (other, a)):
-            pad = K - src.K
-            rows = np.array([row[key] for key in src.keys], dtype=np.intp)
-            coef[(rows,) + (slice(pad, pad + 2 * src.K + 1),) * self.n] += fac * src.coef
+        win = lambda s: (slice(K - s.K, K + s.K + 1),) * self.n
+        coef[(slice(len(self.keys)),) + win(self)] += self.coef
+        for key, c in zip(other.keys, a * other.coef):
+            coef[(row[key],) + win(other)] += c
         return self._new(keys, coef, K=K, D_I=max(self.D_I, other.D_I),
                          D_w=max(self.D_w, other.D_w))
 
@@ -359,7 +366,8 @@ class FTSeries:
     def derivative_grid(self, alpha, N: int) -> np.ndarray:
         """d^alpha f / d theta^alpha of every block on the uniform N^n grid
         theta = j/N, stacked as (len(keys),) + (N,)*n, by one real inverse
-        FFT of the half spectrum.
+        FFT of the half spectrum (`_grid_values`: the complex passes run
+        only over the columns and lines that hold modes).
 
         Only the occupied window |k|_inf <= b = `_band()` is read.  It is
         transformed on the least multiple qN >= 2b + 1 of N, where no mode
@@ -372,8 +380,8 @@ class FTSeries:
         q = max(-(-(2 * b + 1) // N), 1)
         # scaled after a backward transform: norm="forward" is as accurate,
         # but moves the README kam run's omega_star by about ten ulps
-        vals = np.fft.irfftn(_half_spectrum(win, q * N, self.n), s=(q * N,) * self.n,
-                             axes=self._angle_axes()) * (q * N) ** self.n
+        vals = _grid_values(win, q * N, self.n)
+        vals *= (q * N) ** self.n
         return vals[(slice(None),) + (slice(None, None, q),) * self.n]
 
     # -- serialization ------------------------------------------------------------
@@ -436,15 +444,54 @@ def _horner(arr, zs, K):
     return vals
 
 
-def _half_spectrum(win, N, n):
-    """Half spectrum on the N^n grid, N >= 2b + 1, of a stack of windows
-    (mode k at index k + b per axis): mode k is placed at grid frequency
-    k mod N, where no two modes meet, and kept when k_last >= 0."""
+def _place(a, axis, L):
+    """Axis `axis` of a stack holding modes -b..b at index k + b, placed at
+    k mod L on an axis of length L >= 2b + 1, zeros elsewhere: two slice
+    copies.  The inverse of `_centre`."""
+    b = (a.shape[axis] - 1) // 2
+    head = (slice(None),) * axis
+    out = np.zeros(a.shape[:axis] + (L,) + a.shape[axis + 1:], dtype=complex)
+    out[head + (slice(0, b + 1),)] = a[head + (slice(b, None),)]
+    out[head + (slice(L - b, L),)] = a[head + (slice(0, b),)]
+    return out
+
+
+def _centre(H, axis, K):
+    """Modes -K..K of an axis holding mode k at k mod its length L >= 2K + 1,
+    moved to index k + K: two slice copies."""
+    L = H.shape[axis]
+    head = (slice(None),) * axis
+    return np.concatenate([H[head + (slice(L - K, L),)], H[head + (slice(0, K + 1),)]],
+                          axis=axis)
+
+
+def _grid_values(win, L, n, norm=None):
+    """Real values on the L^n grid, L >= 2b + 1, of a stack of Hermitian
+    windows (mode k at index k + b per axis): `np.fft.irfftn` of their half
+    spectrum, by its own 1-D passes in its order (`ifft` along angle axes
+    1..n-1, then `irfft` on the last), run only over the lines that hold
+    modes: the columns k_last = 0..b, and on each axis not yet transformed
+    the 2b + 1 occupied indices.  Every value is computed as by `irfftn`."""
     b = (win.shape[-1] - 1) // 2
-    r = np.arange(-b, b + 1) % N
-    half = np.zeros((len(win),) + (N,) * (n - 1) + (N // 2 + 1,), dtype=complex)
-    half[np.ix_(np.arange(len(win)), *([r] * (n - 1)), r[b:])] = win[..., b:]
-    return half
+    if b < 0:                 # irfft of zero columns does not give zeros
+        return np.zeros((len(win),) + (L,) * n)
+    vals = win[..., b:]
+    for axis in range(1, n):
+        vals = np.fft.ifft(_place(vals, axis, L), axis=axis, norm=norm)
+    return np.fft.irfft(vals, n=L, axis=-1, norm=norm)
+
+
+def _half_spectrum(vals, n, K):
+    """Modes |k|_inf <= K of `np.fft.rfftn(vals, norm="forward")` over the
+    n trailing axes of a stack of real L^n grids, L >= 2K + 1, by its own
+    1-D passes in its order (`rfft` on the last axis, then `fft` along axes
+    n-1..1), each later pass run only over the kept lines: the columns
+    k_last = 0..K, and on each axis already transformed the modes |k| <= K.
+    Leading axes hold mode k at index k + K, the last axis k_last = 0..K."""
+    H = np.fft.rfft(vals, axis=-1, norm="forward")[..., :K + 1]
+    for axis in range(n - 1, 0, -1):
+        H = _centre(np.fft.fft(H, axis=axis, norm="forward"), axis, K)
+    return H
 
 
 def _smooth_length(L: int) -> int:
@@ -472,12 +519,17 @@ def _mirror(coef, n):
     return coef
 
 
-def _half_modes(H, n, K, Lf):
-    """Modes |k|_inf <= K of every row of a half spectrum H (last axis
-    k_last = 0..Lf//2, others at k mod Lf), as Hermitian (2K+1)^n blocks."""
-    idx = np.arange(-K, K + 1) % Lf
-    last = np.abs(np.arange(-K, K + 1))
-    return _mirror(H[np.ix_(np.arange(len(H)), *([idx] * (n - 1)), last)], n)
+def _half_modes(H, n, K, K_out):
+    """The modes |k|_inf <= K of every row of a half spectrum H (leading
+    axes at index k + Kh, last axis k_last = 0..Kh, Kh >= K) as Hermitian
+    (2 K_out + 1)^n blocks, K_out >= K, zero beyond K."""
+    Kh = H.shape[-1] - 1
+    out = np.zeros((len(H),) + (2 * K_out + 1,) * n, dtype=complex)
+    block = out[(slice(None),) + (slice(K_out - K, K_out + K + 1),) * n]
+    block[..., K:] = H[(slice(None),) + (slice(Kh - K, Kh + K + 1),) * (n - 1)
+                       + (slice(0, K + 1),)]
+    _mirror(block, n)
+    return out
 
 
 def _lowered(keys, a):
@@ -495,13 +547,16 @@ def _spectral_product(f: FTSeries, g: FTSeries, terms, K_out: int, D_I_out: int,
     behind `product` (one term) and `poisson_bracket` (2n terms).
 
     Only the occupied window |k|_inf <= b of each operand is read.  Each
-    theta derivative a term takes goes to real grid values by one inverse
-    transform; d_I_a needs none, it reweights the rows with m_a >= 1.  The
-    signed pointwise products are summed per output monomial in term and
-    key-pair order, and one real FFT returns the half spectrum, from which
-    the kept modes are rebuilt with c_{-k} = conj(c_k).  The length Lf is
-    the least 5-smooth >= K_full + min(K_out, K_full) + 1, K_full = b_f + b_g
-    (Orszag's 3/2 rule: the kept modes are exact, only dropped ones fold),
+    theta derivative a term takes goes to real grid values by one pruned
+    inverse transform (`_grid_values`) of the rows that some term reads;
+    d_I_a needs none, it reweights the rows with m_a >= 1 and reads no
+    other.  The signed pointwise products are summed per output monomial
+    in term and key-pair order, and one pruned real FFT (`_half_spectrum`)
+    returns the half spectrum of the kept modes (of all |k|_inf <= K_full
+    with a report), from which they are rebuilt with c_{-k} = conj(c_k).
+    The length Lf is the least 5-smooth >= K_full + min(K_out, K_full) + 1,
+    K_full = b_f + b_g (Orszag's 3/2 rule: the kept modes are exact, only
+    dropped ones fold),
     and >= 2 max(b_f, b_g) + 1, so that no operand mode folds; with a report
     it is >= 2 K_full + 1, so the discarded masses are true l1 masses.
     Every kept entry below the summed floor u log2(Lf^n) sum_terms
@@ -523,12 +578,16 @@ def _spectral_product(f: FTSeries, g: FTSeries, terms, K_out: int, D_I_out: int,
 
     def grids(s, b, side):
         """For each theta axis t (None: no derivative) that the terms take
-        on this side, the grid values of d_theta_t s and their rows' l1."""
+        on this side, the rows' l1 of d_theta_t s and its grid values on
+        the rows that some such term reads (d_I_a reads those with m_a >= 1),
+        by row index."""
         out = {}
         for t in dict.fromkeys(term[side][0] for term in terms):
+            ags = [term[side][1] for term in terms if term[side][0] == t]
+            read = [r for r, (m, _) in enumerate(s.keys)
+                    if any(a is None or m[a] for a in ags)]
             win = s._dwindow(b, [int(i == t) for i in range(n)])
-            out[t] = (np.fft.irfftn(_half_spectrum(win, Lf, n), s=(Lf,) * n, axes=axes,
-                                    norm="forward"),
+            out[t] = (dict(zip(read, _grid_values(win[read], Lf, n, norm="forward"))),
                       np.sum(np.abs(win), axis=axes))
         return out
 
@@ -556,15 +615,13 @@ def _spectral_product(f: FTSeries, g: FTSeries, terms, K_out: int, D_I_out: int,
     pairs += [(len(rows) + r, c, x, y) for r, (c, x, y) in enumerate(dropped)]
     acc = np.zeros((len(rows) + len(dropped),) + (Lf,) * n)
     for r, c, x, y in pairs:
-        acc[r] += c * x * y
-    H = np.fft.rfftn(acc, axes=axes, norm="forward")
-    kept = _half_modes(H[:len(rows)], n, K_kept, Lf)
-    if K_out > K_full:
-        kept = np.pad(kept, [(0, 0)] + [(K_out - K_full,) * 2] * n)
+        acc[r] += (x if c == 1 else c * x) * y      # 1 * x is x: no copy
+    H = _half_spectrum(acc, n, K_full if report is not None else K_kept)
+    kept = _half_modes(H[:len(rows)], n, K_kept, K_out)
     floor = float(np.finfo(float).eps * n * math.log2(Lf)) * l1
     low = np.abs(kept) < floor
     if report is not None:
-        full = np.sum(np.abs(_half_modes(H, n, K_full, Lf)), axis=axes)
+        full = np.sum(np.abs(_half_modes(H, n, K_full, K_full)), axis=axes)
         report["discarded_fourier"] = (float(np.sum(full[:len(rows)]) - np.sum(np.abs(kept)))
                                        if K_out < K_full else 0.0)
         report["discarded_action"] = float(np.sum(full[len(rows):]))
@@ -591,7 +648,10 @@ def product(f: FTSeries, g: FTSeries, K_out: Optional[int] = None,
     a-priori error bound u log2(Lf^n) |f|_1 |g|_1 (Higham, ch. 24) is
     zeroed, so the result keeps no entry below that floor, and it is
     exactly real.  An operand with no nonzero coefficient gives the empty
-    series.
+    series.  Both transforms are pruned: the inverse passes run only over
+    the lines that hold operand modes, and after the last-axis `rfft` the
+    forward passes only over the kept modes (all modes |k|_inf <= b_f + b_g
+    with a report), each value as `irfftn`/`rfftn` would compute it.
 
     report, if given, receives 'discarded_fourier' and 'discarded_action'
     (l1 masses of the modes beyond K_out and of each dropped pair's full
@@ -628,16 +688,15 @@ def poisson_bracket(f: FTSeries, g: FTSeries, K_out: Optional[int] = None,
 # resonant projections and the homological equation
 # ---------------------------------------------------------------------------
 
-def _resonance_mask(series: FTSeries, Tv) -> np.ndarray:
-    Tv = np.asarray(Tv, dtype=np.int64)
-    kg = series._kgrid()
-    return kg @ Tv == 0
+def _k_dot(f: FTSeries, Tv) -> np.ndarray:
+    """k.Tv (exact integers) over f's (2K+1)^n block, from broadcast aranges."""
+    k = np.arange(-f.K, f.K + 1)
+    return sum(k.reshape((-1,) + (1,) * (f.n - 1 - i)) * int(t) for i, t in enumerate(Tv))
 
 
 def average_periodic(f: FTSeries, pv) -> FTSeries:
     """[f]_v: keep modes with k.(Tv) = 0 (exact integer test); idempotent."""
-    mask = _resonance_mask(f, pv.Tv)
-    return f._new(f.keys, np.where(mask, f.coef, 0.0)).prune()
+    return f._new(f.keys, np.where(_k_dot(f, pv.Tv) == 0, f.coef, 0.0)).prune()
 
 
 def average_zero_mode(f: FTSeries) -> FTSeries:
@@ -657,10 +716,9 @@ def solve_homological_periodic(f: FTSeries, pv) -> FTSeries:
     Equals the time-average formula T int_0^1 (f-[f]_v)(theta+tTv) t dt
     coefficientwise, via int_0^1 t e^{2 pi i m t} dt = 1/(2 pi i m).
     """
-    mask = _resonance_mask(f, pv.Tv)
-    kdotv = (f._kgrid() @ np.asarray(pv.Tv, dtype=float)) / pv.T
-    coef = np.zeros_like(f.coef)
-    coef[:, ~mask] = f.coef[:, ~mask] / ((TWO_PI * 1j) * kdotv[~mask])
+    kTv = _k_dot(f, pv.Tv)
+    coef = np.divide(f.coef, (TWO_PI * 1j) * (kTv / pv.T), out=np.zeros_like(f.coef),
+                     where=kTv != 0)
     return f._new(f.keys, coef).prune()
 
 
@@ -685,10 +743,23 @@ def norm_upper(f: FTSeries, sp: ScaleProfile, s: float) -> NormCertificate:
     c exp(Omega(4 s rho)) using (|a|+1)^2 <= 4^|a|.
     """
     nz = np.nonzero(np.abs(f.coef) > 0)
-    degree = np.array([sum(m) + sum(w) for m, w in f.keys], dtype=float)
+    degree = np.array([sum(m) + sum(w) for m, w in f.keys], dtype=np.int64)
     k1 = np.sum(np.abs(np.stack(nz[1:]) - f.K), axis=0)
-    rho = TWO_PI * k1 + degree[nz[0]]
-    terms = C_NORM * np.abs(f.coef[nz]) * np.exp(sp.omega_values(4.0 * s * rho))
+    # exp(Omega) once per (degree, |k|_1) pair that occurs; past the horizon
+    # the per-entry evaluation raises, so the error names the first entry
+    span = f.n * f.K + 1
+    code = degree[nz[0]] * span + k1
+    present = np.zeros(int(np.max(code, initial=-1)) + 1, dtype=bool)
+    present[code] = True
+    pairs = np.flatnonzero(present)
+    growth = np.empty(len(present))
+    try:
+        growth[pairs] = np.exp(sp.omega_values(4.0 * s * (TWO_PI * (pairs % span)
+                                                          + pairs // span)))
+    except HorizonError:
+        sp.omega_values(4.0 * s * (TWO_PI * k1 + degree[nz[0]]))
+        raise
+    terms = C_NORM * np.abs(f.coef[nz]) * growth[code]
     # summed block by block, in key order, so the bound repeats bit for bit
     per_block = np.split(terms, np.cumsum(np.bincount(nz[0], minlength=len(f.keys)))[:-1])
     return NormCertificate(bound=sum(float(np.sum(t)) for t in per_block), s=s,

@@ -63,7 +63,9 @@ def homological_integral_oracle(f: FTSeries, pv) -> FTSeries:
     as e^{2 pi i t k.Tv}, integrated by 160-point Gauss-Legendre (spectrally
     exact for the oscillation orders reachable at the stored truncation)."""
     g = f - average_periodic(f, pv)
-    kTv = g._kgrid() @ np.asarray(pv.Tv, dtype=float)
+    r = np.arange(-g.K, g.K + 1)
+    kgrid = np.stack(np.meshgrid(*([r] * g.n), indexing="ij"), axis=-1)
+    kTv = kgrid @ np.asarray(pv.Tv, dtype=float)
     ts, wts = np.polynomial.legendre.leggauss(160)
     ts = 0.5 * (ts + 1.0)
     wts = 0.5 * wts

@@ -206,6 +206,17 @@ class TestReport:
         assert code == 3
         assert "SKIPPED" in (out / "report.csv").read_text()
 
+    def test_unreadable_artifact_is_skipped(self, tmp_path):
+        # a directory and an undecodable file count like a missing artifact
+        (tmp_path / "binary.txt").write_bytes(b"\xff\xfe\x00")
+        out = tmp_path / "rep4"
+        code = run(["report", str(tmp_path), str(tmp_path / "binary.txt"),
+                    "--outdir", str(out)])
+        assert code == 3
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        assert rows == [f"{tmp_path},SKIPPED,unreadable artifact",
+                        f"{tmp_path / 'binary.txt'},SKIPPED,unreadable artifact"]
+
     def test_aggregates_verdicts(self, tmp_path):
         br = tmp_path / "br"
         run(["brtest", "--family", "gevrey", "--alpha", "2", "--omega",

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from oracles import homological_integral_oracle
 from udham import dioph as D
 from udham import flows as F
+from udham import series as S
 from udham import weights as W
 from udham.series import (FTSeries, average_periodic, average_zero_mode,
                           decay_check, norm_upper, poisson_bracket, product,
@@ -747,3 +748,143 @@ def test_property_bracket_antisymmetry_and_jacobi(seed, K, data):
              for a, b, c in [(f, g, h), (g, h, f), (h, f, g)]]
     jacobi = (terms[0] + terms[1] + terms[2]).coeff_norm1()
     assert jacobi <= 1e-14 * sum(t.coeff_norm1() for t in terms)
+
+
+# -- pruned transforms and coefficient-side operations, bit for bit ------------
+
+def _full_half_spectrum(win, L, n):
+    """The whole half spectrum on the L^n grid of a stack of windows (mode k
+    at index k + b), placed by fancy indexing at k mod L when k_last >= 0."""
+    b = (win.shape[-1] - 1) // 2
+    r = np.arange(-b, b + 1) % L
+    half = np.zeros((len(win),) + (L,) * (n - 1) + (L // 2 + 1,), dtype=complex)
+    half[np.ix_(np.arange(len(win)), *([r] * (n - 1)), r[b:])] = win[..., b:]
+    return half
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("L", [7, 8])
+@pytest.mark.parametrize("norm", [None, "forward"])
+def test_pruned_inverse_equals_irfftn(n, L, norm):
+    rng = np.random.default_rng(10 * n + L)
+    for b in (-1, 0, 1, (L - 1) // 2):
+        shape = (3,) + (max(2 * b + 1, 0),) * n
+        win = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        full = np.fft.irfftn(_full_half_spectrum(win, L, n), s=(L,) * n,
+                             axes=tuple(range(1, n + 1)), norm=norm)
+        assert np.array_equal(S._grid_values(win, L, n, norm=norm), full)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("L", [7, 8])
+def test_pruned_forward_equals_rfftn(n, L):
+    rng = np.random.default_rng(10 * n + L)
+    vals = rng.normal(size=(3,) + (L,) * n)
+    H = np.fft.rfftn(vals, axes=tuple(range(1, n + 1)), norm="forward")
+    rows = np.arange(3)
+    for K in (0, 1, (L - 1) // 2):
+        half = S._half_spectrum(vals, n, K)
+        idx = np.arange(-K, K + 1) % L
+        assert np.array_equal(half, H[np.ix_(rows, *([idx] * (n - 1)), np.arange(K + 1))])
+        # modes K_kept <= K as Hermitian blocks zero-padded to K_out
+        for K_kept, K_out in ((0, K), (K, K), (K, K + 2)):
+            ks = np.arange(-K_kept, K_kept + 1)
+            want = np.pad(S._mirror(H[np.ix_(rows, *([ks % L] * (n - 1)), np.abs(ks))], n),
+                          [(0, 0)] + [(K_out - K_kept,) * 2] * n)
+            assert np.array_equal(S._half_modes(half, n, K_kept, K_out), want)
+
+
+def _full_transform_product(f, g, K_out, with_report):
+    """`product` of two one-monomial series by whole-spectrum `irfftn` and
+    `rfftn`, fancy-index placement and `np.pad`; also its length."""
+    n, axes = f.n, tuple(range(1, f.n + 1))
+    b_f, b_g = f._band(), g._band()
+    K_full = b_f + b_g
+    K_kept = min(K_out, K_full)
+    L = S._smooth_length(max(K_full + (K_full if with_report else K_kept),
+                             2 * max(b_f, b_g)) + 1)
+    wins = [f._window(b_f), g._window(b_g)]
+    F, G = (np.fft.irfftn(_full_half_spectrum(w, L, n), s=(L,) * n, axes=axes,
+                          norm="forward") for w in wins)
+    H = np.fft.rfftn(F * G, axes=axes, norm="forward")
+    ks = np.arange(-K_kept, K_kept + 1)
+    kept = np.pad(S._mirror(H[np.ix_([0], *([ks % L] * (n - 1)), np.abs(ks))], n),
+                  [(0, 0)] + [(K_out - K_kept,) * 2] * n)
+    l1 = np.prod([np.sum(np.abs(w), axis=axes)[0] for w in wins])
+    kept[np.abs(kept) < float(np.finfo(float).eps * n * math.log2(L)) * l1] = 0.0
+    return kept[0], L
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("with_report", [False, True])
+def test_product_equals_full_transform_oracle(n, with_report):
+    f, g = rand_series(n, 3, 50 + n).rebanded(5), rand_series(n, 1, 60 + n)
+    for K_out in (1, 2, 6):       # K_kept below b_f, between the bands, above b_f + b_g
+        rep = {} if with_report else None
+        got = product(f, g, K_out=K_out, report=rep)
+        want, L = _full_transform_product(f, g, K_out, with_report)
+        assert got.keys == f.keys and np.array_equal(got.coef[0], want)
+        if with_report:
+            assert rep["transform_length"] == L
+
+
+def test_axpy_permuted_keys_unequal_K_equals_dense_oracle():
+    rng = np.random.default_rng(7)
+
+    def series(K, ms):
+        shape = (2 * K + 1,) * 2
+        blocks = {(m, ()): rng.normal(size=shape) + 1j * rng.normal(size=shape) for m in ms}
+        return FTSeries.from_blocks(FTSeries.zeros(2, K, D_I=2), blocks)
+
+    f, g = series(2, [(0, 0), (1, 0), (0, 1)]), series(4, [(0, 1), (2, 0), (0, 0)])
+    for x, y, a, got in ((f, g, 1.0, f + g), (f, g, -1.0, f - g), (g, f, -1.0, g - f)):
+        want = {key: np.zeros((9, 9), dtype=complex) for key in x.keys + y.keys}
+        for src, fac in ((x, 1.0), (y, a)):
+            lo, hi = 4 - src.K, 5 + src.K
+            for key, block in src.blocks.items():
+                want[key][lo:hi, lo:hi] += fac * block
+        assert got.K == 4 and got.keys == tuple(want)
+        assert all(np.array_equal(got.blocks[key], want[key]) for key in want)
+
+
+def _norm_upper_per_term(f, sp, s):
+    """(bound, n_terms, worst_term) of `norm_upper` with exp(Omega(4 s rho))
+    evaluated at every nonzero entry."""
+    nz = np.nonzero(np.abs(f.coef) > 0)
+    degree = np.array([sum(m) + sum(w) for m, w in f.keys], dtype=float)
+    rho = S.TWO_PI * np.sum(np.abs(np.stack(nz[1:]) - f.K), axis=0) + degree[nz[0]]
+    terms = W.C_NORM * np.abs(f.coef[nz]) * np.exp(sp.omega_values(4.0 * s * rho))
+    per_block = np.split(terms, np.cumsum(np.bincount(nz[0], minlength=len(f.keys)))[:-1])
+    return (sum(float(np.sum(t)) for t in per_block), len(terms),
+            float(np.max(terms, initial=0.0)))
+
+
+def test_norm_upper_equals_per_term_expression():
+    f = rand_series(2, 6, 70, D_I=1).rebanded(8)
+    f.set_mode((1, 2), 0.0)
+    f.set_mode((-1, -2), 0.0)
+    for s in (0.05, 0.2, 1.0):
+        cert = norm_upper(f, SP, s)
+        assert (cert.bound, cert.n_terms, cert.worst_term) == _norm_upper_per_term(f, SP, s)
+    # beyond the horizon both name the first offending entry in storage order
+    short = W.ScaleProfile(W.build_sequence(W.gevrey(2), 16))
+    with pytest.raises(W.HorizonError) as want:
+        _norm_upper_per_term(f, short, 10.0)
+    with pytest.raises(W.HorizonError) as got:
+        norm_upper(f, short, 10.0)
+    assert str(got.value) == str(want.value) and got.value.partial == want.value.partial
+
+
+@pytest.mark.parametrize("num, den", [((2, 3), 3), ((1, 0, 2), 2)])
+def test_homological_solve_equals_modewise_formula(num, den):
+    # Tv with two nonzero entries and T != 1: Y_k = f_k / (2 pi i k.Tv / T)
+    pv = D.periodic_from_rational(num, den)
+    f = rand_series(len(num), 3, 80 + len(num), D_I=1)
+    want = np.zeros_like(f.coef)
+    for idx in np.ndindex(f.coef.shape[1:]):
+        kTv = sum((i - f.K) * t for i, t in zip(idx, pv.Tv))
+        if kTv:
+            at = (slice(None),) + idx
+            want[at] = f.coef[at] / ((S.TWO_PI * 1j) * np.array([kTv / pv.T]))
+    Y = solve_homological_periodic(f, pv)
+    assert Y.keys == f.keys and np.array_equal(Y.coef, want)
