@@ -9,12 +9,18 @@ affine flows, Lie flows, symplectic integrators, pendulum orbits),
 ``normal_forms`` (averaging, periodic/multi-frequency/local normal forms,
 the parameterized KAM iteration, stability-time predictors),
 ``instability`` (linear diffusion, the coupled-map drift machine,
-single-resonance Liouville pairs), ``cli`` (batch experiment driver).
+single-resonance Liouville pairs), ``errors`` (the exceptions of every
+layer), ``cli`` (batch experiment driver).  Each loads on first use (PEP 562).
 """
 
-# cli is left out so that `python -m udham.cli` imports it only once
-from . import dioph, flows, instability, normal_forms, series, weights
+import importlib
 
 __all__ = ["weights", "dioph", "series", "flows", "normal_forms",
-           "instability", "cli"]
+           "instability", "errors", "cli"]
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,6 +4,10 @@ Determinism contract: identical config produces byte-identical artifacts
 (sorted iteration orders, repr-based float formatting, no wall-clock or
 versions-of-the-day in any output).  Exit codes: 0 success, 2 config
 error, 3 budget/horizon/non-convergence (partial artifacts still written).
+
+At import this module loads the standard library and `udham.errors` only:
+each command imports the library modules it runs, so `report` and a config
+error load no numpy.
 """
 
 from __future__ import annotations
@@ -16,11 +20,8 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from . import dioph, flows, instability, normal_forms, weights
-from .series import FTSeries
-from .weights import HorizonError, ParameterError
+from .errors import (BudgetError, HorizonError, LieDivergence, ParameterError,
+                     QuadratureError, ResonanceError, StiffnessError, UnsupportedError)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -86,21 +87,25 @@ def write_manifest(path: Path, entries: dict):
 
 
 def _plain(v):
-    """Python scalars for numpy ones, so artifacts hold plain numbers."""
-    if isinstance(v, (float, np.floating)):
+    """Python scalars for numpy ones, so artifacts hold plain numbers.  A
+    numpy value exists only once numpy is loaded, so this does not load it."""
+    np = sys.modules.get("numpy")
+    if isinstance(v, float) or np and isinstance(v, np.floating):
         return repr(float(v))
-    if isinstance(v, np.integer):
+    if np and isinstance(v, np.integer):
         return int(v)
     return v
 
 
 def _fmt(v):
-    if isinstance(v, (list, tuple, np.ndarray)):
+    np = sys.modules.get("numpy")
+    if isinstance(v, (list, tuple)) or np and isinstance(v, np.ndarray):
         return "[" + ", ".join(_fmt(x) for x in v) + "]"
     return str(_plain(v))
 
 
 def parse_family(params) -> weights.Family:
+    from . import weights
     name = params["family"]
     # one entry per family; a "-" in a name may also be spelled "_" or left out
     builders = {"analytic": weights.analytic,
@@ -114,10 +119,14 @@ def parse_family(params) -> weights.Family:
 
 
 def scale_profile(params) -> weights.ScaleProfile:
+    from . import weights
     return weights.ScaleProfile(weights.build_sequence(parse_family(params), params["l_max"]))
 
 
 def parse_omega(params):
+    import numpy as np
+
+    from . import dioph
     spec = params["omega"]
     try:
         vals = [float(x) for x in spec.split(",")]
@@ -131,6 +140,7 @@ def parse_omega(params):
 
 def read_series(path: str) -> FTSeries:
     """An .fts file; a missing or malformed one is a config error."""
+    from .series import FTSeries
     try:
         return FTSeries.from_text(Path(path).read_text())
     except (OSError, ValueError, IndexError) as exc:
@@ -180,6 +190,7 @@ def switch(value) -> bool:
 
 def _grid(spec: str):
     """Log-spaced grid from "lo:hi[:n]" (33 points by default)."""
+    import numpy as np
     parts = spec.split(":")
     try:
         lo, hi, n = (*parts, 33) if len(parts) == 2 else parts
@@ -193,6 +204,7 @@ def _grid(spec: str):
 # ---------------------------------------------------------------------------
 
 def cmd_weights(cfg: ExperimentConfig) -> int:
+    from . import weights
     p = cfg.values
     sigmas, ys = _grid(p["sigma_grid"]), _grid(p["y_grid"])
     sp = scale_profile(p)
@@ -231,6 +243,7 @@ def cmd_weights(cfg: ExperimentConfig) -> int:
 
 
 def cmd_dioph(cfg: ExperimentConfig) -> int:
+    from . import dioph
     p = cfg.values
     fp = parse_omega(p)
     norm = p["norm"]
@@ -256,6 +269,7 @@ def cmd_dioph(cfg: ExperimentConfig) -> int:
 
 
 def cmd_brtest(cfg: ExperimentConfig) -> int:
+    from . import dioph
     p = cfg.values
     sp = scale_profile(p)
     fp = parse_omega(p)
@@ -275,6 +289,9 @@ def cmd_brtest(cfg: ExperimentConfig) -> int:
 
 
 def _toy_nf_hamiltonian(cfg: ExperimentConfig):
+    import numpy as np
+
+    from . import dioph, normal_forms, weights
     p = cfg.values
     pv = dioph.periodic_from_rational((1, 0), 1)
     H = normal_forms.linear_integrable(pv.v, 2, p["k_max"], D_I=1)
@@ -286,6 +303,7 @@ def _toy_nf_hamiltonian(cfg: ExperimentConfig):
 
 
 def cmd_nf(cfg: ExperimentConfig) -> int:
+    from . import dioph, normal_forms
     p = cfg.values
     sp = scale_profile(p)
     if p["hamiltonian"] is None:
@@ -318,6 +336,8 @@ def cmd_nf(cfg: ExperimentConfig) -> int:
 
 
 def cmd_kam(cfg: ExperimentConfig) -> int:
+    from . import normal_forms
+    from .series import FTSeries
     p = cfg.values
     sp = scale_profile(p)
     fp = parse_omega(p)
@@ -360,6 +380,9 @@ def cmd_kam(cfg: ExperimentConfig) -> int:
 
 
 def cmd_diffuse(cfg: ExperimentConfig) -> int:
+    import numpy as np
+
+    from . import instability
     p = cfg.values
     sp = scale_profile(p)
     fp = parse_omega(p)
@@ -382,6 +405,7 @@ def cmd_diffuse(cfg: ExperimentConfig) -> int:
 
 
 def cmd_ms(cfg: ExperimentConfig) -> int:
+    from . import instability
     p = cfg.values
     mode = p["mode"]
     if mode not in ("exact", "pendulum"):
@@ -427,6 +451,9 @@ def cmd_ms(cfg: ExperimentConfig) -> int:
 
 
 def cmd_bessi(cfg: ExperimentConfig) -> int:
+    import numpy as np
+
+    from . import dioph, instability, weights
     p = cfg.values
     sp = scale_profile(p)
     if p["omega"] is None:
@@ -512,11 +539,11 @@ _FLAGS = {
 _WEIGHTS = {"family": "gevrey", "alpha": 1.0, "beta": 0.0, "l_max": 1 << 16}
 _OMEGA = {"omega": "golden", "q_max": 60}
 COMMAND_FLAGS = {
-    "weights": {**_WEIGHTS, "l_max": weights.DEFAULT_L_MAX, "sigma_grid": "1e-3:0.5",
+    "weights": {**_WEIGHTS, "l_max": 2048, "sigma_grid": "1e-3:0.5",
                 "y_grid": "1.5:1e6", "table_rows": 256},
     "dioph": {**_OMEGA, "q_max": 100, "norm": "l1"},
-    "brtest": {**_WEIGHTS, **_OMEGA, "s": 1.0, "eta": 0.0, "n": 2, "i_max": 24, "c2": 1.0},
-    "nf": {**_WEIGHTS, "hamiltonian": None, "v": "1,0", "T": 1, "k_max": 16, "eps": 1e-4,
+    "brtest": {**_WEIGHTS, "alpha": 2.0, **_OMEGA, "s": 1.0, "eta": 0.0, "n": 2, "i_max": 24, "c2": 1.0},
+    "nf": {**_WEIGHTS, "alpha": 2.0, "hamiltonian": None, "v": "1,0", "T": 1, "k_max": 16, "eps": 1e-4,
            "eta": 1e-5, "s": 1.0, "xi": 2.0, "A": 1.0},
     "kam": {**_WEIGHTS, "alpha": 2.0, **_OMEGA, "k_max": 32, "eps": 1e-4, "s": 0.5,
             "perturbation": None, "defect_grid": 48, "n_iter": 6, "c2": 1.0, "tol": 1e-9},
@@ -576,11 +603,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         code = COMMANDS[cmd](cfg)
-    except (ParameterError, dioph.ResonanceError) as exc:
+    except (ParameterError, ResonanceError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (HorizonError, dioph.BudgetError, dioph.UnsupportedError,
-            flows.LieDivergence, flows.StiffnessError, flows.QuadratureError) as exc:
+    except (HorizonError, BudgetError, UnsupportedError,
+            LieDivergence, StiffnessError, QuadratureError) as exc:
         write_manifest(Path(cfg.outdir) / "manifest.txt", {
             **cfg.as_manifest_dict(), "error": str(exc)})
         print(f"budget/horizon: {exc}", file=sys.stderr)

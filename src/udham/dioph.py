@@ -35,23 +35,8 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .weights import HorizonError, ParameterError, ScaleProfile
-
-
-class ResonanceError(ValueError):
-    """An exact resonance k.omega = 0 was found; carries the resonant k."""
-
-    def __init__(self, msg, k):
-        super().__init__(msg)
-        self.k = tuple(int(x) for x in k)
-
-
-class BudgetError(RuntimeError):
-    """Enumeration budget exceeded."""
-
-
-class UnsupportedError(RuntimeError):
-    """Requested construction is outside the implemented range."""
+from .errors import BudgetError, HorizonError, ParameterError, ResonanceError, UnsupportedError
+from .weights import ScaleProfile
 
 
 def knorm(k) -> float:

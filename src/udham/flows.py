@@ -33,28 +33,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import (LieDivergence, ParameterError, QuadratureError, StiffnessError,
+                     TaylorTailError)
 from .series import FTSeries, poisson_bracket, product
-from .weights import C_NORM, ParameterError, ScaleProfile, log_factorial
+from .weights import C_NORM, ScaleProfile, log_factorial
 
 TWO_PI = 2.0 * math.pi
 # relative l1 bound at which compose_angle's Taylor expansion stops
 TAYLOR_TOL = 1e-17
-
-
-class LieDivergence(RuntimeError):
-    """Lie-series tail stopped decreasing before the tolerance was met."""
-
-
-class TaylorTailError(RuntimeError):
-    """Taylor tail of an angle composition not met by the order cap."""
-
-
-class StiffnessError(RuntimeError):
-    """Integrator step-size underflow."""
-
-
-class QuadratureError(RuntimeError):
-    """Quadrature panels or root-bracket steps exhausted before the tolerance."""
 
 
 # ---------------------------------------------------------------------------

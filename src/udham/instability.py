@@ -26,7 +26,8 @@ from . import dioph, flows
 from .dioph import FrequencyProfile
 from .flows import VARTHETA, PendulumOrbit
 from .series import FTSeries, product
-from .weights import C_NORM, HorizonError, ParameterError, ScaleProfile
+from .errors import HorizonError, ParameterError
+from .weights import C_NORM, ScaleProfile
 
 TWO_PI = 2.0 * math.pi
 

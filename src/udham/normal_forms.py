@@ -28,7 +28,8 @@ from .flows import (AffineTransform, _grid_shift, _lie_series, affine_flow_lie,
                     apply_affine, compose_affine, jet_param_substitute)
 from .series import (FTSeries, average_periodic, average_zero_mode, norm_upper,
                      poisson_bracket, solve_homological_periodic)
-from .weights import HorizonError, ParameterError, ScaleProfile
+from .errors import HorizonError, ParameterError
+from .weights import ScaleProfile
 
 
 def linear_integrable(v, n, K, D_I=1, n_w=0, D_w=0) -> FTSeries:

@@ -44,14 +44,11 @@ from typing import Optional
 
 import numpy as np
 
-from .weights import C_NORM, HorizonError, ParameterError, ScaleProfile
+from .errors import DomainMismatch, HorizonError, ParameterError
+from .weights import C_NORM, ScaleProfile
 
 TWO_PI = 2.0 * math.pi
 _META = ("n", "K", "D_I", "D_w", "n_w")
-
-
-class DomainMismatch(ValueError):
-    """Incompatible dimensions between two series."""
 
 
 def _flip(coef, n):

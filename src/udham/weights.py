@@ -36,24 +36,13 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import HorizonError, ParameterError
+
 C_NORM = 4.0 * math.pi**2 / 3.0  # normalizing constant of the U_{M,s} norm
 
 SIGMA_BAR_CAP = 0.99
-DEFAULT_L_MAX = 2048
 LEMMA_L_CAP = 300   # orders l the product and composition lemma scans cover
 MG_L_CAP = 150      # orders l the moderate-growth scans cover
-
-
-class ParameterError(ValueError):
-    """Invalid family parameters."""
-
-
-class HorizonError(RuntimeError):
-    """A sup/argmax ran off the stored horizon; carries the partial value."""
-
-    def __init__(self, msg, partial=None):
-        super().__init__(msg)
-        self.partial = partial
 
 
 @dataclass(frozen=True)
@@ -157,7 +146,9 @@ def _log_mu_of_family(family: Family, L: int) -> np.ndarray:
         alpha = 1.0 if family.name == "analytic" else family.alpha
         if alpha < 1.0:
             raise ParameterError("gevrey exponent must satisfy alpha >= 1")
-        return alpha * np.log1p(l)
+        log_mu = np.log1p(l, out=l)
+        log_mu *= alpha
+        return log_mu
     if family.name == "gevrey_log":
         if family.alpha < 1.0 or family.beta < 0.0:
             raise ParameterError("gevrey_log requires alpha >= 1, beta >= 0")
@@ -175,7 +166,7 @@ def _log_mu_of_family(family: Family, L: int) -> np.ndarray:
     raise ParameterError(f"unknown family {family.name!r}")
 
 
-def build_sequence(family: Family, L_max: int = DEFAULT_L_MAX) -> WeightSequence:
+def build_sequence(family: Family, L_max: int) -> WeightSequence:
     """Construct a built-in weight sequence on indices 0..L_max."""
     if L_max < 2:
         raise ParameterError("L_max must be at least 2")
@@ -192,9 +183,13 @@ def from_log_mu(log_mu: np.ndarray, family_tag: str = "Custom",
     if not np.all(np.isfinite(log_mu)):
         raise ParameterError("mu must be finite and positive")
     L = len(log_mu)
-    log_M = np.concatenate(([0.0], np.cumsum(log_mu)))
-    log_nu = log_mu - np.log1p(np.arange(L, dtype=float))  # nu_l = mu_l/(l+1)
+    # formed in place, the scan first: the peak is the arrays kept, 3L doubles
     mono_from, monotone = _increment_monotonicity(log_mu)
+    log_M = np.zeros(L + 1)
+    np.cumsum(log_mu, out=log_M[1:])
+    log_nu = np.arange(L, dtype=float)
+    np.log1p(log_nu, out=log_nu)
+    np.subtract(log_mu, log_nu, out=log_nu)  # nu_l = mu_l/(l+1)
     return WeightSequence(log_M=log_M, log_mu=log_mu, log_nu=log_nu,
                           family_tag=family_tag, family=family,
                           ratio_monotone=monotone, mono_from=mono_from)
@@ -212,7 +207,8 @@ def from_values(values: np.ndarray) -> WeightSequence:
 def _increment_monotonicity(log_mu: np.ndarray):
     """Last index from which increments of log(mu) are nonincreasing."""
     d = np.diff(log_mu)
-    rising = np.flatnonzero(np.diff(d) > 1e-12)
+    d2 = np.subtract(d[1:], d[:-1], out=d[:-1])   # np.diff(d)
+    rising = np.flatnonzero(d2 > 1e-12)
     mono_from = 0 if len(rising) == 0 else int(rising[-1] + 1)
     monotone = mono_from + 2 < len(log_mu)
     return mono_from, monotone
@@ -264,11 +260,12 @@ class ScaleProfile:
     mu_nondecreasing: bool = field(init=False)  # implied by H1; certifies Omega
 
     def __post_init__(self):
-        l = np.arange(1, len(self.ws.log_mu), dtype=float)
-        raw = float(np.max(self.ws.log_mu[1:] / l)) if len(l) else 0.0
+        lm = self.ws.log_mu
+        tmp = np.arange(1, len(lm), dtype=float)  # scratch: ln mu_l / l, then np.diff(lm)
+        raw = float(np.max(np.divide(lm[1:], tmp, out=tmp))) if len(tmp) else 0.0
         self.sigma_bar_capped = raw > SIGMA_BAR_CAP
         self.sigma_bar = min(raw, SIGMA_BAR_CAP)
-        self.mu_nondecreasing = not np.any(np.diff(self.ws.log_mu) < -1e-12)
+        self.mu_nondecreasing = not np.any(np.subtract(lm[1:], lm[:-1], out=tmp) < -1e-12)
 
     @property
     def L_max(self) -> int:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from oracles import psi_brute
-from udham import cli
+from udham import cli, errors
 from udham.series import FTSeries
 from udham.weights import ParameterError
 
@@ -450,6 +450,40 @@ def exit_code(argv):
         return cli.main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+@pytest.mark.parametrize("cmd", sorted(cli.COMMANDS))
+def test_every_command_runs_on_its_defaults(tmp_path, cmd):
+    # Gevrey alpha = 1 caps C at 6.6e4 on a 2^16 horizon, which nf and brtest
+    # cannot invert on their own defaults, so both default to alpha = 2
+    assert run([cmd, "--outdir", str(tmp_path)]) == 0
+
+
+# each class main catches and its exit code; None: main lets it through
+CAUGHT = {errors.ParameterError: 2, errors.ResonanceError: 2, errors.HorizonError: 3,
+          errors.BudgetError: 3, errors.UnsupportedError: 3, errors.LieDivergence: 3,
+          errors.StiffnessError: 3, errors.QuadratureError: 3,
+          errors.TaylorTailError: None, errors.DomainMismatch: None}
+
+
+@pytest.mark.parametrize("exc", CAUGHT, ids=lambda exc: exc.__name__)
+def test_each_error_gives_its_exit_code(tmp_path, monkeypatch, exc):
+    def fail(cfg):
+        if exc is errors.ResonanceError:   # carries the resonant k
+            raise exc("raised by the command", (1, -1))
+        raise exc("raised by the command")
+    monkeypatch.setitem(cli.COMMANDS, "report", fail)
+    argv = ["report", "--outdir", str(tmp_path)]
+    if CAUGHT[exc] is None:
+        with pytest.raises(exc):
+            cli.main(argv)
+        return
+    assert cli.main(argv) == CAUGHT[exc]
+    # a budget or horizon stop still writes the error manifest
+    manifest = tmp_path / "manifest.txt"
+    assert manifest.exists() == (CAUGHT[exc] == 3)
+    if manifest.exists():
+        assert "error = raised by the command" in manifest.read_text()
 
 
 class TestFlagTable:

@@ -24,7 +24,14 @@ def test_head_against_head_is_identical(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert "kam_torus/pass/kam/manifest.txt: identical" in lines
-    assert all(ln.endswith(": identical") for ln in lines)
+    imports = [ln for ln in lines if " imports" in ln]
+    assert all(ln.endswith(": identical") for ln in lines if ln not in imports)
+    # the import counter: one line per argv and the group's sum, equal on both sides
+    assert len(imports) == 2
+    for ln in imports:
+        parent, change = ln.split(": ", 1)[1].split("; ")
+        assert parent.removeprefix("parent ") == change.removeprefix("change "), ln
+    assert "kam_torus kam imports: parent " in imports[0] and " lines (udham " in imports[0]
     assert {p.name for p in tmp_path.iterdir()} == {"parent", "change"}
 
 

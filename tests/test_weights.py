@@ -71,6 +71,26 @@ class TestBuild:
         assert np.all(np.isfinite(ws.log_M))
         assert not np.isfinite(ws.values[-1])  # linear space overflows, logs do not
 
+    @pytest.mark.parametrize("fam, L", [(W.gevrey(4), 1 << 20), (W.analytic(), 4096)]
+                             + [(fam, 4096) for fam in FAMILIES],
+                             ids=lambda v: getattr(v, "tag", str(v)))
+    def test_in_place_arrays_equal_the_plain_expressions(self, fam, L):
+        # build_sequence and ScaleProfile form their arrays with out= and in
+        # place; these are the plain expressions, with the same operations
+        ws = W.build_sequence(fam, L)
+        sp = W.ScaleProfile(ws)
+        lm = ws.log_mu
+        if fam.name in ("analytic", "gevrey"):
+            assert np.array_equal(lm, fam.alpha * np.log1p(np.arange(L, dtype=float)))
+        assert np.array_equal(ws.log_M, np.concatenate(([0.0], np.cumsum(lm))))
+        assert np.array_equal(ws.log_nu, lm - np.log1p(np.arange(L, dtype=float)))
+        rising = np.flatnonzero(np.diff(np.diff(lm)) > 1e-12)
+        assert ws.mono_from == (0 if len(rising) == 0 else int(rising[-1] + 1))
+        raw = float(np.max(lm[1:] / np.arange(1, L, dtype=float)))
+        assert (sp.sigma_bar, sp.sigma_bar_capped) == (min(raw, W.SIGMA_BAR_CAP),
+                                                     raw > W.SIGMA_BAR_CAP)
+        assert sp.mu_nondecreasing == (not np.any(np.diff(lm) < -1e-12))
+
 
 class TestConditions:
     def test_h1_exact_for_builtins(self):

@@ -5,9 +5,10 @@ Usage (from the root of a checkout):
     python3 tools/compare.py PARENT CHANGE --outdir DIR [--only GROUP ...]
 
 PARENT and CHANGE are the roots of two checkouts (for example the parent
-commit from `git archive` and the working tree).  Every argv runs as
-`python -m udham.cli ARGV` in a fresh process against that side's `src/`,
-in DIR/<side>/<group>, the only place the tool writes.  The groups:
+commit from `git archive` and the working tree).  Every argv runs `udham.cli`
+as `__main__`, as `python -m udham.cli ARGV` does, in a fresh process against
+that side's `src/`, in DIR/<side>/<group>, the only place the tool writes.
+The groups:
 
   kam_torus                perfbench's KAM_ARGV;
   nf_averaging_seed1..3    NF_ARGV on the Hamiltonian that perfbench's
@@ -21,8 +22,13 @@ the tool prints "identical", or the largest relative move |p - c| / max(|p|,
 |c|) of each numeric field that moved and the name of each text field that
 changed.  `outdir` lines are ignored.  A field is a CSV column, a manifest
 key, or the real or imaginary part of a `.fts` coefficient (a mode only one
-side holds counts as 0 on the other).  Exits 0 when every exit code and
-every artifact agree, 1 otherwise.
+side holds counts as 0 on the other).
+
+For every argv the tool also prints the udham modules in `sys.modules` at
+the exit of each side's process and their source lines (`wc -l`; `cli.py`,
+which runs as `__main__`, is not counted), and per group their sum.  These
+counts are deterministic; they do not enter the verdict.  Exits 0 when
+every exit code and every artifact agree, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -47,6 +53,12 @@ import workloads  # noqa: E402
 SIDES = ("parent", "change")
 NF_SEEDS = (1, 2, 3)
 RUN_TIMEOUT = 600
+# `python -m udham.cli`, which at exit lists the udham modules it loaded
+CHILD = ("import atexit, runpy, sys\n"
+         "atexit.register(lambda: print('udham modules:', *sorted(m for m in sys.modules\n"
+         "                if m.split('.')[0] == 'udham'), file=sys.stderr))\n"
+         "runpy.run_module('udham.cli', run_name='__main__', alter_sys=True)\n")
+LOADED = re.compile(r"^udham modules:(.*)$", re.M)
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
 
 
@@ -68,21 +80,30 @@ def groups() -> dict:
 
 
 def run_group(checkout: Path, workdir: Path, inputs, argvs) -> list:
-    """Run each argv in a fresh process in workdir; their exit codes."""
+    """Run each argv in a fresh process in workdir; the exit code and the
+    imported udham modules of each."""
     if workdir.exists():
         raise SystemExit(f"{workdir} exists: give a fresh --outdir")
     workdir.mkdir(parents=True)
     if inputs is not None:
         workloads.write_inputs(*inputs, workdir / "inputs")
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
-    codes = []
+    runs = []
     for argv in argvs:
         args = [a for arg in argv
                 for a in (sorted(glob.glob(arg, root_dir=workdir)) if "*" in arg else [arg])]
-        proc = subprocess.run([sys.executable, "-m", "udham.cli"] + args, cwd=workdir,
-                              env=env, capture_output=True, timeout=RUN_TIMEOUT)
-        codes.append(proc.returncode)
-    return codes
+        proc = subprocess.run([sys.executable, "-c", CHILD] + args, cwd=workdir, env=env,
+                              capture_output=True, text=True, timeout=RUN_TIMEOUT)
+        runs.append((proc.returncode, LOADED.findall(proc.stderr)[-1].split()))
+    return runs
+
+
+def source_lines(checkout: Path, modules) -> int:
+    """Lines of the package's source files of these modules, cli.py aside."""
+    pkg = checkout / "src" / "udham"
+    files = [pkg / ("__init__.py" if m == "udham" else m.split(".", 1)[1] + ".py")
+             for m in modules if m != "udham.cli"]
+    return sum(f.read_bytes().count(b"\n") for f in files)
 
 
 def _tokens(text: str):
@@ -155,11 +176,22 @@ def compare(parent: Path, change: Path, outdir: Path, only=None) -> bool:
         if only and group not in only:
             continue
         dirs = [outdir / side / group for side in SIDES]
-        codes = [run_group(root, d, inputs, argvs) for root, d in zip((parent, change), dirs)]
-        for argv, cp, cc in zip(argvs, *codes):
+        roots = (parent, change)
+        runs = [run_group(root, d, inputs, argvs) for root, d in zip(roots, dirs)]
+        totals = [0, 0]
+        for argv, *sides in zip(argvs, *runs):
+            (cp, _), (cc, _) = sides
             if cp != cc:
                 same = False
                 print(f"{group} {argv[0]}: exit {cp} (parent) vs {cc} (change)")
+            loaded = []
+            for i, (root, (_, modules)) in enumerate(zip(roots, sides)):
+                lines = source_lines(root, modules)
+                totals[i] += lines
+                names = " ".join(m.removeprefix("udham.") for m in modules)
+                loaded.append(f"{SIDES[i]} {lines} lines ({names})")
+            print(f"{group} {argv[0]} imports: {'; '.join(loaded)}")
+        print(f"{group} imports summed: parent {totals[0]} lines; change {totals[1]} lines")
         files = sorted({f.relative_to(d) for d in dirs for f in d.rglob("*")
                         if f.is_file() and "inputs" not in f.relative_to(d).parts})
         for rel in files:
