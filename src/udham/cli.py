@@ -104,18 +104,22 @@ def _fmt(v):
     return str(_plain(v))
 
 
+def family_name(text) -> str:
+    """The weight family a name spells; a "-" in a name may also be spelled
+    "_" or left out."""
+    for name in ("analytic", "gevrey", "gevrey-log", "exp-log", "exp-sqrt"):
+        if text in (name, name.replace("-", "_"), name.replace("-", "")):
+            return name
+    raise ParameterError(f"unknown family {text!r}")
+
+
 def parse_family(params) -> weights.Family:
     from . import weights
-    name = params["family"]
-    # one entry per family; a "-" in a name may also be spelled "_" or left out
     builders = {"analytic": weights.analytic,
                 "gevrey": lambda: weights.gevrey(params["alpha"]),
                 "gevrey-log": lambda: weights.gevrey_log(params["alpha"], params["beta"]),
                 "exp-log": weights.exp_log, "exp-sqrt": weights.exp_sqrt}
-    for family, build in builders.items():
-        if name in (family, family.replace("-", "_"), family.replace("-", "")):
-            return build()
-    raise ParameterError(f"unknown family {name!r}")
+    return builders[family_name(params["family"])]()
 
 
 def scale_profile(params) -> weights.ScaleProfile:
@@ -188,15 +192,27 @@ def switch(value) -> bool:
     return value
 
 
-def _grid(spec: str):
-    """Log-spaced grid from "lo:hi[:n]" (33 points by default)."""
-    import numpy as np
+def _grid_spec(spec: str):
+    """(lo, hi, n) of a log-spaced grid "lo:hi[:n]" (33 points by default)."""
     parts = spec.split(":")
     try:
         lo, hi, n = (*parts, 33) if len(parts) == 2 else parts
-        return np.geomspace(float(lo), float(hi), count(n))
+        return positive(lo), positive(hi), count(n)
     except ValueError as exc:
         raise ParameterError(f"grid {spec!r} is not lo:hi[:n] ({exc})") from None
+
+
+def _grid(spec: str):
+    import numpy as np
+    return np.geomspace(*_grid_spec(spec))
+
+
+def _integers(spec: str) -> list:
+    """--v as the integers k1,...,kn."""
+    try:
+        return [int(x) for x in spec.split(",")]
+    except ValueError:
+        raise ParameterError(f"--v must be integers k1,...,kn, got {spec!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +265,6 @@ def cmd_dioph(cfg: ExperimentConfig) -> int:
     norm = p["norm"]
     if norm == "linf":
         fp = dioph.profile_linf(fp)
-    elif norm != "l1":
-        raise ParameterError(f"unknown lattice norm {norm!r}")
     rows = []
     try:
         for Q in range(1, p["q_max"] + 1):
@@ -310,10 +324,7 @@ def cmd_nf(cfg: ExperimentConfig) -> int:
         H, pv = _toy_nf_hamiltonian(cfg)
     else:
         H = read_series(p["hamiltonian"])
-        try:
-            pv = dioph.periodic_from_rational(p["v"].split(","), p["T"])
-        except ValueError:
-            raise ParameterError(f"--v must be integers k1,...,kn, got {p['v']!r}") from None
+        pv = dioph.periodic_from_rational(_integers(p["v"]), p["T"])
     res = normal_forms.periodic_normal_form(H, pv, sp, s=p["s"], xi=p["xi"], A=p["A"])
     out = Path(cfg.outdir)
     rows = [(e["step"], e["width"], e["remainder_cert"], e["budget"],
@@ -408,8 +419,6 @@ def cmd_ms(cfg: ExperimentConfig) -> int:
     from . import instability
     p = cfg.values
     mode = p["mode"]
-    if mode not in ("exact", "pendulum"):
-        raise ParameterError(f"unknown ms mode {mode!r} (exact or pendulum)")
     out = Path(cfg.outdir)
     manifest = dict(cfg.as_manifest_dict())
     if mode == "exact":
@@ -430,8 +439,6 @@ def cmd_ms(cfg: ExperimentConfig) -> int:
         # --verify-drift also checks the coupling lemma's return of the rotator point
         ok = res["drift_error"] <= 1e-9 and (not verify or res["a_return_error"] <= 1e-9)
     else:
-        if "verify_drift" in cfg.params:
-            raise ParameterError("--verify-drift applies to --mode exact only")
         msc = instability.build_ms(p["n"], p["j"], s=p["s"], sp=scale_profile(p))
         sync = instability.synchronization_check(msc)
         manifest.update({
@@ -557,6 +564,41 @@ COMMAND_FLAGS = {
 }
 
 
+# the names a flag's value may take
+_NAMES = {"mode": ("exact", "pendulum"), "norm": ("l1", "linf")}
+# per command with modes: the mode its values choose and the flags that mode does not read
+_UNREAD = {
+    "nf": lambda p: ("without --hamiltonian", ("v", "T")) if p["hamiltonian"] is None
+    else ("with --hamiltonian", ("k_max", "eps", "eta")),
+    "ms": lambda p: (f"--mode {p['mode']}", (*_WEIGHTS, "n", "j", "s") if p["mode"] == "exact"
+                     else ("q", "csv_rows", "verify_drift")),
+    "bessi": lambda p: ("with --omega", ("n_steps",)) if p["omega"] is not None
+    else ("without --omega", ()),
+}
+
+
+def check_values(cmd: str, params: dict):
+    """The config errors that the values alone decide, raised before the
+    command imports a library module: a name outside its set, a malformed
+    family, grid or --v, and a flag that the chosen mode does not read."""
+    p = {**COMMAND_FLAGS[cmd], **params}
+    for flag, names in _NAMES.items():
+        if flag in p and p[flag] not in names:
+            raise ParameterError(f"--{flag} is one of {', '.join(names)}, not {p[flag]!r}")
+    if cmd in _UNREAD:
+        mode, unread = _UNREAD[cmd](p)
+        given = ["--" + flag.replace("_", "-") for flag in unread if flag in params]
+        if given:
+            raise ParameterError(f"{cmd} {mode} does not read {', '.join(given)}")
+    if "family" in p:
+        family_name(p["family"])
+    for flag in ("sigma_grid", "y_grid"):
+        if flag in p:
+            _grid_spec(p[flag])
+    if cmd == "nf" and p["hamiltonian"] is not None:
+        _integers(p["v"])
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="udham",
                                  description="ultra-differentiable Hamiltonian lab")
@@ -596,6 +638,7 @@ def main(argv=None) -> int:
         if cmd == "report":   # a config file may name one input as a string
             inputs = ns.inputs or params.get("inputs", [])
             params["inputs"] = [inputs] if isinstance(inputs, str) else list(inputs)
+        check_values(cmd, params)
         cfg = ExperimentConfig(subcommand=cmd, params=params,
                                outdir=ns.outdir or outdir or f"runs/{cmd}", seed=ns.seed)
     except (ValueError, TypeError, OSError) as exc:   # ParameterError, JSONDecodeError too

@@ -8,10 +8,10 @@ Three grades of flow machinery, in decreasing exactness:
   and the action equation is linear, so the time-t map has the closed form
   (theta, I) -> (theta + E(theta), A(theta, I)), where E is n angle series
   and A is n series of action degree 1,
-  A_i = G_i(theta) + sum_j (delta_ij + F_ij(theta)) I_j.  (E, A) come either
-  from per-grid-point ODE integration (collocation) or from Lie series on
-  the coordinate functions (exact at truncation, carries parameter jets);
-  composing two is one `apply_affine` pullback of the outer's 2n components;
+  A_i = G_i(theta) + sum_j (delta_ij + F_ij(theta)) I_j.  (E, A) come from
+  Lie series on the coordinate functions (exact at truncation, carries
+  parameter jets); composing two is one `apply_affine` pullback of the
+  outer's 2n components;
 * arbitrary generators: Lie series H o Phi = sum ad_Y^r H / r! with a tail
   monitor, cross-validated against grid composition.
 

@@ -4,7 +4,9 @@ Every routine here runs finitely many exact-at-truncation steps and
 *measures* its remainders with norm certificates; theorem-style smallness
 thresholds are evaluated and logged but never block execution (the
 implicit dimensional constants are 1, apart from the schedule constants A
-and c2, which callers pass).
+and c2, which callers pass).  A step (`averaging_step`, `kam_step`) does
+the algebra only; the loop that runs it forms each certificate once, where
+it logs it.
 
 Contents: the single resonant averaging step, the iterated periodic normal
 form with the one-big-then-uniform width schedule, the multi-frequency
@@ -107,32 +109,18 @@ class PeriodicSplit:
         return cls(pv=pv, S=S, G=G, F=rest - G)
 
 
-def averaging_step(split: PeriodicSplit, sigma: float, sp: ScaleProfile,
-                   s: float, first_integral: Optional[FTSeries] = None):
+def averaging_step(split: PeriodicSplit):
     """One resonant averaging step.
 
     Solves {Y, L_v} = F - [F]_v; [F]_v joins G.  With Z = S + G + F,
     V = {Z, Y} and W = [F]_v - F + V = {H, Y}, the new remainder is
     F_new = V + sum_{r>=1} ad_Y^r W/(r+1)!, its tail measured against
     |H| ~ |Z| + |v|: neither L_v nor H is formed, so nothing cancels.
-    Returns (new_split, Y, report); report carries the measured remainder
-    certificate and the second-order bound T nu (nu C(sigma)^2/s^2 +
-    eta C(sigma)/s) it is compared against.  A supplied integrable first
-    integral commuting with F stays a first integral of the resonant part
-    and the new remainder; the report measures both defects.
+    Returns (new_split, Y); the step forms no certificate, its caller does.
     """
     pv = split.pv
     K_out = split.F.K
     D_I_out = max(split.F.D_I, 1)
-    T = pv.T
-    nu = norm_upper(split.F, sp, s).bound
-    eta = grad_cert(split.S, sp, s)
-    Csig = sp.cauchy_c(sigma).value
-    warnings = []
-    if Csig ** 2 * T * nu > s ** 2:
-        warnings.append(
-            f"smallness C(sigma)^2 T nu = {Csig**2*T*nu:.3e} exceeds s^2 = {s**2:.3e}")
-
     F_res = average_periodic(split.F, pv)
     Y = solve_homological_periodic(split.F, pv)
     Z = split.S + split.G + split.F
@@ -140,24 +128,7 @@ def averaging_step(split: PeriodicSplit, sigma: float, sp: ScaleProfile,
     F_new = _lie_series(Y, F_res - split.F + V, 1.0, 1, K_out=K_out,
                         D_I_out=D_I_out, start=V,
                         scale=Z.coeff_norm1() + float(np.sum(np.abs(pv.v))))
-
-    G_new = split.G + F_res
-    new = PeriodicSplit(pv=pv, S=split.S, G=G_new, F=F_new)
-    bound = T * nu * (nu * Csig ** 2 / s ** 2 + eta * Csig / s)
-    rep = {
-        "nu": nu, "eta": eta, "sigma": sigma, "C_sigma": Csig,
-        "remainder_cert": norm_upper(new.F, sp, s * (1 - sigma) ** 3).bound,
-        "second_order_bound": bound,
-        "warnings": warnings,
-    }
-    if bound > 0 and rep["remainder_cert"] > 0:
-        rep["measured_constant"] = rep["remainder_cert"] / bound
-    if first_integral is not None:
-        rep["first_integral_defect_resonant"] = poisson_bracket(
-            G_new, first_integral, K_out=K_out).coeff_norm1()
-        rep["first_integral_defect_remainder"] = poisson_bracket(
-            new.F, first_integral, K_out=K_out).coeff_norm1()
-    return new, Y, rep
+    return PeriodicSplit(pv=pv, S=split.S, G=split.G + F_res, F=F_new), Y
 
 
 @dataclass
@@ -197,14 +168,17 @@ class NFSchedule:
 
 def periodic_normal_form(H: FTSeries, pv: PeriodicVector, sp: ScaleProfile,
                          s: float, xi: float = 2.0, A: float = 1.0,
-                         schedule: Optional[NFSchedule] = None,
-                         first_integral: Optional[FTSeries] = None) -> NFResult:
+                         schedule: Optional[NFSchedule] = None) -> NFResult:
     """Iterated averaging along one periodic vector (Neishtadt schedule).
 
     The remainder after m steps is expected below
     nu exp(-kappa_xi / C^-1(s/(A T eta))); each step's measured certificate
     is compared with its budget nu_j = e^-j nu and violations are logged,
-    never fatal.
+    never fatal.  Every certificate is formed here, once, in step order:
+    step j reads nu_j (the remainder certificate of step j - 1, the same
+    series at the same width), eta_j = |grad S| at s_j and C(sigma_j), and
+    logs its remainder certificate at s_j (1 - sigma_j)^3 beside the
+    second-order bound T nu_j (nu_j C^2/s_j^2 + eta_j C/s_j).
     """
     split = PeriodicSplit.from_hamiltonian(H, pv)
     nu0 = norm_upper(split.F, sp, s).bound
@@ -220,26 +194,25 @@ def periodic_normal_form(H: FTSeries, pv: PeriodicVector, sp: ScaleProfile,
         if y < 1.0 or sp.cauchy_c_inv(max(y, 1.0)) > kappa:
             warnings.append("threshold C^-1(s/(A T eta)) <= kappa violated")
 
-    cur = split
-    s_j = s
+    cur, s_j, nu, eta_j = split, s, nu0, eta
     log = []
     for j in range(1, schedule.m + 1):
         sigma = schedule.sigma1 if j == 1 else schedule.sigma_m
-        cur, Yj, rep = averaging_step(cur, sigma, sp, s_j,
-                                      first_integral=first_integral)
+        if j > 1:
+            eta_j = grad_cert(cur.S, sp, s_j)
+        Csig = sp.cauchy_c(sigma).value
+        if Csig ** 2 * pv.T * nu > s_j ** 2:
+            warnings.append(f"smallness C(sigma)^2 T nu = {Csig**2*pv.T*nu:.3e} "
+                            f"exceeds s^2 = {s_j**2:.3e}")
+        bound = pv.T * nu * (nu * Csig ** 2 / s_j ** 2 + eta_j * Csig / s_j)
+        cur, Yj = averaging_step(cur)
         s_j = s_j * (1.0 - sigma) ** 3
-        within = rep["remainder_cert"] <= schedule.nu_budgets[j - 1]
-        entry = {"step": j, "sigma": sigma, "width": s_j,
-                 "remainder_cert": rep["remainder_cert"],
-                 "budget": float(schedule.nu_budgets[j - 1]),
-                 "within_budget": bool(within),
-                 "generator": Yj}
-        if first_integral is not None:
-            entry["first_integral_defect"] = max(
-                rep["first_integral_defect_resonant"],
-                rep["first_integral_defect_remainder"])
-        log.append(entry)
-        warnings.extend(rep["warnings"])
+        nu = norm_upper(cur.F, sp, s_j).bound
+        log.append({"step": j, "sigma": sigma, "width": s_j, "remainder_cert": nu,
+                    "second_order_bound": bound,
+                    "budget": float(schedule.nu_budgets[j - 1]),
+                    "within_budget": bool(nu <= schedule.nu_budgets[j - 1]),
+                    "generator": Yj})
     predicted = None
     if math.isfinite(y) and y >= 1.0:
         predicted = nu0 * math.exp(-kappa / sp.cauchy_c_inv(y))
@@ -384,17 +357,14 @@ class KamHamiltonian:
         # zero modes of the m = e_i blocks: constant and w-linear columns
         omega_dev = np.array([[H.get_mode(zero, m=ui, w=w).real for w in [zero] + units]
                               for ui in units])
-        R = H.map_monomials(lambda m, w: [((m, w), 1.0)] if sum(m) >= 2 else [])
         return {"e0": e0, "e1": e1, "A": oscillating(zero),
-                "B": [oscillating(u) for u in units], "R": R.prune(),
-                "omega_diag": omega_dev}
+                "B": [oscillating(u) for u in units], "omega_diag": omega_dev}
 
     def certs(self, sp: ScaleProfile, s: float):
+        """The certificates |A| and |B| = sum_i |B_i| at width s."""
         p = self.parts()
-        certA = norm_upper(p["A"], sp, s).bound
-        certB = sum(norm_upper(b, sp, s).bound for b in p["B"])
-        certR = norm_upper(p["R"], sp, s).bound
-        return {"A": certA, "B": certB, "R": certR}
+        return {"A": norm_upper(p["A"], sp, s).bound,
+                "B": sum(norm_upper(b, sp, s).bound for b in p["B"])}
 
 
 def kam_hamiltonian_from_mechanical(f: FTSeries, eps: float, omega0,
@@ -422,22 +392,13 @@ def kam_hamiltonian_from_mechanical(f: FTSeries, eps: float, omega0,
     return KamHamiltonian(H=H + lifted, omega0=omega0)
 
 
-@dataclass
-class KamStepReport:
-    certs_after: dict
-    phi_shift: np.ndarray
-    phi_matrix: np.ndarray
-
-
-def kam_step(kh: KamHamiltonian, fp: FrequencyProfile, Q: float,
-             sp: ScaleProfile, s: float):
+def kam_step(kh: KamHamiltonian, fp: FrequencyProfile, Q: float):
     """One affine KAM step: n successive rational averagings + counterterm.
 
     Averages along the rational basis of ``dioph.zbasis_approx(fp, Q)`` and
     solves the frequency map phi exactly at jet level.  Returns the
-    pulled-back Hamiltonian, the composed transform (E, A) and a report
-    holding the certificates |A+|, |B+|, |R+| at width s of the new
-    Hamiltonian and the jet (phi_shift, phi_matrix) of phi."""
+    pulled-back Hamiltonian, the composed transform (E, A) and the jet
+    (phi_shift, phi_matrix) of phi; the step forms no certificate."""
     n = kh.n
     H = kh.H
     K = H.K
@@ -461,17 +422,15 @@ def kam_step(kh: KamHamiltonian, fp: FrequencyProfile, Q: float,
     phi_matrix = np.linalg.solve(M1, np.eye(n))
     phi_shift = -phi_matrix @ b0       # phi_0 - omega_0
     Hn = jet_param_substitute(Hc, phi_shift, phi_matrix)
-    new = KamHamiltonian(H=Hn.prune(), omega0=kh.omega0)
-    report = KamStepReport(certs_after=new.certs(sp, s), phi_shift=phi_shift,
-                           phi_matrix=phi_matrix)
-    return new, tr_total, report
+    return KamHamiltonian(H=Hn.prune(), omega0=kh.omega0), tr_total, phi_shift, phi_matrix
 
 
 @dataclass
 class KamSchedule:
-    """Geometric schedules of the iteration: eps_i = 16^-i eps,
-    mu_i = 4^-i mu, delta_i = 2^-i-2 r, h_i = 2^-i h, Delta_i = 2^i
-    Delta(Q0), Q_i = Delta*(Delta_i), sigma_i = C^-1(c2 s Q_i)."""
+    """The iteration's cut-offs and width losses: the first i_max + 1 terms
+    Q_i = Delta*(2^i Delta(Q0)) and sigma_i = C^-1(c2 s Q_i) of
+    `dioph.br_test`'s sequence at its Q0, the test's width budget, and
+    product_lower = prod_i (1 - sigma_i)^(2n+1)."""
 
     Q0: float
     sigmas: np.ndarray
@@ -530,18 +489,16 @@ def kam_iterate(kh: KamHamiltonian, fp: FrequencyProfile, sp: ScaleProfile,
     converged = False
     for i in range(n_iter):
         Q_i, sig_i = float(schedule.Qs[i]), float(schedule.sigmas[i])
-        cur, tr_i, rep = kam_step(cur, fp, Q_i, sp, s)
+        cur, tr_i, phi_shift, phi_matrix = kam_step(cur, fp, Q_i)
         if tr_total is None:
             tr_total = tr_i
         else:
             tr_total = compose_affine(tr_total, tr_i, K_out=kh.H.K,
-                                      phi_shift=rep.phi_shift,
-                                      phi_matrix=rep.phi_matrix)
+                                      phi_shift=phi_shift, phi_matrix=phi_matrix)
         # phi* = phi^i o phi_{i+1}
-        phi0_total = phi0_total + phi1_total @ rep.phi_shift
-        phi1_total = phi1_total @ rep.phi_matrix
-        certs.append({"iter": i, "Q": Q_i, "sigma": sig_i,
-                      "A": rep.certs_after["A"], "B": rep.certs_after["B"]})
+        phi0_total = phi0_total + phi1_total @ phi_shift
+        phi1_total = phi1_total @ phi_matrix
+        certs.append({"iter": i, "Q": Q_i, "sigma": sig_i, **cur.certs(sp, s)})
         if defect_fn is not None:
             d = defect_fn(*_embedding(tr_total), phi0_total)
             defects.append(d)

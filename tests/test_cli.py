@@ -500,6 +500,36 @@ class TestFlagTable:
         assert exit_code(argv + ["--outdir", str(out)]) == 2
         assert not out.exists()
 
+    # a flag that the mode its command runs in does not read
+    UNREAD_IN_MODE = [
+        ["nf", "--v", "0,1", "--T", "3"],
+        ["nf", "--hamiltonian", "H.fts", "--k-max", "8"],
+        ["nf", "--hamiltonian", "H.fts", "--eps", "1e-3"],
+        ["nf", "--hamiltonian", "H.fts", "--eta", "0"],
+        ["ms", "--mode", "exact", "--q", "10", "--alpha", "3", "--n", "7"],
+        ["ms", "--family", "analytic"], ["ms", "--beta", "1"], ["ms", "--l-max", "64"],
+        ["ms", "--j", "2"], ["ms", "--s", "0.1"],
+        ["ms", "--mode", "pendulum", "--q", "7"],
+        ["ms", "--mode", "pendulum", "--csv-rows", "5"],
+        ["bessi", "--omega", "golden", "--n-steps", "3"],
+    ]
+
+    @pytest.mark.parametrize("argv", UNREAD_IN_MODE, ids=lambda argv: "_".join(argv))
+    def test_flag_unread_in_the_mode_is_config_error(self, tmp_path, capsys, argv):
+        # found before the file an nf run would read is opened
+        out = tmp_path / "out"
+        assert exit_code(argv + ["--outdir", str(out)]) == 2
+        assert "does not read" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_key_unread_in_the_mode_is_config_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("mode = pendulum\nq = 7\n")
+        out = tmp_path / "out"
+        assert run(["ms", "--config", str(cfgfile), "--outdir", str(out)]) == 2
+        assert "ms --mode pendulum does not read --q" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unread_config_key_is_config_error(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("family = gevrey\neps = 7\n")
@@ -513,6 +543,8 @@ class TestFlagTable:
         ["ms", "--mode", "exact", "--q", "0"],
         ["diffuse", "--omega", "golden", "--j", "5", "--t-n", "0"],
         ["weights", "--sigma-grid", "1e-3"],
+        ["weights", "--y-grid", "2:nan:3"], ["weights", "--y-grid", "1.5:inf:3"],
+        ["weights", "--y-grid=-5:-1:3"], ["weights", "--sigma-grid", "0:0.5"],
         ["nf", "--k-max", "-1"],
         ["kam", "--k-max", "4", "--defect-grid", "0"],
         ["ms", "--mode", "banana"],

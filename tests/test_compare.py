@@ -25,13 +25,20 @@ def test_head_against_head_is_identical(tmp_path):
     lines = proc.stdout.splitlines()
     assert "kam_torus/pass/kam/manifest.txt: identical" in lines
     imports = [ln for ln in lines if " imports" in ln]
-    assert all(ln.endswith(": identical") for ln in lines if ln not in imports)
+    calls = [ln for ln in lines if " calls: " in ln]
+    assert all(ln.endswith(": identical") for ln in lines if ln not in imports + calls)
     # the import counter: one line per argv and the group's sum, equal on both sides
     assert len(imports) == 2
     for ln in imports:
         parent, change = ln.split(": ", 1)[1].split("; ")
         assert parent.removeprefix("parent ") == change.removeprefix("change "), ln
     assert "kam_torus kam imports: parent " in imports[0] and " lines (udham " in imports[0]
+    # the call counters: one line per argv, equal on both sides
+    assert len(calls) == 1
+    parent, change = calls[0].split(": ", 1)[1].split("; ")
+    assert parent.removeprefix("parent ") == change.removeprefix("change ")
+    counts = dict(c.split("=") for c in parent.removeprefix("parent ").split())
+    assert list(counts) == list(load_tool().COUNTED) and int(counts["series.norm_upper"]) > 0
     assert {p.name for p in tmp_path.iterdir()} == {"parent", "change"}
 
 

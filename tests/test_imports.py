@@ -21,7 +21,8 @@ BASE = {"udham", "udham.cli", "udham.errors"}
 DIOPH = BASE | {"udham.weights", "udham.dioph"}
 ANGLES = DIOPH | {"udham.series", "udham.flows"}
 # name -> (argv, exit code, udham modules loaded, numpy loaded); each command
-# runs on its defaults; the config errors stop in argparse and in reading the file
+# runs on its defaults; the config errors stop in argparse, in reading the file
+# and in checking the values, before the command imports anything
 RUNS = {
     "weights": (["weights"], 0, BASE | {"udham.weights"}, True),
     "dioph": (["dioph"], 0, DIOPH, True),
@@ -34,6 +35,12 @@ RUNS = {
     "report": (["report"], 0, BASE, False),
     "config_error": (["weights", "--alpha", "nan"], 2, BASE, False),
     "config_file_error": (["weights", "--config", "no-such.cfg"], 2, BASE, False),
+    "mode_error": (["ms", "--mode", "banana"], 2, BASE, False),
+    "family_error": (["weights", "--family", "banana"], 2, BASE, False),
+    "grid_error": (["weights", "--sigma-grid", "1e-3"], 2, BASE, False),
+    "norm_error": (["dioph", "--norm", "banana"], 2, BASE, False),
+    "v_error": (["nf", "--hamiltonian", "H.fts", "--v", "1,x"], 2, BASE, False),
+    "unread_in_mode_error": (["ms", "--mode", "exact", "--alpha", "3"], 2, BASE, False),
 }
 PROBE = """
 import json, sys

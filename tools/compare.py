@@ -27,8 +27,11 @@ side holds counts as 0 on the other).
 For every argv the tool also prints the udham modules in `sys.modules` at
 the exit of each side's process and their source lines (`wc -l`; `cli.py`,
 which runs as `__main__`, is not counted), and per group their sum.  These
-counts are deterministic; they do not enter the verdict.  Exits 0 when
-every exit code and every artifact agree, 1 otherwise.
+counts are deterministic; they do not enter the verdict.  So are the calls
+it prints per argv and side of each function in COUNTED: a `sys.setprofile`
+hook in the child counts the "call" events of those udham functions, and
+loads no module.  Exits 0 when every exit code and every artifact agree, 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -53,12 +56,28 @@ import workloads  # noqa: E402
 SIDES = ("parent", "change")
 NF_SEEDS = (1, 2, 3)
 RUN_TIMEOUT = 600
-# `python -m udham.cli`, which at exit lists the udham modules it loaded
+# the functions whose calls the child counts, as module.function
+COUNTED = ("series.norm_upper", "series.poisson_bracket", "series.product",
+           "series.derivative_grid", "flows.compose_angle", "flows.apply_affine")
+# `python -m udham.cli`, which at exit lists the udham modules it loaded and
+# the calls of each COUNTED function
 CHILD = ("import atexit, runpy, sys\n"
-         "atexit.register(lambda: print('udham modules:', *sorted(m for m in sys.modules\n"
-         "                if m.split('.')[0] == 'udham'), file=sys.stderr))\n"
+         f"calls = dict.fromkeys({COUNTED!r}, 0)\n"
+         "owner = {c.split('.')[1]: c for c in calls}\n"
+         "def count(frame, event, arg):\n"
+         "    c = owner.get(frame.f_code.co_name) if event == 'call' else None\n"
+         "    if c and frame.f_globals.get('__name__') == 'udham.' + c.split('.')[0]:\n"
+         "        calls[c] += 1\n"
+         "def report():\n"
+         "    sys.setprofile(None)\n"
+         "    print('udham modules:', *sorted(m for m in sys.modules\n"
+         "          if m.split('.')[0] == 'udham'), file=sys.stderr)\n"
+         "    print('udham calls:', *(f'{c}={n}' for c, n in calls.items()), file=sys.stderr)\n"
+         "atexit.register(report)\n"
+         "sys.setprofile(count)\n"
          "runpy.run_module('udham.cli', run_name='__main__', alter_sys=True)\n")
 LOADED = re.compile(r"^udham modules:(.*)$", re.M)
+CALLS = re.compile(r"^udham calls:(.*)$", re.M)
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
 
 
@@ -80,8 +99,8 @@ def groups() -> dict:
 
 
 def run_group(checkout: Path, workdir: Path, inputs, argvs) -> list:
-    """Run each argv in a fresh process in workdir; the exit code and the
-    imported udham modules of each."""
+    """Run each argv in a fresh process in workdir; the exit code, the
+    imported udham modules and the counted calls of each."""
     if workdir.exists():
         raise SystemExit(f"{workdir} exists: give a fresh --outdir")
     workdir.mkdir(parents=True)
@@ -94,7 +113,8 @@ def run_group(checkout: Path, workdir: Path, inputs, argvs) -> list:
                 for a in (sorted(glob.glob(arg, root_dir=workdir)) if "*" in arg else [arg])]
         proc = subprocess.run([sys.executable, "-c", CHILD] + args, cwd=workdir, env=env,
                               capture_output=True, text=True, timeout=RUN_TIMEOUT)
-        runs.append((proc.returncode, LOADED.findall(proc.stderr)[-1].split()))
+        runs.append((proc.returncode, LOADED.findall(proc.stderr)[-1].split(),
+                     CALLS.findall(proc.stderr)[-1].strip()))
     return runs
 
 
@@ -180,17 +200,18 @@ def compare(parent: Path, change: Path, outdir: Path, only=None) -> bool:
         runs = [run_group(root, d, inputs, argvs) for root, d in zip(roots, dirs)]
         totals = [0, 0]
         for argv, *sides in zip(argvs, *runs):
-            (cp, _), (cc, _) = sides
+            (cp, _, calls_p), (cc, _, calls_c) = sides
             if cp != cc:
                 same = False
                 print(f"{group} {argv[0]}: exit {cp} (parent) vs {cc} (change)")
             loaded = []
-            for i, (root, (_, modules)) in enumerate(zip(roots, sides)):
+            for i, (root, (_, modules, _)) in enumerate(zip(roots, sides)):
                 lines = source_lines(root, modules)
                 totals[i] += lines
                 names = " ".join(m.removeprefix("udham.") for m in modules)
                 loaded.append(f"{SIDES[i]} {lines} lines ({names})")
             print(f"{group} {argv[0]} imports: {'; '.join(loaded)}")
+            print(f"{group} {argv[0]} calls: parent {calls_p}; change {calls_c}")
         print(f"{group} imports summed: parent {totals[0]} lines; change {totals[1]} lines")
         files = sorted({f.relative_to(d) for d in dirs for f in d.rglob("*")
                         if f.is_file() and "inputs" not in f.relative_to(d).parts})
