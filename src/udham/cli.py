@@ -348,7 +348,7 @@ def cmd_nf(cfg: ExperimentConfig) -> int:
 
 def cmd_kam(cfg: ExperimentConfig) -> int:
     from . import normal_forms
-    from .series import FTSeries
+    from .series import FTSeries, norm_upper
     p = cfg.values
     sp = scale_profile(p)
     fp = parse_omega(p)
@@ -368,7 +368,7 @@ def cmd_kam(cfg: ExperimentConfig) -> int:
     out = Path(cfg.outdir)
     rows = []
     width = s
-    eps0 = kh.certs(sp, s)["A"]
+    eps0 = norm_upper(kh.parts()["A"], sp, s).bound
     for i, entry in enumerate(res.cert_log):
         d = res.defects[i] if i < len(res.defects) else math.nan
         width *= (1.0 - entry["sigma"]) ** 5

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import (LieDivergence, ParameterError, QuadratureError, StiffnessError,
                      TaylorTailError)
-from .series import FTSeries, poisson_bracket, product
+from .series import FTSeries, poisson_bracket, product, sum_left_to_right
 from .weights import C_NORM, ScaleProfile, log_factorial
 
 TWO_PI = 2.0 * math.pi
@@ -208,7 +208,7 @@ def _nearest_node_taylor(f: FTSeries, N: int, node, delta, betas):
 def _merge_reports(report: Optional[dict], parts: list):
     """Merge per-series reports: masses and tails summed, largest floor and order."""
     if report is not None:
-        report.update({key: sum((p[key] for p in parts), 0.0)
+        report.update({key: sum_left_to_right(p[key] for p in parts)
                        for key in ("aliasing_mass", "pruned_mass", "taylor_tail")},
                       roundoff_floor=max((p["roundoff_floor"] for p in parts), default=0.0),
                       taylor_order=max((p["taylor_order"] for p in parts), default=0))
@@ -268,7 +268,7 @@ def compose_angle(fs: list, E0: list, E1: Optional[list] = None,
                 if sum(w) < f.D_w:
                     key = (m, w[:a] + (w[a] + 1,) + w[a + 1:])
                     acc[key] = acc.get(key, 0.0) + v * e1v
-        part = {"taylor_order": order, "taylor_tail": tails[0] + sum(
+        part = {"taylor_order": order, "taylor_tail": tails[0] + sum_left_to_right(
             float(np.max(np.abs(e1v))) * tails[1 + axes.index(i)] for _, i, e1v in jets)}
         out[r] = FTSeries.from_samples(f, acc, N, report=part, K=K_out)
         parts.append(part)

@@ -25,7 +25,7 @@ import numpy as np
 from . import dioph, flows
 from .dioph import FrequencyProfile
 from .flows import VARTHETA, PendulumOrbit
-from .series import FTSeries, product
+from .series import FTSeries, product, sum_left_to_right
 from .errors import HorizonError, ParameterError
 from .weights import C_NORM, ScaleProfile
 
@@ -208,11 +208,7 @@ def _coupling(factors, thetas):
 
 
 def _l1(xs):
-    # left to right: sum() compensates float sums from Python 3.12 on
-    total = 0.0
-    for x in xs:
-        total += abs(x)
-    return total
+    return sum_left_to_right(abs(x) for x in xs)
 
 
 @dataclass

@@ -29,7 +29,7 @@ from .dioph import FrequencyProfile, PeriodicVector
 from .flows import (AffineTransform, _grid_shift, _lie_series, affine_flow_lie,
                     apply_affine, compose_affine, jet_param_substitute)
 from .series import (FTSeries, average_periodic, average_zero_mode, norm_upper,
-                     poisson_bracket, solve_homological_periodic)
+                     poisson_bracket, solve_homological_periodic, sum_left_to_right)
 from .errors import HorizonError, ParameterError
 from .weights import ScaleProfile
 
@@ -176,9 +176,10 @@ def periodic_normal_form(H: FTSeries, pv: PeriodicVector, sp: ScaleProfile,
     is compared with its budget nu_j = e^-j nu and violations are logged,
     never fatal.  Every certificate is formed here, once, in step order:
     step j reads nu_j (the remainder certificate of step j - 1, the same
-    series at the same width), eta_j = |grad S| at s_j and C(sigma_j), and
-    logs its remainder certificate at s_j (1 - sigma_j)^3 beside the
-    second-order bound T nu_j (nu_j C^2/s_j^2 + eta_j C/s_j).
+    series at the same width), eta_j = |grad S| at s_j (eta itself when S
+    is affine in I and has no parameter, so grad S is constant) and
+    C(sigma_j), and logs its remainder certificate at s_j (1 - sigma_j)^3
+    beside the second-order bound T nu_j (nu_j C^2/s_j^2 + eta_j C/s_j).
     """
     split = PeriodicSplit.from_hamiltonian(H, pv)
     nu0 = norm_upper(split.F, sp, s).bound
@@ -194,11 +195,15 @@ def periodic_normal_form(H: FTSeries, pv: PeriodicVector, sp: ScaleProfile,
         if y < 1.0 or sp.cauchy_c_inv(max(y, 1.0)) > kappa:
             warnings.append("threshold C^-1(s/(A T eta)) <= kappa violated")
 
+    # S = [H] - L_v holds k = 0 only and every step carries it unchanged;
+    # with no monomial of |m| >= 2 or |w| >= 1, grad S is constant and its
+    # certificate does not depend on the width
+    affine = all(sum(m) <= 1 and not any(w) for m, w in split.S.keys)
     cur, s_j, nu, eta_j = split, s, nu0, eta
     log = []
     for j in range(1, schedule.m + 1):
         sigma = schedule.sigma1 if j == 1 else schedule.sigma_m
-        if j > 1:
+        if j > 1 and not affine:
             eta_j = grad_cert(cur.S, sp, s_j)
         Csig = sp.cauchy_c(sigma).value
         if Csig ** 2 * pv.T * nu > s_j ** 2:
@@ -364,7 +369,7 @@ class KamHamiltonian:
         """The certificates |A| and |B| = sum_i |B_i| at width s."""
         p = self.parts()
         return {"A": norm_upper(p["A"], sp, s).bound,
-                "B": sum(norm_upper(b, sp, s).bound for b in p["B"])}
+                "B": sum_left_to_right(norm_upper(b, sp, s).bound for b in p["B"])}
 
 
 def kam_hamiltonian_from_mechanical(f: FTSeries, eps: float, omega0,

@@ -30,6 +30,16 @@ floating-point operations as `irfftn`/`rfftn` of the whole half spectrum.
 `from_samples` alone keeps a full `rfftn`: its floor and its
 `aliasing_mass` need the l1 of the whole spectrum.
 
+The spectral kernel keeps its intermediate arrays in private scratch
+buffers (`_scratch`), one per use: the placed window of each angle axis,
+which its `ifft` overwrites in place (also for `derivative_grid`), each
+operand's stack of grid values, filled by `irfft(..., out=)`, and the
+accumulator.  Every later bracket and product reuses them, so no call
+faults in fresh pages for them.  A buffer keeps the size of the largest
+call so far, the kernel is not re-entrant (udham runs single-threaded),
+and no array in a buffer leaves the function that fills it: every series
+and grid returned is a fresh array.
+
 Torus convention: T^n = R^n/Z^n with basis e^{2 pi i k.theta}; every
 frequency-dependent constant is routed through rho(k) = 2 pi |k|_1.
 """
@@ -441,14 +451,32 @@ def _horner(arr, zs, K):
     return vals
 
 
+# The spectral kernel's scratch buffers, by use: flat arrays that keep the
+# size of the largest request so far and back the arrays of every later one.
+_SCRATCH = {}
+
+
+def _scratch(use, shape, dtype=float) -> np.ndarray:
+    """An uninitialised array of this shape backed by the scratch buffer of
+    `use`, which it shares with every earlier array of that use: it must not
+    leave the function that fills it, nor be read after the next request."""
+    size = math.prod(shape)
+    buf = _SCRATCH.get(use)
+    if buf is None or buf.size < size:
+        buf = _SCRATCH[use] = np.empty(size, dtype=dtype)
+    return buf[:size].reshape(shape)
+
+
 def _place(a, axis, L):
     """Axis `axis` of a stack holding modes -b..b at index k + b, placed at
     k mod L on an axis of length L >= 2b + 1, zeros elsewhere: two slice
-    copies.  The inverse of `_centre`."""
+    copies and one fill, in the scratch buffer of that axis.  The inverse
+    of `_centre`."""
     b = (a.shape[axis] - 1) // 2
     head = (slice(None),) * axis
-    out = np.zeros(a.shape[:axis] + (L,) + a.shape[axis + 1:], dtype=complex)
+    out = _scratch(("place", axis), a.shape[:axis] + (L,) + a.shape[axis + 1:], complex)
     out[head + (slice(0, b + 1),)] = a[head + (slice(b, None),)]
+    out[head + (slice(b + 1, L - b),)] = 0.0
     out[head + (slice(L - b, L),)] = a[head + (slice(0, b),)]
     return out
 
@@ -462,20 +490,25 @@ def _centre(H, axis, K):
                           axis=axis)
 
 
-def _grid_values(win, L, n, norm=None):
+def _grid_values(win, L, n, norm=None, out=None):
     """Real values on the L^n grid, L >= 2b + 1, of a stack of Hermitian
     windows (mode k at index k + b per axis): `np.fft.irfftn` of their half
     spectrum, by its own 1-D passes in its order (`ifft` along angle axes
-    1..n-1, then `irfft` on the last), run only over the lines that hold
-    modes: the columns k_last = 0..b, and on each axis not yet transformed
-    the 2b + 1 occupied indices.  Every value is computed as by `irfftn`."""
+    1..n-1, in place on each axis's `_place` buffer, then `irfft` on the
+    last), run only over the lines that hold modes: the columns k_last =
+    0..b, and on each axis not yet transformed the 2b + 1 occupied indices.
+    Every value is computed as by `irfftn`.  The values go to out, a fresh
+    array when it is None."""
     b = (win.shape[-1] - 1) // 2
     if b < 0:                 # irfft of zero columns does not give zeros
-        return np.zeros((len(win),) + (L,) * n)
+        out = np.empty((len(win),) + (L,) * n) if out is None else out
+        out[...] = 0.0
+        return out
     vals = win[..., b:]
     for axis in range(1, n):
-        vals = np.fft.ifft(_place(vals, axis, L), axis=axis, norm=norm)
-    return np.fft.irfft(vals, n=L, axis=-1, norm=norm)
+        vals = _place(vals, axis, L)
+        np.fft.ifft(vals, axis=axis, norm=norm, out=vals)
+    return np.fft.irfft(vals, n=L, axis=-1, norm=norm, out=out)
 
 
 def _half_spectrum(vals, n, K):
@@ -577,15 +610,20 @@ def _spectral_product(f: FTSeries, g: FTSeries, terms, K_out: int, D_I_out: int,
         """For each theta axis t (None: no derivative) that the terms take
         on this side, the rows' l1 of d_theta_t s and its grid values on
         the rows that some such term reads (d_I_a reads those with m_a >= 1),
-        by row index."""
-        out = {}
+        by row index; the values of all t stacked in this side's slab."""
+        reads = {}
         for t in dict.fromkeys(term[side][0] for term in terms):
             ags = [term[side][1] for term in terms if term[side][0] == t]
-            read = [r for r, (m, _) in enumerate(s.keys)
-                    if any(a is None or m[a] for a in ags)]
+            reads[t] = [r for r, (m, _) in enumerate(s.keys)
+                        if any(a is None or m[a] for a in ags)]
+        slab = _scratch(("grids", side), (sum(map(len, reads.values())),) + (Lf,) * n)
+        out, r0 = {}, 0
+        for t, read in reads.items():
             win = s._dwindow(b, [int(i == t) for i in range(n)])
-            out[t] = (dict(zip(read, _grid_values(win[read], Lf, n, norm="forward"))),
-                      np.sum(np.abs(win), axis=axes))
+            vals = _grid_values(win[read], Lf, n, norm="forward",
+                                out=slab[r0:r0 + len(read)])
+            out[t] = (dict(zip(read, vals)), np.sum(np.abs(win), axis=axes))
+            r0 += len(read)
         return out
 
     F, G = grids(f, b_f, 1), grids(g, b_g, 2)
@@ -610,7 +648,8 @@ def _spectral_product(f: FTSeries, g: FTSeries, terms, K_out: int, D_I_out: int,
                     dropped.append((c * a1 * a2, Fv[i], Gv[j]))
     # a dropped pair gets a row of its own: its full l1 is the discarded action mass
     pairs += [(len(rows) + r, c, x, y) for r, (c, x, y) in enumerate(dropped)]
-    acc = np.zeros((len(rows) + len(dropped),) + (Lf,) * n)
+    acc = _scratch("acc", (len(rows) + len(dropped),) + (Lf,) * n)
+    acc[...] = 0.0
     for r, c, x, y in pairs:
         acc[r] += (x if c == 1 else c * x) * y      # 1 * x is x: no copy
     H = _half_spectrum(acc, n, K_full if report is not None else K_kept)
@@ -723,6 +762,16 @@ def solve_homological_periodic(f: FTSeries, pv) -> FTSeries:
 # norm certificates
 # ---------------------------------------------------------------------------
 
+def sum_left_to_right(xs) -> float:
+    """The floats xs summed left to right from 0.0, as the built-in sum()
+    does up to Python 3.11; from 3.12 it compensates and can move the last
+    bit, so every certificate sum goes through here."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
 @dataclass
 class NormCertificate:
     bound: float
@@ -759,7 +808,7 @@ def norm_upper(f: FTSeries, sp: ScaleProfile, s: float) -> NormCertificate:
     terms = C_NORM * np.abs(f.coef[nz]) * growth[code]
     # summed block by block, in key order, so the bound repeats bit for bit
     per_block = np.split(terms, np.cumsum(np.bincount(nz[0], minlength=len(f.keys)))[:-1])
-    return NormCertificate(bound=sum(float(np.sum(t)) for t in per_block), s=s,
+    return NormCertificate(bound=sum_left_to_right(float(np.sum(t)) for t in per_block), s=s,
                            n_terms=len(terms),
                            worst_term=float(np.max(terms, initial=0.0)),
                            constants={"c": C_NORM, "freq_scale": "2pi|k|_1 + |m| + |w|"})

@@ -26,7 +26,9 @@ def test_head_against_head_is_identical(tmp_path):
     assert "kam_torus/pass/kam/manifest.txt: identical" in lines
     imports = [ln for ln in lines if " imports" in ln]
     calls = [ln for ln in lines if " calls: " in ln]
-    assert all(ln.endswith(": identical") for ln in lines if ln not in imports + calls)
+    rusage = [ln for ln in lines if " rusage: " in ln]
+    assert all(ln.endswith(": identical") for ln in lines
+               if ln not in imports + calls + rusage)
     # the import counter: one line per argv and the group's sum, equal on both sides
     assert len(imports) == 2
     for ln in imports:
@@ -39,6 +41,12 @@ def test_head_against_head_is_identical(tmp_path):
     assert parent.removeprefix("parent ") == change.removeprefix("change ")
     counts = dict(c.split("=") for c in parent.removeprefix("parent ").split())
     assert list(counts) == list(load_tool().COUNTED) and int(counts["series.norm_upper"]) > 0
+    # the resource line: one per argv, each side's minor faults and peak RSS positive
+    assert len(rusage) == 1
+    for side, part in zip(("parent", "change"), rusage[0].split(": ", 1)[1].split("; ")):
+        faults, rss = part.removeprefix(f"{side} ").split()
+        assert int(faults.removeprefix("minor_faults=")) > 0, rusage[0]
+        assert float(rss.removeprefix("max_rss_mb=")) > 0, rusage[0]
     assert {p.name for p in tmp_path.iterdir()} == {"parent", "change"}
 
 

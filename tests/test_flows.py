@@ -287,6 +287,16 @@ class TestComposeAngle:
         assert report == {"aliasing_mass": 0.0, "roundoff_floor": 0.0, "pruned_mass": 0.0,
                           "taylor_order": 0, "taylor_tail": 0.0}
 
+    def test_reports_merged_left_to_right(self):
+        # masses 1.0, 1e-16, 1e-16 sum to (1.0 + 1e-16) + 1e-16 = 1.0 on every
+        # Python, not to the compensated 1.0000000000000002 of 3.12's sum()
+        parts = [{"aliasing_mass": x, "pruned_mass": x, "taylor_tail": x,
+                  "roundoff_floor": 0.0, "taylor_order": 1} for x in (1.0, 1e-16, 1e-16)]
+        report = {}
+        F._merge_reports(report, parts)
+        assert math.fsum([1.0, 1e-16, 1e-16]) != (1.0 + 1e-16) + 1e-16
+        assert report["aliasing_mass"] == report["taylor_tail"] == (1.0 + 1e-16) + 1e-16
+
     def test_empty_series_returns_at_once(self):
         f = FTSeries.zeros(2, 3, D_I=1)
         report = {}

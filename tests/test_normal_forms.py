@@ -485,12 +485,8 @@ def test_first_integral_tracked_through_schedule():
     assert poisson_bracket(res.resonant, I2, K_out=8).coeff_norm1() <= 1e-10
 
 
-def test_each_certificate_is_formed_once(monkeypatch):
-    # nu_0 and the two parts of eta at s, then per step the remainder and,
-    # after the first, eta at the step's width, then the final remainder:
-    # 3m + 2 norms, and no series object is certified twice at one width
-    from udham import cli
-    H, pv = cli._toy_nf_hamiltonian(cli.ExperimentConfig("nf"))
+def _counted_nf(monkeypatch, H, pv):
+    """periodic_normal_form's log and the (series, width) of each norm it forms."""
     seen = []
 
     def counted(f, sp, s):
@@ -498,10 +494,44 @@ def test_each_certificate_is_formed_once(monkeypatch):
         return norm_upper(f, sp, s)
 
     monkeypatch.setattr(NF, "norm_upper", counted)
-    m = len(NF.periodic_normal_form(H, pv, SP, s=1.0, xi=2.0).schedule_log)
+    return NF.periodic_normal_form(H, pv, SP, s=1.0, xi=2.0).schedule_log, seen
+
+
+def test_each_certificate_is_formed_once(monkeypatch):
+    # with c I_1^2 in S, dS/dI_1 = 2c I_1 has action degree 1, so |grad S|
+    # depends on the width: nu_0 and the two parts of eta at s, then per
+    # step the remainder and, after the first, eta at the step's width, then
+    # the final remainder: 3m + 2 norms, and no series object is certified
+    # twice at one width
+    from udham import cli
+    H, pv = cli._toy_nf_hamiltonian(cli.ExperimentConfig("nf"))
+    H = H + FTSeries.zeros(2, H.K, D_I=2).set_mode((0, 0), 1e-7, m=(2, 0))
+    log, seen = _counted_nf(monkeypatch, H, pv)
+    m = len(log)
     assert m > 1
     assert len(seen) == 3 * m + 2
     assert len({(id(f), s) for f, s in seen}) == len(seen)
+    # eta_j, read back from the second-order bound, is |grad S| at s_j
+    split = NF.PeriodicSplit.from_hamiltonian(H, pv)
+    s_j, nu, etas = 1.0, norm_upper(split.F, SP, 1.0).bound, []
+    for entry in log:
+        C = SP.cauchy_c(entry["sigma"]).value
+        etas.append(NF.grad_cert(split.S, SP, s_j))
+        assert entry["second_order_bound"] == pv.T * nu * (nu * C ** 2 / s_j ** 2
+                                                           + etas[-1] * C / s_j)
+        s_j, nu = entry["width"], entry["remainder_cert"]
+    assert len(set(etas)) == m
+
+
+def test_affine_s_forms_eta_once(monkeypatch):
+    # on the nf toy S = eta I_2: grad S is a constant, so eta is formed once,
+    # at s, and the run forms nu_0, the two parts of eta, one remainder per
+    # step and the final remainder: m + 4 norms
+    from udham import cli
+    H, pv = cli._toy_nf_hamiltonian(cli.ExperimentConfig("nf"))
+    log, seen = _counted_nf(monkeypatch, H, pv)
+    assert len(log) > 1
+    assert len(seen) == len(log) + 4
 
 
 def test_schedule_m_within_bracket():

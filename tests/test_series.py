@@ -225,6 +225,23 @@ class TestNormCertificate:
         f.set_mode((0, 0), 0.3)
         assert norm_upper(f, SP, 0.3).bound >= W.C_NORM * 0.3
 
+    def test_blocks_summed_left_to_right(self):
+        # three blocks of one degree whose sums b0, b1, b2 each fall below
+        # half an ulp of b0 while b1 + b2 does not: the bound is
+        # (b0 + b1) + b2 = b0 on every Python, not 3.12's compensated sum()
+        keys = [(2, 0), (1, 1), (0, 2)]
+
+        def cert(coefs):
+            f = FTSeries.zeros(2, 1, D_I=2)
+            for c, m in zip(coefs, keys):
+                f.set_mode((0, 0), c, m=m)
+            return norm_upper(f, SP, 0.3).bound
+
+        tiny = 0.75 * 2.0 ** -54 / math.frexp(cert([1.0]))[0]
+        blocks = [cert([1.0]), cert([0.0, tiny]), cert([0.0, 0.0, tiny])]
+        assert math.fsum(blocks) != (blocks[0] + blocks[1]) + blocks[2] == blocks[0]
+        assert cert([1.0, tiny, tiny]) == (blocks[0] + blocks[1]) + blocks[2]
+
 
 class TestDecay:
     def test_constructed_decay_passes(self):
@@ -792,6 +809,45 @@ def test_pruned_forward_equals_rfftn(n, L):
             want = np.pad(S._mirror(H[np.ix_(rows, *([ks % L] * (n - 1)), np.abs(ks))], n),
                           [(0, 0)] + [(K_out - K_kept,) * 2] * n)
             assert np.array_equal(S._half_modes(half, n, K_kept, K_out), want)
+
+
+# -- the spectral kernel's scratch buffers ------------------------------------
+
+def _kernel_results(f, g, alpha, N):
+    """The arrays that a product, a bracket and a derivative grid return."""
+    return [product(f, g).coef, poisson_bracket(f, g).coef, f.derivative_grid(alpha, N)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@given(K_f=st.integers(0, 3), K_g=st.integers(0, 3), N=st.integers(1, 9),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_property_results_share_no_scratch_memory(n, K_f, K_g, N, seed):
+    f, g = rand_series(n, K_f, seed, D_I=1), rand_series(n, K_g, seed + 1, D_I=1)
+    alpha = (1,) + (0,) * (n - 1)
+    for out in _kernel_results(f, g, alpha, N):
+        assert not any(np.shares_memory(out, buf) for buf in S._SCRATCH.values())
+
+
+def test_held_results_survive_later_calls():
+    f, g = rand_series(2, 3, 71, D_I=1), rand_series(2, 2, 72, D_I=1)
+    held = _kernel_results(f, g, (1, 0), 8)
+    copies = [h.copy() for h in held]
+    for K in (8, 1):              # a larger and a smaller shape
+        _kernel_results(rand_series(2, K, 73, D_I=1), rand_series(2, K, 74, D_I=1), (0, 1), 12)
+    assert all(np.array_equal(h, c) for h, c in zip(held, copies))
+    assert all(np.array_equal(h, c) for h, c in zip(_kernel_results(f, g, (1, 0), 8), copies))
+
+
+def test_same_shape_bracket_allocates_no_buffer(monkeypatch):
+    monkeypatch.setattr(S, "_SCRATCH", {})
+    f, g = rand_series(2, 4, 75, D_I=1), rand_series(2, 4, 76, D_I=1)
+    poisson_bracket(f, g)
+    buffers = dict(S._SCRATCH)
+    assert buffers
+    poisson_bracket(rand_series(2, 4, 77, D_I=1), rand_series(2, 4, 78, D_I=1))
+    assert S._SCRATCH.keys() == buffers.keys()
+    assert all(S._SCRATCH[use] is buf for use, buf in buffers.items())
 
 
 def _full_transform_product(f, g, K_out, with_report):

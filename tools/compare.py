@@ -30,8 +30,11 @@ which runs as `__main__`, is not counted), and per group their sum.  These
 counts are deterministic; they do not enter the verdict.  So are the calls
 it prints per argv and side of each function in COUNTED: a `sys.setprofile`
 hook in the child counts the "call" events of those udham functions, and
-loads no module.  Exits 0 when every exit code and every artifact agree, 1
-otherwise.
+loads no module.  Last, each side's child reports its minor page faults and
+its peak resident set (`getrusage(RUSAGE_SELF)`, read after the modules are
+listed), which the tool prints per argv; these vary a little from run to
+run and do not enter the verdict either.  Exits 0 when every exit code and
+every artifact agree, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -59,8 +62,8 @@ RUN_TIMEOUT = 600
 # the functions whose calls the child counts, as module.function
 COUNTED = ("series.norm_upper", "series.poisson_bracket", "series.product",
            "series.derivative_grid", "flows.compose_angle", "flows.apply_affine")
-# `python -m udham.cli`, which at exit lists the udham modules it loaded and
-# the calls of each COUNTED function
+# `python -m udham.cli`, which at exit lists the udham modules it loaded, the
+# calls of each COUNTED function and its minor faults and peak RSS (in KiB)
 CHILD = ("import atexit, runpy, sys\n"
          f"calls = dict.fromkeys({COUNTED!r}, 0)\n"
          "owner = {c.split('.')[1]: c for c in calls}\n"
@@ -73,11 +76,15 @@ CHILD = ("import atexit, runpy, sys\n"
          "    print('udham modules:', *sorted(m for m in sys.modules\n"
          "          if m.split('.')[0] == 'udham'), file=sys.stderr)\n"
          "    print('udham calls:', *(f'{c}={n}' for c, n in calls.items()), file=sys.stderr)\n"
+         "    import resource\n"
+         "    use = resource.getrusage(resource.RUSAGE_SELF)\n"
+         "    print('udham rusage:', use.ru_minflt, use.ru_maxrss, file=sys.stderr)\n"
          "atexit.register(report)\n"
          "sys.setprofile(count)\n"
          "runpy.run_module('udham.cli', run_name='__main__', alter_sys=True)\n")
 LOADED = re.compile(r"^udham modules:(.*)$", re.M)
 CALLS = re.compile(r"^udham calls:(.*)$", re.M)
+RUSAGE = re.compile(r"^udham rusage: (\d+) (\d+)$", re.M)
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
 
 
@@ -100,7 +107,8 @@ def groups() -> dict:
 
 def run_group(checkout: Path, workdir: Path, inputs, argvs) -> list:
     """Run each argv in a fresh process in workdir; the exit code, the
-    imported udham modules and the counted calls of each."""
+    imported udham modules, the counted calls and (minor faults, peak RSS
+    in KiB) of each."""
     if workdir.exists():
         raise SystemExit(f"{workdir} exists: give a fresh --outdir")
     workdir.mkdir(parents=True)
@@ -114,7 +122,8 @@ def run_group(checkout: Path, workdir: Path, inputs, argvs) -> list:
         proc = subprocess.run([sys.executable, "-c", CHILD] + args, cwd=workdir, env=env,
                               capture_output=True, text=True, timeout=RUN_TIMEOUT)
         runs.append((proc.returncode, LOADED.findall(proc.stderr)[-1].split(),
-                     CALLS.findall(proc.stderr)[-1].strip()))
+                     CALLS.findall(proc.stderr)[-1].strip(),
+                     tuple(map(int, RUSAGE.findall(proc.stderr)[-1]))))
     return runs
 
 
@@ -200,18 +209,21 @@ def compare(parent: Path, change: Path, outdir: Path, only=None) -> bool:
         runs = [run_group(root, d, inputs, argvs) for root, d in zip(roots, dirs)]
         totals = [0, 0]
         for argv, *sides in zip(argvs, *runs):
-            (cp, _, calls_p), (cc, _, calls_c) = sides
+            (cp, _, calls_p, use_p), (cc, _, calls_c, use_c) = sides
             if cp != cc:
                 same = False
                 print(f"{group} {argv[0]}: exit {cp} (parent) vs {cc} (change)")
             loaded = []
-            for i, (root, (_, modules, _)) in enumerate(zip(roots, sides)):
+            for i, (root, (_, modules, _, _)) in enumerate(zip(roots, sides)):
                 lines = source_lines(root, modules)
                 totals[i] += lines
                 names = " ".join(m.removeprefix("udham.") for m in modules)
                 loaded.append(f"{SIDES[i]} {lines} lines ({names})")
             print(f"{group} {argv[0]} imports: {'; '.join(loaded)}")
             print(f"{group} {argv[0]} calls: parent {calls_p}; change {calls_c}")
+            print(f"{group} {argv[0]} rusage: " + "; ".join(
+                f"{side} minor_faults={faults} max_rss_mb={rss / 1024:.1f}"
+                for side, (faults, rss) in zip(SIDES, (use_p, use_c))))
         print(f"{group} imports summed: parent {totals[0]} lines; change {totals[1]} lines")
         files = sorted({f.relative_to(d) for d in dirs for f in d.rglob("*")
                         if f.is_file() and "inputs" not in f.relative_to(d).parts})
