@@ -4,8 +4,8 @@ perturbation theory.
 Subpackages by topic: ``weights`` (weight-sequence calculus and the
 Cauchy/growth functions), ``dioph`` (small-denominator profiles, rational
 approximation, the dyadic arithmetic test), ``series`` (truncated
-Fourier-Taylor algebra with norm certificates), ``flows`` (exact shears,
-affine flows, Lie flows, symplectic integrators, pendulum orbits),
+Fourier-Taylor algebra with norm certificates), ``flows`` (affine
+flows, Lie flows, symplectic integrators, pendulum orbits),
 ``normal_forms`` (averaging, periodic/multi-frequency/local normal forms,
 the parameterized KAM iteration, stability-time predictors),
 ``instability`` (linear diffusion, the coupled-map drift machine,

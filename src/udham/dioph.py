@@ -6,9 +6,9 @@ For a nonresonant frequency vector omega the profile
 
 is a nondecreasing staircase; Delta(Q) = Q Psi(Q) and its generalized
 inverse Delta* drive every quantitative statement downstream.  |k| means
-the l1 norm (:func:`knorm`) unless a profile says otherwise: the
-instability constructions read the |k|_inf staircase of
-:func:`profile_linf`, on which the convergent sandwiches are exact.
+the l1 norm unless a profile says otherwise: the instability
+constructions read the |k|_inf staircase of :func:`profile_linf`, on
+which the convergent sandwiches are exact.
 
 For omega = (1, w, 0...) a profile is the list of convergents of w plus a
 lattice norm, and one derivation turns them into the staircase: a
@@ -37,11 +37,6 @@ import numpy as np
 
 from .errors import BudgetError, HorizonError, ParameterError, ResonanceError, UnsupportedError
 from .weights import ScaleProfile
-
-
-def knorm(k) -> float:
-    """The |k| used throughout: l1 norm."""
-    return float(np.sum(np.abs(k)))
 
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -540,7 +535,7 @@ def _zbasis_brute3(omega, Q):
         det = int(round(float(np.linalg.det(np.asarray(M, dtype=float)))))
         if abs(det) == 1:
             vecs = [periodic_from_rational((q, pk[0], pk[1]), q) for (_s, q, pk) in trip]
-            cerr = max(q * Q * knorm(np.asarray(v.v) - omega / omega[0])
+            cerr = max(q * Q * np.sum(np.abs(np.asarray(v.v) - omega / omega[0]))
                        for (_s, q, pk), v in zip(trip, vecs))
             return ZBasisResult(vectors=vecs, det=det, c_err=float(cerr), c_den=math.nan)
     raise BudgetError("no unimodular triple found within budget (BF13 gap)")
@@ -562,10 +557,6 @@ class BRReport:
     tail_ratio: float           # late-term ratio sigma_{i+1}/sigma_i
     tail_slope: float           # d ln sigma / d i over the last half
     product_lower: float        # prod (1 - sigma_i)^(2n+1) over computed terms
-    n: int
-    s: float
-    eta: float
-    c2: float
     notes: str = ""
 
 
@@ -645,7 +636,7 @@ def br_test(sp: ScaleProfile, fp: FrequencyProfile, s: float = 1.0,
     return BRReport(verdict=verdict, Q0=Q0, sigmas=sig, Q_list=Qs,
                     partial_sums=np.cumsum(sig), budget=budget,
                     total_with_tail=tot, tail_ratio=tail_r, tail_slope=slope,
-                    product_lower=prod, n=n, s=s, eta=eta, c2=c2, notes=notes)
+                    product_lower=prod, notes=notes)
 
 
 # ---------------------------------------------------------------------------

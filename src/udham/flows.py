@@ -1,9 +1,7 @@
 """Time-1 maps and Hamiltonian flows.
 
-Three grades of flow machinery, in decreasing exactness:
+Two grades of flow machinery, in decreasing exactness:
 
-* angle-only generators u(theta): the flow is the exact shear
-  (theta, I) -> (theta, I - t grad u(theta));
 * affine generators X = C(theta) + D(theta).I: the angle equation decouples
   and the action equation is linear, so the time-t map has the closed form
   (theta, I) -> (theta + E(theta), A(theta, I)), where E is n angle series
@@ -44,30 +42,6 @@ TAYLOR_TOL = 1e-17
 
 
 # ---------------------------------------------------------------------------
-# exact shear for angle-only generators
-# ---------------------------------------------------------------------------
-
-def angle_flow(u: FTSeries):
-    """Exact time-1 map of an angle-only Hamiltonian u(theta).
-
-    Angles are frozen and I -> I - grad u(theta); the map is exactly
-    symplectic (a shear).  Returns a callable (theta, I) -> (theta, I').
-    """
-    for (m, w) in u.blocks:
-        if sum(m) != 0:
-            raise ParameterError("angle_flow requires an angle-only generator")
-    grads = u.grad_theta()
-
-    def flow(theta, I):
-        theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        I = np.atleast_2d(np.asarray(I, dtype=float))
-        kick = np.stack([g.eval(theta) for g in grads], axis=-1)
-        return theta, I - kick
-
-    return flow
-
-
-# ---------------------------------------------------------------------------
 # affine transforms
 # ---------------------------------------------------------------------------
 
@@ -93,35 +67,6 @@ class AffineTransform:
         z = lambda: FTSeries.zeros(n, K, n_w=n_w)
         return cls(E=[z() for _ in range(n)],
                    A=[_action_component(i, z(), []) for i in range(n)])
-
-    def apply(self, theta, I, w=None):
-        theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        I = np.atleast_2d(np.asarray(I, dtype=float))
-        Ev = np.stack([e.eval(theta, w=w) for e in self.E], axis=-1)
-        Av = np.stack([a.eval(theta, I=I, w=w) for a in self.A], axis=-1)
-        return theta + Ev, Av
-
-    def jacobian_defect(self, n_pts=64):
-        """Max |det DPhi - 1| over random points (symplecticity probe)."""
-        rng = np.random.default_rng(0)
-        h = 1e-6
-        n = self.n
-        pts_th = rng.uniform(size=(n_pts, n))
-        pts_I = rng.uniform(-0.3, 0.3, size=(n_pts, n))
-        worst = 0.0
-        for p in range(n_pts):
-            z0 = np.concatenate([pts_th[p], pts_I[p]])
-            Jac = np.zeros((2 * n, 2 * n))
-            for j in range(2 * n):
-                zp, zm = z0.copy(), z0.copy()
-                zp[j] += h
-                zm[j] -= h
-                tp, ip = self.apply(zp[:n], zp[n:])
-                tm, im = self.apply(zm[:n], zm[n:])
-                Jac[:, j] = (np.concatenate([tp[0], ip[0]])
-                             - np.concatenate([tm[0], im[0]])) / (2 * h)
-            worst = max(worst, abs(np.linalg.det(Jac) - 1.0))
-        return worst
 
 
 def _action_component(i, G: FTSeries, F_row: list) -> FTSeries:
@@ -457,13 +402,6 @@ class Trajectory:
     times: np.ndarray
     thetas: np.ndarray
     actions: np.ndarray
-    energies: np.ndarray
-    n_steps: int
-    dt: float
-
-    @property
-    def energy_drift(self) -> float:
-        return float(np.max(np.abs(self.energies - self.energies[0])))
 
 
 _Y4_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -485,14 +423,12 @@ def _yoshida4(theta, I, dt, grad_v):
 
 def integrate_midpoint(grad_theta: Callable, grad_I: Callable, theta0, I0,
                        t_end: float, dt: float = 1e-2,
-                       energy: Optional[Callable] = None,
                        sample_every: int = 1) -> Trajectory:
     """Implicit midpoint by fixed-point iteration (symplectic, 2nd order)."""
     n_steps = int(round(t_end / dt))
     theta = np.asarray(theta0, dtype=float).copy()
     I = np.asarray(I0, dtype=float).copy()
-    ts, ths, Is, Es = [0.0], [theta.copy()], [I.copy()], []
-    Es.append(energy(theta, I) if energy else 0.0)
+    ts, ths, Is = [0.0], [theta.copy()], [I.copy()]
     for step in range(1, n_steps + 1):
         th_new, I_new = theta, I
         for it in range(60):
@@ -511,10 +447,7 @@ def integrate_midpoint(grad_theta: Callable, grad_I: Callable, theta0, I0,
             ts.append(step * dt)
             ths.append(theta.copy())
             Is.append(I.copy())
-            Es.append(energy(theta, I) if energy else 0.0)
-    return Trajectory(times=np.array(ts), thetas=np.array(ths),
-                      actions=np.array(Is), energies=np.array(Es),
-                      n_steps=n_steps, dt=dt)
+    return Trajectory(times=np.array(ts), thetas=np.array(ths), actions=np.array(Is))
 
 
 # ---------------------------------------------------------------------------
@@ -742,19 +675,6 @@ def pendulum_periodic_point(B: float) -> PendulumOrbit:
     f = lambda x: pendulum_period_of_eps(math.exp(x)) - B
     x = _regula_falsi(f, -700.0, math.log(5.0), xtol=1e-13)
     return PendulumOrbit(B=float(B), eps=math.exp(x), log_eps=x)
-
-
-def pendulum_exclusion_margin(orbit: PendulumOrbit, n_samples: int = 200) -> float:
-    """min over t in [1/2, B-1/2] of |theta_B(t)| - vartheta.
-
-    A positive margin certifies the exclusion window used by the
-    coupled-map synchronization; equivalently tau(vartheta) < 1/2."""
-    ts = np.linspace(0.5, orbit.B - 0.5, n_samples)
-    margin = math.inf
-    for t in ts:
-        th = orbit.theta_of_t(float(t))
-        margin = min(margin, abs(th) - VARTHETA)
-    return margin
 
 
 def tau_norm_certificate(orbit: PendulumOrbit, sp: ScaleProfile, s: float) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 from . import dioph, flows
 from .dioph import FrequencyProfile
 from .flows import VARTHETA, PendulumOrbit
-from .series import FTSeries, product, sum_left_to_right
+from .series import sum_left_to_right
 from .errors import HorizonError, ParameterError
 from .weights import C_NORM, ScaleProfile
 
@@ -233,12 +233,6 @@ class MSConstruction:
     def a_point(self):
         return tuple(f.point for f in self.factors)
 
-    def g_value(self, thetas):
-        return _coupling(self.factors, thetas)[0]
-
-    def dg_norm(self, thetas):
-        return _l1(_coupling(self.factors, thetas)[1])
-
 
 def _primes(count):
     out = []
@@ -265,14 +259,6 @@ def eta_p(p: int):
         return 2.0 * s0 * s1
 
     return val, dval
-
-
-def eta_p_series(p: int) -> FTSeries:
-    base = FTSeries.zeros(1, p - 1)
-    base.set_mode((0,), 1.0 / p)
-    for l in range(1, p):
-        base.add_cos((l,), 1.0 / p)
-    return product(base, base, K_out=2 * (p - 1))
 
 
 def smooth_bump():
@@ -599,17 +585,3 @@ def liouville_growth_for_bessi(sp: ScaleProfile, s0: float):
         return int(math.ceil(math.exp(min(sp.omega_value(8.0 * q * s0), 700.0)))) + 1
 
     return growth
-
-
-def bessi_series(ex: BessiExample, idx: int) -> FTSeries:
-    """The perturbation F as a series (for cross-checking the certificate)."""
-    k = tuple(int(x) for x in ex.ks[idx])
-    kt = tuple(int(x) for x in ex.k_orth[idx])
-    Kv = int(2 * max(dioph.knorm(k), dioph.knorm(kt)))
-    one = FTSeries.zeros(2, Kv)
-    one.set_mode((0, 0), 1.0)
-    a = one.copy()
-    a.add_cos(k, -1.0)
-    b = one.copy()
-    b.add_cos(kt, ex.mu * ex.nu_orth[idx])
-    return product(a, b, K_out=Kv) * (ex.eps * ex.nus[idx])

@@ -297,9 +297,9 @@ def translate_actions(H: FTSeries, I1) -> FTSeries:
     return H.map_monomials(rule).prune()
 
 
-def scale_actions(H: FTSeries, rho: float, energy_scale: Optional[float] = None) -> FTSeries:
-    """H(theta, rho I) [/ rho if energy_scale given]: per-block scaling."""
-    fac_all = 1.0 if energy_scale is None else 1.0 / energy_scale
+def scale_actions(H: FTSeries, rho: float) -> FTSeries:
+    """H(theta, rho I) / rho: per-block scaling."""
+    fac_all = 1.0 / rho
     return H.map_monomials(lambda m, w: [((m, w), (rho ** sum(m)) * fac_all)])
 
 
@@ -314,7 +314,7 @@ def local_normal_form(h: FTSeries, f: FTSeries, I1, rho: float,
     """
     H = h + f
     Ht = translate_actions(H, I1)
-    Hr = scale_actions(Ht, rho, energy_scale=rho)
+    Hr = scale_actions(Ht, rho)
     # drop the constant term (irrelevant energy offset)
     if ((0,) * Hr.n, (0,) * Hr.n_w) in Hr.blocks:
         Hr.set_mode((0,) * Hr.n, 0.0)

@@ -185,15 +185,6 @@ class FTSeries:
         view.flags.writeable = False
         return MappingProxyType(dict(zip(self.keys, view)))
 
-    def block(self, m=None, w=None) -> np.ndarray:
-        """Read-only angle block of I^m w^w (zeros when absent)."""
-        key = self._key(m, w)
-        if key in self.keys:
-            return self.blocks[key]
-        out = np.zeros(self._shape(), dtype=complex)
-        out.flags.writeable = False
-        return out
-
     def set_mode(self, k, value, m=None, w=None):
         key = self._key(m, w)
         if key not in self.keys:
@@ -218,9 +209,6 @@ class FTSeries:
         self.set_mode(k, self.get_mode(k, m, w) + amp / 2.0j, m, w)
         self.set_mode([-x for x in k], self.get_mode([-x for x in k], m, w) - amp / 2.0j, m, w)
         return self
-
-    def copy(self) -> "FTSeries":
-        return self._new(self.keys, self.coef.copy())
 
     def prune(self) -> "FTSeries":
         """Drop the all-zero monomials; a non-finite coefficient raises ParameterError."""
@@ -285,11 +273,6 @@ class FTSeries:
             for k, c in zip(idx.tolist(), blk[tuple(idx.T)].tolist()):
                 yield tuple(i - self.K for i in k), m, w, c
 
-    def check_reality(self) -> float:
-        """Max |c_{-k} - conj(c_k)| over blocks."""
-        return float(np.max(np.abs(self.coef - np.conj(_flip(self.coef, self.n))),
-                            initial=0.0))
-
     # -- linear structure ------------------------------------------------------
 
     def _check_compat(self, other):
@@ -320,9 +303,6 @@ class FTSeries:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self * (-1.0)
-
     # -- derivatives -----------------------------------------------------------
 
     def _dtheta_mult(self, i) -> np.ndarray:
@@ -344,9 +324,6 @@ class FTSeries:
 
     def grad_theta(self):
         return [self.dtheta(i) for i in range(self.n)]
-
-    def grad_I(self):
-        return [self.dI(i) for i in range(self.n)]
 
     # -- evaluation --------------------------------------------------------------
 

@@ -113,31 +113,10 @@ class WeightSequence:
     def L_max(self) -> int:
         return len(self.log_M) - 1
 
-    @property
-    def values(self) -> np.ndarray:
-        """M_l in linear space (may overflow to inf for wild families)."""
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_M)
-
-    @property
-    def mu(self) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_mu)
-
     @cached_property
     def log_N(self) -> np.ndarray:
         """ln N_l = ln M_l - ln l!."""
         return self.log_M - log_factorial(len(self.log_M))
-
-    @property
-    def bigN(self) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_N)
-
-    @property
-    def nu(self) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_nu)
 
 
 def _log_mu_of_family(family: Family, L: int) -> np.ndarray:
@@ -193,15 +172,6 @@ def from_log_mu(log_mu: np.ndarray, family_tag: str = "Custom",
     return WeightSequence(log_M=log_M, log_mu=log_mu, log_nu=log_nu,
                           family_tag=family_tag, family=family,
                           ratio_monotone=monotone, mono_from=mono_from)
-
-
-def from_values(values: np.ndarray) -> WeightSequence:
-    """Build from explicit M_l values (linear space; must fit in doubles)."""
-    values = np.asarray(values, dtype=float)
-    if np.any(values <= 0) or not np.all(np.isfinite(values)):
-        raise ParameterError("M_l must be finite and positive")
-    log_M = np.log(values)
-    return from_log_mu(np.diff(log_M))
 
 
 def _increment_monotonicity(log_mu: np.ndarray):
@@ -267,10 +237,6 @@ class ScaleProfile:
         self.sigma_bar = min(raw, SIGMA_BAR_CAP)
         self.mu_nondecreasing = not np.any(np.subtract(lm[1:], lm[:-1], out=tmp) < -1e-12)
 
-    @property
-    def L_max(self) -> int:
-        return self.ws.L_max
-
     @cached_property
     def _c_hull(self):
         """(v, -s, b) of the concave majorant of (l, ln mu_l)."""
@@ -308,9 +274,6 @@ class ScaleProfile:
         certified = ws.ratio_monotone and l_star < last and ws.mono_from < last and falling
         return SupResult(value=value, argmax=l_star, certified=certified)
 
-    def cauchy_c_value(self, sigma: float) -> float:
-        return self.cauchy_c(sigma).value
-
     def cauchy_c_inv(self, y: float) -> float:
         """Inverse of C on its monotone branch (0, sigma_bar]: the exact
         max_{l >= 1} (ln mu_l - ln y)/l clamped to sigma_bar, so C(C^-1(y)) = y
@@ -325,11 +288,11 @@ class ScaleProfile:
             return self.sigma_bar
         if sigma <= 0.0 or l_star == len(self.ws.log_mu) - 1:
             raise HorizonError(
-                f"C is capped at {self.cauchy_c_value(1e-16):.3e} on the "
+                f"C is capped at {self.cauchy_c(1e-16).value:.3e} on the "
                 f"horizon; cannot invert y={y:.3e}",
                 partial=max(sigma, 1e-16),
             )
-        got = self.cauchy_c_value(sigma)
+        got = self.cauchy_c(sigma).value
         if abs(got - y) > 1e-10 * y:
             raise HorizonError(f"cauchy_c_inv residual {got - y:.3e} exceeds rtol",
                                partial=sigma)

@@ -3,8 +3,10 @@
 Each computes a quantity of the package by a direct, slower route:
 brute-force lattice enumeration for Psi, a direct scan for Omega,
 Gauss-Legendre quadrature for the homological solve and an RK4
-collocation flow for the affine Lie-series flow.  No package code calls
-them.
+collocation flow for the affine Lie-series flow.  Below them sit the
+accessors and checks that only the tests read: one angle block of a
+series, its reality defect, an affine transform applied to points and
+that map's symplecticity defect.  No package code calls any of them.
 """
 
 import math
@@ -14,7 +16,7 @@ import numpy as np
 
 from udham.dioph import PSI_BRUTE_BUDGET, BudgetError, ResonanceError
 from udham.flows import AffineTransform, _action_component, _collocation_size
-from udham.series import TWO_PI, FTSeries, average_periodic
+from udham.series import TWO_PI, FTSeries, _flip, average_periodic
 from udham.weights import ParameterError, ScaleProfile
 
 
@@ -125,3 +127,51 @@ def affine_flow_ode(C: FTSeries, D: list, t: float = 1.0, n_steps: int = 64,
         E=[to_series(E[:, i]) for i in range(n)],
         A=[_action_component(i, to_series(G[:, i]), [to_series(F[:, i, j]) for j in range(n)])
            for i in range(n)])
+
+
+def block(f: FTSeries, m=None, w=None) -> np.ndarray:
+    """Read-only angle block of I^m w^w (zeros when absent)."""
+    key = f._key(m, w)
+    if key in f.keys:
+        return f.blocks[key]
+    out = np.zeros(f._shape(), dtype=complex)
+    out.flags.writeable = False
+    return out
+
+
+def check_reality(f: FTSeries) -> float:
+    """Max |c_{-k} - conj(c_k)| over blocks."""
+    return float(np.max(np.abs(f.coef - np.conj(_flip(f.coef, f.n))),
+                        initial=0.0))
+
+
+def apply_transform(tr: AffineTransform, theta, I, w=None):
+    """(theta + E(theta), A(theta, I)) at points (P, n)."""
+    theta = np.atleast_2d(np.asarray(theta, dtype=float))
+    I = np.atleast_2d(np.asarray(I, dtype=float))
+    Ev = np.stack([e.eval(theta, w=w) for e in tr.E], axis=-1)
+    Av = np.stack([a.eval(theta, I=I, w=w) for a in tr.A], axis=-1)
+    return theta + Ev, Av
+
+
+def jacobian_defect(tr: AffineTransform, n_pts=64):
+    """Max |det DPhi - 1| over random points (symplecticity probe)."""
+    rng = np.random.default_rng(0)
+    h = 1e-6
+    n = tr.n
+    pts_th = rng.uniform(size=(n_pts, n))
+    pts_I = rng.uniform(-0.3, 0.3, size=(n_pts, n))
+    worst = 0.0
+    for p in range(n_pts):
+        z0 = np.concatenate([pts_th[p], pts_I[p]])
+        Jac = np.zeros((2 * n, 2 * n))
+        for j in range(2 * n):
+            zp, zm = z0.copy(), z0.copy()
+            zp[j] += h
+            zm[j] -= h
+            tp, ip = apply_transform(tr, zp[:n], zp[n:])
+            tm, im = apply_transform(tr, zm[:n], zm[n:])
+            Jac[:, j] = (np.concatenate([tp[0], ip[0]])
+                         - np.concatenate([tm[0], im[0]])) / (2 * h)
+        worst = max(worst, abs(np.linalg.det(Jac) - 1.0))
+    return worst

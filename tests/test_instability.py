@@ -7,6 +7,7 @@ from udham import dioph as D
 from udham import flows as F
 from udham import instability as INS
 from udham import weights as W
+from udham.series import FTSeries, norm_upper, product
 
 SP = W.ScaleProfile(W.build_sequence(W.gevrey(2), 1 << 14))
 
@@ -99,11 +100,14 @@ class TestShearAndCoupling:
             assert rep["max_deta_lattice"] < 1e-12
 
     def test_eta_series_norm_bound(self):
-        # |eta_p|_s <= c^2 exp(2 Omega(8 pi p s)) via the stored series
-        from udham.series import norm_upper
+        # |eta_p|_s <= c^2 exp(2 Omega(8 pi p s)) via eta_p as a series,
+        # the square of (1/p) sum_{l<p} cos(2 pi l x)
         s = 0.02
         for p in [2, 5, 11]:
-            ser = INS.eta_p_series(p)
+            base = FTSeries.zeros(1, p - 1).set_mode((0,), 1.0 / p)
+            for l in range(1, p):
+                base.add_cos((l,), 1.0 / p)
+            ser = product(base, base, K_out=2 * (p - 1))
             cert = norm_upper(ser, SP, s).bound
             bound = W.C_NORM ** 2 * math.exp(2.0 * SP.omega_value(8.0 * math.pi * p * s))
             assert cert <= bound * (1.0 + 1e-12)
@@ -134,16 +138,17 @@ class TestShearAndCoupling:
 def sync_oracle(msc, tol=1e-9, band=1000):
     """synchronization_check with tau inverted at every step k within band
     steps of 0 mod q on either side, window or not."""
-    g0 = msc.g_value([p[0] for p in msc.a_point])
-    dg0 = msc.dg_norm([p[0] for p in msc.a_point])
+    g0, partials = INS._coupling(msc.factors, [p[0] for p in msc.a_point])
+    dg0 = INS._l1(partials)
     q, A = msc.q, msc.A
     worst_val = worst_dg = 0.0
     for k in sorted(set(range(1, min(q, band + 1))) | set(range(max(1, q - band), q))):
         r = k - q if 2 * k > q else k
         thetas = [math.copysign(msc.orbit.theta_of_t(abs(r) / A), r)]
         thetas += [(k % p) / p for p in msc.rotators]
-        worst_val = max(worst_val, abs(msc.g_value(thetas)))
-        worst_dg = max(worst_dg, msc.dg_norm(thetas))
+        g, partials = INS._coupling(msc.factors, thetas)
+        worst_val = max(worst_val, abs(g))
+        worst_dg = max(worst_dg, INS._l1(partials))
     return {"g_at_a": g0, "dg_at_a": dg0, "max_g_on_orbit": worst_val,
             "max_dg_on_orbit": worst_dg,
             "passed": (abs(g0 - 1.0) < tol and dg0 < tol
@@ -246,6 +251,16 @@ class TestBessi:
             growth=INS.liouville_growth_for_bessi(self.sp4, 1.0))
         self.fp = D.profile_from_prescribed(conv, omega_value=x)
 
+    @staticmethod
+    def first_series(ex):
+        """The first pair's perturbation eps nu (1 - cos k)(1 + mu nu~ cos k~) as a series."""
+        k = tuple(int(x) for x in ex.ks[0])
+        kt = tuple(int(x) for x in ex.k_orth[0])
+        Kv = 2 * max(sum(map(abs, k)), sum(map(abs, kt)))
+        a = FTSeries.zeros(2, Kv).set_mode((0, 0), 1.0).add_cos(k, -1.0)
+        b = FTSeries.zeros(2, Kv).set_mode((0, 0), 1.0).add_cos(kt, ex.mu * ex.nu_orth[0])
+        return product(a, b, K_out=Kv) * (ex.eps * ex.nus[0])
+
     def test_candidates_by_construction(self):
         ex = INS.build_bessi(self.fp, self.sp4, s0=1.0, s=0.5, eps=0.1, mu=0.5)
         assert ex.candidates_found
@@ -269,7 +284,7 @@ class TestBessi:
 
     def test_mu_zero_collapse(self):
         ex = INS.build_bessi(self.fp, self.sp4, s0=1.0, s=0.5, eps=0.1, mu=0.0)
-        ser = INS.bessi_series(ex, 0)
+        ser = self.first_series(ex)
         modes = {k for k, m, w, c in ser.terms()}
         k0 = tuple(int(x) for x in ex.ks[0])
         mk0 = tuple(-x for x in k0)
@@ -279,7 +294,7 @@ class TestBessi:
         # the closed-form certificate dominates the generic series one at
         # the 2-pi torus frequency scale
         ex = INS.build_bessi(self.fp, self.sp4, s0=1.0, s=0.5, eps=0.1, mu=0.5)
-        ser = INS.bessi_series(ex, 0)
+        ser = self.first_series(ex)
         amp = sum(abs(c) for k, m, w, c in ser.terms())
         assert amp <= 4.0 * ex.eps * ex.nus[0] * (1 + 1e-12)
 

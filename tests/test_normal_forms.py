@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import block
 from udham import dioph as D
 from udham import flows as FL
 from udham import normal_forms as NF
@@ -134,7 +135,7 @@ class TestPeriodicNF:
             if Y.coeff_norm1() == 0.0:
                 continue
             gth = Y.grad_theta()
-            gI = Y.grad_I()
+            gI = [Y.dI(i) for i in range(Y.n)]
             for i in range(len(z_th)):
                 def rhs(t, z):
                     th, I = z[:2], z[2:]
@@ -206,7 +207,7 @@ class TestLocalNF:
             a = t.eval(pts[i:i + 1], I=Iv[i])[0]
             b = h.eval(pts[i:i + 1], I=Iv[i] + np.array([0.2, -0.1]))[0]
             assert a == pytest.approx(b, rel=1e-12)
-        sc = NF.scale_actions(h, 0.3, energy_scale=0.3)
+        sc = NF.scale_actions(h, 0.3)
         for i in range(5):
             a = sc.eval(pts[i:i + 1], I=Iv[i])[0]
             b = h.eval(pts[i:i + 1], I=0.3 * Iv[i])[0] / 0.3
@@ -361,7 +362,7 @@ class TestKamIterate:
             # sum_k c_k (2 pi i k)^alpha e^{2 pi i k.theta}, term by term
             ks = np.indices((2 * s.K + 1,) * 2).reshape(2, -1).T - s.K
             mult = np.prod((2j * np.pi * ks) ** np.array(alpha), axis=1)
-            c = np.asarray(s.block()).reshape(-1) * mult
+            c = np.asarray(block(s)).reshape(-1) * mult
             return (np.exp(2j * np.pi * pts @ ks.T) @ c).real
 
         grid = np.stack(np.meshgrid(*[np.arange(n_grid) / n_grid] * 2, indexing="ij"),
