@@ -54,9 +54,14 @@ def grad_cert(f: FTSeries, sp: ScaleProfile, s: float) -> float:
 
 @dataclass
 class NFResult:
-    """Outcome of a normal-form run."""
+    """Outcome of a normal-form run.
 
-    generators: list            # Lie generators, innermost applied first
+    It keeps what the run's callers read: the split Hamiltonian, the
+    certificates and a log of scalars per step or stage.  The Lie
+    generators of the steps are not kept; ``averaging_step`` returns each
+    one to its caller.
+    """
+
     resonant: FTSeries          # commutes with every declared resonance
     remainder: FTSeries
     hamiltonian: FTSeries       # full transformed Hamiltonian
@@ -180,6 +185,9 @@ def periodic_normal_form(H: FTSeries, pv: PeriodicVector, sp: ScaleProfile,
     is affine in I and has no parameter, so grad S is constant) and
     C(sigma_j), and logs its remainder certificate at s_j (1 - sigma_j)^3
     beside the second-order bound T nu_j (nu_j C^2/s_j^2 + eta_j C/s_j).
+
+    Returns an NFResult whose ``schedule_log`` holds one dict of scalars per
+    step; no step's generator outlives that step.
     """
     split = PeriodicSplit.from_hamiltonian(H, pv)
     nu0 = norm_upper(split.F, sp, s).bound
@@ -210,14 +218,13 @@ def periodic_normal_form(H: FTSeries, pv: PeriodicVector, sp: ScaleProfile,
             warnings.append(f"smallness C(sigma)^2 T nu = {Csig**2*pv.T*nu:.3e} "
                             f"exceeds s^2 = {s_j**2:.3e}")
         bound = pv.T * nu * (nu * Csig ** 2 / s_j ** 2 + eta_j * Csig / s_j)
-        cur, Yj = averaging_step(cur)
+        cur = averaging_step(cur)[0]   # its generator Y_j is dropped here
         s_j = s_j * (1.0 - sigma) ** 3
         nu = norm_upper(cur.F, sp, s_j).bound
         log.append({"step": j, "sigma": sigma, "width": s_j, "remainder_cert": nu,
                     "second_order_bound": bound,
                     "budget": float(schedule.nu_budgets[j - 1]),
-                    "within_budget": bool(nu <= schedule.nu_budgets[j - 1]),
-                    "generator": Yj})
+                    "within_budget": bool(nu <= schedule.nu_budgets[j - 1])})
     predicted = None
     if math.isfinite(y) and y >= 1.0:
         predicted = nu0 * math.exp(-kappa / sp.cauchy_c_inv(y))
@@ -227,8 +234,7 @@ def periodic_normal_form(H: FTSeries, pv: PeriodicVector, sp: ScaleProfile,
     G_fin = cur.G + F_res
     F_fin = (cur.F - F_res).prune()
     resonant = (average_zero_mode(H) + G_fin).prune()   # L_v + S + G_fin
-    return NFResult(generators=[entry["generator"] for entry in log],
-                    resonant=resonant, remainder=F_fin,
+    return NFResult(resonant=resonant, remainder=F_fin,
                     hamiltonian=resonant + F_fin, resonances=[pv],
                     cert_before=nu0,
                     cert_after=norm_upper(F_fin, sp, s_j).bound,
@@ -241,14 +247,13 @@ def _normal_form_chain(H: FTSeries, stages: list, order: list, sp: ScaleProfile,
     """`periodic_normal_form` over ``order``, a list of (label,
     PeriodicVector); the resonant part is then averaged along every stage."""
     cur = H
-    gens, logs, warns = [], [], []
+    logs, warns = [], []
     cert0 = None
     s_j = s
     for label, pv in order:
         res = periodic_normal_form(cur, pv, sp, s_j, xi=xi)
         if cert0 is None:
             cert0 = res.cert_before
-        gens.extend(res.generators)
         entry = {"stage": label, "pv": pv.Tv, "remainder_cert": res.cert_after}
         if log_steps:
             entry["steps"] = len(res.schedule_log)
@@ -260,7 +265,7 @@ def _normal_form_chain(H: FTSeries, stages: list, order: list, sp: ScaleProfile,
     for pv in stages:
         resonant = average_periodic(resonant, pv)
     remainder = cur - resonant
-    return NFResult(generators=gens, resonant=resonant, remainder=remainder,
+    return NFResult(resonant=resonant, remainder=remainder,
                     hamiltonian=cur, resonances=list(stages), cert_before=cert0,
                     cert_after=norm_upper(remainder, sp, s_j).bound,
                     predicted_bound=None, final_width=s_j,

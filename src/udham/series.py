@@ -398,7 +398,9 @@ class FTSeries:
             m = tuple(int(x) for x in parts[n:2 * n])
             w = tuple(int(x) for x in parts[2 * n:2 * n + n_w])
             re_, im_ = float(parts[-2]), float(parts[-1])
-            block = blocks.setdefault((m, w), np.zeros((2 * K + 1,) * n, dtype=complex))
+            block = blocks.get((m, w))
+            if block is None:
+                block = blocks[m, w] = np.zeros((2 * K + 1,) * n, dtype=complex)
             block[k] = re_ + 1j * im_
         like = cls(n=n, K=K, D_I=D_I, D_w=D_w, n_w=n_w)
         return cls.from_blocks(like, blocks)

@@ -94,16 +94,19 @@ class WeightSequence:
 
     ``log_M`` has length L_max+1 (indices 0..L_max); ``log_mu`` and
     ``log_nu`` have length L_max (index l covers the ratio l -> l+1).
-    ``log_N`` is derived on first use, from ``log_factorial``.
+    Only ``log_M`` and ``log_mu`` are stored: ``log_nu`` and ``log_N`` are
+    derived on first use.  The scalars below come from the full-horizon
+    scans of ``from_log_mu``, which ScaleProfile reads.
     """
 
     log_M: np.ndarray
     log_mu: np.ndarray
-    log_nu: np.ndarray
     family_tag: str
     family: Optional[Family]
     ratio_monotone: bool
     mono_from: int  # increments of log_mu are nonincreasing from this index on
+    sigma_raw: float  # max_{l >= 1} ln(mu_l)/l, before SIGMA_BAR_CAP
+    mu_nondecreasing: bool  # no ln mu_{l+1} - ln mu_l below -1e-12
 
     def __post_init__(self):
         if abs(self.log_M[0]) > 1e-15 or abs(self.log_M[1]) > 1e-12:
@@ -112,6 +115,13 @@ class WeightSequence:
     @property
     def L_max(self) -> int:
         return len(self.log_M) - 1
+
+    @cached_property
+    def log_nu(self) -> np.ndarray:
+        """ln nu_l = ln mu_l - ln(l+1)."""
+        log_nu = np.arange(len(self.log_mu), dtype=float)
+        np.log1p(log_nu, out=log_nu)
+        return np.subtract(self.log_mu, log_nu, out=log_nu)
 
     @cached_property
     def log_N(self) -> np.ndarray:
@@ -161,27 +171,28 @@ def from_log_mu(log_mu: np.ndarray, family_tag: str = "Custom",
         raise ParameterError("mu_0 must equal 1 (normalization M_0 = M_1 = 1)")
     if not np.all(np.isfinite(log_mu)):
         raise ParameterError("mu must be finite and positive")
-    L = len(log_mu)
-    # formed in place, the scan first: the peak is the arrays kept, 3L doubles
-    mono_from, monotone = _increment_monotonicity(log_mu)
-    log_M = np.zeros(L + 1)
+    # every full-horizon scan runs in one scratch of L - 1 doubles before
+    # log_M exists: the peak is log_mu and either that scratch or log_M
+    scans = _horizon_scans(log_mu)
+    log_M = np.zeros(len(log_mu) + 1)
     np.cumsum(log_mu, out=log_M[1:])
-    log_nu = np.arange(L, dtype=float)
-    np.log1p(log_nu, out=log_nu)
-    np.subtract(log_mu, log_nu, out=log_nu)  # nu_l = mu_l/(l+1)
-    return WeightSequence(log_M=log_M, log_mu=log_mu, log_nu=log_nu,
-                          family_tag=family_tag, family=family,
-                          ratio_monotone=monotone, mono_from=mono_from)
+    return WeightSequence(log_M=log_M, log_mu=log_mu, family_tag=family_tag,
+                          family=family, **scans)
 
 
-def _increment_monotonicity(log_mu: np.ndarray):
-    """Last index from which increments of log(mu) are nonincreasing."""
-    d = np.diff(log_mu)
-    d2 = np.subtract(d[1:], d[:-1], out=d[:-1])   # np.diff(d)
+def _horizon_scans(log_mu: np.ndarray) -> dict:
+    """The scalars of WeightSequence that scan all of log(mu), in turn in one
+    scratch: max ln(mu_l)/l, whether mu is nondecreasing, and the last index
+    from which increments of log(mu) are nonincreasing."""
+    tmp = np.arange(1, len(log_mu), dtype=float)
+    sigma_raw = float(np.max(np.divide(log_mu[1:], tmp, out=tmp))) if len(tmp) else 0.0
+    d = np.subtract(log_mu[1:], log_mu[:-1], out=tmp)   # np.diff(log_mu)
+    nondecreasing = not np.any(d < -1e-12)
+    d2 = np.subtract(d[1:], d[:-1], out=d[:-1])          # np.diff(d)
     rising = np.flatnonzero(d2 > 1e-12)
     mono_from = 0 if len(rising) == 0 else int(rising[-1] + 1)
-    monotone = mono_from + 2 < len(log_mu)
-    return mono_from, monotone
+    return {"sigma_raw": sigma_raw, "mu_nondecreasing": nondecreasing,
+            "mono_from": mono_from, "ratio_monotone": mono_from + 2 < len(log_mu)}
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +233,8 @@ class ScaleProfile:
     index, as in an argmax scan.  ``sigma_bar`` is the smallest sigma with
     C(sigma) = 1 when that is below SIGMA_BAR_CAP; for mu_1 > e the true
     threshold exceeds 1 and is capped (``sigma_bar_capped`` is then set).
+    Both, and ``mu_nondecreasing``, come from the scans the WeightSequence
+    stored, so a profile allocates no array until its first query.
     """
 
     ws: WeightSequence
@@ -230,12 +243,10 @@ class ScaleProfile:
     mu_nondecreasing: bool = field(init=False)  # implied by H1; certifies Omega
 
     def __post_init__(self):
-        lm = self.ws.log_mu
-        tmp = np.arange(1, len(lm), dtype=float)  # scratch: ln mu_l / l, then np.diff(lm)
-        raw = float(np.max(np.divide(lm[1:], tmp, out=tmp))) if len(tmp) else 0.0
+        raw = self.ws.sigma_raw
         self.sigma_bar_capped = raw > SIGMA_BAR_CAP
         self.sigma_bar = min(raw, SIGMA_BAR_CAP)
-        self.mu_nondecreasing = not np.any(np.subtract(lm[1:], lm[:-1], out=tmp) < -1e-12)
+        self.mu_nondecreasing = self.ws.mu_nondecreasing
 
     @cached_property
     def _c_hull(self):

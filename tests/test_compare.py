@@ -2,6 +2,7 @@
 number is named with its relative move."""
 
 import importlib.util
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +49,16 @@ def test_head_against_head_is_identical(tmp_path):
         assert int(faults.removeprefix("minor_faults=")) > 0, rusage[0]
         assert float(rss.removeprefix("max_rss_mb=")) > 0, rusage[0]
     assert {p.name for p in tmp_path.iterdir()} == {"parent", "change"}
+
+
+def test_child_peak_is_its_own(tmp_path):
+    # Linux carries the spawning process's high-water mark into an exec'd
+    # child's ru_maxrss; `report` loads no numpy, so the peak the child
+    # reports of itself stays below this process's own
+    (code, modules, _, (_, peak_kib)), = load_tool().run_group(
+        ROOT, tmp_path / "report", None, [["report"]])
+    assert code == 0 and modules == ["udham", "udham.errors"]
+    assert 0 < peak_kib < resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
 def test_moved_fields_are_named(tmp_path):

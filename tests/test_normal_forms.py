@@ -122,16 +122,28 @@ class TestPeriodicNF:
         # width floor s/xi
         assert res.schedule_log[-1]["width"] >= 1.0 / 2.0
 
-    def test_grid_identity_of_transform(self):
+    def test_grid_identity_of_transform(self, monkeypatch):
         # transformed Hamiltonian equals original o flow on sample points
         H, pv = toy_hamiltonian(1e-3, K=8)
+        generators = []   # each step's Y, recorded as averaging_step returns it
+        step = NF.averaging_step
+
+        def spy(split):
+            new, Y = step(split)
+            generators.append(Y)
+            return new, Y
+
+        monkeypatch.setattr(NF, "averaging_step", spy)
         res = NF.periodic_normal_form(H, pv, SP, s=0.5, xi=2.0)
+        assert len(generators) == len(res.schedule_log)
+        # the log holds scalars only: no step's generator outlives the run
+        assert not any(isinstance(v, FTSeries) for e in res.schedule_log for v in e.values())
         pts_th = np.random.default_rng(3).uniform(size=(12, 2))
         pts_I = np.random.default_rng(4).uniform(-0.2, 0.2, (12, 2))
         z_th, z_I = pts_th.copy(), pts_I.copy()
         # generators applied innermost-first: flow points through each Y
         from scipy.integrate import solve_ivp
-        for Y in reversed(res.generators):
+        for Y in reversed(generators):
             if Y.coeff_norm1() == 0.0:
                 continue
             gth = Y.grad_theta()

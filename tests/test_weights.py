@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,21 @@ class TestBuild:
         assert (sp.sigma_bar, sp.sigma_bar_capped) == (min(raw, W.SIGMA_BAR_CAP),
                                                      raw > W.SIGMA_BAR_CAP)
         assert sp.mu_nondecreasing == (not np.any(np.diff(lm) < -1e-12))
+
+    def test_horizon_footprint(self):
+        # bessi's horizon: the scans share one scratch before log_M exists and
+        # log_nu is formed on first read, so log_mu and log_M (8 MiB each)
+        # are the only horizon arrays held; 33 MiB peaked when all were built
+        tracemalloc.start()
+        try:
+            sp = W.ScaleProfile(W.build_sequence(W.gevrey(4.0), 1 << 20))
+            sp.omega_value(1e5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18 << 20, peak / 2**20
+        assert "log_nu" not in sp.ws.__dict__
+        assert sp.ws.log_nu is sp.ws.__dict__["log_nu"]
 
 
 class TestConditions:

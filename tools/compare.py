@@ -30,11 +30,14 @@ which runs as `__main__`, is not counted), and per group their sum.  These
 counts are deterministic; they do not enter the verdict.  So are the calls
 it prints per argv and side of each function in COUNTED: a `sys.setprofile`
 hook in the child counts the "call" events of those udham functions, and
-loads no module.  Last, each side's child reports its minor page faults and
-its peak resident set (`getrusage(RUSAGE_SELF)`, read after the modules are
-listed), which the tool prints per argv; these vary a little from run to
-run and do not enter the verdict either.  Exits 0 when every exit code and
-every artifact agree, 1 otherwise.
+loads no module.  Last, each side's child reports its minor page faults
+(`getrusage(RUSAGE_SELF)`) and its peak resident set (`VmHWM` of
+/proc/self/status), both read after the modules are listed, which the tool
+prints per argv; these vary a little from run to run and do not enter the
+verdict either.  The peak is not `ru_maxrss`: Linux carries the spawning
+process's high-water mark into an exec'd child's `ru_maxrss`, so that would
+read this tool's own peak for every child that stays below it.  Exits 0
+when every exit code and every artifact agree, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -77,8 +80,10 @@ CHILD = ("import atexit, runpy, sys\n"
          "          if m.split('.')[0] == 'udham'), file=sys.stderr)\n"
          "    print('udham calls:', *(f'{c}={n}' for c, n in calls.items()), file=sys.stderr)\n"
          "    import resource\n"
-         "    use = resource.getrusage(resource.RUSAGE_SELF)\n"
-         "    print('udham rusage:', use.ru_minflt, use.ru_maxrss, file=sys.stderr)\n"
+         "    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+         "    with open('/proc/self/status') as f:\n"
+         "        hwm = next(ln.split()[1] for ln in f if ln.startswith('VmHWM:'))\n"
+         "    print('udham rusage:', faults, hwm, file=sys.stderr)\n"
          "atexit.register(report)\n"
          "sys.setprofile(count)\n"
          "runpy.run_module('udham.cli', run_name='__main__', alter_sys=True)\n")
