@@ -564,6 +564,9 @@ COMMAND_FLAGS = {
 }
 
 
+# the series flag of nf and kam, and the largest |k_i| of the series each
+# builds without it (cos 2 pi (3, 2), sin 2 pi (2, 1)): --k-max's floor
+_BUILT_IN_MODE = {"nf": ("hamiltonian", 3), "kam": ("perturbation", 2)}
 # the names a flag's value may take
 _NAMES = {"mode": ("exact", "pendulum"), "norm": ("l1", "linf")}
 # per command with modes: the mode its values choose and the flags that mode does not read
@@ -580,7 +583,9 @@ _UNREAD = {
 def check_values(cmd: str, params: dict):
     """The config errors that the values alone decide, raised before the
     command imports a library module: a name outside its set, a malformed
-    family, grid or --v, and a flag that the chosen mode does not read."""
+    family, grid or --v, a flag that the chosen mode does not read, a
+    non-finite number in --omega and a --k-max below a built-in series'
+    modes."""
     p = {**COMMAND_FLAGS[cmd], **params}
     for flag, names in _NAMES.items():
         if flag in p and p[flag] not in names:
@@ -597,6 +602,17 @@ def check_values(cmd: str, params: dict):
             _grid_spec(p[flag])
     if cmd == "nf" and p["hamiltonian"] is not None:
         _integers(p["v"])
+    try:                                      # a numeric omega, as parse_omega splits it
+        numbers = [float(x) for x in (p.get("omega") or "").split(",")]
+    except ValueError:                        # a named omega, or none
+        numbers = []
+    if not all(map(math.isfinite, numbers)):
+        raise ParameterError(f"--omega must be finite, got {p['omega']!r}")
+    if cmd in _BUILT_IN_MODE:
+        flag, mode = _BUILT_IN_MODE[cmd]
+        if p[flag] is None and p["k_max"] < mode:
+            raise ParameterError(f"--k-max {p['k_max']} cannot hold the built-in series' "
+                                 f"modes |k_i| <= {mode}: give --k-max >= {mode} or --{flag}")
 
 
 def build_parser():

@@ -104,50 +104,54 @@ def _taylor_order_cap(x: float) -> int:
     return j
 
 
-def _nearest_node_taylor(f: FTSeries, N: int, node, delta, betas):
-    """d^beta f at theta_node + delta for each beta, by Taylor expansion on
-    the uniform N^n grid: sum over alpha of d^(alpha+beta) f(theta_node)
-    delta^alpha / alpha!, each d^gamma f grid from one inverse FFT.
+def _nearest_node_taylor(f: FTSeries, N: int, node, delta, sums):
+    """Add to acc, for each (beta, rows, acc) of sums, d^beta f on those
+    rows of f at theta_node + delta, by Taylor expansion on the uniform N^n
+    grid: sum over alpha of d^(alpha+beta) f(theta_node) delta^alpha / alpha!.
 
     node: flat grid index of each point's expansion node (or a slice);
-    delta: (P, n) offsets, |delta_i| <= 1/(2N).  Orders are added until, for
-    every beta, the bound sum_k |c_k| |(2 pi k)^beta| x_k^(j+1) e^(x_k)/(j+1)!
-    on the remainder (x_k = 2 pi sum_i |k_i| max|delta_i|) is at most
-    TAYLOR_TOL times the same sum without the x factor.  The order cap is
-    where |delta_i| = 1/(2N) would meet that bound; reaching it raises
-    TaylorTailError.  Returns ([(len(keys), P) values per beta], order,
-    [tail bound per beta]).
+    delta: (P, n) offsets, |delta_i| <= 1/(2N); acc: (len(rows), P).  The
+    order, fixed before any transform, is the least j at which for every
+    beta the bound sum_k |c_k| |(2 pi k)^beta| x_k^(j+1) e^(x_k)/(j+1)! on
+    the remainder (c_k of all rows, x_k = 2 pi sum_i |k_i| max|delta_i|) is
+    at most TAYLOR_TOL times the same sum without the x factor; at the cap,
+    where |delta_i| = 1/(2N) would meet it, TaylorTailError.  Then each
+    d^gamma f, by |gamma| and then lexicographically, is one inverse FFT of
+    the rows that read it, added to every acc with alpha = gamma - beta >= 0,
+    |alpha| <= order, and dropped, so each acc gets its terms in (|alpha|,
+    lexicographic) order.  Returns (order, [tail bound per sum]).
     """
     n, K = f.n, f.K
     amp = sum(np.abs(b) for b in f.blocks.values())
     k = np.abs(np.stack(np.meshgrid(*([np.arange(-K, K + 1)] * n), indexing="ij")))
     x = TWO_PI * np.tensordot(np.max(np.abs(delta), axis=0), k, axes=1)
     weights = [amp * np.prod([(TWO_PI * ki) ** b for ki, b in zip(k, beta)], axis=0)
-               for beta in betas]
+               for beta, _, _ in sums]
     tols = [TAYLOR_TOL * np.sum(w) for w in weights]
     cap = _taylor_order_cap(math.pi * n * K / N)
-    grids = {}
-
-    def grid(gamma):
-        if gamma not in grids:
-            grids[gamma] = f.derivative_grid(gamma, N).reshape(len(f.keys), -1)[:, node]
-        return grids[gamma]
-
-    vals = [0.0] * len(betas)
     rem = x * np.exp(x)                       # x^(j+1) e^x / (j+1)! at j = 0
-    for j in range(cap + 1):
-        for alpha in [a for a in itertools.product(range(j + 1), repeat=n) if sum(a) == j]:
-            mono = np.prod([delta[:, i] ** a / math.factorial(a)
-                            for i, a in enumerate(alpha)], axis=0)
-            for b, beta in enumerate(betas):
-                vals[b] += grid(tuple(a + c for a, c in zip(alpha, beta))) * mono
-        for gamma in [g for g in grids if sum(g) <= j]:
-            del grids[gamma]
+    for order in range(cap + 1):
         tails = [float(np.sum(w * rem)) for w in weights]
         if all(t <= tol for t, tol in zip(tails, tols)):
-            return vals, j, tails
-        rem = rem * x / (j + 2)
-    raise TaylorTailError(f"Taylor tail {max(tails):.3e} after the order cap {cap}")
+            break
+        rem = rem * x / (order + 2)
+    else:
+        raise TaylorTailError(f"Taylor tail {max(tails):.3e} after the order cap {cap}")
+    top = order + max(sum(beta) for beta, _, _ in sums)
+    for gamma in sorted(itertools.product(range(top + 1), repeat=n), key=sum):
+        reads = [(alpha, rows, acc) for beta, rows, acc in sums if rows
+                 for alpha in [tuple(g - b for g, b in zip(gamma, beta))]
+                 if min(alpha) >= 0 and sum(alpha) <= order]
+        if not reads:
+            continue
+        need = sorted(set().union(*(rows for _, rows, _ in reads)))
+        grid = f.derivative_grid(gamma, N, need).reshape(len(need), -1)[:, node]
+        for alpha, rows, acc in reads:
+            mono = np.prod([delta[:, i] ** a / math.factorial(a)
+                            for i, a in enumerate(alpha)], axis=0)
+            acc += (grid if rows == need else grid[[need.index(r) for r in rows]]) * mono
+        del grid                              # not alive while the next one is formed
+    return order, tails
 
 
 def _merge_reports(report: Optional[dict], parts: list):
@@ -169,10 +173,12 @@ def compose_angle(fs: list, E0: list, E1: Optional[list] = None,
     parameter a of first-order jet shifts; the composition is expanded to
     first order in w (jet semantics).  Collocation on the uniform N^n grid,
     N = 2 (2 K_out + 1): the shifts and their nearest nodes come from
-    `derivative_grid` once per list; each f and the gradient its jets need
-    are Taylor-expanded about the node nearest each shifted point
-    (`_nearest_node_taylor`, Anderson-Dahleh), so |delta| <= 1/(2N) for any
-    shift; then `from_samples` (real FFT, truncation, floor).
+    `derivative_grid` once per list; each f, and the gradient that its jets
+    read on its blocks with |w| < D_w, are Taylor-expanded about the node
+    nearest each shifted point (`_nearest_node_taylor`, Anderson-Dahleh),
+    so |delta| <= 1/(2N) for any shift, into one real stack of f's keys and
+    then those its jets raise; each jet adds into its rows in place, and
+    `from_samples` transforms the stack (real FFT, truncation, floor).
     report, if given, receives the sums over fs of `from_samples`' masses
     and of 'taylor_tail' (the certified bound on the samples' error), the
     largest 'roundoff_floor' and the largest 'taylor_order' reached.
@@ -203,19 +209,25 @@ def compose_angle(fs: list, E0: list, E1: Optional[list] = None,
     axes = sorted({i for _, i, _ in jets})
     betas = [(0,) * n] + [tuple(int(b == i) for b in range(n)) for i in axes]
     for r, f in live:
-        vals, order, tails = _nearest_node_taylor(f, N, node, delta, betas)
-        acc = dict(zip(f.keys, vals[0]))
-        # first-order jet correction w_a E1^a . grad_theta f at the shifted
-        # points; only blocks with |w| + 1 <= D_w survive the jet truncation
+        # gradients only on the blocks with |w| + 1 <= D_w: no other block's
+        # jet survives the truncation
+        grad_rows = [q for q, (_, w) in enumerate(f.keys) if sum(w) < f.D_w]
+        raised = lambda a: [(m, w[:a] + (w[a] + 1,) + w[a + 1:])
+                            for m, w in (f.keys[q] for q in grad_rows)]
+        keys = list(dict.fromkeys(list(f.keys) + [key for a, _, _ in jets for key in raised(a)]))
+        samples = np.zeros((len(keys), N ** n))
+        grads = [np.zeros((len(grad_rows), N ** n)) for _ in axes]
+        order, tails = _nearest_node_taylor(
+            f, N, node, delta, [(betas[0], list(range(len(f.keys))), samples[:len(f.keys)])]
+            + [(beta, grad_rows, g) for beta, g in zip(betas[1:], grads)])
+        # first-order jet correction w_a E1^a . grad_theta f at the shifted points
         for a, i, e1v in jets:
-            grad = vals[1 + axes.index(i)]
-            for (m, w), v in zip(f.keys, grad):
-                if sum(w) < f.D_w:
-                    key = (m, w[:a] + (w[a] + 1,) + w[a + 1:])
-                    acc[key] = acc.get(key, 0.0) + v * e1v
+            for q, key in enumerate(raised(a)):
+                samples[keys.index(key)] += grads[axes.index(i)][q] * e1v
+        del grads                             # not alive through the transform
         part = {"taylor_order": order, "taylor_tail": tails[0] + sum_left_to_right(
             float(np.max(np.abs(e1v))) * tails[1 + axes.index(i)] for _, i, e1v in jets)}
-        out[r] = FTSeries.from_samples(f, acc, N, report=part, K=K_out)
+        out[r] = FTSeries.from_samples(f, keys, samples, N, report=part, K=K_out)
         parts.append(part)
     _merge_reports(report, parts)
     return out

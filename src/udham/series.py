@@ -129,16 +129,17 @@ class FTSeries:
         return out._new(keys, coef)
 
     @classmethod
-    def from_samples(cls, like: "FTSeries", samples: dict, N: int,
+    def from_samples(cls, like: "FTSeries", keys: list, samples: np.ndarray, N: int,
                      report: Optional[dict] = None, **meta) -> "FTSeries":
         """Series whose (m, w) blocks interpolate samples on the uniform grid.
 
-        samples maps (m, w) to values at the N^n points theta = j/N (C
-        order), N >= 2K + 1 for like's K (or meta's).  Their real parts go
-        through one real FFT; the modes |k|_inf <= K are rebuilt from the
-        half spectrum as in `product` (`_half_modes`) and zeroed below the
-        FFT's a-priori error bound u log2(N^n) |c|_1, c the row's full
-        spectrum (half-spectrum columns 0 < k_last < N/2 count twice).
+        samples is a real stack, row r the values of keys[r] at the N^n
+        points theta = j/N (C order, flat or shaped (N,)*n), N >= 2K + 1
+        for like's K (or meta's); a contiguous stack is transformed where it
+        is, with no copy.  One real FFT transforms it; the modes |k|_inf <= K are rebuilt
+        from the half spectrum as in `product` (`_half_modes`) and zeroed
+        below the FFT's a-priori error bound u log2(N^n) |c|_1, c the row's
+        full spectrum (half-spectrum columns 0 < k_last < N/2 count twice).
         report, if given, receives the 'aliasing_mass' the truncation drops,
         the largest 'roundoff_floor' and the 'pruned_mass' it zeroes.
         """
@@ -146,11 +147,8 @@ class FTSeries:
         n, K = out.n, out.K
         if N < 2 * K + 1:
             raise ParameterError("grid too small for the kept bandwidth")
-        keys = list(samples)
-        vals = np.zeros((len(keys),) + (N,) * n)
-        for r, key in enumerate(keys):
-            vals[r] = np.reshape(np.real(samples[key]), (N,) * n)
-        H = np.fft.rfftn(vals, axes=out._angle_axes()) / N ** n
+        H = np.fft.rfftn(np.reshape(samples, (len(keys),) + (N,) * n), axes=out._angle_axes())
+        H /= N ** n
         col = np.arange(N // 2 + 1)
         l1 = np.sum(np.abs(H) * np.where((col == 0) | (2 * col == N), 1.0, 2.0),
                     axis=out._angle_axes(), keepdims=True)
@@ -253,10 +251,10 @@ class FTSeries:
         """The stacked blocks' modes |k|_inf <= b, mode k at index k + b."""
         return self.coef[(slice(None),) + (slice(self.K - b, self.K + b + 1),) * self.n]
 
-    def _dwindow(self, b, alpha) -> np.ndarray:
-        """d^alpha / d theta^alpha of `_window(b)`."""
+    def _dwindow(self, b, alpha, rows=slice(None)) -> np.ndarray:
+        """d^alpha / d theta^alpha of these rows of `_window(b)`."""
         k = np.arange(-b, b + 1) + self.K
-        win = self._window(b)
+        win = self._window(b)[rows]
         for i, a in enumerate(alpha):
             if a:
                 win = win * np.take(self._dtheta_mult(i), k, axis=i + 1) ** a
@@ -347,20 +345,22 @@ class FTSeries:
                 (np.prod(wv ** np.array(ww)) if self.n_w else 1.0)
         return out.real
 
-    def derivative_grid(self, alpha, N: int) -> np.ndarray:
-        """d^alpha f / d theta^alpha of every block on the uniform N^n grid
-        theta = j/N, stacked as (len(keys),) + (N,)*n, by one real inverse
-        FFT of the half spectrum (`_grid_values`: the complex passes run
-        only over the columns and lines that hold modes).
+    def derivative_grid(self, alpha, N: int, rows=slice(None)) -> np.ndarray:
+        """d^alpha f / d theta^alpha of the blocks of these rows (all by
+        default) on the uniform N^n grid theta = j/N, stacked as
+        (rows,) + (N,)*n, by one real inverse FFT of the half spectrum
+        (`_grid_values`: the complex passes run only over the columns and
+        lines that hold modes).
 
-        Only the occupied window |k|_inf <= b = `_band()` is read.  It is
+        Only the occupied window |k|_inf <= b is read, b = `_band()` over
+        all rows, so a row's values do not depend on the rows asked for.  It is
         transformed on the least multiple qN >= 2b + 1 of N, where no mode
         folds, and every q-th sample is kept, so the values are exact
         samples for any N, also below 2b + 1.  The series' exact Hermitian
         symmetry makes the samples real.
         """
         b = self._band()
-        win = self._dwindow(b, alpha)
+        win = self._dwindow(b, alpha, rows)
         q = max(-(-(2 * b + 1) // N), 1)
         # scaled after a backward transform: norm="forward" is as accurate,
         # but moves the README kam run's omega_star by about ten ulps

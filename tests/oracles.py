@@ -2,20 +2,24 @@
 
 Each computes a quantity of the package by a direct, slower route:
 brute-force lattice enumeration for Psi, a direct scan for Omega,
-Gauss-Legendre quadrature for the homological solve and an RK4
-collocation flow for the affine Lie-series flow.  Below them sit the
+Gauss-Legendre quadrature for the homological solve, an RK4
+collocation flow for the affine Lie-series flow and a Taylor collocation
+that keeps every derivative grid of an order alive.  Below them sit the
 accessors and checks that only the tests read: one angle block of a
 series, its reality defect, an affine transform applied to points and
 that map's symplecticity defect.  No package code calls any of them.
 """
 
+import itertools
 import math
 from typing import Optional
 
 import numpy as np
 
 from udham.dioph import PSI_BRUTE_BUDGET, BudgetError, ResonanceError
-from udham.flows import AffineTransform, _action_component, _collocation_size
+from udham.errors import TaylorTailError
+from udham.flows import (TAYLOR_TOL, AffineTransform, _action_component, _collocation_size,
+                         _taylor_order_cap)
 from udham.series import TWO_PI, FTSeries, _flip, average_periodic
 from udham.weights import ParameterError, ScaleProfile
 
@@ -120,13 +124,50 @@ def affine_flow_ode(C: FTSeries, D: list, t: float = 1.0, n_steps: int = 64,
         G = G + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
 
     def to_series(vals):
-        return FTSeries.from_samples(FTSeries.zeros(n, K_out),
-                                     {((0,) * n, ()): vals}, N)
+        return FTSeries.from_samples(FTSeries.zeros(n, K_out), [((0,) * n, ())], vals, N)
 
     return AffineTransform(
         E=[to_series(E[:, i]) for i in range(n)],
         A=[_action_component(i, to_series(G[:, i]), [to_series(F[:, i, j]) for j in range(n)])
            for i in range(n)])
+
+
+def nearest_node_taylor_reference(f: FTSeries, N: int, node, delta, betas):
+    """d^beta f at theta_node + delta for each beta, by Taylor expansion on
+    the uniform N^n grid, order by order: every d^gamma f grid an order
+    reads stays alive until the order is summed, and orders are added until
+    the tail bound of `flows._nearest_node_taylor` is met.  Returns
+    ([(len(keys), P) values per beta], order, [tail bound per beta])."""
+    n, K = f.n, f.K
+    amp = sum(np.abs(b) for b in f.blocks.values())
+    k = np.abs(np.stack(np.meshgrid(*([np.arange(-K, K + 1)] * n), indexing="ij")))
+    x = TWO_PI * np.tensordot(np.max(np.abs(delta), axis=0), k, axes=1)
+    weights = [amp * np.prod([(TWO_PI * ki) ** b for ki, b in zip(k, beta)], axis=0)
+               for beta in betas]
+    tols = [TAYLOR_TOL * np.sum(w) for w in weights]
+    cap = _taylor_order_cap(math.pi * n * K / N)
+    grids = {}
+
+    def grid(gamma):
+        if gamma not in grids:
+            grids[gamma] = f.derivative_grid(gamma, N).reshape(len(f.keys), -1)[:, node]
+        return grids[gamma]
+
+    vals = [0.0] * len(betas)
+    rem = x * np.exp(x)                       # x^(j+1) e^x / (j+1)! at j = 0
+    for j in range(cap + 1):
+        for alpha in [a for a in itertools.product(range(j + 1), repeat=n) if sum(a) == j]:
+            mono = np.prod([delta[:, i] ** a / math.factorial(a)
+                            for i, a in enumerate(alpha)], axis=0)
+            for b, beta in enumerate(betas):
+                vals[b] += grid(tuple(a + c for a, c in zip(alpha, beta))) * mono
+        for gamma in [g for g in grids if sum(g) <= j]:
+            del grids[gamma]
+        tails = [float(np.sum(w * rem)) for w in weights]
+        if all(t <= tol for t, tol in zip(tails, tols)):
+            return vals, j, tails
+        rem = rem * x / (j + 2)
+    raise TaylorTailError(f"Taylor tail {max(tails):.3e} after the order cap {cap}")
 
 
 def block(f: FTSeries, m=None, w=None) -> np.ndarray:

@@ -555,6 +555,20 @@ class TestFlagTable:
         assert not (out / "manifest.txt").exists()
 
     @pytest.mark.parametrize("argv", [
+        # below the built-in series' modes: the nf toy's (3, 2), kam's (2, 1)
+        ["nf", "--k-max", "1"], ["nf", "--k-max", "2"], ["kam", "--k-max", "1"],
+        # a non-finite omega
+        ["dioph", "--omega", "1,nan"], ["dioph", "--omega", "inf"],
+        ["kam", "--omega", "1,nan"], ["diffuse", "--omega", "nan"],
+        ["bessi", "--omega", "1,nan"], ["dioph", "--omega", "1,inf"],
+    ], ids=lambda argv: "_".join(argv))
+    def test_unusable_k_max_or_omega_is_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert exit_code(argv + ["--outdir", str(out)]) == 2
+        assert f"--{argv[1][2:]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
         ["brtest", "--eta", "-1"],
         ["nf", "--s", "0"], ["nf", "--A", "0"],
         ["diffuse", "--t-end", "nan"], ["diffuse", "--t-end", "inf"],

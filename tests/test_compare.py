@@ -2,6 +2,7 @@
 number is named with its relative move."""
 
 import importlib.util
+import os
 import resource
 import subprocess
 import sys
@@ -28,8 +29,9 @@ def test_head_against_head_is_identical(tmp_path):
     imports = [ln for ln in lines if " imports" in ln]
     calls = [ln for ln in lines if " calls: " in ln]
     rusage = [ln for ln in lines if " rusage: " in ln]
+    fft = [ln for ln in lines if " fft: " in ln]
     assert all(ln.endswith(": identical") for ln in lines
-               if ln not in imports + calls + rusage)
+               if ln not in imports + calls + rusage + fft)
     # the import counter: one line per argv and the group's sum, equal on both sides
     assert len(imports) == 2
     for ln in imports:
@@ -42,6 +44,13 @@ def test_head_against_head_is_identical(tmp_path):
     assert parent.removeprefix("parent ") == change.removeprefix("change ")
     counts = dict(c.split("=") for c in parent.removeprefix("parent ").split())
     assert list(counts) == list(load_tool().COUNTED) and int(counts["series.norm_upper"]) > 0
+    # the FFT counters: one line per argv, equal on both sides
+    assert len(fft) == 1
+    parent, change = fft[0].split(": ", 1)[1].split("; ")
+    assert parent.removeprefix("parent ") == change.removeprefix("change "), fft[0]
+    counts = dict(c.split("=") for c in parent.removeprefix("parent ").split())
+    assert list(counts) == ["calls", "points", "work"] and int(counts["calls"]) > 0
+    assert float(counts["work"]) > int(counts["points"]) > 0
     # the resource line: one per argv, each side's minor faults and peak RSS positive
     assert len(rusage) == 1
     for side, part in zip(("parent", "change"), rusage[0].split(": ", 1)[1].split("; ")):
@@ -55,10 +64,20 @@ def test_child_peak_is_its_own(tmp_path):
     # Linux carries the spawning process's high-water mark into an exec'd
     # child's ru_maxrss; `report` loads no numpy, so the peak the child
     # reports of itself stays below this process's own
-    (code, modules, _, (_, peak_kib)), = load_tool().run_group(
+    (code, modules, _, (_, peak_kib), fft), = load_tool().run_group(
         ROOT, tmp_path / "report", None, [["report"]])
     assert code == 0 and modules == ["udham", "udham.errors"]
+    assert fft == "calls=0 points=0 work=0.0000e+00"
     assert 0 < peak_kib < resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
+def test_fft_counters_read_n_a_without_numpys_private_transform(tmp_path):
+    # a numpy without `_raw_fft` leaves the counters unknown, not zero
+    hide = "import numpy.fft._pocketfft as p\ndel p._raw_fft\n"
+    proc = subprocess.run([sys.executable, "-c", hide + load_tool().CHILD, "report",
+                           "--outdir", str(tmp_path)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+    assert proc.returncode == 0 and "\nudham fft: n/a\n" in proc.stderr, proc.stderr
 
 
 def test_moved_fields_are_named(tmp_path):

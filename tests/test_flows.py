@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import affine_flow_ode, apply_transform, block, jacobian_defect
+from oracles import (affine_flow_ode, apply_transform, block, jacobian_defect,
+                     nearest_node_taylor_reference)
 from udham import flows as F
 from udham import weights as W
-from udham.series import FTSeries, poisson_bracket
+from udham.series import FTSeries, poisson_bracket, sum_left_to_right
 from udham.weights import ParameterError
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -271,12 +273,11 @@ class TestComposeAngle:
         # never truncate silently
         f = FTSeries.zeros(2, 8).add_cos((8, 8), 1.0)
         N = 10
-        _, order, _ = F._nearest_node_taylor(f, N, slice(None),
-                                             np.full((N * N, 2), 0.5 / N), [(0, 0)])
+        sums = [((0, 0), [0], np.zeros((1, N * N)))]
+        order, _ = F._nearest_node_taylor(f, N, slice(None), np.full((N * N, 2), 0.5 / N), sums)
         assert order >= 1
         with pytest.raises(F.TaylorTailError):
-            F._nearest_node_taylor(f, N, slice(None), np.full((N * N, 2), 1.0 / N),
-                                   [(0, 0)])
+            F._nearest_node_taylor(f, N, slice(None), np.full((N * N, 2), 1.0 / N), sums)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_shift_is_a_parameter_error(self, bad):
@@ -327,7 +328,8 @@ def test_property_composition_equals_fourier_sum(seed, amp, K, K_out):
     for (m, w), v in fourier_sum(f.dtheta(0), pts).items():
         if w == (0,):
             samples[(m, (1,))] = samples.get((m, (1,)), 0.0) + v * e1
-    expect = FTSeries.from_samples(f, samples, N, K=K_out)
+    expect = FTSeries.from_samples(f, list(samples), np.real(list(samples.values())), N,
+                                   K=K_out)
     assert np.max(np.abs((g - expect).coef)) <= 1e-12
 
 
@@ -368,6 +370,115 @@ def test_property_compose_angle_round_trip(seed, n, e):
     M = (K_out - b) // b + 1
     bound = (1 + 2 * math.pi * n * b) * x ** M * math.exp(x) / math.factorial(M)
     assert (back - f).coeff_norm1() <= bound + 1e-13
+
+
+def random_keyed_series(rng, n, K, l1, keys, **dims):
+    """A real series of n angles with a dense |k|_inf <= K block for each
+    (m, w) of keys, scaled to |.|_1 = l1."""
+    blocks = {}
+    for key in keys:
+        arr = rng.normal(size=(2 * K + 1,) * n) + 1j * rng.normal(size=(2 * K + 1,) * n)
+        blocks[key] = 0.5 * (arr + np.conj(arr[(slice(None, None, -1),) * n]))
+    out = FTSeries.from_blocks(FTSeries.zeros(n, K, **dims), blocks)
+    return (l1 / out.coeff_norm1()) * out
+
+
+def composition_case(seed, n, jets, amp, K, K_out=None):
+    """f, E0 and E1 (None without jets) for compose_angle: with jets, f has
+    the blocks I^m w^w for m in {0, e_0} and |w| <= 1 in two parameters,
+    and each parameter shifts its own angle."""
+    rng = np.random.default_rng(seed)
+    z, e0 = (0,) * n, tuple(int(i == 0) for i in range(n))
+    ws = [(0, 0), (1, 0), (0, 1)] if jets else [()]
+    f = random_keyed_series(rng, n, K, 1.0, [(m, w) for m in (z, e0) for w in ws],
+                            D_I=1, D_w=int(jets), n_w=2 if jets else 0)
+    E0 = [random_keyed_series(rng, n, 1, amp, [(z, ())]) for _ in range(n)]
+    E1 = None
+    if jets:
+        E1 = [[random_keyed_series(rng, n, 1, 0.01, [(z, ())]) if i == a % n else None
+               for i in range(n)] for a in range(2)]
+    return f, E0, E1
+
+
+def dict_composition(f, E0, E1, K_out):
+    """f(theta + E0 + w E1) as compose_angle formed it while every grid of
+    an order stayed alive: `nearest_node_taylor_reference`, then the samples
+    gathered in a dict in the order the jets reach their keys and copied
+    row by row into a stack for `from_samples`.  Also returns whether any
+    shifted point has a node other than its own grid point."""
+    n = len(E0)
+    N = 2 * (2 * K_out + 1)
+    shift = np.stack([F._grid_shift(e, N) for e in E0], axis=-1)
+    steps = np.rint(N * shift)
+    delta = shift - steps / N
+    node = slice(None)
+    if np.any(steps):
+        base = np.indices((N,) * n).reshape(n, -1)
+        node = np.ravel_multi_index((base + (steps.T % N).astype(np.int64)) % N, (N,) * n)
+    jets = [] if E1 is None else [(a, i, F._grid_shift(c, N)) for a, E1a in enumerate(E1)
+                                  for i, c in enumerate(E1a) if c is not None]
+    axes = sorted({i for _, i, _ in jets})
+    betas = [(0,) * n] + [tuple(int(b == i) for b in range(n)) for i in axes]
+    vals, order, tails = nearest_node_taylor_reference(f, N, node, delta, betas)
+    acc = dict(zip(f.keys, vals[0]))
+    for a, i, e1v in jets:
+        for (m, w), v in zip(f.keys, vals[1 + axes.index(i)]):
+            if sum(w) < f.D_w:
+                key = (m, w[:a] + (w[a] + 1,) + w[a + 1:])
+                acc[key] = acc.get(key, 0.0) + v * e1v
+    stack = np.zeros((len(acc), N ** n))
+    for r, v in enumerate(acc.values()):
+        stack[r] = v
+    report = {"taylor_order": order, "taylor_tail": tails[0] + sum_left_to_right(
+        float(np.max(np.abs(e1v))) * tails[1 + axes.index(i)] for _, i, e1v in jets)}
+    g = FTSeries.from_samples(f, list(acc), stack, N, report=report, K=K_out)
+    return g, report, np.any(steps)
+
+
+@given(st.integers(0, 10_000), st.integers(1, 2), st.booleans(), st.floats(0.0, 0.5),
+       st.integers(1, 5), st.integers(1, 6))
+@example(seed=3, n=1, jets=True, amp=0.5, K=4, K_out=2)
+@example(seed=3, n=2, jets=True, amp=0.5, K=4, K_out=2)
+@settings(max_examples=30, deadline=None)
+def test_property_composition_is_bit_equal_to_all_grids_alive(seed, n, jets, amp, K, K_out):
+    # one grid alive at a time adds the same terms in the same order as
+    # keeping every grid of an order: the same bits, with and without jets
+    f, E0, E1 = composition_case(seed, n, jets, amp, K)
+    report = {}
+    g, = F.compose_angle([f], E0, E1, K_out=K_out, report=report)
+    expect, expect_report, _ = dict_composition(f, E0, E1, K_out)
+    assert g.keys == expect.keys and np.array_equal(g.coef, expect.coef)
+    assert report == expect_report
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_shifted_nodes_are_bit_equal_to_all_grids_alive(n):
+    # shifts up to 1/2 move most points to another node (steps != 0), the
+    # branch no command reaches
+    f, E0, E1 = composition_case(3, n, True, 0.5, 4)
+    g, = F.compose_angle([f], E0, E1, K_out=2)
+    expect, _, shifted = dict_composition(f, E0, E1, 2)
+    assert shifted and g.keys == expect.keys and np.array_equal(g.coef, expect.coef)
+
+
+def test_composition_holds_one_grid_at_a_time():
+    # K = 32 with the 18 blocks I^m w^w (|m| <= 2, |w| <= 1 in two
+    # parameters) of a KAM step's series: keeping every grid of an order
+    # alive peaked at about 52 MiB
+    rng = np.random.default_rng(0)
+    ms = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    keys = [(m, w) for m in ms for w in [(0, 0), (1, 0), (0, 1)]]
+    f = random_keyed_series(rng, 2, 32, 1.0, keys, D_I=2, D_w=1, n_w=2)
+    E0 = [random_keyed_series(rng, 2, 32, 1e-3, [((0, 0), ())]) for _ in range(2)]
+    E1 = [[random_keyed_series(rng, 2, 32, 1e-4, [((0, 0), ())]) for _ in range(2)]
+          for _ in range(2)]
+    tracemalloc.start()
+    try:
+        g, = F.compose_angle([f], E0, E1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g.keys) == 18 and peak <= 16 * 2 ** 20, peak / 2 ** 20
 
 
 class TestLieFlow:

@@ -41,6 +41,8 @@ RUNS = {
     "norm_error": (["dioph", "--norm", "banana"], 2, BASE, False),
     "v_error": (["nf", "--hamiltonian", "H.fts", "--v", "1,x"], 2, BASE, False),
     "unread_in_mode_error": (["ms", "--mode", "exact", "--alpha", "3"], 2, BASE, False),
+    "omega_error": (["dioph", "--omega", "1,nan"], 2, BASE, False),
+    "k_max_error": (["kam", "--k-max", "1"], 2, BASE, False),
 }
 PROBE = """
 import json, sys

@@ -30,7 +30,13 @@ which runs as `__main__`, is not counted), and per group their sum.  These
 counts are deterministic; they do not enter the verdict.  So are the calls
 it prints per argv and side of each function in COUNTED: a `sys.setprofile`
 hook in the child counts the "call" events of those udham functions, and
-loads no module.  Last, each side's child reports its minor page faults
+loads no module.  The same hook reads the (a, n, axis) of each call of
+numpy's private `numpy.fft._pocketfft._raw_fft`, the one 1-D transform behind
+every numpy FFT, and the tool prints per argv and side the FFT calls, their
+points (lines * n) and their work (lines * n log2 n); where numpy has no
+such function the child prints "n/a".  These are deterministic and outside
+the verdict too.  The child starts no tracemalloc: its tables would raise
+the peak it reports.  Last, each side's child reports its minor page faults
 (`getrusage(RUSAGE_SELF)`) and its peak resident set (`VmHWM` of
 /proc/self/status), both read after the modules are listed, which the tool
 prints per argv; these vary a little from run to run and do not enter the
@@ -66,19 +72,33 @@ RUN_TIMEOUT = 600
 COUNTED = ("series.norm_upper", "series.poisson_bracket", "series.product",
            "series.derivative_grid", "flows.compose_angle", "flows.apply_affine")
 # `python -m udham.cli`, which at exit lists the udham modules it loaded, the
-# calls of each COUNTED function and its minor faults and peak RSS (in KiB)
-CHILD = ("import atexit, runpy, sys\n"
+# calls of each COUNTED function, its FFTs and its minor faults and peak RSS (in KiB)
+CHILD = ("import atexit, math, runpy, sys\n"
          f"calls = dict.fromkeys({COUNTED!r}, 0)\n"
          "owner = {c.split('.')[1]: c for c in calls}\n"
+         "fft = [0, 0, 0.0]\n"
          "def count(frame, event, arg):\n"
-         "    c = owner.get(frame.f_code.co_name) if event == 'call' else None\n"
-         "    if c and frame.f_globals.get('__name__') == 'udham.' + c.split('.')[0]:\n"
+         "    if event != 'call':\n"
+         "        return\n"
+         "    name, module = frame.f_code.co_name, frame.f_globals.get('__name__')\n"
+         "    if name == '_raw_fft' and module == 'numpy.fft._pocketfft':\n"
+         "        a, n, axis = (frame.f_locals[v] for v in ('a', 'n', 'axis'))\n"
+         "        lines = a.size // max(a.shape[axis], 1)\n"
+         "        fft[0] += 1\n"
+         "        fft[1] += lines * n\n"
+         "        fft[2] += lines * n * math.log2(n)\n"
+         "    c = owner.get(name)\n"
+         "    if c and module == 'udham.' + c.split('.')[0]:\n"
          "        calls[c] += 1\n"
          "def report():\n"
          "    sys.setprofile(None)\n"
          "    print('udham modules:', *sorted(m for m in sys.modules\n"
          "          if m.split('.')[0] == 'udham'), file=sys.stderr)\n"
          "    print('udham calls:', *(f'{c}={n}' for c, n in calls.items()), file=sys.stderr)\n"
+         "    pocketfft = sys.modules.get('numpy.fft._pocketfft')\n"
+         "    known = pocketfft is None or hasattr(pocketfft, '_raw_fft')\n"
+         "    print('udham fft:', f'calls={fft[0]} points={fft[1]} work={fft[2]:.4e}'\n"
+         "          if known else 'n/a', file=sys.stderr)\n"
          "    import resource\n"
          "    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
          "    with open('/proc/self/status') as f:\n"
@@ -89,6 +109,7 @@ CHILD = ("import atexit, runpy, sys\n"
          "runpy.run_module('udham.cli', run_name='__main__', alter_sys=True)\n")
 LOADED = re.compile(r"^udham modules:(.*)$", re.M)
 CALLS = re.compile(r"^udham calls:(.*)$", re.M)
+FFT = re.compile(r"^udham fft: (.*)$", re.M)
 RUSAGE = re.compile(r"^udham rusage: (\d+) (\d+)$", re.M)
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
 
@@ -112,8 +133,8 @@ def groups() -> dict:
 
 def run_group(checkout: Path, workdir: Path, inputs, argvs) -> list:
     """Run each argv in a fresh process in workdir; the exit code, the
-    imported udham modules, the counted calls and (minor faults, peak RSS
-    in KiB) of each."""
+    imported udham modules, the counted calls, (minor faults, peak RSS in
+    KiB) and the FFT counters of each."""
     if workdir.exists():
         raise SystemExit(f"{workdir} exists: give a fresh --outdir")
     workdir.mkdir(parents=True)
@@ -128,7 +149,8 @@ def run_group(checkout: Path, workdir: Path, inputs, argvs) -> list:
                               capture_output=True, text=True, timeout=RUN_TIMEOUT)
         runs.append((proc.returncode, LOADED.findall(proc.stderr)[-1].split(),
                      CALLS.findall(proc.stderr)[-1].strip(),
-                     tuple(map(int, RUSAGE.findall(proc.stderr)[-1]))))
+                     tuple(map(int, RUSAGE.findall(proc.stderr)[-1])),
+                     FFT.findall(proc.stderr)[-1]))
     return runs
 
 
@@ -214,18 +236,19 @@ def compare(parent: Path, change: Path, outdir: Path, only=None) -> bool:
         runs = [run_group(root, d, inputs, argvs) for root, d in zip(roots, dirs)]
         totals = [0, 0]
         for argv, *sides in zip(argvs, *runs):
-            (cp, _, calls_p, use_p), (cc, _, calls_c, use_c) = sides
+            (cp, _, calls_p, use_p, fft_p), (cc, _, calls_c, use_c, fft_c) = sides
             if cp != cc:
                 same = False
                 print(f"{group} {argv[0]}: exit {cp} (parent) vs {cc} (change)")
             loaded = []
-            for i, (root, (_, modules, _, _)) in enumerate(zip(roots, sides)):
+            for i, (root, (_, modules, *_)) in enumerate(zip(roots, sides)):
                 lines = source_lines(root, modules)
                 totals[i] += lines
                 names = " ".join(m.removeprefix("udham.") for m in modules)
                 loaded.append(f"{SIDES[i]} {lines} lines ({names})")
             print(f"{group} {argv[0]} imports: {'; '.join(loaded)}")
             print(f"{group} {argv[0]} calls: parent {calls_p}; change {calls_c}")
+            print(f"{group} {argv[0]} fft: parent {fft_p}; change {fft_c}")
             print(f"{group} {argv[0]} rusage: " + "; ".join(
                 f"{side} minor_faults={faults} max_rss_mb={rss / 1024:.1f}"
                 for side, (faults, rss) in zip(SIDES, (use_p, use_c))))
