@@ -229,7 +229,7 @@ def cmd_weights(cfg: ExperimentConfig) -> int:
     l_rows = [(l, float(ws.log_M[l]),
                float(ws.log_mu[l]) if l < L else math.nan,
                float(ws.log_N[l]),
-               float(math.exp(ws.log_nu[l])) if l < L else math.nan)
+               weights.exp_in_range(ws.log_nu[l], f"nu_{l}") if l < L else math.nan)
               for l in range(min(L, p["table_rows"]) + 1)]
     write_csv(out / "weights.csv",
               ["l", "M_l_log", "mu_l_log", "N_l_log", "nu_l"], l_rows)
@@ -667,9 +667,12 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (HorizonError, BudgetError, UnsupportedError,
             LieDivergence, StiffnessError, QuadratureError) as exc:
+        msg = str(exc)
+        if getattr(exc, "l_max", None) is not None:     # a weight sequence's horizon
+            msg += f" (the weight horizon is --l-max {exc.l_max}; a larger one reaches further)"
         write_manifest(Path(cfg.outdir) / "manifest.txt", {
-            **cfg.as_manifest_dict(), "error": str(exc)})
-        print(f"budget/horizon: {exc}", file=sys.stderr)
+            **cfg.as_manifest_dict(), "error": msg})
+        print(f"budget/horizon: {msg}", file=sys.stderr)
         return EXIT_BUDGET
     return code
 

@@ -7,11 +7,13 @@ class ParameterError(ValueError):
 
 
 class HorizonError(RuntimeError):
-    """A sup/argmax ran off the stored horizon; carries the partial value."""
+    """A sup/argmax ran off the stored horizon; carries the partial value
+    and, when the horizon is a weight sequence's, its L_max."""
 
-    def __init__(self, msg, partial=None):
+    def __init__(self, msg, partial=None, l_max=None):
         super().__init__(msg)
         self.partial = partial
+        self.l_max = l_max
 
 
 class ResonanceError(ValueError):

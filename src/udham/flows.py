@@ -281,8 +281,9 @@ def apply_affine(Hs: list, tr: AffineTransform, K_out: Optional[int] = None,
     for H, G in zip(Hs, composed):
         acc = FTSeries.from_blocks(H, {}, K=K_out)
         # each monomial h(theta + E) I^m w^w of G becomes h(theta + E) w^w A^m
-        for (m, w), blk in G.blocks.items():
-            piece = FTSeries.from_blocks(G, {((0,) * n, w): blk}, D_I=0)
+        for m, w in G.keys:
+            piece = G.map_monomials(lambda m2, w2, src=(m, w): [(((0,) * n, w2), 1.0)]
+                                    if (m2, w2) == src else [], D_I=0)
             acc = acc + (piece if sum(m) == 0 else product(
                 piece, lpow(m, H.D_I, H.D_w), K_out=K_out, D_I_out=H.D_I))
         out.append(acc)

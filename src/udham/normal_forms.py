@@ -321,7 +321,7 @@ def local_normal_form(h: FTSeries, f: FTSeries, I1, rho: float,
     Ht = translate_actions(H, I1)
     Hr = scale_actions(Ht, rho)
     # drop the constant term (irrelevant energy offset)
-    if ((0,) * Hr.n, (0,) * Hr.n_w) in Hr.blocks:
+    if ((0,) * Hr.n, (0,) * Hr.n_w) in Hr.keys:
         Hr.set_mode((0,) * Hr.n, 0.0)
     res = periodic_normal_form(Hr, pv, sp, s / 2.0, xi=2.0)
     grad_h = np.array([h.dI(i).eval(np.zeros((1, h.n)), I=np.asarray(I1))[0]

@@ -6,8 +6,14 @@ The common currency of every normal-form computation: finite sums
 
 with |k|_inf <= K, |m| <= D_I, |w'| <= D_w.  The coefficients of the
 present action/parameter monomials are stacked in one complex array, one
-dense (2K+1)^n angle block per monomial.  Every angle transform is sized
-by the modes a series holds, its occupied band b <= K, not by K.  Products
+angle window |k|_inf <= b per monomial, b <= K the series' occupied band
+(the largest |k|_inf of a nonzero coefficient).  Storage and every angle
+transform are sized by the modes a series holds, not by K, which stays in
+the metadata as the truncation bound; each constructor cuts its stack to
+the band.  A reduction whose pairwise rounding depends on the array's
+layout (`coeff_norm1`, a product's reported 'pruned_mass') pads to the
+(2K+1)^n blocks inside that reduction only, so every value is the one that
+dense (2K+1)^n storage gives.  Products
 and Poisson brackets are one spectral kernel, `_spectral_product`: each
 operand's window and its theta derivatives go to real grid values (action
 derivatives only reweight rows), the signed pointwise products are summed
@@ -49,7 +55,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from types import MappingProxyType
+from collections.abc import Mapping
 from typing import Optional
 
 import numpy as np
@@ -66,6 +72,35 @@ def _flip(coef, n):
     return coef[(Ellipsis,) + (slice(None, None, -1),) * n]
 
 
+def _side(b: int) -> int:
+    """Indices per angle axis of the window |k|_inf <= b: none when b < 0."""
+    return max(2 * b + 1, 0)
+
+
+def _inset(b: int, B: int, n: int) -> tuple:
+    """The window |k|_inf <= b on the n angle axes of a window of B >= b."""
+    return (slice(B - b, B + b + 1),) * n
+
+
+def _band_of(a) -> int:
+    """Largest |k|_inf of a nonzero entry of a stack of centred windows
+    (mode k at index k + B per angle axis), -1 when there is none.  The
+    faces |k_i| = B are read first: one nonzero there gives B."""
+    B = (a.shape[-1] - 1) // 2
+    if B >= 0 and any(np.any(a[(slice(None),) * axis + (end,)])
+                      for axis in range(1, a.ndim) for end in (0, -1)):
+        return B
+    occupied = np.argwhere(np.any(a, axis=0))
+    return int(np.max(np.abs(occupied - B), initial=-1))
+
+
+def _pad(coef, B: int, n: int) -> np.ndarray:
+    """A stack of windows zero-padded to the window |k|_inf <= B >= their band."""
+    out = np.zeros(coef.shape[:1] + (_side(B),) * n, dtype=coef.dtype)
+    out[(slice(None),) + _inset((coef.shape[-1] - 1) // 2, B, n)] = coef
+    return out
+
+
 @dataclass
 class FTSeries:
     """Truncated real Fourier-Taylor series.
@@ -73,16 +108,21 @@ class FTSeries:
     A series carries its dimensions and truncation (n, K, D_I, n_w, D_w)
     and nothing else: every certificate takes its width s explicitly, and
     every series is real (c_{-k} = conj(c_k), up to round-off).
-    Storage is stacked: ``keys`` is the tuple of the present (m, w)
-    monomials and ``coef`` one complex array of shape
-    (len(keys), (2K+1,)*n) whose row r is the angle block of keys[r], mode k
-    at index k + K per axis.  Absent monomials are zero and cost nothing.
-    Keys stay in the order in which they first appear; that order fixes
-    the order in which products and brackets sum block pairs, and with it
-    the round-off of every result.
+    Storage is stacked and band-sized: ``keys`` is the tuple of the present
+    (m, w) monomials and ``coef`` one complex array of shape
+    (len(keys), (2b+1,)*n), b <= K the occupied band (the largest |k|_inf
+    of a nonzero coefficient of any block; b = -1 and angle axes of length
+    0 when there is none), whose row r is the window |k|_inf <= b of the
+    angle block of keys[r], mode k at index k + b per axis.  Every
+    constructor cuts its stack to that band, so no zero beyond it is stored
+    and K stays only as the truncation bound.  Absent monomials are zero and
+    cost nothing.  Keys stay in the order in which they first appear; that
+    order fixes the order in which products and brackets sum block pairs,
+    and with it the round-off of every result.
     Only this module reads or writes ``coef``; other code reads ``blocks``,
-    a read-only mapping, and builds series with ``zeros``, ``from_blocks``,
-    ``from_samples``, ``from_text`` and the operations.
+    a read-only mapping to the blocks zero-padded to (2K+1)^n, and builds
+    series with ``zeros``, ``from_blocks``, ``from_samples``, ``from_text``
+    and the operations.
 
     Every operation returns a new series and leaves its operands unchanged.
     The mode setters ``set_mode``, ``add_cos`` and ``add_sin`` are the only
@@ -98,7 +138,7 @@ class FTSeries:
     coef: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.coef = np.zeros((0,) + self._shape(), dtype=complex)
+        self.coef = np.zeros((0,) * (self.n + 1), dtype=complex)
 
     # -- construction ---------------------------------------------------------
 
@@ -106,15 +146,20 @@ class FTSeries:
     def zeros(cls, n, K, D_I=0, D_w=0, n_w=0):
         return cls(n=n, K=K, D_I=D_I, D_w=D_w, n_w=n_w)
 
-    def _new(self, keys, coef, **meta) -> "FTSeries":
-        """A series with self's metadata, overridden by meta, and these rows."""
+    def _new(self, keys, coef, band=None, **meta) -> "FTSeries":
+        """A series with self's metadata, overridden by meta, and these rows:
+        a stack of centred windows, cut to its occupied band (given as band,
+        or found here)."""
         fields = {name: getattr(self, name) for name in _META}
         fields.update(meta)
         out = FTSeries(**fields)
         out.keys = tuple((tuple(int(x) for x in m), tuple(int(x) for x in w))
                          for m, w in keys)
         if coef is not None:
-            out.coef = np.asarray(coef, dtype=complex).reshape((len(out.keys),) + out._shape())
+            coef = np.asarray(coef, dtype=complex)
+            b = _band_of(coef) if band is None else band
+            B = (coef.shape[-1] - 1) // 2
+            out.coef = coef if b == B else coef[(slice(None),) + _inset(b, B, out.n)].copy()
         return out
 
     @classmethod
@@ -123,7 +168,7 @@ class FTSeries:
         given (m, w) -> (2K+1,)*n angle blocks."""
         out = like._new((), None, **meta)
         keys = list(blocks)
-        coef = np.zeros((len(keys),) + out._shape(), dtype=complex)
+        coef = np.zeros((len(keys),) + (2 * out.K + 1,) * out.n, dtype=complex)
         for r, key in enumerate(keys):
             coef[r] = blocks[key]
         return out._new(keys, coef)
@@ -155,7 +200,7 @@ class FTSeries:
         H = H[..., :K + 1]
         for axis in range(1, n):
             H = _centre(H, axis, K)
-        kept = _half_modes(H, n, K, K)
+        kept = _half_modes(H, n, K)
         floor = np.finfo(float).eps * n * math.log2(N) * l1
         low = np.abs(kept) < floor
         if report is not None:
@@ -164,9 +209,6 @@ class FTSeries:
                           pruned_mass=float(np.sum(np.abs(kept[low]))))
         kept[low] = 0.0
         return out._new(keys, kept).prune()
-
-    def _shape(self):
-        return (2 * self.K + 1,) * self.n
 
     def _angle_axes(self):
         return tuple(range(1, self.n + 1))
@@ -177,25 +219,32 @@ class FTSeries:
         return (m, w)
 
     @property
-    def blocks(self) -> MappingProxyType:
-        """Read-only mapping (m, w) -> angle block of the present monomials."""
-        view = self.coef.view()
-        view.flags.writeable = False
-        return MappingProxyType(dict(zip(self.keys, view)))
+    def blocks(self) -> Mapping:
+        """Read-only mapping (m, w) -> angle block of the present monomials,
+        each a fresh (2K+1,)*n copy (mode k at index k + K) padded from the
+        stored window when it is read."""
+        return _Blocks(self)
 
     def set_mode(self, k, value, m=None, w=None):
         key = self._key(m, w)
-        if key not in self.keys:
-            self.keys += (key,)
-            self.coef = np.concatenate([self.coef, np.zeros((1,) + self._shape())])
-        self.coef[(self.keys.index(key),) + tuple(np.asarray(k) + self.K)] = value
+        k = np.asarray(k)
+        kinf = int(np.max(np.abs(k), initial=0))
+        if kinf > self.K:
+            raise ParameterError(f"mode {tuple(k.tolist())} beyond the truncation K = {self.K}")
+        keys = self.keys + (() if key in self.keys else (key,))
+        B = max(self._band(), kinf)
+        coef = _pad(self.coef, B, self.n)
+        if len(keys) > len(self.keys):
+            coef = np.concatenate([coef, np.zeros((1,) + coef.shape[1:], dtype=complex)])
+        coef[(keys.index(key),) + tuple(k + B)] = value
+        self.keys, self.coef = keys, self._new(keys, coef).coef
         return self
 
     def get_mode(self, k, m=None, w=None) -> complex:
-        key = self._key(m, w)
-        if key not in self.keys:
+        key, b = self._key(m, w), self._band()
+        if key not in self.keys or np.max(np.abs(k), initial=0) > b:
             return 0.0 + 0.0j
-        return complex(self.coef[(self.keys.index(key),) + tuple(np.asarray(k) + self.K)])
+        return complex(self.coef[(self.keys.index(key),) + tuple(np.asarray(k) + b)])
 
     def add_cos(self, k, amp=1.0, m=None, w=None):
         """amp * cos(2 pi k.theta) * I^m w^w."""
@@ -210,11 +259,14 @@ class FTSeries:
 
     def prune(self) -> "FTSeries":
         """Drop the all-zero monomials; a non-finite coefficient raises ParameterError."""
-        peak = np.max(np.abs(self.coef), axis=self._angle_axes())
+        mag = np.abs(self.coef)
+        peak = np.max(mag, axis=self._angle_axes(), initial=0.0)
         if not np.all(np.isfinite(peak)):
             raise ParameterError("series has a non-finite coefficient")
         keep = peak > 0.0
-        return self._new([key for key, kp in zip(self.keys, keep) if kp], self.coef[keep])
+        b = _band_of(mag)
+        coef = self.coef[(keep,) + _inset(b, self._band(), self.n)]
+        return self._new([key for key, kp in zip(self.keys, keep) if kp], coef, band=b)
 
     def map_monomials(self, rule, **meta) -> "FTSeries":
         """Linear substitution on the monomials.
@@ -226,50 +278,45 @@ class FTSeries:
         entries = [(dst, r, c) for r, key in enumerate(self.keys)
                    for dst, c in rule(*key)]
         row = {dst: r for r, dst in enumerate(dict.fromkeys(dst for dst, _, _ in entries))}
-        coef = np.zeros((len(row),) + self._shape(), dtype=complex)
+        coef = np.zeros((len(row),) + self.coef.shape[1:], dtype=complex)
         for dst, r, c in entries:
             coef[row[dst]] += c * self.coef[r]
         return self._new(list(row), coef, **meta)
 
     def rebanded(self, K: int) -> "FTSeries":
-        """The same series at bandwidth K (zero-padded or truncated)."""
-        kk = min(self.K, K)
-        coef = np.zeros((len(self.keys),) + (2 * K + 1,) * self.n, dtype=complex)
-        dst = (slice(None),) + (slice(K - kk, K + kk + 1),) * self.n
-        src = (slice(None),) + (slice(self.K - kk, self.K + kk + 1),) * self.n
-        coef[dst] = self.coef[src]
-        return self._new(self.keys, coef, K=K)
+        """The same series at truncation K: the modes |k|_inf > K dropped."""
+        b = self._band()
+        return self._new(self.keys, self.coef[(slice(None),) + _inset(min(b, K), b, self.n)]
+                         .copy(), K=K)
 
     # -- basic queries ---------------------------------------------------------
 
     def _band(self) -> int:
-        """Largest |k|_inf of a nonzero coefficient, -1 when there is none."""
-        occupied = np.argwhere(np.any(self.coef, axis=0))
-        return int(np.max(np.abs(occupied - self.K), initial=-1))
+        """Largest |k|_inf of a nonzero coefficient, -1 when there is none:
+        the stored window's."""
+        return (self.coef.shape[-1] - 1) // 2
 
-    def _window(self, b) -> np.ndarray:
-        """The stacked blocks' modes |k|_inf <= b, mode k at index k + b."""
-        return self.coef[(slice(None),) + (slice(self.K - b, self.K + b + 1),) * self.n]
-
-    def _dwindow(self, b, alpha, rows=slice(None)) -> np.ndarray:
-        """d^alpha / d theta^alpha of these rows of `_window(b)`."""
-        k = np.arange(-b, b + 1) + self.K
-        win = self._window(b)[rows]
+    def _dwindow(self, alpha, rows=slice(None)) -> np.ndarray:
+        """d^alpha / d theta^alpha of these rows of the stored windows."""
+        win = self.coef[rows]
         for i, a in enumerate(alpha):
             if a:
-                win = win * np.take(self._dtheta_mult(i), k, axis=i + 1) ** a
+                win = win * self._dtheta_mult(i) ** a
         return win
 
     def coeff_norm1(self) -> float:
-        return float(np.sum(np.abs(self.coef)))
+        # summed over the (2K+1)^n blocks, whose layout fixes the pairwise
+        # summation's rounding
+        return float(np.sum(_pad(np.abs(self.coef), self.K, self.n)))
 
     def terms(self):
         """Yield (k, m, w, coeff) over nonzero coefficients, sorted."""
+        b = self._band()
         for r in sorted(range(len(self.keys)), key=self.keys.__getitem__):
             (m, w), blk = self.keys[r], self.coef[r]
             idx = np.argwhere(np.abs(blk) > 0)
             for k, c in zip(idx.tolist(), blk[tuple(idx.T)].tolist()):
-                yield tuple(i - self.K for i in k), m, w, c
+                yield tuple(i - b for i in k), m, w, c
 
     # -- linear structure ------------------------------------------------------
 
@@ -285,15 +332,14 @@ class FTSeries:
 
     def _axpy(self, other, a):
         self._check_compat(other)
-        K = max(self.K, other.K)
         keys = list(self.keys) + [key for key in other.keys if key not in self.keys]
         row = {key: r for r, key in enumerate(keys)}
-        coef = np.zeros((len(keys),) + (2 * K + 1,) * self.n, dtype=complex)
-        win = lambda s: (slice(K - s.K, K + s.K + 1),) * self.n
-        coef[(slice(len(self.keys)),) + win(self)] += self.coef
+        B = max(self._band(), other._band())
+        coef = np.zeros((len(keys),) + (_side(B),) * self.n, dtype=complex)
+        coef[(slice(len(self.keys)),) + _inset(self._band(), B, self.n)] += self.coef
         for key, c in zip(other.keys, a * other.coef):
-            coef[(row[key],) + win(other)] += c
-        return self._new(keys, coef, K=K, D_I=max(self.D_I, other.D_I),
+            coef[(row[key],) + _inset(other._band(), B, self.n)] += c
+        return self._new(keys, coef, K=max(self.K, other.K), D_I=max(self.D_I, other.D_I),
                          D_w=max(self.D_w, other.D_w))
 
     def __mul__(self, a):
@@ -305,9 +351,10 @@ class FTSeries:
 
     def _dtheta_mult(self, i) -> np.ndarray:
         """2 pi i k_i, shaped to broadcast against coef."""
+        b = self._band()
         shape = [1] * (self.n + 1)
-        shape[i + 1] = 2 * self.K + 1
-        return (TWO_PI * 1j) * np.arange(-self.K, self.K + 1).reshape(shape)
+        shape[i + 1] = -1
+        return (TWO_PI * 1j) * np.arange(-b, b + 1).reshape(shape)
 
     def dtheta(self, i) -> "FTSeries":
         """d/d theta_i; brings down 2 pi i k_i."""
@@ -326,11 +373,11 @@ class FTSeries:
     # -- evaluation --------------------------------------------------------------
 
     def eval_blocks(self, theta_pts) -> dict:
-        """Each (m, w) angle block at points (P, n), from the occupied window."""
+        """Each (m, w) angle block at points (P, n), from the stored window."""
         theta_pts = np.atleast_2d(np.asarray(theta_pts, dtype=float))
         zs = [np.exp(TWO_PI * 1j * theta_pts[:, i]) for i in range(self.n)]
         b = max(self._band(), 0)
-        return dict(zip(self.keys, _horner(self._window(b), zs, b)))
+        return dict(zip(self.keys, _horner(_pad(self.coef, b, self.n), zs, b)))
 
     def eval(self, theta_pts, I=None, w=None) -> np.ndarray:
         """f(theta, I, w) at points (P, n); w a fixed vector, I a fixed
@@ -352,7 +399,7 @@ class FTSeries:
         (`_grid_values`: the complex passes run only over the columns and
         lines that hold modes).
 
-        Only the occupied window |k|_inf <= b is read, b = `_band()` over
+        Only the stored window |k|_inf <= b is read, b = `_band()` over
         all rows, so a row's values do not depend on the rows asked for.  It is
         transformed on the least multiple qN >= 2b + 1 of N, where no mode
         folds, and every q-th sample is kept, so the values are exact
@@ -360,7 +407,7 @@ class FTSeries:
         symmetry makes the samples real.
         """
         b = self._band()
-        win = self._dwindow(b, alpha, rows)
+        win = self._dwindow(alpha, rows)
         q = max(-(-(2 * b + 1) // N), 1)
         # scaled after a backward transform: norm="forward" is as accurate,
         # but moves the README kam run's omega_star by about ten ulps
@@ -404,6 +451,28 @@ class FTSeries:
             block[k] = re_ + 1j * im_
         like = cls(n=n, K=K, D_I=D_I, D_w=D_w, n_w=n_w)
         return cls.from_blocks(like, blocks)
+
+
+class _Blocks(Mapping):
+    """`FTSeries.blocks`: each stored window zero-padded to (2K+1,)*n, read-only."""
+
+    def __init__(self, series: FTSeries):
+        self._series = series
+
+    def __len__(self):
+        return len(self._series.keys)
+
+    def __iter__(self):
+        return iter(self._series.keys)
+
+    def __getitem__(self, key):
+        s = self._series
+        if key not in s.keys:
+            raise KeyError(key)
+        r = s.keys.index(key)
+        block = _pad(s.coef[r:r + 1], s.K, s.n)[0]
+        block.flags.writeable = False
+        return block
 
 
 def _vandermonde(z, L, K):
@@ -528,17 +597,15 @@ def _mirror(coef, n):
     return coef
 
 
-def _half_modes(H, n, K, K_out):
+def _half_modes(H, n, K):
     """The modes |k|_inf <= K of every row of a half spectrum H (leading
     axes at index k + Kh, last axis k_last = 0..Kh, Kh >= K) as Hermitian
-    (2 K_out + 1)^n blocks, K_out >= K, zero beyond K."""
+    (2K + 1)^n blocks."""
     Kh = H.shape[-1] - 1
-    out = np.zeros((len(H),) + (2 * K_out + 1,) * n, dtype=complex)
-    block = out[(slice(None),) + (slice(K_out - K, K_out + K + 1),) * n]
-    block[..., K:] = H[(slice(None),) + (slice(Kh - K, Kh + K + 1),) * (n - 1)
-                       + (slice(0, K + 1),)]
-    _mirror(block, n)
-    return out
+    out = np.zeros((len(H),) + (2 * K + 1,) * n, dtype=complex)
+    out[..., K:] = H[(slice(None),) + (slice(Kh - K, Kh + K + 1),) * (n - 1)
+                     + (slice(0, K + 1),)]
+    return _mirror(out, n)
 
 
 def _lowered(keys, a):
@@ -585,7 +652,7 @@ def _spectral_product(f: FTSeries, g: FTSeries, terms, K_out: int, D_I_out: int,
     Lf = _smooth_length(max(K_full + (K_full if report is not None else K_kept),
                             2 * max(b_f, b_g)) + 1)
 
-    def grids(s, b, side):
+    def grids(s, side):
         """For each theta axis t (None: no derivative) that the terms take
         on this side, the rows' l1 of d_theta_t s and its grid values on
         the rows that some such term reads (d_I_a reads those with m_a >= 1),
@@ -598,14 +665,14 @@ def _spectral_product(f: FTSeries, g: FTSeries, terms, K_out: int, D_I_out: int,
         slab = _scratch(("grids", side), (sum(map(len, reads.values())),) + (Lf,) * n)
         out, r0 = {}, 0
         for t, read in reads.items():
-            win = s._dwindow(b, [int(i == t) for i in range(n)])
+            win = s._dwindow([int(i == t) for i in range(n)])
             vals = _grid_values(win[read], Lf, n, norm="forward",
                                 out=slab[r0:r0 + len(read)])
             out[t] = (dict(zip(read, vals)), np.sum(np.abs(win), axis=axes))
             r0 += len(read)
         return out
 
-    F, G = grids(f, b_f, 1), grids(g, b_g, 2)
+    F, G = grids(f, 1), grids(g, 2)
     rows, pairs, dropped = {}, [], []
     l1 = 0.0
     for c, (tf, af), (tg, ag) in terms:
@@ -632,16 +699,19 @@ def _spectral_product(f: FTSeries, g: FTSeries, terms, K_out: int, D_I_out: int,
     for r, c, x, y in pairs:
         acc[r] += (x if c == 1 else c * x) * y      # 1 * x is x: no copy
     H = _half_spectrum(acc, n, K_full if report is not None else K_kept)
-    kept = _half_modes(H[:len(rows)], n, K_kept, K_out)
+    kept = _half_modes(H[:len(rows)], n, K_kept)
     floor = float(np.finfo(float).eps * n * math.log2(Lf)) * l1
     low = np.abs(kept) < floor
     if report is not None:
-        full = np.sum(np.abs(_half_modes(H, n, K_full, K_full)), axis=axes)
+        full = np.sum(np.abs(_half_modes(H, n, K_full)), axis=axes)
         report["discarded_fourier"] = (float(np.sum(full[:len(rows)]) - np.sum(np.abs(kept)))
                                        if K_out < K_full else 0.0)
         report["discarded_action"] = float(np.sum(full[len(rows):]))
         report["roundoff_floor"] = floor
-        report["pruned_mass"] = float(np.sum(np.abs(kept[low])))
+        # summed over the kept modes padded to K_out, whose layout fixes the
+        # pairwise summation's rounding
+        mag = np.abs(_pad(kept, K_out, n))
+        report["pruned_mass"] = float(np.sum(mag[mag < floor]))
         report["transform_length"] = Lf
     kept[low] = 0.0
     return f._new(list(rows), kept, K=K_out, D_I=D_I_out, D_w=D_w).prune()
@@ -704,8 +774,9 @@ def poisson_bracket(f: FTSeries, g: FTSeries, K_out: Optional[int] = None,
 # ---------------------------------------------------------------------------
 
 def _k_dot(f: FTSeries, Tv) -> np.ndarray:
-    """k.Tv (exact integers) over f's (2K+1)^n block, from broadcast aranges."""
-    k = np.arange(-f.K, f.K + 1)
+    """k.Tv (exact integers) over f's stored window, from broadcast aranges."""
+    b = f._band()
+    k = np.arange(-b, b + 1)
     return sum(k.reshape((-1,) + (1,) * (f.n - 1 - i)) * int(t) for i, t in enumerate(Tv))
 
 
@@ -716,12 +787,13 @@ def average_periodic(f: FTSeries, pv) -> FTSeries:
 
 def average_zero_mode(f: FTSeries) -> FTSeries:
     """[f]: the theta-average."""
-    c = (slice(None),) + (f.K,) * f.n
-    center = f.coef[c]
+    b = f._band()
+    if b < 0:
+        return f._new((), None)
+    center = f.coef[(slice(None),) + (b,) * f.n]
     keep = center != 0
-    coef = np.zeros((int(np.sum(keep)),) + f._shape(), dtype=complex)
-    coef[c] = center[keep]
-    return f._new([key for key, kp in zip(f.keys, keep) if kp], coef)
+    return f._new([key for key, kp in zip(f.keys, keep) if kp],
+                  center[keep].reshape((-1,) + (1,) * f.n))
 
 
 def solve_homological_periodic(f: FTSeries, pv) -> FTSeries:
@@ -769,7 +841,7 @@ def norm_upper(f: FTSeries, sp: ScaleProfile, s: float) -> NormCertificate:
     """
     nz = np.nonzero(np.abs(f.coef) > 0)
     degree = np.array([sum(m) + sum(w) for m, w in f.keys], dtype=np.int64)
-    k1 = np.sum(np.abs(np.stack(nz[1:]) - f.K), axis=0)
+    k1 = np.sum(np.abs(np.stack(nz[1:]) - f._band()), axis=0)
     # exp(Omega) once per (degree, |k|_1) pair that occurs; past the horizon
     # the per-entry evaluation raises, so the error names the first entry
     span = f.n * f.K + 1
@@ -800,7 +872,7 @@ def decay_check(f: FTSeries, sp: ScaleProfile, s: float, bound: float) -> dict:
     rows = []
     amps = np.max(np.abs(f.coef), axis=0, initial=0.0)
     for idx in np.argwhere(amps > 0):
-        k = tuple(int(i) - f.K for i in idx)
+        k = tuple(int(i) - f._band() for i in idx)
         amp = float(amps[tuple(idx)])
         kinf = max(abs(x) for x in k) if k else 0
         allowed = (bound / C_NORM) * math.exp(-sp.omega_value(TWO_PI * s * kinf))

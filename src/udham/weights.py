@@ -83,6 +83,15 @@ def analytic() -> Family:
     return Family("analytic")
 
 
+def exp_in_range(x: float, what: str) -> float:
+    """e^x as a float; a ParameterError naming `what` when e^x exceeds the
+    double range, as a family's large parameters can make it."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise ParameterError(f"{what} = e^{float(x):.6g} exceeds the double range") from None
+
+
 def log_factorial(L: int) -> np.ndarray:
     """ln l! for l = 0..L-1, each from math.lgamma (within 3 ulp)."""
     return np.array([math.lgamma(l + 1.0) for l in range(L)])
@@ -275,7 +284,7 @@ class ScaleProfile:
         ws, lm = self.ws, self.ws.log_mu
         v, neg_s, _ = self._c_hull
         l_star = int(v[np.searchsorted(neg_s, -sigma)])
-        value = float(math.exp(lm[l_star] - sigma * l_star))
+        value = exp_in_range(lm[l_star] - sigma * l_star, f"C({sigma:g})")
         # With increments of log(mu) nonincreasing beyond mono_from, once the
         # terms are falling at the boundary they fall forever, so the
         # horizon's max is the global sup.  A max sitting on the boundary is
@@ -301,7 +310,7 @@ class ScaleProfile:
             raise HorizonError(
                 f"C is capped at {self.cauchy_c(1e-16).value:.3e} on the "
                 f"horizon; cannot invert y={y:.3e}",
-                partial=max(sigma, 1e-16),
+                partial=max(sigma, 1e-16), l_max=self.ws.L_max,
             )
         got = self.cauchy_c(sigma).value
         if abs(got - y) > 1e-10 * y:
@@ -323,7 +332,7 @@ class ScaleProfile:
             i = int(np.argmax(off))
             raise HorizonError(
                 f"omega({ys.flat[i]:.4g}): argmax beyond horizon "
-                f"L_max={self.ws.L_max}", partial=float(value.flat[i]))
+                f"L_max={self.ws.L_max}", partial=float(value.flat[i]), l_max=self.ws.L_max)
         return l_star, value
 
     def omega(self, y: float) -> SupResult:

@@ -77,7 +77,8 @@ def homological_integral_oracle(f: FTSeries, pv) -> FTSeries:
     wts = 0.5 * wts
     phase = np.tensordot(np.exp(TWO_PI * 1j * np.multiply.outer(ts, kTv)),
                          wts * ts, axes=(0, 0))
-    return g._new(g.keys, g.coef * (pv.T * phase)).prune()
+    return FTSeries.from_blocks(g, {key: blk * (pv.T * phase)
+                                    for key, blk in g.blocks.items()}).prune()
 
 
 def affine_flow_ode(C: FTSeries, D: list, t: float = 1.0, n_steps: int = 64,
@@ -175,9 +176,15 @@ def block(f: FTSeries, m=None, w=None) -> np.ndarray:
     key = f._key(m, w)
     if key in f.keys:
         return f.blocks[key]
-    out = np.zeros(f._shape(), dtype=complex)
+    out = np.zeros((2 * f.K + 1,) * f.n, dtype=complex)
     out.flags.writeable = False
     return out
+
+
+def occupied_band(s: FTSeries) -> int:
+    """Largest |k|_inf over the nonzero entries of s's blocks, -1 for none."""
+    return max((int(np.max(np.abs(idx - s.K))) for blk in s.blocks.values()
+                for idx in np.argwhere(np.asarray(blk) != 0)), default=-1)
 
 
 def check_reality(f: FTSeries) -> float:

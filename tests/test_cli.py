@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -484,6 +485,50 @@ def test_each_error_gives_its_exit_code(tmp_path, monkeypatch, exc):
     assert manifest.exists() == (CAUGHT[exc] == 3)
     if manifest.exists():
         assert "error = raised by the command" in manifest.read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["weights", "--alpha", "1e300"],      # nu_1 = e^(6.9e299)
+    ["weights", "--alpha", "100"],        # C(1e-3) = e^760
+    ["nf", "--alpha", "100", "--k-max", "4"],
+], ids=lambda argv: "_".join(argv))
+def test_weights_beyond_the_double_range_are_config_errors(tmp_path, capsys, argv):
+    assert exit_code(argv + ["--outdir", str(tmp_path / "out")]) == 2
+    assert "exceeds the double range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["kam", "nf"])
+def test_weight_horizon_stop_names_l_max(tmp_path, capsys, cmd):
+    # analytic weights cap C below what both commands invert on the default
+    # 2^16 horizon; the message names the flag that moves it
+    out = tmp_path / "out"
+    assert exit_code([cmd, "--family", "analytic", "--outdir", str(out)]) == 3
+    hint = "the weight horizon is --l-max 65536"
+    assert hint in capsys.readouterr().err and hint in (out / "manifest.txt").read_text()
+
+
+def test_negative_value_joined_to_its_flag(tmp_path):
+    # as the README says: argparse reads a separate "-1e-4" as a flag
+    out = tmp_path / "out"
+    argv = ["kam", "--k-max", "4", "--n-iter", "1", "--defect-grid", "8", "--eps=-1e-4"]
+    assert exit_code(argv + ["--outdir", str(out)]) in (0, 3)
+    assert "\nparam.eps = -0.0001\n" in (out / "manifest.txt").read_text()
+
+
+def test_readme_kam_pass_traced_peak(tmp_path):
+    # a warm in-process README kam pass holds each series at its occupied
+    # band: its traced peak is 13.6 MiB (21.0 MiB with dense (2K+1)^n
+    # blocks); the bound leaves 2.4 MiB of margin
+    argv = ["kam", "--family", "gevrey", "--alpha", "2", "--omega", "golden",
+            "--k-max", "32", "--eps", "1e-4"]
+    assert run(argv + ["--outdir", str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        code = run(argv + ["--outdir", str(tmp_path / "pass")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak <= 16 * 2 ** 20, peak / 2 ** 20
 
 
 class TestFlagTable:

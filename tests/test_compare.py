@@ -30,8 +30,9 @@ def test_head_against_head_is_identical(tmp_path):
     calls = [ln for ln in lines if " calls: " in ln]
     rusage = [ln for ln in lines if " rusage: " in ln]
     fft = [ln for ln in lines if " fft: " in ln]
+    traced = [ln for ln in lines if " traced: " in ln]
     assert all(ln.endswith(": identical") for ln in lines
-               if ln not in imports + calls + rusage + fft)
+               if ln not in imports + calls + rusage + fft + traced)
     # the import counter: one line per argv and the group's sum, equal on both sides
     assert len(imports) == 2
     for ln in imports:
@@ -57,17 +58,24 @@ def test_head_against_head_is_identical(tmp_path):
         faults, rss = part.removeprefix(f"{side} ").split()
         assert int(faults.removeprefix("minor_faults=")) > 0, rusage[0]
         assert float(rss.removeprefix("max_rss_mb=")) > 0, rusage[0]
+    # the traced peak: one line per argv, equal on both sides within 0.1%
+    assert len(traced) == 1
+    parent, change = (float(part.split("peak_mib=")[1])
+                      for part in traced[0].split(": ", 1)[1].split("; "))
+    assert parent > 0 and abs(parent - change) <= 1e-3 * max(parent, change), traced[0]
     assert {p.name for p in tmp_path.iterdir()} == {"parent", "change"}
+    assert {p.name for p in (tmp_path / "parent").iterdir()} == {"kam_torus", "kam_torus.traced"}
 
 
 def test_child_peak_is_its_own(tmp_path):
     # Linux carries the spawning process's high-water mark into an exec'd
     # child's ru_maxrss; `report` loads no numpy, so the peak the child
     # reports of itself stays below this process's own
-    (code, modules, _, (_, peak_kib), fft), = load_tool().run_group(
+    (code, modules, _, (_, peak_kib), fft, traced_peak), = load_tool().run_group(
         ROOT, tmp_path / "report", None, [["report"]])
     assert code == 0 and modules == ["udham", "udham.errors"]
     assert fft == "calls=0 points=0 work=0.0000e+00"
+    assert traced_peak > 0 and (tmp_path / "report.traced" / "runs" / "report").is_dir()
     assert 0 < peak_kib < resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 

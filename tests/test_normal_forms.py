@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import block
+from oracles import block, occupied_band
 from udham import dioph as D
 from udham import flows as FL
 from udham import normal_forms as NF
@@ -271,6 +271,21 @@ class TestKamStep:
         # e+ - e o phi: first order in the counterterm jets
         de = abs(p1["e0"] - (p0["e0"] + p0["e1"] @ phi_shift))
         assert de <= certA
+
+    def test_step_stores_each_series_at_its_occupied_band(self):
+        # the README f at K = 32: each series of a step stores the window
+        # |k|_inf <= b of its occupied band b, which stays far below K
+        f = FTSeries.zeros(2, 32).add_cos((1, 0)).add_cos((1, 1), 0.8).add_sin((2, 1), 0.5)
+        fp = D.golden_profile()
+        Q = NF.KamSchedule.build(SP, fp, s=0.5, n=2, i_max=8).Qs[0]
+        kh = NF.kam_hamiltonian_from_mechanical(f, 1e-4, GOLD, K=32)
+        new, tr, _, _ = NF.kam_step(kh, fp, Q)
+        bands = []
+        for s in [new.H] + tr.E + tr.A:
+            b = occupied_band(s)
+            assert s.K == 32 and s.coef.shape == (len(s.keys),) + (2 * b + 1,) * 2
+            bands.append(b)
+        assert 0 < max(bands) < 16
 
     def test_perturbation_wider_than_K_rejected(self):
         f = FTSeries.zeros(2, 6).add_cos((5, 0))

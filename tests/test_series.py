@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import block, check_reality, homological_integral_oracle
+from oracles import block, check_reality, homological_integral_oracle, occupied_band
 from udham import dioph as D
 from udham import flows as F
 from udham import series as S
@@ -435,12 +435,6 @@ def test_property_product_equals_direct_convolution(case):
     assert 0.0 <= rep["pruned_mass"] <= floor * (2 * K_out + 1) ** f.n * len(blocks)
 
 
-def _occupied_band(s):
-    """Largest |k|_inf over the nonzero entries of s's blocks, -1 for none."""
-    return max((int(np.max(np.abs(idx - s.K))) for blk in s.blocks.values()
-                for idx in np.argwhere(np.asarray(blk) != 0)), default=-1)
-
-
 @given(product_operands(), st.integers(1, 10))
 @settings(max_examples=40, deadline=None)
 @example((FTSeries.from_blocks(FTSeries.zeros(2, 3, D_I=2), {((0, 0), ()): np.zeros((7, 7))}),
@@ -453,7 +447,7 @@ def test_property_product_sized_by_occupied_band(case, pad):
     ref = product(f, g, K_out=K_out, D_I_out=D_I_out, report=ref_rep)
     p = product(f.rebanded(f.K + pad), g.rebanded(g.K + 2 * pad), K_out=K_out,
                 D_I_out=D_I_out, report=rep)
-    b_f, b_g = _occupied_band(f), _occupied_band(g)
+    b_f, b_g = occupied_band(f), occupied_band(g)
     if min(b_f, b_g) < 0:
         empty_rep = {}
         empty = product(FTSeries.zeros(f.n, f.K, D_I=f.D_I, D_w=f.D_w, n_w=f.n_w), g,
@@ -480,8 +474,8 @@ def test_property_product_without_report_equals_full_length(case, data):
     # b_f + b_g + K_out + 1, where only dropped modes fold; with one, at
     # 2(b_f + b_g) + 1, where none does
     f, g, _, D_I_out = case
-    K_full = _occupied_band(f) + _occupied_band(g)
-    assume(K_full >= 1 and min(_occupied_band(f), _occupied_band(g)) >= 0)
+    K_full = occupied_band(f) + occupied_band(g)
+    assume(K_full >= 1 and min(occupied_band(f), occupied_band(g)) >= 0)
     K_out = data.draw(st.integers(0, K_full - 1))
     rep = {}
     ref = product(f, g, K_out=K_out, D_I_out=D_I_out, report=rep)
@@ -537,7 +531,7 @@ def test_property_bracket_equals_two_n_products(case):
             ref = ref + sign * product(a, b, K_out=K_out, D_I_out=D_I_out, report=rep)
             ref_floor += rep["roundoff_floor"]
             l1 += a.coeff_norm1() * b.coeff_norm1()
-    b_f, b_g = _occupied_band(f), _occupied_band(g)
+    b_f, b_g = occupied_band(f), occupied_band(g)
     K_full = b_f + b_g
     Lf = _least_5_smooth(max(K_full + min(K_out, K_full), 2 * max(b_f, b_g)) + 1)
     floor = np.finfo(float).eps * n * math.log2(Lf) * l1
@@ -804,12 +798,11 @@ def test_pruned_forward_equals_rfftn(n, L):
         half = S._half_spectrum(vals, n, K)
         idx = np.arange(-K, K + 1) % L
         assert np.array_equal(half, H[np.ix_(rows, *([idx] * (n - 1)), np.arange(K + 1))])
-        # modes K_kept <= K as Hermitian blocks zero-padded to K_out
-        for K_kept, K_out in ((0, K), (K, K), (K, K + 2)):
+        # modes K_kept <= K as Hermitian blocks
+        for K_kept in (0, K):
             ks = np.arange(-K_kept, K_kept + 1)
-            want = np.pad(S._mirror(H[np.ix_(rows, *([ks % L] * (n - 1)), np.abs(ks))], n),
-                          [(0, 0)] + [(K_out - K_kept,) * 2] * n)
-            assert np.array_equal(S._half_modes(half, n, K_kept, K_out), want)
+            want = S._mirror(H[np.ix_(rows, *([ks % L] * (n - 1)), np.abs(ks))], n)
+            assert np.array_equal(S._half_modes(half, n, K_kept), want)
 
 
 # -- the spectral kernel's scratch buffers ------------------------------------
@@ -860,7 +853,7 @@ def _full_transform_product(f, g, K_out, with_report):
     K_kept = min(K_out, K_full)
     L = S._smooth_length(max(K_full + (K_full if with_report else K_kept),
                              2 * max(b_f, b_g)) + 1)
-    wins = [f._window(b_f), g._window(b_g)]
+    wins = [f.coef, g.coef]          # each stored at its occupied band
     F, G = (np.fft.irfftn(_full_half_spectrum(w, L, n), s=(L,) * n, axes=axes,
                           norm="forward") for w in wins)
     H = np.fft.rfftn(F * G, axes=axes, norm="forward")
@@ -880,7 +873,7 @@ def test_product_equals_full_transform_oracle(n, with_report):
         rep = {} if with_report else None
         got = product(f, g, K_out=K_out, report=rep)
         want, L = _full_transform_product(f, g, K_out, with_report)
-        assert got.keys == f.keys and np.array_equal(got.coef[0], want)
+        assert got.keys == f.keys and np.array_equal(got.blocks[f.keys[0]], want)
         if with_report:
             assert rep["transform_length"] == L
 
@@ -906,11 +899,12 @@ def test_axpy_permuted_keys_unequal_K_equals_dense_oracle():
 
 def _norm_upper_per_term(f, sp, s):
     """(bound, n_terms, worst_term) of `norm_upper` with exp(Omega(4 s rho))
-    evaluated at every nonzero entry."""
-    nz = np.nonzero(np.abs(f.coef) > 0)
+    evaluated at every nonzero entry of the (2K+1)^n blocks."""
+    coef = np.stack([f.blocks[key] for key in f.keys])
+    nz = np.nonzero(np.abs(coef) > 0)
     degree = np.array([sum(m) + sum(w) for m, w in f.keys], dtype=float)
     rho = S.TWO_PI * np.sum(np.abs(np.stack(nz[1:]) - f.K), axis=0) + degree[nz[0]]
-    terms = W.C_NORM * np.abs(f.coef[nz]) * np.exp(sp.omega_values(4.0 * s * rho))
+    terms = W.C_NORM * np.abs(coef[nz]) * np.exp(sp.omega_values(4.0 * s * rho))
     per_block = np.split(terms, np.cumsum(np.bincount(nz[0], minlength=len(f.keys)))[:-1])
     return (sum(float(np.sum(t)) for t in per_block), len(terms),
             float(np.max(terms, initial=0.0)))
@@ -939,7 +933,7 @@ def test_homological_solve_equals_modewise_formula(num, den):
     f = rand_series(len(num), 3, 80 + len(num), D_I=1)
     want = np.zeros_like(f.coef)
     for idx in np.ndindex(f.coef.shape[1:]):
-        kTv = sum((i - f.K) * t for i, t in zip(idx, pv.Tv))
+        kTv = sum((i - f._band()) * t for i, t in zip(idx, pv.Tv))
         if kTv:
             at = (slice(None),) + idx
             want[at] = f.coef[at] / ((S.TWO_PI * 1j) * np.array([kTv / pv.T]))

@@ -7,7 +7,8 @@ Usage (from the root of a checkout):
 PARENT and CHANGE are the roots of two checkouts (for example the parent
 commit from `git archive` and the working tree).  Every argv runs `udham.cli`
 as `__main__`, as `python -m udham.cli ARGV` does, in a fresh process against
-that side's `src/`, in DIR/<side>/<group>, the only place the tool writes.
+that side's `src/`, in DIR/<side>/<group>, and once more under tracemalloc in
+DIR/<side>/<group>.traced; DIR is the only place the tool writes.
 The groups:
 
   kam_torus                perfbench's KAM_ARGV;
@@ -42,8 +43,13 @@ the peak it reports.  Last, each side's child reports its minor page faults
 prints per argv; these vary a little from run to run and do not enter the
 verdict either.  The peak is not `ru_maxrss`: Linux carries the spawning
 process's high-water mark into an exec'd child's `ru_maxrss`, so that would
-read this tool's own peak for every child that stays below it.  Exits 0
-when every exit code and every artifact agree, 1 otherwise.
+read this tool's own peak for every child that stays below it.  The second
+child of each argv, TRACED_CHILD, runs the same argv with tracemalloc on from
+its first line, and the tool prints per argv and side its traced peak (the
+most bytes that Python and numpy held at once), outside the verdict too; it
+runs apart because tracemalloc's own tables would raise the first child's
+peak resident set.  Exits 0 when every exit code and every artifact agree,
+1 otherwise.
 """
 
 from __future__ import annotations
@@ -107,10 +113,17 @@ CHILD = ("import atexit, math, runpy, sys\n"
          "atexit.register(report)\n"
          "sys.setprofile(count)\n"
          "runpy.run_module('udham.cli', run_name='__main__', alter_sys=True)\n")
+# the same run with tracemalloc on, which at exit prints its traced peak in bytes
+TRACED_CHILD = ("import atexit, runpy, sys, tracemalloc\n"
+                "atexit.register(lambda: print('udham traced peak:',\n"
+                "                tracemalloc.get_traced_memory()[1], file=sys.stderr))\n"
+                "tracemalloc.start()\n"
+                "runpy.run_module('udham.cli', run_name='__main__', alter_sys=True)\n")
 LOADED = re.compile(r"^udham modules:(.*)$", re.M)
 CALLS = re.compile(r"^udham calls:(.*)$", re.M)
 FFT = re.compile(r"^udham fft: (.*)$", re.M)
 RUSAGE = re.compile(r"^udham rusage: (\d+) (\d+)$", re.M)
+TRACED = re.compile(r"^udham traced peak: (\d+)$", re.M)
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
 
 
@@ -132,25 +145,29 @@ def groups() -> dict:
 
 
 def run_group(checkout: Path, workdir: Path, inputs, argvs) -> list:
-    """Run each argv in a fresh process in workdir; the exit code, the
-    imported udham modules, the counted calls, (minor faults, peak RSS in
-    KiB) and the FFT counters of each."""
-    if workdir.exists():
-        raise SystemExit(f"{workdir} exists: give a fresh --outdir")
-    workdir.mkdir(parents=True)
-    if inputs is not None:
-        workloads.write_inputs(*inputs, workdir / "inputs")
+    """Run each argv in a fresh process in workdir, and again under
+    tracemalloc in workdir.traced; the exit code, the imported udham
+    modules, the counted calls, (minor faults, peak RSS in KiB), the FFT
+    counters and the traced peak in bytes of each."""
+    traced_dir = workdir.with_name(workdir.name + ".traced")
+    for d in (workdir, traced_dir):
+        if d.exists():
+            raise SystemExit(f"{d} exists: give a fresh --outdir")
+        d.mkdir(parents=True)
+        if inputs is not None:
+            workloads.write_inputs(*inputs, d / "inputs")
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
     runs = []
     for argv in argvs:
         args = [a for arg in argv
                 for a in (sorted(glob.glob(arg, root_dir=workdir)) if "*" in arg else [arg])]
-        proc = subprocess.run([sys.executable, "-c", CHILD] + args, cwd=workdir, env=env,
-                              capture_output=True, text=True, timeout=RUN_TIMEOUT)
+        proc, traced = (subprocess.run([sys.executable, "-c", child] + args, cwd=cwd, env=env,
+                                       capture_output=True, text=True, timeout=RUN_TIMEOUT)
+                        for child, cwd in ((CHILD, workdir), (TRACED_CHILD, traced_dir)))
         runs.append((proc.returncode, LOADED.findall(proc.stderr)[-1].split(),
                      CALLS.findall(proc.stderr)[-1].strip(),
                      tuple(map(int, RUSAGE.findall(proc.stderr)[-1])),
-                     FFT.findall(proc.stderr)[-1]))
+                     FFT.findall(proc.stderr)[-1], int(TRACED.findall(traced.stderr)[-1])))
     return runs
 
 
@@ -236,7 +253,7 @@ def compare(parent: Path, change: Path, outdir: Path, only=None) -> bool:
         runs = [run_group(root, d, inputs, argvs) for root, d in zip(roots, dirs)]
         totals = [0, 0]
         for argv, *sides in zip(argvs, *runs):
-            (cp, _, calls_p, use_p, fft_p), (cc, _, calls_c, use_c, fft_c) = sides
+            (cp, _, calls_p, use_p, fft_p, peak_p), (cc, _, calls_c, use_c, fft_c, peak_c) = sides
             if cp != cc:
                 same = False
                 print(f"{group} {argv[0]}: exit {cp} (parent) vs {cc} (change)")
@@ -252,6 +269,9 @@ def compare(parent: Path, change: Path, outdir: Path, only=None) -> bool:
             print(f"{group} {argv[0]} rusage: " + "; ".join(
                 f"{side} minor_faults={faults} max_rss_mb={rss / 1024:.1f}"
                 for side, (faults, rss) in zip(SIDES, (use_p, use_c))))
+            print(f"{group} {argv[0]} traced: " + "; ".join(
+                f"{side} peak_mib={peak / 2 ** 20:.3f}"
+                for side, peak in zip(SIDES, (peak_p, peak_c))))
         print(f"{group} imports summed: parent {totals[0]} lines; change {totals[1]} lines")
         files = sorted({f.relative_to(d) for d in dirs for f in d.rglob("*")
                         if f.is_file() and "inputs" not in f.relative_to(d).parts})
